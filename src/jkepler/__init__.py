@@ -6,10 +6,11 @@ from .algebra import (AlgebraSpec, Algebra, Element, JordanFrame, make_algebra,
                       SpecificationError, MismatchError, DomainError, EXACT, FLOAT)
 from .conformal import (StrElement, CoElement, RootData, co_bracket, cartan_involution,
                         root_data, dim_str, dim_co, ConsistencyError)
-from .phase import (PhasePoly, PhaseRational, poisson, poisson_poly, moments,
+from .poly import Poly
+from .phase import (PhaseRational, poisson, poisson_poly, moments,
                     verify_poisson_tkk, classical_hamiltonian, classical_angular,
                     classical_lenz)
-from .weyl import (WeylOp, PolyState, WallachParam, compose, commutator, apply_op,
+from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
                    acute_ops, gaussian_conjugate, verify_tkk_ops, he_grading_check,
                    lowest_weight_check, restriction_degeneracy, restriction_rank,
                    bound_spectrum)

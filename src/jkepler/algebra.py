@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import divalg
+from .poly import MismatchError
 from .scalars import CQ
 from .symfun import elementary_from_power, tau_poly
 
@@ -41,10 +42,6 @@ _DIVISION_DIM = {"hr": 1, "hc": 2, "hh": 4, "ho": 8}
 
 class SpecificationError(ValueError):
     """Invalid algebra family or parameter."""
-
-
-class MismatchError(ValueError):
-    """Operands from different algebras or scalar modes."""
 
 
 class DomainError(ValueError):

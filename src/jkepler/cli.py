@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,11 +46,12 @@ class SuiteConfig:
     tol: float = 1e-8
     nu: object = None          # Fraction, float or None
     levels: int = 4
-    jobs: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.levels < 0:
+            raise DomainError("levels must be >= 0")
         if self.tol <= 0:
             raise DomainError("tol must be > 0")
         if self.suite not in SUITES + ("all",):
@@ -362,11 +362,7 @@ def run(config: SuiteConfig) -> Report:
     thunks = []
     for name in names:
         thunks.extend(_SUITE_BUILDERS[name](alg, config))
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as ex:
-            groups = list(ex.map(lambda f: f(), thunks))
-    else:
-        groups = [f() for f in thunks]
+    groups = [f() for f in thunks]
     # normalize to the report schema: exactly name/status/metric/witness
     checks = sorted(({"name": c["name"], "status": c["status"], "metric": c["metric"],
                       "witness": c.get("witness")} for g in groups for c in g),
@@ -400,6 +396,8 @@ def emit(report: Report, fmt: str = "text") -> bytes:
 # --- spectrum / info -----------------------------------------------------------
 
 def spectrum_table(alg: Algebra, nu, levels: int, degeneracies: bool, seed: int) -> dict:
+    if levels < 0:
+        raise DomainError("levels must be >= 0")
     param = WallachParam.make(alg, nu)
     rows = []
     for i in range(levels):
@@ -442,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=50)
     pv.add_argument("--tol", type=float, default=1e-8)
     pv.add_argument("--levels", type=int, default=4)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--config", default=None, help="JSON file mirroring flags (flags win)")
 
     ps = sub.add_parser("spectrum", help="bound-state spectrum table")
@@ -475,13 +472,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             merged = {"algebra": args.algebra, "suite": args.suite, "trials": args.trials,
-                      "seed": _resolve_seed(args), "tol": args.tol, "levels": args.levels,
-                      "jobs": args.jobs}
+                      "seed": _resolve_seed(args), "tol": args.tol, "levels": args.levels}
             if args.config:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     file_cfg = json.load(fh)
-                parser_defaults = {"suite": "all", "trials": 50, "tol": 1e-8,
-                                   "levels": 4, "jobs": 1}
+                parser_defaults = {"suite": "all", "trials": 50, "tol": 1e-8, "levels": 4}
                 for key, default in parser_defaults.items():
                     if merged[key] == default and key in file_cfg:
                         merged[key] = file_cfg[key]
@@ -492,7 +487,7 @@ def main(argv=None) -> int:
                 parse_nu(str(file_cfg["nu"]), alg) if args.config and "nu" in file_cfg else None)
             cfg = SuiteConfig(algebra=merged["algebra"], suite=merged["suite"],
                               trials=merged["trials"], seed=merged["seed"], tol=merged["tol"],
-                              nu=nu, levels=merged["levels"], jobs=merged["jobs"])
+                              nu=nu, levels=merged["levels"])
             report = run(cfg)
             _write(emit(report, args.format), args.out)
             return 0 if report.all_pass() else 1

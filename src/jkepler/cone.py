@@ -229,7 +229,7 @@ class SpectralField(ScalarField):
     def __init__(self, alg: Algebra, poly):
         self.alg = alg
         self.poly = poly
-        self.m = poly.k
+        self.m = poly.nvars
 
     def value(self, x):
         p = self._traces(x)
@@ -256,7 +256,7 @@ class SpectralField(ScalarField):
         pows = self._pow_coords(x)
         g = np.zeros(self.alg.dim)
         for m in range(1, self.m + 1):
-            fm = float(self.poly.partial(m).value(p))
+            fm = float(self.poly.partial(m - 1).value(p))
             if fm:
                 g += fm * m * self.alg.rho * pows[m - 1]
         return g
@@ -271,14 +271,14 @@ class SpectralField(ScalarField):
             lx_pows.append(lx_pows[-1] @ lmats[1])
         h = np.zeros((alg.dim, alg.dim))
         for m in range(1, self.m + 1):
-            fm = float(self.poly.partial(m).value(p))
+            fm = float(self.poly.partial(m - 1).value(p))
             if fm and m >= 2:
                 acc = np.zeros_like(h)
                 for i in range(m - 1):
                     acc += lx_pows[i] @ lmats[m - 2 - i]
                 h += fm * m * alg.rho * acc
             for mp in range(1, self.m + 1):
-                fmm = float(self.poly.partial(m).partial(mp).value(p))
+                fmm = float(self.poly.partial(m - 1).partial(mp - 1).value(p))
                 if fmm:
                     gm = m * alg.rho * pows[m - 1]
                     gmp = mp * alg.rho * pows[mp - 1]

@@ -1,11 +1,12 @@
 """Exact symbolic symplectic calculus on T*V.
 
-Observables are sparse polynomials in position coordinates x^a and conjugate
-momenta p_a with Fraction coefficients, extended by denominators that are
-powers of r = <e|x>.  The canonical bracket is {x^a, p_b} = delta_ab; the
-momentum covector p is identified with the tangent vector pi through the
-inner product, so every inner-product contraction below carries the Gram
-matrix explicitly (trivial for spin factors, diagonal rational otherwise).
+Observables are sparse polynomials (poly.Poly in 2n variables: the position
+coordinates x^a, then the conjugate momenta p_a) with Fraction coefficients,
+extended by denominators that are powers of r = <e|x>.  The canonical
+bracket is {x^a, p_b} = delta_ab; the momentum covector p is identified with
+the tangent vector pi through the inner product, so every inner-product
+contraction below carries the Gram matrix explicitly (trivial for spin
+factors, diagonal rational otherwise).
 
 The moment functions
 
@@ -21,130 +22,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, Element, MismatchError
+from .algebra import Algebra, Element
+from .poly import Poly, monomial_key, same_nvars
 
-_ZERO = Fraction(0)
-
-
-class PhasePoly:
-    """Sparse polynomial on T*V: {(x exponents, p exponents): coefficient}."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def constant(cls, n, c) -> "PhasePoly":
-        z = (0,) * n
-        c = Fraction(c)
-        return cls(n, {(z, z): c} if c else {})
-
-    @classmethod
-    def x_var(cls, n, a) -> "PhasePoly":
-        z = (0,) * n
-        e = z[:a] + (1,) + z[a + 1:]
-        return cls(n, {(e, z): Fraction(1)})
-
-    @classmethod
-    def p_var(cls, n, a) -> "PhasePoly":
-        z = (0,) * n
-        e = z[:a] + (1,) + z[a + 1:]
-        return cls(n, {(z, e): Fraction(1)})
-
-    def _binop(self, other, sign):
-        if isinstance(other, (int, Fraction)):
-            other = PhasePoly.constant(self.n, other)
-        if self.n != other.n:
-            raise MismatchError("phase polynomials over different variable counts")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, _ZERO) + sign * c
-        return PhasePoly(self.n, out)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._binop(other, 1)
-
-    def __neg__(self):
-        return PhasePoly(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PhasePoly(self.n, {k: c * other for k, c in self.terms.items()})
-        if isinstance(other, PhaseRational):
-            return PhaseRational(other.algebra, self * other.num, other.rpow)
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (tuple(i + j for i, j in zip(a1, a2)), tuple(i + j for i, j in zip(b1, b2)))
-                out[k] = out.get(k, _ZERO) + c1 * c2
-        return PhasePoly(self.n, out)
-
-    __rmul__ = __mul__
-
-    def partial_x(self, a: int) -> "PhasePoly":
-        out = {}
-        for (xe, pe), c in self.terms.items():
-            if xe[a]:
-                k = (xe[:a] + (xe[a] - 1,) + xe[a + 1:], pe)
-                out[k] = out.get(k, _ZERO) + c * xe[a]
-        return PhasePoly(self.n, out)
-
-    def partial_p(self, a: int) -> "PhasePoly":
-        out = {}
-        for (xe, pe), c in self.terms.items():
-            if pe[a]:
-                k = (xe, pe[:a] + (pe[a] - 1,) + pe[a + 1:])
-                out[k] = out.get(k, _ZERO) + c * pe[a]
-        return PhasePoly(self.n, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def value(self, xvals, pvals):
-        acc = Fraction(0)
-        for (xe, pe), c in self.terms.items():
-            t = c
-            for i, e in enumerate(xe):
-                if e:
-                    t *= xvals[i] ** e
-            for i, e in enumerate(pe):
-                if e:
-                    t *= pvals[i] ** e
-            acc += t
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, PhasePoly):
-            return self.n == other.n and self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PhasePoly(n={self.n}, {len(self.terms)} terms)"
-
-
-def poisson_poly(f: PhasePoly, g: PhasePoly) -> PhasePoly:
+def poisson_poly(f: Poly, g: Poly) -> Poly:
     """Canonical bracket sum_a (df/dx^a dg/dp_a - df/dp_a dg/dx^a)."""
-    if f.n != g.n:
-        raise MismatchError("phase polynomials over different variable counts")
-    out = PhasePoly(f.n)
-    for a in range(f.n):
-        fx, fp = f.partial_x(a), f.partial_p(a)
+    same_nvars(f, g)
+    n = f.nvars // 2
+    out = Poly(f.nvars)
+    for a in range(n):
+        fx, fp = f.partial(a), f.partial(n + a)
         if not (fx.is_zero() and fp.is_zero()):
-            out = out + fx * g.partial_p(a) - fp * g.partial_x(a)
+            out = out + fx * g.partial(n + a) - fp * g.partial(a)
     return out
 
 
-def _divmod_linear(poly: PhasePoly, lin: list, pivot: int):
+def _divmod_linear(poly: Poly, lin: list, pivot: int):
     """Divide by the linear form sum_a lin[a] x^a; returns (quotient, remainder).
 
     Processes terms bucketed by descending pivot exponent: eliminating a term
@@ -152,35 +45,33 @@ def _divmod_linear(poly: PhasePoly, lin: list, pivot: int):
     """
     cpiv = lin[pivot]
     others = [(a, la) for a, la in enumerate(lin) if la and a != pivot]
-    buckets: dict[int, dict] = {}
-    for (xe, pe), c in poly.terms.items():
-        buckets.setdefault(xe[pivot], {})[(xe, pe)] = c
-    quot: dict = {}
+    buckets: dict[int, list] = {}
+    for k, c in poly.terms.items():
+        buckets.setdefault(k[pivot], []).append((k, c))
+    quot = []
     while True:
         live = [d for d in buckets if d > 0 and buckets[d]]
         if not live:
             break
         d = max(live)
-        level = buckets.pop(d)
-        lower = buckets.setdefault(d - 1, {})
-        for (xe, pe), c in level.items():
-            if not c:
-                continue
-            qxe = xe[:pivot] + (d - 1,) + xe[pivot + 1:]
+        level = Poly.from_pairs(poly.nvars, buckets.pop(d))
+        lower = buckets.setdefault(d - 1, [])
+        for k, c in level.terms.items():
+            qk = k[:pivot] + (d - 1,) + k[pivot + 1:]
             qc = c / cpiv
-            quot[(qxe, pe)] = quot.get((qxe, pe), _ZERO) + qc
+            quot.append((qk, qc))
             for a, la in others:
-                k = (qxe[:a] + (qxe[a] + 1,) + qxe[a + 1:], pe)
-                lower[k] = lower.get(k, _ZERO) - qc * la
-    return PhasePoly(poly.n, quot), PhasePoly(poly.n, buckets.get(0, {}))
+                lower.append((qk[:a] + (qk[a] + 1,) + qk[a + 1:], -qc * la))
+    return (Poly.from_pairs(poly.nvars, quot),
+            Poly.from_pairs(poly.nvars, buckets.get(0, [])))
 
 
 class PhaseRational:
-    """Quotient N / r^m with N a PhasePoly and r = <e|x>; kept reduced."""
+    """Quotient N / r^m with N a phase Poly and r = <e|x>; kept reduced."""
 
     __slots__ = ("algebra", "num", "rpow")
 
-    def __init__(self, algebra: Algebra, num: PhasePoly, rpow: int = 0):
+    def __init__(self, algebra: Algebra, num: Poly, rpow: int = 0):
         self.algebra = algebra
         if num.is_zero():
             rpow = 0
@@ -228,7 +119,7 @@ class PhaseRational:
         return self.num.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (PhaseRational, PhasePoly, int, Fraction)):
+        if isinstance(other, (PhaseRational, Poly, int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
 
@@ -240,7 +131,7 @@ def _as_rational(alg: Algebra, f) -> PhaseRational:
     if isinstance(f, PhaseRational):
         return f
     if isinstance(f, (int, Fraction)):
-        f = PhasePoly.constant(alg.dim, f)
+        f = Poly.constant(2 * alg.dim, f)
     return PhaseRational(alg, f, 0)
 
 
@@ -252,15 +143,10 @@ def _r_coeffs(alg: Algebra) -> list:
     return alg._cache[key]
 
 
-def r_poly(alg: Algebra) -> PhasePoly:
-    """r = <e|x> as a PhasePoly."""
-    n = alg.dim
-    z = (0,) * n
-    terms = {}
-    for a, c in enumerate(_r_coeffs(alg)):
-        if c:
-            terms[(z[:a] + (1,) + z[a + 1:], z)] = c
-    return PhasePoly(n, terms)
+def r_poly(alg: Algebra) -> Poly:
+    """r = <e|x> as a phase Poly."""
+    nvars = 2 * alg.dim
+    return Poly(nvars, {monomial_key(nvars, a): c for a, c in enumerate(_r_coeffs(alg))})
 
 
 def poisson(f, g) -> PhaseRational:
@@ -269,7 +155,7 @@ def poisson(f, g) -> PhaseRational:
     For f = N1/r^a, g = N2/r^b:
     {f, g} = (r {N1,N2} - a N1 {r,N2} + b N2 {r,N1}) / r^{a+b+1}.
     """
-    if isinstance(f, PhasePoly) and isinstance(g, PhasePoly):
+    if isinstance(f, Poly) and isinstance(g, Poly):
         raise TypeError("use poisson_poly for two plain polynomials")
     alg = f.algebra if isinstance(f, PhaseRational) else g.algebra
     f = _as_rational(alg, f)
@@ -285,54 +171,31 @@ def poisson(f, g) -> PhaseRational:
 
 # --- moment functions ---------------------------------------------------------
 
-def momentum_observable(alg: Algebra, matrix) -> PhasePoly:
+def momentum_observable(alg: Algebra, matrix) -> Poly:
     """<M x | pi> = sum_a (Mx)^a p_a for an endomorphism M (exact matrix)."""
     n = alg.dim
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        for b in range(n):
-            c = matrix[a, b]
-            if c:
-                key = (z[:b] + (1,) + z[b + 1:], z[:a] + (1,) + z[a + 1:])
-                terms[key] = terms.get(key, _ZERO) + Fraction(c)
-    return PhasePoly(n, terms)
+    return Poly(2 * n, {monomial_key(2 * n, b, n + a): Fraction(matrix[a, b])
+                        for a in range(n) for b in range(n) if matrix[a, b]})
 
 
-def moment_s(alg: Algebra, u: Element, v: Element) -> PhasePoly:
+def moment_s(alg: Algebra, u: Element, v: Element) -> Poly:
     """S_uv = <S_uv(x)|pi>."""
     return momentum_observable(alg, alg.smul_matrix(u, v))
 
 
-def moment_x(alg: Algebra, u: Element) -> PhasePoly:
+def moment_x(alg: Algebra, u: Element) -> Poly:
     """X_u = <x|{pi u pi}>."""
     n = alg.dim
     t = alg.dual_triple_tensor(u)
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                c = t[a, b, g]
-                if c:
-                    pe = list(z)
-                    pe[a] += 1
-                    pe[b] += 1
-                    key = (z[:g] + (1,) + z[g + 1:], tuple(pe))
-                    terms[key] = terms.get(key, _ZERO) + c
-    return PhasePoly(n, terms)
+    return Poly.from_pairs(2 * n, (
+        (monomial_key(2 * n, g, n + a, n + b), t[a, b, g])
+        for a in range(n) for b in range(n) for g in range(n) if t[a, b, g]))
 
 
-def moment_y(alg: Algebra, v: Element) -> PhasePoly:
+def moment_y(alg: Algebra, v: Element) -> Poly:
     """Y_v = <x|v>."""
     n = alg.dim
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        c = alg.gram[a] * v.coords[a]
-        if c:
-            terms[(z[:a] + (1,) + z[a + 1:], z)] = c
-    return PhasePoly(n, terms)
+    return Poly(2 * n, {monomial_key(2 * n, a): alg.gram[a] * v.coords[a] for a in range(n)})
 
 
 def moments(alg: Algebra, u: Element, v: Element):
@@ -346,7 +209,7 @@ _RELATIONS = ("XX", "YY", "XY", "SX", "SY", "SS")
 
 
 def poisson_relation_residual(alg: Algebra, name: str, u, v, z, w,
-                              mutated_moment: bool = False) -> PhasePoly:
+                              mutated_moment: bool = False) -> Poly:
     """Residual polynomial of one bracket-relation family; zero iff it holds.
 
     mutated_moment flips the sign of S_uv inside the XY relation; it is a
@@ -414,11 +277,11 @@ LENZ_SIGN = -1
 
 def classical_hamiltonian(alg: Algebra) -> PhaseRational:
     """H = (1/2) <x|pi^2> / r - 1/r."""
-    num = Fraction(1, 2) * moment_x(alg, alg.identity()) - PhasePoly.constant(alg.dim, 1)
+    num = Fraction(1, 2) * moment_x(alg, alg.identity()) - Poly.constant(2 * alg.dim, 1)
     return PhaseRational(alg, num, 1)
 
 
-def classical_angular(alg: Algebra, u: Element, v: Element) -> PhasePoly:
+def classical_angular(alg: Algebra, u: Element, v: Element) -> Poly:
     """Angular observable of the pair (u, v): <[L_v, L_u] x | pi>."""
     lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
     return momentum_observable(alg, lv @ lu - lu @ lv)
@@ -428,5 +291,5 @@ def classical_lenz(alg: Algebra, u: Element) -> PhaseRational:
     """Lenz observable A_u = sign * (1/r) {L_u, r^2 H} with L_u = S_ue."""
     l_u = moment_s(alg, u, alg.identity())
     r = r_poly(alg)
-    r2h = r * (Fraction(1, 2) * moment_x(alg, alg.identity()) - PhasePoly.constant(alg.dim, 1))
+    r2h = r * (Fraction(1, 2) * moment_x(alg, alg.identity()) - Poly.constant(2 * alg.dim, 1))
     return PhaseRational(alg, LENZ_SIGN * poisson_poly(l_u, r2h), 1)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .poly import Poly, monomial_key
+
 
 def elementary_from_power(pvals, m: int) -> list:
     """First m elementary symmetric functions from power sums p_1..p_m.
@@ -31,154 +33,65 @@ def elementary_from_power(pvals, m: int) -> list:
     return e[1:]
 
 
-class PowPoly:
-    """Polynomial with Fraction coefficients in power-sum variables p_1..p_k.
-
-    Stored sparsely as {exponent tuple: coefficient}.
-    """
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms: dict | None = None):
-        self.k = k
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def constant(cls, k, c) -> "PowPoly":
-        c = Fraction(c)
-        return cls(k, {(0,) * k: c} if c else {})
-
-    @classmethod
-    def variable(cls, k, m) -> "PowPoly":
-        e = tuple(1 if i == m - 1 else 0 for i in range(k))
-        return cls(k, {e: Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PowPoly(self.k, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return PowPoly(self.k, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowPoly(self.k, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return PowPoly(self.k, out)
-
-    __rmul__ = __mul__
-
-    def partial(self, m: int) -> "PowPoly":
-        """Formal derivative with respect to p_m (1-based)."""
-        out = {}
-        i = m - 1
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return PowPoly(self.k, out)
-
-    def value(self, pvals):
-        """Evaluate at power-sum values (exact or float)."""
-        exact = bool(pvals) and isinstance(pvals[0], (int, Fraction))
-        acc = Fraction(0) if exact else 0.0
-        for e, c in self.terms.items():
-            t = c if exact else float(c)
-            for i, ei in enumerate(e):
-                if ei:
-                    t = t * pvals[i] ** ei
-            acc = acc + t
-        return acc
-
-    def __repr__(self):
-        return f"PowPoly(k={self.k}, {len(self.terms)} terms)"
-
-
 @lru_cache(maxsize=None)
-def e_poly(j: int, k: int) -> PowPoly:
-    """Elementary symmetric e_j as a PowPoly in p_1..p_k (Newton recursion)."""
+def e_poly(j: int, k: int) -> Poly:
+    """Elementary symmetric e_j as a Poly in p_1..p_k (Newton recursion)."""
     if j == 0:
-        return PowPoly.constant(k, 1)
+        return Poly.constant(k, Fraction(1))
     if j > k:
         raise ValueError("e_poly needs j <= k")
-    acc = PowPoly(k)
+    acc = Poly(k)
     for i in range(1, j + 1):
-        term = e_poly(j - i, k) * PowPoly.variable(k, i)
+        term = e_poly(j - i, k) * Poly.var(k, i - 1)
         acc = acc + term if i % 2 == 1 else acc - term
     return acc * Fraction(1, j)
 
 
 # --- symmetric reduction in lambda-variables ---------------------------------
 
-def _lam_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+def _lam_elementary(j: int, k: int) -> Poly:
+    return Poly(k, {monomial_key(k, *subset): Fraction(1)
+                    for subset in combinations(range(k), j)})
 
 
-def _lam_elementary(j: int, k: int) -> dict:
-    out = {}
-    for subset in combinations(range(k), j):
-        e = tuple(1 if i in subset else 0 for i in range(k))
-        out[e] = Fraction(1)
-    return out
-
-
-def symmetric_to_elementary(poly: dict, k: int) -> dict:
+def symmetric_to_elementary(poly: Poly) -> Poly:
     """Express a symmetric polynomial in lambda_1..lambda_k via e_1..e_k.
 
-    Input/output are sparse exponent dicts; the result maps elementary
-    exponent tuples (a_1..a_k) to coefficients, meaning prod e_j^{a_j}.
-    Gauss reduction on the lex-leading monomial.
+    The result maps elementary exponent tuples (a_1..a_k) to coefficients,
+    meaning prod e_j^{a_j}.  Gauss reduction on the lex-leading monomial.
     """
-    work = {e: c for e, c in poly.items() if c}
+    k = poly.nvars
+    work = poly
     result = {}
     elem = [None] + [_lam_elementary(j, k) for j in range(1, k + 1)]
-    while work:
-        lead = max(work)
-        c = work[lead]
+    while not work.is_zero():
+        lead = max(work.terms)
+        c = work.terms[lead]
         mu = list(lead)
         if any(mu[i] < mu[i + 1] for i in range(k - 1)):
             raise ValueError("input polynomial is not symmetric")
         mu.append(0)
         epows = tuple(mu[i] - mu[i + 1] for i in range(k))
-        prod = {(0,) * k: Fraction(1)}
+        prod = Poly.constant(k, Fraction(1))
         for j, a in enumerate(epows, start=1):
             for _ in range(a):
-                prod = _lam_mul(prod, elem[j])
-        for e, ce in prod.items():
-            work[e] = work.get(e, Fraction(0)) - c * ce
-        work = {e: cc for e, cc in work.items() if cc}
-        result[epows] = result.get(epows, Fraction(0)) + c
-    return result
+                prod = prod * elem[j]
+        work = work - prod.scaled(c)
+        result[epows] = c
+    return Poly(k, result)
 
 
 @lru_cache(maxsize=None)
-def tau_poly(k: int) -> PowPoly:
-    """prod_{1<=i<j<=k} (lambda_i + lambda_j) as a PowPoly in p_1..p_k."""
+def tau_poly(k: int) -> Poly:
+    """prod_{1<=i<j<=k} (lambda_i + lambda_j) as a Poly in p_1..p_k."""
     if k == 1:
-        return PowPoly.constant(1, 1)
-    prod = {(0,) * k: Fraction(1)}
+        return Poly.constant(1, Fraction(1))
+    prod = Poly.constant(k, Fraction(1))
     for i, j in combinations(range(k), 2):
-        ei = tuple(1 if t == i else 0 for t in range(k))
-        ej = tuple(1 if t == j else 0 for t in range(k))
-        prod = _lam_mul(prod, {ei: Fraction(1), ej: Fraction(1)})
-    in_e = symmetric_to_elementary(prod, k)
-    acc = PowPoly(k)
-    for epows, c in in_e.items():
-        term = PowPoly.constant(k, c)
+        prod = prod * (Poly.var(k, i) + Poly.var(k, j))
+    acc = Poly(k)
+    for epows, c in symmetric_to_elementary(prod).terms.items():
+        term = Poly.constant(k, c)
         for j, a in enumerate(epows, start=1):
             for _ in range(a):
                 term = term * e_poly(j, k)
@@ -187,6 +100,6 @@ def tau_poly(k: int) -> PowPoly:
 
 
 @lru_cache(maxsize=None)
-def c_poly(k: int) -> PowPoly:
-    """lambda_1 * ... * lambda_k as a PowPoly in p_1..p_k."""
+def c_poly(k: int) -> Poly:
+    """lambda_1 * ... * lambda_k as a Poly in p_1..p_k."""
     return e_poly(k, k)

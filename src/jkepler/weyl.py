@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element, MismatchError
+from .algebra import DomainError, Algebra, Element
+from .poly import MismatchError, Poly, monomial_key, same_nvars
 from .scalars import CQ
 
 _I = CQ(0, 1)
@@ -43,176 +44,72 @@ def _ff(c: int, s: int) -> int:
     return out
 
 
-class WeylOp:
-    """Sparse normal-ordered operator: {(x exponents, d exponents): coeff}."""
+class WeylOp(Poly):
+    """Sparse normal-ordered operator: a Poly in 2n variables, the x exponents
+    then the d exponents of each word x^A d^B.  Its product is composition,
+    so a * b never silently multiplies commutatively."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
-    def constant(cls, n, c) -> "WeylOp":
-        z = (0,) * n
-        return cls(n, {(z, z): c})
+    def x_mul(cls, nvars, a) -> "WeylOp":
+        return cls.var(nvars, a)
 
     @classmethod
-    def x_mul(cls, n, a) -> "WeylOp":
-        z = (0,) * n
-        return cls(n, {(z[:a] + (1,) + z[a + 1:], z): Fraction(1)})
+    def d_op(cls, nvars, a) -> "WeylOp":
+        return cls.var(nvars, nvars // 2 + a)
 
-    @classmethod
-    def d_op(cls, n, a) -> "WeylOp":
-        z = (0,) * n
-        return cls(n, {(z, z[:a] + (1,) + z[a + 1:]): Fraction(1)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CQ)):
-            other = WeylOp.constant(self.n, other)
-        if self.n != other.n:
-            raise MismatchError("operators over different variable counts")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return WeylOp(self.n, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CQ)):
-            other = WeylOp.constant(self.n, other)
-        return self + (-other)
-
-    def __neg__(self):
-        return WeylOp(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scaled(self, c):
-        return WeylOp(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CQ)):
-            return self.scaled(other)
+    def _product(self, other):
         return compose(self, other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, WeylOp):
-            return (self - other).is_zero()
-        return NotImplemented
-
-    def __repr__(self):
-        return f"WeylOp(n={self.n}, {len(self.terms)} terms)"
 
 
 def compose(a: WeylOp, b: WeylOp) -> WeylOp:
     """Normal-ordered product ab."""
-    if a.n != b.n:
-        raise MismatchError("operators over different variable counts")
-    out = {}
-    for (A, B), ca in a.terms.items():
-        for (C, D), cb in b.terms.items():
-            base = ca * cb
-            ranges = [range(min(bi, ci) + 1) for bi, ci in zip(B, C)]
-            for s in itertools.product(*ranges):
-                coef = base
-                for bi, ci, si in zip(B, C, s):
-                    if si:
-                        coef = coef * (math.comb(bi, si) * _ff(ci, si))
-                key = (tuple(ai + ci - si for ai, ci, si in zip(A, C, s)),
-                       tuple(bi + di - si for bi, di, si in zip(B, D, s)))
-                acc = out.get(key, 0) + coef
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return WeylOp(a.n, out)
+    same_nvars(a, b)
+    n = a.nvars // 2
+    right = [(k[:n], k[n:], c) for k, c in b.terms.items()]
+
+    def words():
+        for k, ca in a.terms.items():
+            A, B = k[:n], k[n:]
+            for C, D, cb in right:
+                base = ca * cb
+                ranges = [range(min(bi, ci) + 1) for bi, ci in zip(B, C)]
+                for s in itertools.product(*ranges):
+                    coef = base
+                    for bi, ci, si in zip(B, C, s):
+                        if si:
+                            coef = coef * (math.comb(bi, si) * _ff(ci, si))
+                    yield (tuple(ai + ci - si for ai, ci, si in zip(A, C, s))
+                           + tuple(bi + di - si for bi, di, si in zip(B, D, s))), coef
+
+    return WeylOp.from_pairs(a.nvars, words())
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return compose(a, b) - compose(b, a)
 
 
-class PolyState:
-    """Polynomial p over V representing the state psi = e^{-r} p."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def vacuum(cls, n) -> "PolyState":
-        return cls(n, {(0,) * n: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n, exps, coeff=Fraction(1)) -> "PolyState":
-        return cls(n, {tuple(exps): coeff})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return PolyState(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c):
-        return PolyState(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
-    def graded_part(self, d: int) -> "PolyState":
-        return PolyState(self.n, {k: c for k, c in self.terms.items() if sum(k) == d})
-
-    def __eq__(self, other):
-        if isinstance(other, PolyState):
-            return self.n == other.n and (self - other).is_zero()
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PolyState(n={self.n}, {len(self.terms)} terms)"
-
-
-def apply_op(op: WeylOp, p: PolyState) -> PolyState:
-    """Apply a normal-ordered operator to a plain polynomial."""
-    if op.n != p.n:
+def apply_op(op: WeylOp, p: Poly) -> Poly:
+    """Apply a normal-ordered operator to a plain polynomial p, the state
+    psi = e^{-r} p."""
+    if op.nvars != 2 * p.nvars:
         raise MismatchError("operator and state over different variable counts")
-    out = {}
-    for (A, B), c in op.terms.items():
-        for C, pc in p.terms.items():
-            if any(ci < bi for ci, bi in zip(C, B)):
-                continue
-            coef = c * pc
-            for ci, bi in zip(C, B):
-                if bi:
-                    coef = coef * _ff(ci, bi)
-            key = tuple(ai + ci - bi for ai, ci, bi in zip(A, C, B))
-            acc = out.get(key, 0) + coef
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return PolyState(p.n, out)
+    n = p.nvars
+
+    def terms():
+        for k, c in op.terms.items():
+            A, B = k[:n], k[n:]
+            for C, pc in p.terms.items():
+                if any(ci < bi for ci, bi in zip(C, B)):
+                    continue
+                coef = c * pc
+                for ci, bi in zip(C, B):
+                    if bi:
+                        coef = coef * _ff(ci, bi)
+                yield tuple(ai + ci - bi for ai, ci, bi in zip(A, C, B)), coef
+
+    return Poly.from_pairs(n, terms())
 
 
 # --- the nu-parametrized (acute) realization -----------------------------------
@@ -226,24 +123,22 @@ def _shift_coeffs(alg: Algebra) -> list:
 def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
     """e^{sr} op e^{-sr} with s = outer_sign: the substitution d_a -> d_a - s (Ge)_a."""
     sh = _shift_coeffs(alg)
-    out = WeylOp(op.n)
-    for (A, B), c in op.terms.items():
-        ranges = [range(bi + 1) for bi in B]
-        expanded = {}
-        for s in itertools.product(*ranges):
-            coef = c
-            for a, (bi, si) in enumerate(zip(B, s)):
-                if bi - si:
-                    coef = coef * math.comb(bi, si) * (-outer_sign * sh[a]) ** (bi - si)
-                elif si != bi:
-                    coef = coef * math.comb(bi, si)
-            key = (A, s)
-            expanded[key] = expanded.get(key, 0) + coef
-        out = out + WeylOp(op.n, expanded)
-    return out
+    n = op.nvars // 2
+
+    def words():
+        for k, c in op.terms.items():
+            A, B = k[:n], k[n:]
+            for s in itertools.product(*[range(bi + 1) for bi in B]):
+                coef = c
+                for a, (bi, si) in enumerate(zip(B, s)):
+                    if bi - si:
+                        coef = coef * math.comb(bi, si) * (-outer_sign * sh[a]) ** (bi - si)
+                yield A + s, coef
+
+    return WeylOp.from_pairs(op.nvars, words())
 
 
-def apply_to_state(alg: Algebra, op: WeylOp, p: PolyState) -> PolyState:
+def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
     """Action on psi = e^{-r} p: returns q with op psi = e^{-r} q."""
     return apply_op(gaussian_conjugate(alg, op), p)
 
@@ -252,57 +147,29 @@ def acute_s(alg: Algebra, nu, u: Element, v: Element) -> WeylOp:
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv)."""
     n = alg.dim
     s = alg.smul_matrix(u, v)
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        for b in range(n):
-            c = s[a, b]
-            if c:
-                key = (z[:b] + (1,) + z[b + 1:], z[:a] + (1,) + z[a + 1:])
-                terms[key] = terms.get(key, 0) - Fraction(c)
+    terms = {monomial_key(2 * n, b, n + a): -Fraction(s[a, b])
+             for a in range(n) for b in range(n) if s[a, b]}
     tr_uv = alg.rho * alg.inner(u, v)
-    const = -Fraction(nu) * tr_uv / 2
-    if const:
-        terms[(z, z)] = terms.get((z, z), 0) + const
-    return WeylOp(n, terms)
+    terms[(0,) * (2 * n)] = -Fraction(nu) * tr_uv / 2
+    return WeylOp(2 * n, terms)
 
 
 def acute_x(alg: Algebra, nu, u: Element) -> WeylOp:
     """X_u(nu) = i <x|{D u D}> + i nu tr(u D)."""
     n = alg.dim
     t = alg.dual_triple_tensor(u)
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                c = t[a, b, g]
-                if c:
-                    de = list(z)
-                    de[a] += 1
-                    de[b] += 1
-                    key = (z[:g] + (1,) + z[g + 1:], tuple(de))
-                    terms[key] = terms.get(key, 0) + _I * c
+    words = [(monomial_key(2 * n, g, n + a, n + b), _I * t[a, b, g])
+             for a in range(n) for b in range(n) for g in range(n) if t[a, b, g]]
     nur = Fraction(nu) * alg.rho
-    if nur:
-        for a in range(n):
-            ua = u.coords[a]
-            if ua:
-                key = (z, z[:a] + (1,) + z[a + 1:])
-                terms[key] = terms.get(key, 0) + _I * (nur * ua)
-    return WeylOp(n, terms)
+    words += [(monomial_key(2 * n, n + a), _I * (nur * u.coords[a])) for a in range(n)]
+    return WeylOp.from_pairs(2 * n, words)
 
 
 def acute_y(alg: Algebra, nu, v: Element) -> WeylOp:
     """Y_v(nu) = -i <x|v> (multiplication operator; nu-independent)."""
     n = alg.dim
-    z = (0,) * n
-    terms = {}
-    for a in range(n):
-        c = alg.gram[a] * v.coords[a]
-        if c:
-            terms[(z[:a] + (1,) + z[a + 1:], z)] = -_I * c
-    return WeylOp(n, terms)
+    return WeylOp(2 * n, {monomial_key(2 * n, a): -_I * (alg.gram[a] * v.coords[a])
+                          for a in range(n)})
 
 
 def acute_ops(alg: Algebra, nu, u: Element, v: Element):
@@ -366,6 +233,8 @@ class WallachParam:
             return nu
         exact = isinstance(nu, (int, Fraction))
         nu_f = Fraction(nu) if exact else float(nu)
+        if not exact and not math.isfinite(nu_f):
+            raise DomainError(f"nu = {nu} is not a finite number")
         if nu_f <= 0:
             raise DomainError(
                 f"nu = {nu} is not in the nonzero Wallach set of {alg.spec}: need "
@@ -412,7 +281,7 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     checked = 0
     witness = None
     for exps in _monomials_of_degree(n, degree):
-        p = PolyState.monomial(n, exps)
+        p = Poly(n, {exps: Fraction(1)})
         q = apply_op(conj, p)
         if q.degree() > degree or not (q.graded_part(degree) - p.scaled(eig)).is_zero():
             witness = {"monomial": list(exps)}
@@ -426,7 +295,7 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0, trials: int = 8) -> dic
     """psi_0 = e^{-r} is annihilated by the realized compact generators and by
     E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu."""
     n = alg.dim
-    vac = PolyState.vacuum(n)
+    vac = Poly.constant(n, Fraction(1))
     rng = np.random.default_rng(seed)
     failures = []
     # derivation sector [L_u, L_v] = (S_uv - S_vu)/2

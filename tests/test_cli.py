@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from jkepler.algebra import make_algebra
+from jkepler.algebra import DomainError, make_algebra
 from jkepler.cli import (Report, SuiteConfig, emit, info_table, main, parse_nu, run,
                          spectrum_table)
 
@@ -43,12 +43,6 @@ def test_checks_sorted_and_deterministic():
     names = [c["name"] for c in r1.checks]
     assert names == sorted(names)
     assert _strip_wall(emit(r1, "json")) == _strip_wall(emit(r2, "json"))
-
-
-def test_jobs_parallel_matches_serial():
-    base = SuiteConfig(algebra="gamma:2", suite="jordan", trials=6, seed=4)
-    par = SuiteConfig(algebra="gamma:2", suite="jordan", trials=6, seed=4, jobs=4)
-    assert _strip_wall(emit(run(base), "json")) == _strip_wall(emit(run(par), "json"))
 
 
 def test_emit_json_schema_and_roundtrip():
@@ -92,6 +86,10 @@ def test_config_validation():
         SuiteConfig(algebra="gamma:2", tol=0.0)
     with pytest.raises(Exception):
         SuiteConfig(algebra="gamma:2", suite="nope")
+    with pytest.raises(DomainError):
+        SuiteConfig(algebra="gamma:2", levels=-1)
+    with pytest.raises(DomainError):
+        spectrum_table(make_algebra("gamma:3"), Fr(1), -3, False, 0)
 
 
 # --- the command-line entry point -------------------------------------------------
@@ -116,6 +114,27 @@ def test_main_bad_nu_pairing_is_domain_error(capsys):
                  "--nu", "1/3", "--trials", "2"])
     assert code == 2
     assert "Wallach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "gamma:3", "--nu", "inf"],
+    ["spectrum", "--algebra", "gamma:3", "--nu=-inf"],
+    ["verify", "--suite", "operators", "--algebra", "gamma:3", "--nu", "inf", "--trials", "2"],
+    ["verify", "--suite", "operators", "--algebra", "gamma:3", "--nu=-inf", "--trials", "2"],
+])
+def test_main_non_finite_nu_is_domain_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "gamma:3", "--nu", "1", "--levels", "-3"],
+    ["verify", "--suite", "operators", "--algebra", "gamma:3", "--nu", "1", "--levels", "-3"],
+])
+def test_main_negative_levels_is_domain_error(capsys, argv):
+    assert main(argv) == 2
+    assert "levels must be >= 0" in capsys.readouterr().err
 
 
 def test_main_spectrum_table(capsys):

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from jkepler.symfun import (PowPoly, c_poly, e_poly, elementary_from_power,
+from jkepler.poly import Poly
+from jkepler.symfun import (c_poly, e_poly, elementary_from_power,
                             symmetric_to_elementary, tau_poly)
 
 
@@ -71,10 +72,10 @@ def test_c_poly_is_full_product():
 
 
 def test_partial_derivative():
-    # d/dp_1 of (p_1^2 p_2) = 2 p_1 p_2
-    f = PowPoly(2, {(2, 1): Fr(1)})
-    assert f.partial(1).terms == {(1, 1): Fr(2)}
-    assert f.partial(2).terms == {(2, 0): Fr(1)}
+    # d/dp_1 of (p_1^2 p_2) = 2 p_1 p_2; variables are 0-based
+    f = Poly(2, {(2, 1): Fr(1)})
+    assert f.partial(0).terms == {(1, 1): Fr(2)}
+    assert f.partial(1).terms == {(2, 0): Fr(1)}
 
 
 def test_float_evaluation():
@@ -84,4 +85,4 @@ def test_float_evaluation():
 
 def test_symmetric_to_elementary_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        symmetric_to_elementary({(0, 1): Fr(1)}, 2)
+        symmetric_to_elementary(Poly(2, {(0, 1): Fr(1)}))
