@@ -200,12 +200,59 @@ class JordanFrame:
         return acc
 
 
-def _coords_to_int(coords):
-    """Clear denominators: tuple of Fractions -> (list of int, den)."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c.numerator * (den // c.denominator)) for c in coords], den
+def _numerators(coords):
+    """Exact coordinates (int, Fraction or CQ) -> (parts, den).
+
+    parts holds integer numerator lists over the one common denominator den:
+    (re,) when no coordinate is CQ, else (re, im).
+    """
+    if any(isinstance(c, CQ) for c in coords):
+        parts = ([c.re if isinstance(c, CQ) else c for c in coords],
+                 [c.im if isinstance(c, CQ) else 0 for c in coords])
+    else:
+        parts = (coords,)
+    den = math.lcm(*(c.denominator for p in parts for c in p))
+    return tuple([c.numerator * (den // c.denominator) for c in p] for p in parts), den
+
+
+def _from_numerators(parts, den) -> np.ndarray:
+    """Inverse of _numerators on arrays: Fraction entries for (re,), CQ
+    entries for (re, im)."""
+    if len(parts) == 1:
+        flat = [Fraction(a, den) for a in parts[0].ravel().tolist()]
+    else:
+        flat = [CQ(Fraction(a, den), Fraction(b, den))
+                for a, b in zip(parts[0].ravel().tolist(), parts[1].ravel().tolist())]
+    return np.array(flat, dtype=object).reshape(parts[0].shape)
+
+
+def _bilinear(f, x, y):
+    """Extend a real bilinear map to numerator parts:
+    (a + ib, c + id) -> (f(a, c) - f(b, d), f(a, d) + f(b, c))."""
+    if len(x) == 1 and len(y) == 1:
+        return (f(x[0], y[0]),)
+    re, im = f(x[0], y[0]), 0
+    if len(y) == 2:
+        im = im + f(x[0], y[1])
+    if len(x) == 2:
+        im = im + f(x[1], y[0])
+        if len(y) == 2:
+            re = re - f(x[1], y[1])
+    return re, im
+
+
+# Integer kernels on numerator arrays (int64, or object arrays of Python ints
+# for the overflow fallback).  x may carry leading batch axes.
+
+def _lnum(c2, x):
+    """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a]."""
+    return np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
+
+
+def _snum(c2, x, y):
+    """4 S_xy = [A, B] + L(A y) with A = 2 L_x, B = 2 L_y (A y = 2 xy)."""
+    a, b = _lnum(c2, x), _lnum(c2, y)
+    return a @ b - b @ a + _lnum(c2, a @ y)
 
 
 class Algebra:
@@ -227,7 +274,12 @@ class Algebra:
         self._scale = np.sqrt(np.array([float(g) for g in gram]))
         half = c2.astype(np.float64) / 2.0
         self._con = half * self._scale[None, None, :] / (self._scale[:, None, None] * self._scale[None, :, None])
-        self._c_obj = None
+        # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
+        # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included;
+        # the complex split adds two such terms.  So every kernel stays below
+        # 2**63 when X * Y * (any extra factor) <= _int64_limit.
+        cmax = int(np.abs(c2).max())
+        self._int64_limit = (2**63 - 1) // (6 * n**3 * cmax**2)
         self._cache = {}
 
     # --- constructors ---------------------------------------------------
@@ -268,66 +320,40 @@ class Algebra:
         if u.mode == FLOAT:
             w = np.einsum("abg,a,b->g", self._con, u.coords, v.coords)
             return Element(self, w, FLOAT)
-        return Element(self, self._product_exact(u.coords, v.coords), EXACT)
+        (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
+        c2, (x, y) = self._kernel_arrays(x, y)
+        w = _bilinear(lambda p, q: _lnum(c2, p) @ q, x, y)
+        return Element(self, _from_numerators(w, 2 * xd * yd), EXACT)
 
-    def _product_exact(self, uc, vc):
-        if all(isinstance(c, Fraction) for c in uc) and all(isinstance(c, Fraction) for c in vc):
-            unum, ud = _coords_to_int(uc)
-            vnum, vd = _coords_to_int(vc)
-            mu, mv = max(map(abs, unum), default=0), max(map(abs, vnum), default=0)
-            den = 2 * ud * vd
-            if mu * mv * 4 * self.dim * self.dim < 2**62 and mu < 2**31 and mv < 2**31:
-                w = np.einsum("abg,a,b->g",
-                              self._c2, np.asarray(unum, dtype=np.int64), np.asarray(vnum, dtype=np.int64))
-                return tuple(Fraction(int(x), den) for x in w)
-            uo = np.array(unum, dtype=object)
-            vo = np.array(vnum, dtype=object)
-            w = np.tensordot(self._c2_object(), uo, axes=([0], [0])).T @ vo
-            return tuple(Fraction(x, den) for x in w)
-        # generic path (CQ or mixed scalars)
-        uo = np.array(uc, dtype=object)
-        vo = np.array(vc, dtype=object)
-        w = np.tensordot(self._c_object(), uo, axes=([0], [0])).T @ vo
-        return tuple(w)
-
-    def _c2_object(self):
-        if self._c_obj is None:
-            self._c_obj = self._c2.astype(object)
-        return self._c_obj
+    def _kernel_arrays(self, *operands, factor: int = 1):
+        """c2 and the numerator parts of each operand as int64 arrays when the
+        int64 guard holds, else as object arrays of Python ints."""
+        bound = factor
+        for parts in operands:
+            bound *= max(1, max(abs(c) for p in parts for c in p))
+        dtype = np.int64 if bound <= self._int64_limit else object
+        return (self._c2.astype(dtype, copy=False),
+                [tuple(np.array(p, dtype=dtype) for p in parts) for parts in operands])
 
     def lmul_matrix(self, u: Element):
         """Matrix of L_u: v -> uv, in the frame of u's mode."""
         if u.mode == FLOAT:
             return np.tensordot(self._con, u.coords, axes=([0], [0])).T
-        if all(isinstance(c, Fraction) for c in u.coords):
-            unum, ud = _coords_to_int(u.coords)
-            m2 = np.tensordot(self._c2_object(), np.array(unum, dtype=object), axes=([0], [0])).T
-            den = 2 * ud
-            out = np.empty((self.dim, self.dim), dtype=object)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    out[i, j] = Fraction(m2[i, j], den)
-            return out
-        uo = np.array(u.coords, dtype=object)
-        return np.tensordot(self._c_object(), uo, axes=([0], [0])).T
-
-    def _c_object(self):
-        key = "c_object"
-        if key not in self._cache:
-            n = self.dim
-            out = np.empty((n, n, n), dtype=object)
-            for idx, v in np.ndenumerate(self._c2):
-                out[idx] = Fraction(int(v), 2)
-            self._cache[key] = out
-        return self._cache[key]
+        x, xd = _numerators(u.coords)
+        c2, (x,) = self._kernel_arrays(x)
+        return _from_numerators(tuple(_lnum(c2, p) for p in x), 2 * xd)
 
     def smul_matrix(self, u: Element, v: Element):
         """S_uv = [L_u, L_v] + L_{uv}."""
         u._check(v)
-        lu = self.lmul_matrix(u)
-        lv = self.lmul_matrix(v)
-        luv = self.lmul_matrix(self.product(u, v))
-        return lu @ lv - lv @ lu + luv
+        if u.mode == FLOAT:
+            lu = self.lmul_matrix(u)
+            lv = self.lmul_matrix(v)
+            luv = self.lmul_matrix(self.product(u, v))
+            return lu @ lv - lv @ lu + luv
+        (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
+        c2, (x, y) = self._kernel_arrays(x, y)
+        return _from_numerators(_bilinear(lambda p, q: _snum(c2, p, q), x, y), 4 * xd * yd)
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -515,15 +541,20 @@ class Algebra:
     def dual_triple_tensor(self, u: Element):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
         derivatives with the metric-dual basis.  Exact object array."""
+        if u.mode != EXACT:
+            raise MismatchError("dual_triple_tensor needs an exact element")
         n = self.dim
-        t = np.empty((n, n, n), dtype=object)
-        ginv = [1 / g for g in self.gram]
-        for a in range(n):
-            s = self.smul_matrix(self.basis_element(a), u)
-            for b in range(n):
-                for g in range(n):
-                    t[a, b, g] = s[g, b] * self.gram[g] * ginv[a] * ginv[b]
-        return t
+        x, xd = _numerators(u.coords)
+        # T[a,b,g] = S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden:
+        # the Gram factor is gnum[g] gden (lg / (gnum[a] gnum[b])) / lg
+        (gnum,), gden = _numerators(self.gram)
+        lg = math.lcm(*gnum) ** 2
+        factor = max(gnum) * gden * lg
+        c2, (x,) = self._kernel_arrays(x, factor=factor)
+        weight = np.array([[[lg // (ga * gb) * gg * gden for gg in gnum] for gb in gnum] for ga in gnum],
+                          dtype=c2.dtype)
+        s = _bilinear(lambda p, q: _snum(c2, p, q), (np.eye(n, dtype=c2.dtype),), x)
+        return _from_numerators(tuple(weight * np.swapaxes(p, 1, 2) for p in s), 4 * xd * lg)
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""
@@ -560,71 +591,32 @@ def _build_spin(k: int):
 
 
 def _build_hermitian(k: int, ddim: int):
-    basis, labels = _hermitian_basis(k, ddim)
-    n = len(basis)
-    c2 = np.zeros((n, n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(a, n):
-            p = _sym_prod(basis[a], basis[b], k, ddim)
-            co = _decompose(p, k, ddim)
-            for g in range(n):
-                c = co[g]
-                if c:
-                    twice = 2 * c
-                    if twice.denominator != 1:
-                        raise AssertionError("structure constant denominator exceeds 2")
-                    c2[a, b, g] = c2[b, a, g] = int(twice)
-    gram = [Fraction(1, k)] * k + [Fraction(2, k)] * (n - k)
-    ident = [Fraction(1)] * k + [Fraction(0)] * (n - k)
-    return c2, gram, labels, ident
-
-
-def _hermitian_basis(k: int, ddim: int):
-    basis, labels = [], []
-    zrow = [divalg.zero(ddim)] * k
-
-    def zmat():
-        return [list(zrow) for _ in range(k)]
-
+    n = k + k * (k - 1) * ddim // 2
+    # basis[a, i, j, mu]: component mu of entry (i, j) of basis matrix a
+    basis = np.zeros((n, k, k, ddim), dtype=np.int64)
+    labels = []
     for i in range(k):
-        m = zmat()
-        m[i][i] = divalg.unit(ddim)
-        basis.append(m)
+        basis[i, i, i, 0] = 1
         labels.append(f"E{i+1}{i+1}")
+    a = k
     for i in range(k):
         for j in range(i + 1, k):
             for mu in range(ddim):
-                q = divalg.unit(ddim, mu)
-                m = zmat()
-                m[i][j] = q
-                m[j][i] = divalg.conj(q)
-                basis.append(m)
+                basis[a, i, j, mu] = 1
+                basis[a, j, i, mu] = 1 if mu == 0 else -1
                 labels.append(f"F{i+1}{j+1}:{mu}")
-    return basis, labels
-
-
-def _sym_prod(a, b, k: int, ddim: int):
-    out = [[divalg.zero(ddim) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = divalg.zero(ddim)
-            for l in range(k):
-                acc = divalg.add(acc, divalg.mul(a[i][l], b[l][j], ddim))
-                acc = divalg.add(acc, divalg.mul(b[i][l], a[l][j], ddim))
-            out[i][j] = divalg.scale(Fraction(1, 2), acc)
-    return out
-
-
-def _decompose(m, k: int, ddim: int):
-    coords = []
-    for i in range(k):
-        if any(m[i][i][t] for t in range(1, ddim)):
-            raise AssertionError("hermitian product has non-real diagonal")
-        coords.append(m[i][i][0])
-    for i in range(k):
-        for j in range(i + 1, k):
-            coords.extend(m[i][j])
-    return coords
+                a += 1
+    # 2(a o b) = ab + ba, entrywise over the division-algebra product
+    ab = np.einsum("ails,bljt,str->abijr", basis, basis, divalg.mul_tensor(ddim), optimize=True)
+    twice = ab + ab.transpose(1, 0, 2, 3, 4)
+    diag = twice[:, :, range(k), range(k), :]
+    if diag[..., 1:].any():
+        raise AssertionError("hermitian product has non-real diagonal")
+    iu, ju = np.triu_indices(k, 1)
+    c2 = np.concatenate([diag[..., 0], twice[:, :, iu, ju, :].reshape(n, n, -1)], axis=2)
+    gram = [Fraction(1, k)] * k + [Fraction(2, k)] * (n - k)
+    ident = [Fraction(1)] * k + [Fraction(0)] * (n - k)
+    return c2, gram, labels, ident
 
 
 def make_algebra(spec) -> Algebra:

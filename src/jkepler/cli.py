@@ -82,13 +82,16 @@ class Report:
 def parse_nu(text: str, alg: Algebra):
     """nu from a string: a rational like '7/3', a float, or 'd:k' for k delta/2."""
     text = text.strip()
-    if text.startswith("d:"):
-        k = int(text[2:])
-        return Fraction(k) * alg.delta / 2
     try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
+        if text.startswith("d:"):
+            return Fraction(int(text[2:])) * alg.delta / 2
+        try:
+            return Fraction(text)
+        except ValueError:
+            return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot read nu {text!r}: expected a rational like 1/2, a decimal, "
+                          f"or d:k") from exc
 
 
 def _check(name, ok, metric="exact", witness=None):
@@ -467,8 +470,20 @@ def _write(payload: bytes, out: str | None):
         sys.stdout.buffer.write(payload)
 
 
+def _bind_nu(argv):
+    """Rewrite `--nu VALUE` as `--nu=VALUE`: argparse takes a value such as
+    -1/2 or -inf for an option and would refuse it before any domain check."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--nu" and not arg.startswith("--"):
+            out[-1] = f"--nu={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_bind_nu(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             merged = {"algebra": args.algebra, "suite": args.suite, "trials": args.trials,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5))
 
 
@@ -37,6 +39,16 @@ _TABLES = {
     4: _build_table(4, ((1, 2, 3),)),
     8: _build_table(8, FANO_TRIPLES),
 }
+
+
+def mul_tensor(dim: int) -> np.ndarray:
+    """Integer sign tensor m of the product: e_s e_t = sum_r m[s, t, r] e_r."""
+    idx, sgn = _TABLES[dim]
+    m = np.zeros((dim, dim, dim), dtype=np.int64)
+    for s in range(dim):
+        for t in range(dim):
+            m[s, t, idx[s][t]] = sgn[s][t]
+    return m
 
 
 def unit(dim: int, mu: int = 0) -> tuple:

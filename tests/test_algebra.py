@@ -450,3 +450,164 @@ def test_octonion_fano_convention():
         b = tuple(Fr(int(x)) for x in rng.integers(-5, 6, 8))
         ab = divalg.mul(a, b, 8)
         assert sum(c * c for c in ab) == sum(c * c for c in a) * sum(c * c for c in b)
+
+
+# --- the integer kernel against entrywise reference formulas -----------------------
+
+from jkepler import divalg  # noqa: E402
+from jkepler.algebra import EXACT  # noqa: E402
+from jkepler.scalars import CQ  # noqa: E402
+
+
+def _reference_c2(k, ddim):
+    """Structure table built entry by entry: 2(a o b) = ab + ba with divalg.mul,
+    read back in the rational frame (real diagonal, upper off-diagonal entries)."""
+    zrow = [divalg.zero(ddim)] * k
+    basis = []
+    for i in range(k):
+        m = [list(zrow) for _ in range(k)]
+        m[i][i] = divalg.unit(ddim)
+        basis.append(m)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for mu in range(ddim):
+                q = divalg.unit(ddim, mu)
+                m = [list(zrow) for _ in range(k)]
+                m[i][j], m[j][i] = q, divalg.conj(q)
+                basis.append(m)
+
+    def sym_prod(a, b):
+        out = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                acc = divalg.zero(ddim)
+                for l in range(k):
+                    acc = divalg.add(acc, divalg.mul(a[i][l], b[l][j], ddim))
+                    acc = divalg.add(acc, divalg.mul(b[i][l], a[l][j], ddim))
+                out[i][j] = divalg.scale(Fr(1, 2), acc)
+        return out
+
+    def decompose(m):
+        coords = []
+        for i in range(k):
+            assert not any(m[i][i][1:]), "hermitian product has non-real diagonal"
+            coords.append(m[i][i][0])
+        for i in range(k):
+            for j in range(i + 1, k):
+                coords.extend(m[i][j])
+        return coords
+
+    n = len(basis)
+    c2 = np.zeros((n, n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(a, n):
+            for g, c in enumerate(decompose(sym_prod(basis[a], basis[b]))):
+                assert (2 * c).denominator == 1
+                c2[a, b, g] = c2[b, a, g] = int(2 * c)
+    return c2
+
+
+@pytest.mark.parametrize("spec", ["h:3:R", "h:4:R", "h:3:C", "h:4:C", "h:3:H", "h:4:H", "h:3:O"])
+def test_structure_table_matches_entrywise_build(algebra, spec):
+    alg = algebra(spec)
+    ref = _reference_c2(alg.spec.k, alg.delta)
+    assert alg._c2.dtype == ref.dtype
+    assert np.array_equal(alg._c2, ref)
+
+
+def _c_object(alg):
+    n = alg.dim
+    out = np.empty((n, n, n), dtype=object)
+    for idx, v in np.ndenumerate(alg._c2):
+        out[idx] = Fr(int(v), 2)
+    return out
+
+
+def _ref_lmul(alg, u):
+    return np.tensordot(_c_object(alg), np.array(u.coords, dtype=object), axes=([0], [0])).T
+
+
+def _ref_product(alg, u, v):
+    return _ref_lmul(alg, u) @ np.array(v.coords, dtype=object)
+
+
+def _ref_smul(alg, u, v):
+    lu, lv = _ref_lmul(alg, u), _ref_lmul(alg, v)
+    luv = _ref_lmul(alg, Element(alg, _ref_product(alg, u, v), EXACT))
+    return lu @ lv - lv @ lu + luv
+
+
+def _assert_same_entries(got, want):
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    for a, b in zip(got.flat, want.flat):
+        assert type(a) is type(b) and a == b, (a, b)
+
+
+def _exact_element(alg, rng, kind):
+    """kind F: Fraction coords; Q: CQ coords; M: Fraction and CQ coords mixed."""
+    out = []
+    for i in range(alg.dim):
+        re = Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+        if kind == "Q" or (kind == "M" and i % 3 == 0):
+            out.append(CQ(re, Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))))
+        else:
+            out.append(re)
+    return Element(alg, out, EXACT)
+
+
+FIVE_FAMILIES = ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES)
+@pytest.mark.parametrize("kinds", ["FF", "QQ", "MF", "FQ"])
+def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
+    alg = algebra(spec)
+    rng = np.random.default_rng(sum(map(ord, spec + kinds)))
+    u, v = _exact_element(alg, rng, kinds[0]), _exact_element(alg, rng, kinds[1])
+    _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
+    _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
+    _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES)
+@pytest.mark.parametrize("kind", ["F", "Q", "M"])
+def test_dual_triple_tensor_matches_definition(algebra, spec, kind):
+    alg = algebra(spec)
+    u = _exact_element(alg, np.random.default_rng(len(spec)), kind)
+    t = alg.dual_triple_tensor(u)
+    n, g = alg.dim, alg.gram
+    for a in range(n):
+        s = alg.smul_matrix(alg.basis_element(a), u)
+        want = [[s[c, b] * g[c] * (1 / g[a]) * (1 / g[b]) for c in range(n)] for b in range(n)]
+        _assert_same_entries(t[a], want)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:C", "h:3:O"])
+def test_int64_guard_and_object_fallback(algebra, spec):
+    # numpy int64 matmul wraps silently: at the guard the int64 path must stay
+    # exact, and just past it the object fallback must give the same values.
+    alg = algebra(spec)
+    n, limit = alg.dim, alg._int64_limit
+    rng = np.random.default_rng(5)
+    signs = [int(s) for s in rng.choice([-1, 1], n)]
+    v = alg.element(signs[::-1])
+    c = limit // 7
+    u0 = alg.element([7 * s for s in signs])
+    s0 = _ref_smul(alg, u0, v)
+    for big in (limit, limit + 1):
+        u = alg.element([big * s for s in signs])
+        _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
+        _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
+        _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
+    # S_{cu,v} = c S_{u,v} for c on both sides of the guard and far past it,
+    # so a guard looser than the true int64 range would show here
+    for scale in [c, c + 1, CQ(c, 1), CQ(0, c + 1)] + [3**j for j in range(0, 48, 4)]:
+        u = Element(alg, [scale * x for x in u0.coords], EXACT)
+        _assert_same_entries(alg.smul_matrix(u, v), scale * s0)
+    big_u = alg.element([(limit + 1) * s for s in signs])
+    t = alg.dual_triple_tensor(big_u)
+    for a in (0, n - 1):
+        s = alg.smul_matrix(alg.basis_element(a), big_u)
+        assert all(t[a, b, g] == s[g, b] * alg.gram[g] / (alg.gram[a] * alg.gram[b])
+                   for b in range(n) for g in range(n))

@@ -193,3 +193,27 @@ def test_main_exit_code_on_failure(tmp_path, monkeypatch):
     code = main(["verify", "--suite", "poisson", "--algebra", "gamma:2",
                  "--format", "json", "--out", str(tmp_path / "f.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--algebra", "gamma:3"],
+    ["verify", "--suite", "operators", "--algebra", "gamma:3", "--trials", "2"],
+])
+@pytest.mark.parametrize("nu,message", [
+    ("-1/2", "not in the nonzero Wallach set"),
+    ("-inf", "is not a finite number"),
+    ("-0.5", "not in the nonzero Wallach set"),
+    ("abc", "cannot read nu"),
+    ("1/0", "cannot read nu"),
+])
+def test_main_spaced_signed_nu_reaches_domain_check(capsys, command, nu, message):
+    assert main(command + ["--nu", nu]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and message in err and err.count("\n") == 1
+
+
+def test_main_nu_without_value_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--algebra", "gamma:3", "--nu", "--levels", "2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
