@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,12 +49,14 @@ class SuiteConfig:
     levels: int = 4
 
     def __post_init__(self):
+        if any(type(getattr(self, k)) is not int for k in ("trials", "seed", "levels")):
+            raise DomainError("trials, seed and levels must be integers")
+        if type(self.tol) not in (int, float) or not 0 < self.tol < math.inf:
+            raise DomainError(f"tol must be a finite number > 0, got {self.tol!r}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.levels < 0:
             raise DomainError("levels must be >= 0")
-        if self.tol <= 0:
-            raise DomainError("tol must be > 0")
         if self.suite not in SUITES + ("all",):
             raise DomainError(f"unknown suite {self.suite!r}; choose from {SUITES + ('all',)}")
 
@@ -439,10 +442,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     common(pv)
-    pv.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    pv.add_argument("--trials", type=int, default=50)
-    pv.add_argument("--tol", type=float, default=1e-8)
-    pv.add_argument("--levels", type=int, default=4)
+    # None marks a flag that was not given; SuiteConfig holds the defaults
+    pv.add_argument("--suite", choices=SUITES + ("all",))
+    pv.add_argument("--trials", type=int)
+    pv.add_argument("--tol", type=float)
+    pv.add_argument("--levels", type=int)
     pv.add_argument("--config", default=None, help="JSON file mirroring flags (flags win)")
 
     ps = sub.add_parser("spectrum", help="bound-state spectrum table")
@@ -459,7 +463,21 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("JK_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise SpecificationError(f"JK_SEED must be an integer, got {env!r}") from None
+
+
+def _read_config(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise SpecificationError(f"config {path!r} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SpecificationError(f"config {path!r} is not a JSON object")
+    return data
 
 
 def _write(payload: bytes, out: str | None):
@@ -486,23 +504,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_bind_nu(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
-            merged = {"algebra": args.algebra, "suite": args.suite, "trials": args.trials,
-                      "seed": _resolve_seed(args), "tol": args.tol, "levels": args.levels}
-            if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    file_cfg = json.load(fh)
-                parser_defaults = {"suite": "all", "trials": 50, "tol": 1e-8, "levels": 4}
-                for key, default in parser_defaults.items():
-                    if merged[key] == default and key in file_cfg:
-                        merged[key] = file_cfg[key]
-                if args.seed is None and "seed" in file_cfg:
-                    merged["seed"] = file_cfg["seed"]
-            alg = make_algebra(merged["algebra"])
-            nu = parse_nu(args.nu, alg) if args.nu else (
-                parse_nu(str(file_cfg["nu"]), alg) if args.config and "nu" in file_cfg else None)
-            cfg = SuiteConfig(algebra=merged["algebra"], suite=merged["suite"],
-                              trials=merged["trials"], seed=merged["seed"], tol=merged["tol"],
-                              nu=nu, levels=merged["levels"])
+            # given flags win over the config file, then JK_SEED, then SuiteConfig
+            file_cfg = _read_config(args.config) if args.config else {}
+            keys = ("suite", "trials", "seed", "tol", "levels")
+            fields = {k: file_cfg[k] for k in keys if k in file_cfg}
+            fields.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+            if "seed" not in fields:
+                fields["seed"] = _resolve_seed(args)
+            alg = make_algebra(args.algebra)
+            nu = args.nu if args.nu else (str(file_cfg["nu"]) if "nu" in file_cfg else None)
+            cfg = SuiteConfig(algebra=args.algebra, nu=None if nu is None else parse_nu(nu, alg),
+                              **fields)
             report = run(cfg)
             _write(emit(report, args.format), args.out)
             return 0 if report.all_pass() else 1
@@ -537,7 +549,7 @@ def main(argv=None) -> int:
                          f"continuous above {table['wallach_continuous_above']}"]
                 _write(("\n".join(lines) + "\n").encode(), args.out)
             return 0
-    except SpecificationError as exc:
+    except (SpecificationError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -432,11 +432,7 @@ def phi_value(alg: Algebra, nu, p: ConePoint, normalized: bool = True) -> float:
         raise DomainError(f"cone point has rank {p.k}, but rho(nu) = {k}")
 
     def phi_at(avals):
-        ptr = [float(np.sum(avals ** m)) for m in range(1, k + 1)]
-        tau = float(tau_poly(k).value(ptr))
-        ck = float(c_poly(k).value(ptr))
-        r = float(np.sum(avals)) / alg.rho
-        val = tau ** alg.delta * ck ** (alg.delta - 1) * r ** (2 - cone_dim(alg, k))
+        val, ck = _phi_k(alg, k, avals)
         if param.kind == "continuous":
             val *= ck ** (2 * float(param.value) - alg.rho * alg.delta)
         return val
@@ -552,17 +548,17 @@ def chart_measure_density(chart: PolarChart) -> float:
     det = np.linalg.det(h)
     if det <= 0:
         raise DomainError("chart metric is degenerate at this radial point")
-    phi = _phi_k_raw(alg, chart.k, p)
+    phi = _phi_k(alg, chart.k, p.eigenvalues)[0]
     return math.sqrt(phi) / p.r * math.sqrt(det)
 
 
-def _phi_k_raw(alg: Algebra, k: int, p: ConePoint) -> float:
-    avals = p.eigenvalues
+def _phi_k(alg: Algebra, k: int, avals) -> tuple[float, float]:
+    """(phi_k, c_k) at the eigenvalues avals: phi_k = tau_k^delta c_k^{delta-1} r^{2-D_k}."""
     ptr = [float(np.sum(avals ** m)) for m in range(1, k + 1)]
     tau = float(tau_poly(k).value(ptr))
     ck = float(c_poly(k).value(ptr))
     r = float(np.sum(avals)) / alg.rho
-    return tau ** alg.delta * ck ** (alg.delta - 1) * r ** (2 - cone_dim(alg, k))
+    return tau ** alg.delta * ck ** (alg.delta - 1) * r ** (2 - cone_dim(alg, k)), ck
 
 
 def measure_crosscheck(alg: Algebra, k: int, samples: int = 10, seed: int = 0) -> dict:

@@ -208,6 +208,45 @@ def moments(alg: Algebra, u: Element, v: Element):
 _RELATIONS = ("XX", "YY", "XY", "SX", "SY", "SS")
 
 
+def relation_residual(alg: Algebra, name: str, bracket, s, x, y, u, v, z, w):
+    """Residual of one TKK relation family for a bracket and the builders
+    s(u, v), x(u), y(v) of the generators; zero iff the relation holds.  It
+    serves the Poisson bracket here and the commutator in weyl."""
+    if name == "XX":
+        return bracket(x(u), x(v))
+    if name == "YY":
+        return bracket(y(u), y(v))
+    if name == "XY":
+        return bracket(x(u), y(v)) + 2 * s(u, v)
+    if name == "SX":
+        return bracket(s(u, v), x(z)) - x(alg.triple(u, v, z))
+    if name == "SY":
+        return bracket(s(u, v), y(z)) + y(alg.triple(v, u, z))
+    if name == "SS":
+        return bracket(s(u, v), s(z, w)) - s(alg.triple(u, v, z), w) + s(z, alg.triple(v, u, w))
+    raise ValueError(f"unknown relation family {name!r}")
+
+
+def check_relations(alg: Algebra, prefix: str, residual, trials: int, seed: int,
+                    **head) -> list:
+    """Check the six relation families on `trials` random rational 4-tuples;
+    residual(name, u, v, z, w) must vanish.  One check dict per family; the
+    witness of a failure is the relation, the `head` entries, then the tuple."""
+    rng = np.random.default_rng(seed)
+    tuples = [tuple(alg.random_element(rng, span=4) for _ in range(4)) for _ in range(trials)]
+    checks = []
+    for name in _RELATIONS:
+        witness = None
+        for t in tuples:
+            if not residual(name, *t).is_zero():
+                witness = {"relation": name, **head,
+                           **{k: [str(c) for c in e.coords] for k, e in zip("uvzw", t)}}
+                break
+        checks.append({"name": f"{prefix}:{name}", "status": "pass" if witness is None else "fail",
+                       "metric": "exact", "witness": witness})
+    return checks
+
+
 def poisson_relation_residual(alg: Algebra, name: str, u, v, z, w,
                               mutated_moment: bool = False) -> Poly:
     """Residual polynomial of one bracket-relation family; zero iff it holds.
@@ -215,46 +254,20 @@ def poisson_relation_residual(alg: Algebra, name: str, u, v, z, w,
     mutated_moment flips the sign of S_uv inside the XY relation; it is a
     harness self-check hook and must make the residual nonzero.
     """
-    if name == "XX":
-        return poisson_poly(moment_x(alg, u), moment_x(alg, v))
-    if name == "YY":
-        return poisson_poly(moment_y(alg, u), moment_y(alg, v))
-    if name == "XY":
-        s = moment_s(alg, u, v)
-        if mutated_moment:
-            s = -s
-        return poisson_poly(moment_x(alg, u), moment_y(alg, v)) + 2 * s
-    if name == "SX":
-        return poisson_poly(moment_s(alg, u, v), moment_x(alg, z)) - moment_x(alg, alg.triple(u, v, z))
-    if name == "SY":
-        return poisson_poly(moment_s(alg, u, v), moment_y(alg, z)) + moment_y(alg, alg.triple(v, u, z))
-    if name == "SS":
-        lhs = poisson_poly(moment_s(alg, u, v), moment_s(alg, z, w))
-        return lhs - moment_s(alg, alg.triple(u, v, z), w) + moment_s(alg, z, alg.triple(v, u, w))
-    raise ValueError(f"unknown relation family {name!r}")
+    def s(a, b):
+        m = moment_s(alg, a, b)
+        return -m if mutated_moment and name == "XY" else m
+
+    return relation_residual(alg, name, poisson_poly, s, lambda a: moment_x(alg, a),
+                             lambda b: moment_y(alg, b), u, v, z, w)
 
 
 def verify_poisson_tkk(alg: Algebra, trials: int = 50, seed: int = 0,
                        mutated_moment: bool = False) -> list:
     """Check all six Poisson bracket relation families on random rational
     4-tuples.  Returns one check dict per family with a witness on failure."""
-    rng = np.random.default_rng(seed)
-    tuples = []
-    for _ in range(trials):
-        tuples.append(tuple(alg.random_element(rng, span=4) for _ in range(4)))
-    checks = []
-    for name in _RELATIONS:
-        witness = None
-        for (u, v, z, w) in tuples:
-            res = poisson_relation_residual(alg, name, u, v, z, w, mutated_moment=mutated_moment)
-            if not res.is_zero():
-                witness = {"relation": name,
-                           "u": [str(c) for c in u.coords], "v": [str(c) for c in v.coords],
-                           "z": [str(c) for c in z.coords], "w": [str(c) for c in w.coords]}
-                break
-        checks.append({"name": f"poisson:{name}", "status": "pass" if witness is None else "fail",
-                       "metric": "exact", "witness": witness})
-    return checks
+    return check_relations(alg, "poisson", lambda name, *t: poisson_relation_residual(
+        alg, name, *t, mutated_moment=mutated_moment), trials, seed)
 
 
 # --- classical Kepler data ------------------------------------------------------

@@ -1,17 +1,25 @@
 """Normal-ordered differential operators on polynomials over V.
 
 A WeylOp is a sparse sum of normal-ordered words x^A d^B (all multiplication
-factors left of all derivatives) with exact complex-rational coefficients.
-Composition uses the Leibniz exchange rule
+factors left of all derivatives) with exact coefficients.  Composition uses
+the Leibniz exchange rule
 
     d^B x^C = sum_s  C(B,s) C!/(C-s)!  x^{C-s} d^{B-s}    (componentwise),
 
 so equality of operators is coefficient equality of normal forms and every
 commutation relation becomes a decidable exact check.
 
-The nu-parametrized realization of the conformal algebra acts on states
-psi = e^{-r} p with p polynomial; operators act on p through conjugation by
-e^{r}, which is the constant shift d_a -> d_a - (Ge)_a.
+The nu-parametrized realization quantizes the phase-space moments (p -> D):
+
+    S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv),
+    X_u(nu) = i X~_u(nu),  X~_u(nu) = <x|{D u D}> + nu tr(u D),
+    Y_v(nu) = -i Y~_v,     Y~_v = <x|v>.
+
+Every check runs on the rational S, X~ and Y~ (each complex residual is a
+unit times the rational one), with the relation table of the Poisson
+realization (phase.relation_residual) and the commutator as bracket.
+It acts on states psi = e^{-r} p with p polynomial; operators act on p
+through conjugation by e^{r}, which is the constant shift d_a -> d_a - (Ge)_a.
 
 As in the phase-space module, derivative slots are paired with the
 metric-dual basis, so the Gram matrix of the rational frame appears
@@ -30,10 +38,10 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element
+from .phase import (_r_coeffs, check_relations, moment_s, moment_x, moment_y,
+                    relation_residual)
 from .poly import MismatchError, Poly, monomial_key, same_nvars
 from .scalars import CQ
-
-_I = CQ(0, 1)
 
 
 def _ff(c: int, s: int) -> int:
@@ -114,15 +122,10 @@ def apply_op(op: WeylOp, p: Poly) -> Poly:
 
 # --- the nu-parametrized (acute) realization -----------------------------------
 
-def _shift_coeffs(alg: Algebra) -> list:
-    """d_a r = (Ge)_a: the constant shift produced by conjugating with e^r."""
-    e = alg.identity()
-    return [g * c for g, c in zip(alg.gram, e.coords)]
-
-
 def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
-    """e^{sr} op e^{-sr} with s = outer_sign: the substitution d_a -> d_a - s (Ge)_a."""
-    sh = _shift_coeffs(alg)
+    """e^{sr} op e^{-sr} with s = outer_sign: the substitution d_a -> d_a - s (Ge)_a,
+    where (Ge)_a = d_a r."""
+    sh = _r_coeffs(alg)
     n = op.nvars // 2
 
     def words():
@@ -143,33 +146,39 @@ def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
     return apply_op(gaussian_conjugate(alg, op), p)
 
 
+def _quantized(p: Poly) -> WeylOp:
+    """A moment Poly read as an operator: the p block becomes the D block."""
+    return WeylOp(p.nvars, p.terms)
+
+
 def acute_s(alg: Algebra, nu, u: Element, v: Element) -> WeylOp:
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv)."""
-    n = alg.dim
-    s = alg.smul_matrix(u, v)
-    terms = {monomial_key(2 * n, b, n + a): -Fraction(s[a, b])
-             for a in range(n) for b in range(n) if s[a, b]}
     tr_uv = alg.rho * alg.inner(u, v)
-    terms[(0,) * (2 * n)] = -Fraction(nu) * tr_uv / 2
-    return WeylOp(2 * n, terms)
+    return (-_quantized(moment_s(alg, u, v))
+            - WeylOp.constant(2 * alg.dim, Fraction(nu) * tr_uv / 2))
+
+
+def x_tilde(alg: Algebra, nu, u: Element) -> WeylOp:
+    """X~_u(nu) = <x|{D u D}> + nu tr(u D), so that X_u(nu) = i X~_u(nu)."""
+    n = alg.dim
+    nur = Fraction(nu) * alg.rho
+    return _quantized(moment_x(alg, u)) + WeylOp(
+        2 * n, {monomial_key(2 * n, n + a): nur * u.coords[a] for a in range(n)})
+
+
+def y_tilde(alg: Algebra, v: Element) -> WeylOp:
+    """Y~_v = <x|v>, so that Y_v(nu) = -i Y~_v."""
+    return _quantized(moment_y(alg, v))
 
 
 def acute_x(alg: Algebra, nu, u: Element) -> WeylOp:
     """X_u(nu) = i <x|{D u D}> + i nu tr(u D)."""
-    n = alg.dim
-    t = alg.dual_triple_tensor(u)
-    words = [(monomial_key(2 * n, g, n + a, n + b), _I * t[a, b, g])
-             for a in range(n) for b in range(n) for g in range(n) if t[a, b, g]]
-    nur = Fraction(nu) * alg.rho
-    words += [(monomial_key(2 * n, n + a), _I * (nur * u.coords[a])) for a in range(n)]
-    return WeylOp.from_pairs(2 * n, words)
+    return x_tilde(alg, nu, u).scaled(CQ(0, 1))
 
 
 def acute_y(alg: Algebra, nu, v: Element) -> WeylOp:
     """Y_v(nu) = -i <x|v> (multiplication operator; nu-independent)."""
-    n = alg.dim
-    return WeylOp(2 * n, {monomial_key(2 * n, a): -_I * (alg.gram[a] * v.coords[a])
-                          for a in range(n)})
+    return y_tilde(alg, v).scaled(CQ(0, -1))
 
 
 def acute_ops(alg: Algebra, nu, u: Element, v: Element):
@@ -177,43 +186,20 @@ def acute_ops(alg: Algebra, nu, u: Element, v: Element):
     return acute_s(alg, nu, u, v), acute_x(alg, nu, u), acute_y(alg, nu, v)
 
 
-_RELATIONS = ("XX", "YY", "XY", "SX", "SY", "SS")
-
-
 def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> WeylOp:
-    """Residual of one operator commutation-relation family (zero iff it holds)."""
-    if name == "XX":
-        return commutator(acute_x(alg, nu, u), acute_x(alg, nu, v))
-    if name == "YY":
-        return commutator(acute_y(alg, nu, u), acute_y(alg, nu, v))
-    if name == "XY":
-        return commutator(acute_x(alg, nu, u), acute_y(alg, nu, v)) + 2 * acute_s(alg, nu, u, v)
-    if name == "SX":
-        return commutator(acute_s(alg, nu, u, v), acute_x(alg, nu, z)) - acute_x(alg, nu, alg.triple(u, v, z))
-    if name == "SY":
-        return commutator(acute_s(alg, nu, u, v), acute_y(alg, nu, z)) + acute_y(alg, nu, alg.triple(v, u, z))
-    if name == "SS":
-        lhs = commutator(acute_s(alg, nu, u, v), acute_s(alg, nu, z, w))
-        return lhs - acute_s(alg, nu, alg.triple(u, v, z), w) + acute_s(alg, nu, z, alg.triple(v, u, w))
-    raise ValueError(f"unknown relation family {name!r}")
+    """Residual of one relation family for S, X~ and Y~ under the commutator;
+    that of S, X, Y is -1, -1, 1, i, -i, 1 times it for XX, YY, XY, SX, SY, SS
+    ([iA, iB] = -[A, B], [iA, -iB] = [A, B]), so it is zero iff that holds."""
+    return relation_residual(alg, name, commutator, lambda a, b: acute_s(alg, nu, a, b),
+                             lambda a: x_tilde(alg, nu, a), lambda b: y_tilde(alg, b),
+                             u, v, z, w)
 
 
 def verify_tkk_ops(alg: Algebra, nu, trials: int = 30, seed: int = 0) -> list:
     """Exact normal-form check of all six families on random rational 4-tuples."""
-    rng = np.random.default_rng(seed)
-    tuples = [tuple(alg.random_element(rng, span=4) for _ in range(4)) for _ in range(trials)]
-    checks = []
-    for name in _RELATIONS:
-        witness = None
-        for (u, v, z, w) in tuples:
-            if not tkk_op_residual(alg, name, nu, u, v, z, w).is_zero():
-                witness = {"relation": name, "nu": str(nu),
-                           "u": [str(c) for c in u.coords], "v": [str(c) for c in v.coords],
-                           "z": [str(c) for c in z.coords], "w": [str(c) for c in w.coords]}
-                break
-        checks.append({"name": f"operators:{name}", "status": "pass" if witness is None else "fail",
-                       "metric": "exact", "witness": witness})
-    return checks
+    return check_relations(alg, "operators",
+                           lambda name, *t: tkk_op_residual(alg, name, nu, *t),
+                           trials, seed, nu=str(nu))
 
 
 # --- Wallach parameter -----------------------------------------------------------
@@ -265,9 +251,9 @@ def bound_spectrum(alg: Algebra, nu, level: int):
 # --- grading and lowest weight ----------------------------------------------------
 
 def he_op(alg: Algebra, nu) -> WeylOp:
-    """H_e realized: i (X_e(nu) + Y_e(nu))."""
+    """H_e realized: i (X_e(nu) + Y_e(nu)) = Y~_e - X~_e."""
     e = alg.identity()
-    return _I * (acute_x(alg, nu, e) + acute_y(alg, nu, e))
+    return y_tilde(alg, e) - x_tilde(alg, nu, e)
 
 
 def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
@@ -305,20 +291,18 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0, trials: int = 8) -> dic
         op = (acute_s(alg, nu, u, v) - acute_s(alg, nu, v, u)).scaled(Fraction(1, 2))
         if not apply_to_state(alg, op, vac).is_zero():
             failures.append({"check": "derivation", "u": [str(c) for c in u.coords]})
-    # compact translations X_w + Y_w with w orthogonal to e
+    # compact translations X_w + Y_w = i (X~_w - Y~_w) with w orthogonal to e
     for w in alg.e_perp_basis():
-        op = acute_x(alg, nu, w) + acute_y(alg, nu, w)
+        op = x_tilde(alg, nu, w) - y_tilde(alg, w)
         if not apply_to_state(alg, op, vac).is_zero():
             failures.append({"check": "compact-translation", "w": [str(c) for c in w.coords]})
-    # alpha_0 sl2 data over the first frame idempotent
+    # alpha_0 sl2 data: E_-alpha0 = (i/2)(X_c - Y_c) + S_ce, H_alpha0 = i (X_c + Y_c)
     c = alg.jordan_frame()[0]
-    half_i = CQ(0, Fraction(1, 2))
-    e_minus = (half_i * (acute_x(alg, nu, c) - acute_y(alg, nu, c))
-               + acute_s(alg, nu, c, alg.identity()))
+    xc, yc = x_tilde(alg, nu, c), y_tilde(alg, c)
+    e_minus = acute_s(alg, nu, c, alg.identity()) - (xc + yc).scaled(Fraction(1, 2))
     if not apply_to_state(alg, e_minus, vac).is_zero():
         failures.append({"check": "E_-alpha0"})
-    h_a0 = _I * (acute_x(alg, nu, c) + acute_y(alg, nu, c))
-    got = apply_to_state(alg, h_a0, vac)
+    got = apply_to_state(alg, yc - xc, vac)  # H_alpha0
     if not (got - vac.scaled(Fraction(nu))).is_zero():
         failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
     return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
@@ -334,13 +318,6 @@ def _monomials_of_degree(n: int, d: int):
             yield (first,) + rest
 
 
-def _monomials_up_to(n: int, d: int) -> list:
-    out = []
-    for deg in range(d + 1):
-        out.extend(_monomials_of_degree(n, deg))
-    return out
-
-
 # --- degeneracies by restriction rank ----------------------------------------------
 
 def _restriction_ranks(alg: Algebra, param: WallachParam, degree: int,
@@ -350,7 +327,7 @@ def _restriction_ranks(alg: Algebra, param: WallachParam, degree: int,
     from .cone import sample_cone_point
 
     n = alg.dim
-    monos = _monomials_up_to(n, degree)
+    monos = [m for deg in range(degree + 1) for m in _monomials_of_degree(n, deg)]
     ambient = len(monos)
     if samples is None:
         samples = 3 * ambient

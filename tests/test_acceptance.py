@@ -5,6 +5,7 @@ Tolerances and runtime budgets are pinned here and nowhere else.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 
+import jkepler
 from jkepler import cone as C
 from jkepler.algebra import FLOAT, make_algebra
 from jkepler.cli import SuiteConfig, emit, run
@@ -234,11 +236,15 @@ def test_criterion_11_cli_determinism(tmp_path):
     """Identical seeds give byte-identical JSON reports modulo wall_time."""
     args = ["verify", "--suite", "poisson", "--algebra", "gamma:2", "--trials", "10",
             "--seed", "42", "--format", "json"]
+    # the child imports the same jkepler, also when pytest alone put it on sys.path
+    src = os.path.dirname(os.path.dirname(jkepler.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         proc = subprocess.run([sys.executable, "-m", "jkepler.cli", *args,
-                               "--out", str(out)], capture_output=True)
+                               "--out", str(out)], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         d = json.loads(out.read_bytes().decode())
         d.pop("wall_time_ms")

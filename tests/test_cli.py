@@ -217,3 +217,40 @@ def test_main_nu_without_value_is_usage_error(capsys):
         main(["spectrum", "--algebra", "gamma:3", "--nu", "--levels", "2"])
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_main_explicit_flags_equal_to_defaults_beat_config(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"suite": "measure", "trials": 3, "tol": 1e-3, "levels": 1}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "jordan", "--algebra", "gamma:2", "--trials", "50",
+                 "--tol", "1e-8", "--levels", "4", "--config", str(cfgfile),
+                 "--format", "json", "--out", str(out)]) == 0
+    d = json.loads(out.read_bytes())
+    assert d["suite"] == "jordan"
+    assert (d["params"]["trials"], d["params"]["tol"], d["params"]["levels"]) == (50, 1e-8, 4)
+
+
+@pytest.mark.parametrize("flags,config,env,prefix", [
+    (["--trials", "2", "--tol", "inf"], None, None, "domain error:"),
+    (["--trials", "2", "--tol", "nan"], None, None, "domain error:"),
+    (["--trials", "2"], None, "abc", "usage error:"),
+    (["--trials", "2", "--config", "{tmp}/absent.json"], None, None, "usage error:"),
+    (["--trials", "2"], "{trials: 3", None, "usage error:"),
+    (["--trials", "2"], "[1, 2]", None, "usage error:"),
+    ([], '{"trials": "x"}', None, "domain error:"),
+    (["--trials", "2", "--out", "{tmp}/absent/r.json"], None, None, "usage error:"),
+], ids=["tol-inf", "tol-nan", "env-seed", "config-missing", "config-not-json",
+        "config-not-object", "config-wrong-type", "out-dir-missing"])
+def test_main_bad_input_exits_2(tmp_path, monkeypatch, capsys, flags, config, env, prefix):
+    argv = ["verify", "--suite", "jordan", "--algebra", "gamma:2"]
+    argv += [f.format(tmp=tmp_path) for f in flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    if env is not None:
+        monkeypatch.setenv("JK_SEED", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1

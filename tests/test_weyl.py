@@ -7,11 +7,12 @@ import pytest
 from jkepler.algebra import DomainError, make_algebra
 from jkepler.poly import Poly
 from jkepler.scalars import CQ
+from jkepler import weyl
 from jkepler.weyl import (WallachParam, WeylOp, acute_ops, acute_s, acute_x,
                           acute_y, apply_op, apply_to_state, bound_spectrum, commutator,
-                          compose, gaussian_conjugate, he_grading_check, lowest_weight_check,
-                          restriction_degeneracy, restriction_rank, tkk_op_residual,
-                          verify_tkk_ops)
+                          compose, gaussian_conjugate, he_grading_check, he_op,
+                          lowest_weight_check, restriction_degeneracy, restriction_rank,
+                          tkk_op_residual, verify_tkk_ops, x_tilde, y_tilde)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,73 @@ def test_identification_formula(g3):
 def test_tkk_relations_exact(algebra, spec, nu):
     checks = verify_tkk_ops(algebra(spec), nu, trials=5, seed=11)
     assert all(c["status"] == "pass" for c in checks)
+
+
+# The reference: the six relations written out over the public complex
+# operators.  Entry (A, B, rest) stands for the residual [A, B] + rest.
+def _relation_table(alg, s, x, y, u, v, z, w):
+    zero = WeylOp(2 * alg.dim)
+    return {"XX": (x(u), x(v), zero),
+            "YY": (y(u), y(v), zero),
+            "XY": (x(u), y(v), 2 * s(u, v)),
+            "SX": (s(u, v), x(z), -x(alg.triple(u, v, z))),
+            "SY": (s(u, v), y(z), y(alg.triple(v, u, z))),
+            "SS": (s(u, v), s(z, w), s(z, alg.triple(v, u, w)) - s(alg.triple(u, v, z), w))}
+
+
+# [iA, iB] = -[A, B] and [iA, -iB] = [A, B], with X = i X~ and Y = -i Y~
+_UNITS = {"XX": CQ(-1), "YY": CQ(-1), "XY": CQ(1), "SX": CQ(0, 1), "SY": CQ(0, -1),
+          "SS": CQ(1)}
+
+
+@pytest.mark.parametrize("spec,nus", [("gamma:3", (Fr(1), Fr(7, 3))),
+                                      ("h:3:R", (Fr(1, 2), Fr(7, 3))),
+                                      ("h:3:C", (Fr(1), Fr(7, 3)))])
+def test_complex_operators_are_units_times_rational(algebra, spec, nus):
+    alg = algebra(spec)
+    rng = np.random.default_rng(17)
+    u, v, z, w = (alg.random_element(rng, span=4) for _ in range(4))
+    for nu in nus:
+        assert acute_x(alg, nu, u) == x_tilde(alg, nu, u).scaled(CQ(0, 1))
+        assert acute_y(alg, nu, v) == y_tilde(alg, v).scaled(CQ(0, -1))
+        ref = _relation_table(alg, lambda a, b: acute_s(alg, nu, a, b),
+                              lambda a: acute_x(alg, nu, a), lambda b: acute_y(alg, nu, b),
+                              u, v, z, w)
+        rat = _relation_table(alg, lambda a, b: acute_s(alg, nu, a, b),
+                              lambda a: x_tilde(alg, nu, a), lambda b: y_tilde(alg, b),
+                              u, v, z, w)
+        for name, unit in _UNITS.items():
+            (a, b, rest), (ra, rb, _) = ref[name], rat[name]
+            bracket = commutator(a, b)
+            assert bracket == commutator(ra, rb).scaled(unit)
+            assert bracket + rest == tkk_op_residual(alg, name, nu, u, v, z, w).scaled(unit)
+            # the brackets are not all zero, so the unit is pinned
+            assert bracket.is_zero() == (name in ("XX", "YY"))
+
+
+def test_rational_he_and_lowest_weight_operators(g3):
+    nu = Fr(5, 2)
+    c, e = g3.jordan_frame()[0], g3.identity()
+    assert he_op(g3, nu) == (acute_x(g3, nu, e) + acute_y(g3, nu, e)).scaled(CQ(0, 1))
+    e_minus = (acute_x(g3, nu, c) - acute_y(g3, nu, c)).scaled(CQ(0, Fr(1, 2))) \
+        + acute_s(g3, nu, c, e)
+    assert e_minus == acute_s(g3, nu, c, e) - (x_tilde(g3, nu, c) + y_tilde(g3, c)).scaled(Fr(1, 2))
+    rng = np.random.default_rng(8)
+    w = g3.random_element(rng)
+    assert acute_x(g3, nu, w) + acute_y(g3, nu, w) == \
+        (x_tilde(g3, nu, w) - y_tilde(g3, w)).scaled(CQ(0, 1))
+
+
+def test_mutated_s_builder_is_caught(g3, monkeypatch):
+    real = weyl.acute_s
+    monkeypatch.setattr(weyl, "acute_s", lambda *args: -real(*args))
+    checks = {c["name"]: c for c in verify_tkk_ops(g3, Fr(7, 3), trials=3, seed=1)}
+    xy = checks["operators:XY"]
+    assert xy["status"] == "fail"
+    assert list(xy["witness"]) == ["relation", "nu", "u", "v", "z", "w"]
+    assert xy["witness"]["nu"] == "7/3"
+    assert checks["operators:XX"]["status"] == "pass"
+    assert checks["operators:YY"]["status"] == "pass"
 
 
 def test_tkk_residual_names(g3):
