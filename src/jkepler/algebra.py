@@ -17,6 +17,11 @@ elements live in the *orthonormal frame*, the unit-normalized rescaling of
 the same basis, where the Gram matrix is the identity.  Spin factors are
 orthonormal in both frames.
 
+Exact coordinates are Fractions.  Exact products, L and S matrices and the
+dual triple tensor run on their integer numerators over one common
+denominator: int64 under a guard derived from the structure table, Python
+ints past it.
+
 The quaternionic and octonionic entries are realified; the trace is the real
 diagonal sum.
 """
@@ -30,7 +35,6 @@ import numpy as np
 
 from . import divalg
 from .poly import MismatchError
-from .scalars import CQ
 from .symfun import elementary_from_power, tau_poly
 
 EXACT = "exact"
@@ -101,7 +105,7 @@ class AlgebraSpec:
 
 
 class Element:
-    """Vector in a fixed algebra: exact Fraction/CQ coords or float64 coords."""
+    """Vector in a fixed algebra: exact Fraction coords or float64 coords."""
 
     __slots__ = ("algebra", "coords", "mode")
 
@@ -201,44 +205,16 @@ class JordanFrame:
 
 
 def _numerators(coords):
-    """Exact coordinates (int, Fraction or CQ) -> (parts, den).
-
-    parts holds integer numerator lists over the one common denominator den:
-    (re,) when no coordinate is CQ, else (re, im).
-    """
-    if any(isinstance(c, CQ) for c in coords):
-        parts = ([c.re if isinstance(c, CQ) else c for c in coords],
-                 [c.im if isinstance(c, CQ) else 0 for c in coords])
-    else:
-        parts = (coords,)
-    den = math.lcm(*(c.denominator for p in parts for c in p))
-    return tuple([c.numerator * (den // c.denominator) for c in p] for p in parts), den
+    """Exact coordinates (int or Fraction) -> (nums, den): integer numerators
+    over the one common denominator den."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
-def _from_numerators(parts, den) -> np.ndarray:
-    """Inverse of _numerators on arrays: Fraction entries for (re,), CQ
-    entries for (re, im)."""
-    if len(parts) == 1:
-        flat = [Fraction(a, den) for a in parts[0].ravel().tolist()]
-    else:
-        flat = [CQ(Fraction(a, den), Fraction(b, den))
-                for a, b in zip(parts[0].ravel().tolist(), parts[1].ravel().tolist())]
-    return np.array(flat, dtype=object).reshape(parts[0].shape)
-
-
-def _bilinear(f, x, y):
-    """Extend a real bilinear map to numerator parts:
-    (a + ib, c + id) -> (f(a, c) - f(b, d), f(a, d) + f(b, c))."""
-    if len(x) == 1 and len(y) == 1:
-        return (f(x[0], y[0]),)
-    re, im = f(x[0], y[0]), 0
-    if len(y) == 2:
-        im = im + f(x[0], y[1])
-    if len(x) == 2:
-        im = im + f(x[1], y[0])
-        if len(y) == 2:
-            re = re - f(x[1], y[1])
-    return re, im
+def _from_numerators(nums, den) -> np.ndarray:
+    """Inverse of _numerators on arrays: an object array of Fractions."""
+    flat = [Fraction(a, den) for a in nums.ravel().tolist()]
+    return np.array(flat, dtype=object).reshape(nums.shape)
 
 
 # Integer kernels on numerator arrays (int64, or object arrays of Python ints
@@ -275,9 +251,9 @@ class Algebra:
         half = c2.astype(np.float64) / 2.0
         self._con = half * self._scale[None, None, :] / (self._scale[:, None, None] * self._scale[None, :, None])
         # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
-        # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included;
-        # the complex split adds two such terms.  So every kernel stays below
-        # 2**63 when X * Y * (any extra factor) <= _int64_limit.
+        # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included.
+        # The limit keeps a further factor 2 in hand, so every kernel stays
+        # below 2**63 when X * Y * (any extra factor) <= _int64_limit.
         cmax = int(np.abs(c2).max())
         self._int64_limit = (2**63 - 1) // (6 * n**3 * cmax**2)
         self._cache = {}
@@ -286,7 +262,7 @@ class Algebra:
 
     def element(self, coords, mode: str = EXACT) -> Element:
         if mode == EXACT:
-            coords = [c if isinstance(c, CQ) else Fraction(c) for c in coords]
+            coords = [Fraction(c) for c in coords]
         return Element(self, coords, mode)
 
     def zero(self, mode: str = EXACT) -> Element:
@@ -322,18 +298,17 @@ class Algebra:
             return Element(self, w, FLOAT)
         (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
         c2, (x, y) = self._kernel_arrays(x, y)
-        w = _bilinear(lambda p, q: _lnum(c2, p) @ q, x, y)
-        return Element(self, _from_numerators(w, 2 * xd * yd), EXACT)
+        return Element(self, _from_numerators(_lnum(c2, x) @ y, 2 * xd * yd), EXACT)
 
     def _kernel_arrays(self, *operands, factor: int = 1):
-        """c2 and the numerator parts of each operand as int64 arrays when the
-        int64 guard holds, else as object arrays of Python ints."""
+        """c2 and the numerators of each operand as int64 arrays when the int64
+        guard holds, else as object arrays of Python ints."""
         bound = factor
-        for parts in operands:
-            bound *= max(1, max(abs(c) for p in parts for c in p))
+        for nums in operands:
+            bound *= max(1, max(abs(c) for c in nums))
         dtype = np.int64 if bound <= self._int64_limit else object
         return (self._c2.astype(dtype, copy=False),
-                [tuple(np.array(p, dtype=dtype) for p in parts) for parts in operands])
+                [np.array(nums, dtype=dtype) for nums in operands])
 
     def lmul_matrix(self, u: Element):
         """Matrix of L_u: v -> uv, in the frame of u's mode."""
@@ -341,7 +316,7 @@ class Algebra:
             return np.tensordot(self._con, u.coords, axes=([0], [0])).T
         x, xd = _numerators(u.coords)
         c2, (x,) = self._kernel_arrays(x)
-        return _from_numerators(tuple(_lnum(c2, p) for p in x), 2 * xd)
+        return _from_numerators(_lnum(c2, x), 2 * xd)
 
     def smul_matrix(self, u: Element, v: Element):
         """S_uv = [L_u, L_v] + L_{uv}."""
@@ -353,7 +328,7 @@ class Algebra:
             return lu @ lv - lv @ lu + luv
         (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
         c2, (x, y) = self._kernel_arrays(x, y)
-        return _from_numerators(_bilinear(lambda p, q: _snum(c2, p, q), x, y), 4 * xd * yd)
+        return _from_numerators(_snum(c2, x, y), 4 * xd * yd)
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -547,14 +522,14 @@ class Algebra:
         x, xd = _numerators(u.coords)
         # T[a,b,g] = S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden:
         # the Gram factor is gnum[g] gden (lg / (gnum[a] gnum[b])) / lg
-        (gnum,), gden = _numerators(self.gram)
+        gnum, gden = _numerators(self.gram)
         lg = math.lcm(*gnum) ** 2
         factor = max(gnum) * gden * lg
         c2, (x,) = self._kernel_arrays(x, factor=factor)
         weight = np.array([[[lg // (ga * gb) * gg * gden for gg in gnum] for gb in gnum] for ga in gnum],
                           dtype=c2.dtype)
-        s = _bilinear(lambda p, q: _snum(c2, p, q), (np.eye(n, dtype=c2.dtype),), x)
-        return _from_numerators(tuple(weight * np.swapaxes(p, 1, 2) for p in s), 4 * xd * lg)
+        s = _snum(c2, np.eye(n, dtype=c2.dtype), x)
+        return _from_numerators(weight * np.swapaxes(s, 1, 2), 4 * xd * lg)
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

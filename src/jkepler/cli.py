@@ -97,6 +97,14 @@ def parse_nu(text: str, alg: Algebra):
                           f"or d:k") from exc
 
 
+def _classified_dim_co(alg: Algebra) -> int:
+    """dim co(V) from the classification: so(k+1,2), sp(2k,R), su(k,k),
+    so*(4k) and e7(-25) for gamma:k, h:k:R, h:k:C, h:k:H and h:3:O."""
+    k = alg.spec.k
+    return {"gamma": (k + 3) * (k + 2) // 2, "hr": k * (2 * k + 1), "hc": 4 * k * k - 1,
+            "hh": 2 * k * (4 * k - 1), "ho": 133}[alg.spec.family]
+
+
 def _check(name, ok, metric="exact", witness=None):
     return {"name": name, "status": "pass" if ok else "fail",
             "metric": metric, "witness": None if ok else witness}
@@ -163,7 +171,7 @@ def _jordan_checks(alg: Algebra, cfg: SuiteConfig) -> list:
                 worst = max(worst, abs(got - direct) / max(1.0, abs(direct)))
         return [_check("jordan:newton-vs-eigen", worst <= 1e-9, metric=worst)]
 
-    return [axioms, frame, newton_vs_eigen]
+    return axioms() + frame() + newton_vs_eigen()
 
 
 def _tkk_checks(alg: Algebra, cfg: SuiteConfig) -> list:
@@ -195,22 +203,23 @@ def _tkk_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         return [_check("tkk:involution", bool(ok))]
 
     def sl2():
+        # real and imaginary parts of [H, E+-] = +-2 E+-, [E+, E-] = -H for
+        # H = i h~, E+- = i a -+ s, and theta H_e = H_e
         rd = root_data(alg)
         ok = True
-        for (h, ep, em) in [(rd.h_e, rd.e_plus, rd.e_minus),
-                            (rd.h_alpha0, rd.e_plus_alpha0, rd.e_minus_alpha0)]:
-            ok &= co_bracket(h, ep) == ep.scaled(2)
-            ok &= co_bracket(h, em) == em.scaled(-2)
-            ok &= co_bracket(ep, em) == -h
+        for (h, a, s) in [(rd.h_e, rd.a_e, rd.s_e), (rd.h_alpha0, rd.a_alpha0, rd.s_alpha0)]:
+            ok &= co_bracket(h, a) == s.scaled(2)
+            ok &= co_bracket(h, s) == a.scaled(-2)
+            ok &= co_bracket(a, s) == h.scaled(Fraction(-1, 2))
         ok &= cartan_involution(rd.h_e) == rd.h_e
         return [_check("tkk:sl2-roots", bool(ok))]
 
     def dims():
-        ds, dc = dim_str(alg), dim_co(alg)
-        return [_check("tkk:dims", dc == 2 * alg.dim + ds,
-                       witness={"dim_str": ds, "dim_co": dc})]
+        ds, dc, want = dim_str(alg), dim_co(alg), _classified_dim_co(alg)
+        return [_check("tkk:dims", dc == want,
+                       witness={"dim_str": ds, "dim_co": dc, "expected": want})]
 
-    return [bracket_laws, involution, sl2, dims]
+    return bracket_laws() + involution() + sl2() + dims()
 
 
 def _poisson_checks(alg: Algebra, cfg: SuiteConfig) -> list:
@@ -242,7 +251,7 @@ def _poisson_checks(alg: Algebra, cfg: SuiteConfig) -> list:
                 _check("poisson:lenz-closure", bool(ok_closure)),
                 _check("poisson:equivariance", bool(ok_equiv))]
 
-    return [relations, conservation]
+    return relations() + conservation()
 
 
 def _operator_checks(alg: Algebra, cfg: SuiteConfig) -> list:
@@ -269,55 +278,50 @@ def _operator_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         return [_check("operators:spectrum-monotone", ok,
                        witness={"spectrum": [str(e) for e in es]})]
 
-    return [relations, grading, lowest, spectrum_monotone]
+    return relations() + grading() + lowest() + spectrum_monotone()
 
 
 def _cone_checks(alg: Algebra, cfg: SuiteConfig) -> list:
     points = max(3, min(cfg.trials, 50))
 
     def per_rank(k):
-        def thunk():
-            out = []
-            dk = cone_mod.cone_dim(alg, k)
-            worst_lam = worst_dual = worst_rd = 0.0
-            rank_ok = True
-            rng = np.random.default_rng(cfg.seed + 8000 + k)
-            for i in range(points):
-                p = cone_mod.sample_cone_point(alg, k, cfg.seed * 1009 + 57 * k + i)
-                sv = np.linalg.svd(p.lx, compute_uv=False)
-                rank_ok &= int(np.sum(sv > 1e-8 * sv[0])) == dk
-                u = alg.random_element(rng, FLOAT)
-                la = cone_mod.lambda_route_a(p, u)
-                lb = cone_mod.lambda_route_b(p, u)
-                worst_lam = max(worst_lam, abs(la - lb) / max(1.0, abs(la)))
-                mop = p.r * p.pinv
-                cop = p.lx / p.r
-                worst_dual = max(worst_dual, float(np.max(np.abs(mop @ cop - p.projector))))
-                f = cone_mod.linear_field(alg, u)
-                got = cone_mod.r_laplace_apply(alg, k, f, p)
-                worst_rd = max(worst_rd, abs(got - 2 * la) / max(1.0, abs(la)))
-                v = alg.random_element(rng, FLOAT)
-                fg = cone_mod.ProductField(cone_mod.linear_field(alg, u),
-                                           cone_mod.linear_field(alg, v))
-                dc = (cone_mod.r_laplace_apply(alg, k, fg, p)
-                      - f.value(p.x.coords) * cone_mod.r_laplace_apply(
-                          alg, k, cone_mod.linear_field(alg, v), p)
-                      - cone_mod.LinearField(alg, v).value(p.x.coords) * got)
-                want = 2 * float(alg.inner(alg.product(u, v), p.x))
-                worst_rd = max(worst_rd, abs(dc - want) / max(1.0, abs(want)))
-            out.append(_check(f"cone:rank:k={k}", rank_ok, witness={"expected": dk}))
-            out.append(_check(f"cone:lambda-routes:k={k}", worst_lam <= cfg.tol, metric=worst_lam))
-            out.append(_check(f"cone:metric-duality:k={k}", worst_dual <= 1e-10, metric=worst_dual))
-            out.append(_check(f"cone:rdelta:k={k}", worst_rd <= cfg.tol, metric=worst_rd))
-            out.append(cone_mod.lambda_symmetry_check(alg, k, seed=cfg.seed + 11 * k))
-            return out
-        return thunk
+        out = []
+        dk = cone_mod.cone_dim(alg, k)
+        worst_lam = worst_dual = worst_rd = 0.0
+        rank_ok = True
+        rng = np.random.default_rng(cfg.seed + 8000 + k)
+        for i in range(points):
+            p = cone_mod.sample_cone_point(alg, k, cfg.seed * 1009 + 57 * k + i)
+            sv = np.linalg.svd(p.lx, compute_uv=False)
+            rank_ok &= int(np.sum(sv > 1e-8 * sv[0])) == dk
+            u = alg.random_element(rng, FLOAT)
+            la = cone_mod.lambda_route_a(p, u)
+            lb = cone_mod.lambda_route_b(p, u)
+            worst_lam = max(worst_lam, abs(la - lb) / max(1.0, abs(la)))
+            mop = p.r * p.pinv
+            cop = p.lx / p.r
+            worst_dual = max(worst_dual, float(np.max(np.abs(mop @ cop - p.projector))))
+            f = cone_mod.linear_field(alg, u)
+            got = cone_mod.r_laplace_apply(alg, k, f, p)
+            worst_rd = max(worst_rd, abs(got - 2 * la) / max(1.0, abs(la)))
+            v = alg.random_element(rng, FLOAT)
+            fg = cone_mod.ProductField(cone_mod.linear_field(alg, u),
+                                       cone_mod.linear_field(alg, v))
+            dc = (cone_mod.r_laplace_apply(alg, k, fg, p)
+                  - f.value(p.x.coords) * cone_mod.r_laplace_apply(
+                      alg, k, cone_mod.linear_field(alg, v), p)
+                  - cone_mod.LinearField(alg, v).value(p.x.coords) * got)
+            want = 2 * float(alg.inner(alg.product(u, v), p.x))
+            worst_rd = max(worst_rd, abs(dc - want) / max(1.0, abs(want)))
+        out.append(_check(f"cone:rank:k={k}", rank_ok, witness={"expected": dk}))
+        out.append(_check(f"cone:lambda-routes:k={k}", worst_lam <= cfg.tol, metric=worst_lam))
+        out.append(_check(f"cone:metric-duality:k={k}", worst_dual <= 1e-10, metric=worst_dual))
+        out.append(_check(f"cone:rdelta:k={k}", worst_rd <= cfg.tol, metric=worst_rd))
+        out.append(cone_mod.lambda_symmetry_check(alg, k, seed=cfg.seed + 11 * k))
+        return out
 
-    def kepler():
-        rep = cone_mod.kepler_metric_crosscheck(alg, samples=points, seed=cfg.seed + 9)
-        return [rep]
-
-    return [per_rank(k) for k in range(1, alg.rho + 1)] + [kepler]
+    checks = [c for k in range(1, alg.rho + 1) for c in per_rank(k)]
+    return checks + [cone_mod.kepler_metric_crosscheck(alg, samples=points, seed=cfg.seed + 9)]
 
 
 def _measure_checks(alg: Algebra, cfg: SuiteConfig) -> list:
@@ -345,7 +349,7 @@ def _measure_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         return [_check("measure:integrability", bool(ok),
                        witness={"threshold": str(top)})]
 
-    return [shape, integrability]
+    return shape() + integrability()
 
 
 _SUITE_BUILDERS = {
@@ -365,13 +369,10 @@ def run(config: SuiteConfig) -> Report:
     if config.nu is not None:
         WallachParam.make(alg, config.nu)  # validate the pairing early
     names = SUITES if config.suite == "all" else (config.suite,)
-    thunks = []
-    for name in names:
-        thunks.extend(_SUITE_BUILDERS[name](alg, config))
-    groups = [f() for f in thunks]
+    found = [c for name in names for c in _SUITE_BUILDERS[name](alg, config)]
     # normalize to the report schema: exactly name/status/metric/witness
     checks = sorted(({"name": c["name"], "status": c["status"], "metric": c["metric"],
-                      "witness": c.get("witness")} for g in groups for c in g),
+                      "witness": c.get("witness")} for c in found),
                     key=lambda c: c["name"])
     params = {"trials": config.trials, "seed": config.seed, "tol": config.tol,
               "nu": None if config.nu is None else str(config.nu), "levels": config.levels}
@@ -469,6 +470,11 @@ def _resolve_seed(args) -> int:
         raise SpecificationError(f"JK_SEED must be an integer, got {env!r}") from None
 
 
+# config keys that are SuiteConfig fields; "nu" is the one other key
+_FIELD_KEYS = ("suite", "trials", "seed", "tol", "levels")
+_CONFIG_KEYS = _FIELD_KEYS + ("nu",)
+
+
 def _read_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -477,6 +483,10 @@ def _read_config(path: str) -> dict:
             raise SpecificationError(f"config {path!r} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SpecificationError(f"config {path!r} is not a JSON object")
+    unknown = [k for k in data if k not in _CONFIG_KEYS]
+    if unknown:
+        raise SpecificationError(f"unknown config key {unknown[0]!r} in {path!r}; "
+                                 f"allowed keys: {', '.join(_CONFIG_KEYS)}")
     return data
 
 
@@ -506,9 +516,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             # given flags win over the config file, then JK_SEED, then SuiteConfig
             file_cfg = _read_config(args.config) if args.config else {}
-            keys = ("suite", "trials", "seed", "tol", "levels")
-            fields = {k: file_cfg[k] for k in keys if k in file_cfg}
-            fields.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+            fields = {k: file_cfg[k] for k in _FIELD_KEYS if k in file_cfg}
+            fields.update((k, getattr(args, k)) for k in _FIELD_KEYS if getattr(args, k) is not None)
             if "seed" not in fields:
                 fields["seed"] = _resolve_seed(args)
             alg = make_algebra(args.algebra)

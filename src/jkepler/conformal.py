@@ -6,12 +6,15 @@ bracket is fixed by
     [X_u, X_v] = 0,  [Y_u, Y_v] = 0,  [X_u, Y_v] = -2 S_uv,
     [S, X_z] = X_{Sz},  [S, Y_z] = -Y_{S'z},  [S, S'] = matrix commutator,
 
-where S' denotes the adjoint with respect to <.|.>.  Structure-algebra parts
-are certified to lie in span{S_uv} at construction: exact solve against a
-row-reduced basis in rational mode, least-squares residual in float mode.
+where S' denotes the adjoint with respect to <.|.>.  Every part is exact:
+Element parts have Fraction coordinates, and a structure-algebra part is
+certified to lie in span{S_uv} at construction by an exact solve against a
+row-reduced basis.
 
-Complexified generators (the sl2 root triples, which carry an explicit i)
-are represented over complex-rational scalars.
+co(V) is a real Lie algebra, so the sl2 root triples are kept in their
+rational real form (h~, a, s); the paper's triple H = i h~, E+- = i a -+ s is
+its Cayley transform, and its relations are the real and imaginary parts of
+the relations among h~, a and s.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import EXACT, FLOAT, Algebra, Element, MismatchError
-from .scalars import CQ
 
 
 class ConsistencyError(RuntimeError):
@@ -75,9 +77,9 @@ def _str_span_exact(alg: Algebra) -> _ExactSpan:
     return alg._cache[key]
 
 
-def _str_span_float(alg: Algebra) -> np.ndarray:
-    """Orthonormal basis (columns) of the flattened float S_uv span."""
-    key = "str_span_float"
+def dim_str(alg: Algebra) -> int:
+    """Dimension of the structure algebra span{S_uv} (float SVD rank)."""
+    key = "dim_str"
     if key not in alg._cache:
         n = alg.dim
         gens = np.empty((n * n, n * n))
@@ -88,15 +90,9 @@ def _str_span_float(alg: Algebra) -> np.ndarray:
                 s = alg.smul_matrix(ba, alg.basis_element(b, FLOAT))
                 gens[:, col] = s.reshape(-1)
                 col += 1
-        u, sv, _ = np.linalg.svd(gens, full_matrices=False)
-        rank = int(np.sum(sv > 1e-8 * sv[0]))
-        alg._cache[key] = u[:, :rank]
+        sv = np.linalg.svd(gens, compute_uv=False)
+        alg._cache[key] = int(np.sum(sv > 1e-8 * sv[0]))
     return alg._cache[key]
-
-
-def dim_str(alg: Algebra) -> int:
-    """Dimension of the structure algebra span{S_uv} (float SVD rank)."""
-    return _str_span_float(alg).shape[1]
 
 
 def dim_co(alg: Algebra) -> int:
@@ -104,54 +100,29 @@ def dim_co(alg: Algebra) -> int:
     return 2 * alg.dim + dim_str(alg)
 
 
-def _certify(alg: Algebra, matrix, mode: str):
-    if mode == FLOAT:
-        q = _str_span_float(alg)
-        flat = np.asarray(matrix, dtype=np.float64).reshape(-1)
-        resid = flat - q @ (q.T @ flat)
-        scale = max(1.0, float(np.linalg.norm(flat)))
-        if np.linalg.norm(resid) > 1e-10 * scale:
-            raise ConsistencyError("matrix is not in span{S_uv} (residual too large)")
-        return
-    span = _str_span_exact(alg)
-    flat = np.asarray(matrix, dtype=object).reshape(-1)
-    if any(isinstance(c, CQ) for c in flat):
-        re = np.array([c.re if isinstance(c, CQ) else Fraction(c) for c in flat], dtype=object)
-        im = np.array([c.im if isinstance(c, CQ) else Fraction(0) for c in flat], dtype=object)
-        if not (span.contains(re) and span.contains(im)):
-            raise ConsistencyError("matrix is not in span{S_uv}")
-        return
-    if not span.contains(flat):
+def _certify(alg: Algebra, matrix):
+    if not _str_span_exact(alg).contains(np.asarray(matrix, dtype=object).reshape(-1)):
         raise ConsistencyError("matrix is not in span{S_uv}")
 
 
 class StrElement:
     """Endomorphism certified to lie in the structure algebra."""
 
-    __slots__ = ("algebra", "matrix", "mode")
+    __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra: Algebra, matrix, mode: str, _certified: bool = False):
+    def __init__(self, algebra: Algebra, matrix, _certified: bool = False):
         self.algebra = algebra
-        self.mode = mode
-        if mode == FLOAT:
-            self.matrix = np.asarray(matrix, dtype=np.float64)
-        else:
-            self.matrix = np.asarray(matrix, dtype=object)
+        self.matrix = np.asarray(matrix, dtype=object)
         if not _certified:
-            _certify(algebra, self.matrix, mode)
+            _certify(algebra, self.matrix)
 
     @classmethod
-    def zero(cls, algebra: Algebra, mode: str = EXACT):
+    def zero(cls, algebra: Algebra):
         n = algebra.dim
-        if mode == FLOAT:
-            return cls(algebra, np.zeros((n, n)), mode, _certified=True)
-        z = np.full((n, n), Fraction(0), dtype=object)
-        return cls(algebra, z, mode, _certified=True)
+        return cls(algebra, np.full((n, n), Fraction(0), dtype=object), _certified=True)
 
     def adjoint_matrix(self):
         """Adjoint with respect to <.|.>: diagonal-Gram conjugated transpose."""
-        if self.mode == FLOAT:
-            return self.matrix.T.copy()
         g = self.algebra.gram
         n = self.algebra.dim
         out = np.empty((n, n), dtype=object)
@@ -161,56 +132,51 @@ class StrElement:
         return out
 
     def is_zero(self) -> bool:
-        if self.mode == FLOAT:
-            return bool(np.all(self.matrix == 0.0))
         return all(not c for c in self.matrix.flat)
 
 
 class CoElement:
     """(u, M, v) in V + str(V) + V*: coefficients of X_u, an endomorphism, Y_v."""
 
-    __slots__ = ("algebra", "x_part", "str_part", "y_part", "mode")
+    __slots__ = ("algebra", "x_part", "str_part", "y_part")
 
     def __init__(self, x_part: Element, str_part: StrElement, y_part: Element):
         if x_part.algebra is not str_part.algebra or x_part.algebra is not y_part.algebra:
             raise MismatchError("CoElement parts belong to different algebras")
-        if not (x_part.mode == str_part.mode == y_part.mode):
-            raise MismatchError("CoElement parts have mixed scalar modes")
+        if x_part.mode != EXACT or y_part.mode != EXACT:
+            raise MismatchError("CoElement parts must be exact")
         self.algebra = x_part.algebra
         self.x_part = x_part
         self.str_part = str_part
         self.y_part = y_part
-        self.mode = x_part.mode
 
     @classmethod
     def x(cls, u: Element):
-        return cls(u, StrElement.zero(u.algebra, u.mode), u.algebra.zero(u.mode))
+        return cls(u, StrElement.zero(u.algebra), u.algebra.zero())
 
     @classmethod
     def y(cls, v: Element):
-        return cls(v.algebra.zero(v.mode), StrElement.zero(v.algebra, v.mode), v)
+        return cls(v.algebra.zero(), StrElement.zero(v.algebra), v)
 
     @classmethod
     def s(cls, u: Element, v: Element):
         m = u.algebra.smul_matrix(u, v)
-        return cls(u.algebra.zero(u.mode),
-                   StrElement(u.algebra, m, u.mode, _certified=True),
-                   u.algebra.zero(u.mode))
+        return cls(u.algebra.zero(), StrElement(u.algebra, m, _certified=True), u.algebra.zero())
 
     @classmethod
-    def from_matrix(cls, alg: Algebra, m, mode: str = EXACT):
-        return cls(alg.zero(mode), StrElement(alg, m, mode), alg.zero(mode))
+    def from_matrix(cls, alg: Algebra, m):
+        return cls(alg.zero(), StrElement(alg, m), alg.zero())
 
     def __add__(self, other: "CoElement"):
         return CoElement(self.x_part + other.x_part,
                          StrElement(self.algebra, self.str_part.matrix + other.str_part.matrix,
-                                    self.mode, _certified=True),
+                                    _certified=True),
                          self.y_part + other.y_part)
 
     def __sub__(self, other: "CoElement"):
         return CoElement(self.x_part - other.x_part,
                          StrElement(self.algebra, self.str_part.matrix - other.str_part.matrix,
-                                    self.mode, _certified=True),
+                                    _certified=True),
                          self.y_part - other.y_part)
 
     def __neg__(self):
@@ -218,7 +184,7 @@ class CoElement:
 
     def scaled(self, c):
         return CoElement(self.x_part.scaled(c),
-                         StrElement(self.algebra, c * self.str_part.matrix, self.mode, _certified=True),
+                         StrElement(self.algebra, c * self.str_part.matrix, _certified=True),
                          self.y_part.scaled(c))
 
     def is_zero(self) -> bool:
@@ -237,8 +203,6 @@ def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     """Lie bracket on co(V); antisymmetric, satisfies the Jacobi identity."""
     if a.algebra is not b.algebra:
         raise MismatchError("CoElements belong to different algebras")
-    if a.mode != b.mode:
-        raise MismatchError("mixed-mode bracket is rejected")
     alg = a.algebra
     m1, m2 = a.str_part.matrix, b.str_part.matrix
     x_out = alg.apply_matrix(m1, b.x_part) - alg.apply_matrix(m2, a.x_part)
@@ -247,46 +211,44 @@ def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     m_out = m1 @ m2 - m2 @ m1 \
         - 2 * alg.smul_matrix(a.x_part, b.y_part) \
         + 2 * alg.smul_matrix(b.x_part, a.y_part)
-    return CoElement(x_out, StrElement(alg, m_out, a.mode), y_out)
+    return CoElement(x_out, StrElement(alg, m_out), y_out)
 
 
 def cartan_involution(a: CoElement) -> CoElement:
     """theta: X_u -> Y_u, Y_u -> X_u, S_uv -> -S_vu (adjoint negation)."""
     return CoElement(a.y_part,
-                     StrElement(a.algebra, -a.str_part.adjoint_matrix(), a.mode, _certified=True),
+                     StrElement(a.algebra, -a.str_part.adjoint_matrix(), _certified=True),
                      a.x_part)
 
 
 @dataclass
 class RootData:
-    """Distinguished sl2 triples: the center direction and the alpha_0 root."""
+    """Rational real form (h~, a, s) of the distinguished sl2 triples: the
+    center direction (c = e) and the alpha_0 root (c = first frame idempotent).
+    The paper's triple is H = i h~, E+- = i a -+ s."""
 
     h_e: CoElement
-    e_plus: CoElement
-    e_minus: CoElement
+    a_e: CoElement
+    s_e: CoElement
     h_alpha0: CoElement
-    e_plus_alpha0: CoElement
-    e_minus_alpha0: CoElement
+    a_alpha0: CoElement
+    s_alpha0: CoElement
 
 
 def root_data(alg: Algebra, frame=None) -> RootData:
-    """H_e = i(X_e + Y_e), E_+- = (i/2)(X_e - Y_e) -+ S_ee, and the same
-    construction over the first frame idempotent for the alpha_0 triple."""
+    """h~_c = X_c + Y_c, a_c = (X_c - Y_c)/2, s_c = S_{c,e} for c = e and for
+    the first frame idempotent.  These satisfy [h~, a] = 2s, [h~, s] = -2a and
+    [a, s] = -h~/2, the real and imaginary parts of [H, E+-] = +-2E+- and
+    [E+, E-] = -H."""
     if frame is None:
         frame = alg.jordan_frame()
-    i = CQ(0, 1)
-    half_i = CQ(0, Fraction(1, 2))
 
     def triple_for(c: Element):
-        h = CoElement.x(c.scaled(i)) + CoElement.y(c.scaled(i))
-        s = CoElement.s(c, alg.identity())
-        e_p = CoElement.x(c.scaled(half_i)) - CoElement.y(c.scaled(half_i)) - s
-        e_m = CoElement.x(c.scaled(half_i)) - CoElement.y(c.scaled(half_i)) + s
-        return h, e_p, e_m
+        return (CoElement.x(c) + CoElement.y(c),
+                (CoElement.x(c) - CoElement.y(c)).scaled(Fraction(1, 2)),
+                CoElement.s(c, alg.identity()))
 
-    h_e, e_plus, e_minus = triple_for(alg.identity())
-    h_a, e_pa, e_ma = triple_for(frame[0])
-    return RootData(h_e, e_plus, e_minus, h_a, e_pa, e_ma)
+    return RootData(*triple_for(alg.identity()), *triple_for(frame[0]))
 
 
 def random_co_element(alg: Algebra, rng, span: int = 5) -> CoElement:

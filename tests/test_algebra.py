@@ -454,6 +454,8 @@ def test_octonion_fano_convention():
 
 # --- the integer kernel against entrywise reference formulas -----------------------
 
+import itertools  # noqa: E402
+
 from jkepler import divalg  # noqa: E402
 from jkepler.algebra import EXACT  # noqa: E402
 from jkepler.scalars import CQ  # noqa: E402
@@ -545,7 +547,10 @@ def _assert_same_entries(got, want):
 
 
 def _exact_element(alg, rng, kind):
-    """kind F: Fraction coords; Q: CQ coords; M: Fraction and CQ coords mixed."""
+    """kind F: Fraction coords; Q: CQ coords; M: Fraction and CQ coords mixed.
+
+    The kernel takes Fraction coords only; Q and M elements go through
+    _complexified, and the object formulas run on their CQ coords directly."""
     out = []
     for i in range(alg.dim):
         re = Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
@@ -554,6 +559,26 @@ def _exact_element(alg, rng, kind):
         else:
             out.append(re)
     return Element(alg, out, EXACT)
+
+
+def _complexified(f, *els):
+    """A multilinear kernel map f extended to complex coordinates, computed on
+    the rational real and imaginary parts: for (a + ib, c + id) it is
+    f(a, c) - f(b, d) + i(f(a, d) + f(b, c)).  Without CQ coords it is f."""
+    if not any(isinstance(c, CQ) for el in els for c in el.coords):
+        return np.asarray(f(*els), dtype=object)
+    parts = [(Element(el.algebra, [c.re if isinstance(c, CQ) else c for c in el.coords], EXACT),
+              Element(el.algebra, [c.im if isinstance(c, CQ) else Fr(0) for c in el.coords], EXACT))
+             for el in els]
+    re = im = 0
+    for choice in itertools.product((0, 1), repeat=len(els)):
+        term = np.asarray(f(*(p[j] for p, j in zip(parts, choice))), dtype=object)
+        k = sum(choice)
+        if k % 2:
+            im = im + (-1) ** (k // 2) * term
+        else:
+            re = re + (-1) ** (k // 2) * term
+    return np.vectorize(CQ, otypes=[object])(re, im)
 
 
 FIVE_FAMILIES = ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
@@ -565,9 +590,10 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
     alg = algebra(spec)
     rng = np.random.default_rng(sum(map(ord, spec + kinds)))
     u, v = _exact_element(alg, rng, kinds[0]), _exact_element(alg, rng, kinds[1])
-    _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
-    _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
-    _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
+    product = _complexified(lambda a, b: alg.product(a, b).coords, u, v)
+    _assert_same_entries(product, _ref_product(alg, u, v))
+    _assert_same_entries(_complexified(alg.lmul_matrix, u), _ref_lmul(alg, u))
+    _assert_same_entries(_complexified(alg.smul_matrix, u, v), _ref_smul(alg, u, v))
 
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
@@ -575,10 +601,10 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
 def test_dual_triple_tensor_matches_definition(algebra, spec, kind):
     alg = algebra(spec)
     u = _exact_element(alg, np.random.default_rng(len(spec)), kind)
-    t = alg.dual_triple_tensor(u)
+    t = _complexified(alg.dual_triple_tensor, u)
     n, g = alg.dim, alg.gram
     for a in range(n):
-        s = alg.smul_matrix(alg.basis_element(a), u)
+        s = _complexified(alg.smul_matrix, alg.basis_element(a), u)
         want = [[s[c, b] * g[c] * (1 / g[a]) * (1 / g[b]) for c in range(n)] for b in range(n)]
         _assert_same_entries(t[a], want)
 
@@ -602,7 +628,7 @@ def test_int64_guard_and_object_fallback(algebra, spec):
         _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
     # S_{cu,v} = c S_{u,v} for c on both sides of the guard and far past it,
     # so a guard looser than the true int64 range would show here
-    for scale in [c, c + 1, CQ(c, 1), CQ(0, c + 1)] + [3**j for j in range(0, 48, 4)]:
+    for scale in [c, c + 1, -c, Fr(c + 1, 3)] + [3**j for j in range(0, 48, 4)]:
         u = Element(alg, [scale * x for x in u0.coords], EXACT)
         _assert_same_entries(alg.smul_matrix(u, v), scale * s0)
     big_u = alg.element([(limit + 1) * s for s in signs])

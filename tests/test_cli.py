@@ -240,8 +240,11 @@ def test_main_explicit_flags_equal_to_defaults_beat_config(tmp_path):
     (["--trials", "2"], "[1, 2]", None, "usage error:"),
     ([], '{"trials": "x"}', None, "domain error:"),
     (["--trials", "2", "--out", "{tmp}/absent/r.json"], None, None, "usage error:"),
+    ([], '{"trials": 2, "trails": 3}', None, "usage error: unknown config key 'trails'"),
+    ([], '{"algebra": "h:3:O"}', None, "usage error: unknown config key 'algebra'"),
 ], ids=["tol-inf", "tol-nan", "env-seed", "config-missing", "config-not-json",
-        "config-not-object", "config-wrong-type", "out-dir-missing"])
+        "config-not-object", "config-wrong-type", "out-dir-missing", "config-unknown-key",
+        "config-algebra-key"])
 def test_main_bad_input_exits_2(tmp_path, monkeypatch, capsys, flags, config, env, prefix):
     argv = ["verify", "--suite", "jordan", "--algebra", "gamma:2"]
     argv += [f.format(tmp=tmp_path) for f in flags]
@@ -254,3 +257,37 @@ def test_main_bad_input_exits_2(tmp_path, monkeypatch, capsys, flags, config, en
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def _tkk_check(name):
+    rep = run(SuiteConfig(algebra="gamma:3", suite="tkk", trials=1))
+    return next(c for c in rep.checks if c["name"] == name)
+
+
+@pytest.mark.parametrize("field", ["s_e", "s_alpha0"])
+def test_sl2_check_catches_negated_s(monkeypatch, field):
+    import dataclasses
+
+    import jkepler.cli as cli
+    from jkepler.conformal import root_data
+
+    def negated(alg):
+        rd = root_data(alg)
+        return dataclasses.replace(rd, **{field: -getattr(rd, field)})
+
+    assert _tkk_check("tkk:sl2-roots")["status"] == "pass"
+    monkeypatch.setattr(cli, "root_data", negated)
+    assert _tkk_check("tkk:sl2-roots")["status"] == "fail"
+
+
+def test_dims_check_uses_the_classification(monkeypatch):
+    # a wrong dim_str, seen alike by dim_co and the check, must fail tkk:dims
+    import jkepler.cli as cli
+    import jkepler.conformal as conformal
+
+    true_dim_str = conformal.dim_str
+    monkeypatch.setattr(conformal, "dim_str", lambda alg: true_dim_str(alg) + 1)
+    monkeypatch.setattr(cli, "dim_str", conformal.dim_str)
+    check = _tkk_check("tkk:dims")
+    assert check["status"] == "fail"
+    assert check["witness"] == {"dim_str": 8, "dim_co": 16, "expected": 15}

@@ -3,10 +3,8 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from jkepler.algebra import FLOAT
 from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
                                co_bracket, dim_co, dim_str, random_co_element, root_data)
-from jkepler.scalars import CQ
 
 # dimensions from the real-Lie-algebra table:
 #   gamma:k   -> so(k,1)+R, so(k+1,2)
@@ -113,23 +111,54 @@ def test_theta_eigenspaces(algebra):
     assert cartan_involution(pv) == -pv
 
 
+def _triples(rd):
+    return [(rd.h_e, rd.a_e, rd.s_e), (rd.h_alpha0, rd.a_alpha0, rd.s_alpha0)]
+
+
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
 def test_root_sl2_triples(algebra, spec):
     alg = algebra(spec)
     rd = root_data(alg)
-    for (h, ep, em) in [(rd.h_e, rd.e_plus, rd.e_minus),
-                        (rd.h_alpha0, rd.e_plus_alpha0, rd.e_minus_alpha0)]:
-        assert co_bracket(h, ep) == ep.scaled(2)
-        assert co_bracket(h, em) == em.scaled(-2)
-        assert co_bracket(ep, em) == -h
+    for (h, a, s) in _triples(rd):
+        assert co_bracket(h, a) == s.scaled(2)
+        assert co_bracket(h, s) == a.scaled(-2)
+        assert co_bracket(a, s) == h.scaled(Fr(-1, 2))
     # compactness of the center direction
     assert cartan_involution(rd.h_e) == rd.h_e
 
 
-def test_root_data_uses_complex_scalars(algebra):
-    alg = algebra("gamma:2")
+# A complex CoElement as a pair (re, im) of rational ones; the bracket is
+# extended complex-bilinearly: [a + ib, c + id] = ([a,c] - [b,d]) + i([a,d] + [b,c]).
+
+def _c_bracket(p, q):
+    (a, b), (c, d) = p, q
+    return co_bracket(a, c) - co_bracket(b, d), co_bracket(a, d) + co_bracket(b, c)
+
+
+def _c_scaled(p, k):
+    return p[0].scaled(k), p[1].scaled(k)
+
+
+@pytest.mark.parametrize("spec", ["gamma:2", "gamma:3", "h:3:R", "h:3:C"])
+def test_root_data_is_rational(algebra, spec):
+    alg = algebra(spec)
     rd = root_data(alg)
-    assert any(isinstance(c, CQ) and c.im for c in rd.h_e.x_part.coords)
+    for t in _triples(rd):
+        for el in t:
+            entries = list(el.x_part.coords) + list(el.y_part.coords) + list(el.str_part.matrix.flat)
+            assert all(type(c) is Fr for c in entries)
+    # the paper's complex triple H = i h~, E+- = i a -+ s satisfies
+    # [H, E+-] = +-2 E+-, [E+, E-] = -H, and theta H_e = H_e
+    for (h, a, s) in _triples(rd):
+        zero = h.scaled(0)
+        big_h, e_plus, e_minus = (zero, h), (-s, a), (s, a)
+        for lhs, rhs in [(_c_bracket(big_h, e_plus), _c_scaled(e_plus, 2)),
+                         (_c_bracket(big_h, e_minus), _c_scaled(e_minus, -2)),
+                         (_c_bracket(e_plus, e_minus), _c_scaled(big_h, -1))]:
+            assert lhs[0] == rhs[0] and lhs[1] == rhs[1]
+        # each relation is nontrivial: no side is zero
+        assert not (e_plus[0].is_zero() or e_plus[1].is_zero() or h.is_zero())
+    assert cartan_involution(rd.h_e) == rd.h_e
 
 
 def test_str_membership_certification(algebra):
@@ -138,11 +167,9 @@ def test_str_membership_certification(algebra):
     bad = np.full((n, n), Fr(0), dtype=object)
     bad[0, 0] = Fr(1)  # a rank-one projector is not in span{S_uv} for gamma:3
     with pytest.raises(ConsistencyError):
-        StrElement(alg, bad, "exact")
-    # float certification accepts genuine members
+        StrElement(alg, bad)
+    # exact certification accepts genuine members
     rng = np.random.default_rng(5)
-    u = alg.random_element(rng, FLOAT)
-    v = alg.random_element(rng, FLOAT)
-    StrElement(alg, alg.smul_matrix(u, v), FLOAT)
-    with pytest.raises(ConsistencyError):
-        StrElement(alg, np.eye(n) * 0 + np.diag([1.0] + [0.0] * (n - 1)), FLOAT)
+    u = alg.random_element(rng)
+    v = alg.random_element(rng)
+    StrElement(alg, alg.smul_matrix(u, v))

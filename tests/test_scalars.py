@@ -1,3 +1,6 @@
+import ast
+import importlib.util
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -47,3 +50,18 @@ def test_as_cq():
     assert as_cq(Fraction(2, 3)) == CQ(Fraction(2, 3))
     with pytest.raises(TypeError):
         as_cq(1.5)
+
+
+@pytest.mark.parametrize("module", ["jkepler.algebra", "jkepler.conformal"])
+def test_exact_layers_do_not_import_scalars(module):
+    # the Jordan kernel and the TKK layer run on Fraction alone
+    mod = importlib.import_module(module)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(mod))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "jkepler")
+            imported.add(base)
+            imported.update(f"{base}.{a.name}" for a in node.names)
+    assert "jkepler.scalars" not in imported
