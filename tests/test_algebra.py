@@ -454,11 +454,8 @@ def test_octonion_fano_convention():
 
 # --- the integer kernel against entrywise reference formulas -----------------------
 
-import itertools  # noqa: E402
-
 from jkepler import divalg  # noqa: E402
 from jkepler.algebra import EXACT  # noqa: E402
-from jkepler.scalars import CQ  # noqa: E402
 
 
 def _reference_c2(k, ddim):
@@ -547,38 +544,23 @@ def _assert_same_entries(got, want):
 
 
 def _exact_element(alg, rng, kind):
-    """kind F: Fraction coords; Q: CQ coords; M: Fraction and CQ coords mixed.
-
-    The kernel takes Fraction coords only; Q and M elements go through
-    _complexified, and the object formulas run on their CQ coords directly."""
+    """kind F: Fractions over small denominators (the int64 path); Q: Fractions
+    over distinct large primes, whose common denominator passes the int64
+    guard (the object fallback); M: int and Fraction coords mixed."""
     out = []
     for i in range(alg.dim):
-        re = Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
-        if kind == "Q" or (kind == "M" and i % 3 == 0):
-            out.append(CQ(re, Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))))
+        num = int(rng.integers(-9, 10))
+        if kind == "Q":
+            out.append(Fr(num, _LARGE_PRIMES[i]))
+        elif kind == "M" and i % 3 == 0:
+            out.append(num)
         else:
-            out.append(re)
+            out.append(Fr(num, int(rng.integers(1, 5))))
     return Element(alg, out, EXACT)
 
 
-def _complexified(f, *els):
-    """A multilinear kernel map f extended to complex coordinates, computed on
-    the rational real and imaginary parts: for (a + ib, c + id) it is
-    f(a, c) - f(b, d) + i(f(a, d) + f(b, c)).  Without CQ coords it is f."""
-    if not any(isinstance(c, CQ) for el in els for c in el.coords):
-        return np.asarray(f(*els), dtype=object)
-    parts = [(Element(el.algebra, [c.re if isinstance(c, CQ) else c for c in el.coords], EXACT),
-              Element(el.algebra, [c.im if isinstance(c, CQ) else Fr(0) for c in el.coords], EXACT))
-             for el in els]
-    re = im = 0
-    for choice in itertools.product((0, 1), repeat=len(els)):
-        term = np.asarray(f(*(p[j] for p, j in zip(parts, choice))), dtype=object)
-        k = sum(choice)
-        if k % 2:
-            im = im + (-1) ** (k // 2) * term
-        else:
-            re = re + (-1) ** (k // 2) * term
-    return np.vectorize(CQ, otypes=[object])(re, im)
+_LARGE_PRIMES = [p for p in range(10**6, 10**6 + 10**3)
+                 if all(p % q for q in range(2, 1001))][:27]
 
 
 FIVE_FAMILIES = ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
@@ -590,10 +572,9 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
     alg = algebra(spec)
     rng = np.random.default_rng(sum(map(ord, spec + kinds)))
     u, v = _exact_element(alg, rng, kinds[0]), _exact_element(alg, rng, kinds[1])
-    product = _complexified(lambda a, b: alg.product(a, b).coords, u, v)
-    _assert_same_entries(product, _ref_product(alg, u, v))
-    _assert_same_entries(_complexified(alg.lmul_matrix, u), _ref_lmul(alg, u))
-    _assert_same_entries(_complexified(alg.smul_matrix, u, v), _ref_smul(alg, u, v))
+    _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
+    _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
+    _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
 
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
@@ -601,10 +582,10 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
 def test_dual_triple_tensor_matches_definition(algebra, spec, kind):
     alg = algebra(spec)
     u = _exact_element(alg, np.random.default_rng(len(spec)), kind)
-    t = _complexified(alg.dual_triple_tensor, u)
+    t = alg.dual_triple_tensor(u)
     n, g = alg.dim, alg.gram
     for a in range(n):
-        s = _complexified(alg.smul_matrix, alg.basis_element(a), u)
+        s = alg.smul_matrix(alg.basis_element(a), u)
         want = [[s[c, b] * g[c] * (1 / g[a]) * (1 / g[b]) for c in range(n)] for b in range(n)]
         _assert_same_entries(t[a], want)
 
