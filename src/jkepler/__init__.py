@@ -12,7 +12,7 @@ from .phase import (PhaseRational, poisson, poisson_poly, moments,
                     classical_lenz)
 from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
                    acute_ops, gaussian_conjugate, verify_tkk_ops, he_grading_check,
-                   lowest_weight_check, restriction_degeneracy, restriction_rank,
+                   lowest_weight_check, restriction_degeneracy,
                    bound_spectrum)
 from .cone import (ConePoint, PolarChart, cone_dim, sample_cone_point, radial_cone_point,
                    canonical_metric, co_metric, kepler_metric_crosscheck, lambda_u,

@@ -266,7 +266,8 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     eig = 2 * degree + Fraction(nu) * alg.rho
     checked = 0
     witness = None
-    for exps in _monomials_of_degree(n, degree):
+    for idx in itertools.combinations_with_replacement(range(n), degree):
+        exps = tuple(idx.count(a) for a in range(n))
         p = Poly(n, {exps: Fraction(1)})
         q = apply_op(conj, p)
         if q.degree() > degree or not (q.graded_part(degree) - p.scaled(eig)).is_zero():
@@ -309,84 +310,82 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0, trials: int = 8) -> dic
             "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}
 
 
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(n - 1, d - first):
-            yield (first,) + rest
+# --- degeneracies by exact restriction rank ------------------------------------------
+
+_PRIME = 2**31 - 1
+_BLOCK = 32  # points evaluated and reduced together
 
 
-# --- degeneracies by restriction rank ----------------------------------------------
-
-def _restriction_ranks(alg: Algebra, param: WallachParam, degree: int,
-                       samples: int | None, seed: int) -> tuple[int, int]:
-    """(rank of degree <= I evaluations, rank of degree <= I-1 evaluations),
-    cross-validated on two disjoint sample sets; instability raises."""
-    from .cone import sample_cone_point
-
-    n = alg.dim
-    monos = [m for deg in range(degree + 1) for m in _monomials_of_degree(n, deg)]
-    ambient = len(monos)
-    if samples is None:
-        samples = 3 * ambient
-    if samples < 3 * ambient:
-        raise DomainError(f"need samples >= 3 x ambient dimension = {3 * ambient}")
-    n_low = sum(1 for m in monos if sum(m) <= degree - 1)
-
-    def ranks(point_seed_base):
-        # r-normalize for conditioning, then re-dilate randomly: points on a
-        # fixed r-slice would make r - const vanish identically and collapse
-        # the degree filtration.
-        pts = np.empty((samples, n))
-        for i in range(samples):
-            p = sample_cone_point(alg, param.rho_of_nu, point_seed_base + i)
-            scale = np.random.default_rng(point_seed_base + 7 * i + 3).uniform(0.6, 1.6)
-            pts[i] = p.x.coords * (scale / p.r)
-        cols = np.empty((samples, ambient))
-        for j, m in enumerate(monos):
-            col = np.ones(samples)
-            for a, e in enumerate(m):
-                if e:
-                    col = col * pts[:, a] ** e
-            cols[:, j] = col
-        sv_full = np.linalg.svd(cols, compute_uv=False)
-        r_full = int(np.sum(sv_full > 1e-8 * sv_full[0]))
-        if n_low:
-            sv_low = np.linalg.svd(cols[:, :n_low], compute_uv=False)
-            r_low = int(np.sum(sv_low > 1e-8 * sv_low[0]))
-        else:
-            r_low = 0
-        return r_full, r_low
-
-    base = np.random.SeedSequence(seed).generate_state(2)
-    r1 = ranks(int(base[0]))
-    r2 = ranks(int(base[1]))
-    if r1 != r2:
-        raise DomainError(f"restriction rank unstable across disjoint sample sets "
-                          f"({r1} vs {r2}); increase samples")
-    return r1
+def _limbs(a: np.ndarray) -> list:
+    """[a mod 2^16, a div 2^16] as float64, for int64 entries in [0, _PRIME)."""
+    return [(a & 0xFFFF).astype(float), (a >> 16).astype(float)]
 
 
-def restriction_rank(alg: Algebra, nu, degree: int, samples: int | None = None,
-                     seed: int = 0) -> int:
-    """SVD rank of the evaluation matrix of all degree <= I monomials at
-    sampled points of the rank-rho(nu) cone."""
+def _matmul_mod(a: np.ndarray, b: list) -> np.ndarray:
+    """a @ b mod _PRIME with b given by its _limbs.  Limb products are below
+    2^32, so BLAS sums over fewer than 2^20 terms are exact in float64."""
+    (a0, a1), (b0, b1) = _limbs(a), b
+    hi, mid, lo = (x.astype(np.int64) % _PRIME for x in (a1 @ b1, a1 @ b0 + a0 @ b1, a0 @ b0))
+    return ((((hi << 16) % _PRIME + mid) << 16) % _PRIME + lo) % _PRIME
+
+
+def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
+    """count points 4 sum_{i<k} P(y_i) c_1 mod _PRIME of the rank-<=k cone, each
+    y_i uniform in F_p^n; 4 P(y) c = 2 twice(y, twice(y, c)) - twice(twice(y, y), c)."""
+    c2 = alg._c2.reshape(alg.dim, -1)  # small integers
+
+    def twice(u, v):  # rows of 2uv = sum_ab c2[a, b, :] u_a v_b
+        t = ((u @ c2) % _PRIME).reshape(v.shape + (-1,))
+        return ((t * v[:, :, None]) % _PRIME).sum(axis=1) % _PRIME
+
+    c = np.tile([q.numerator * pow(q.denominator, -1, _PRIME) % _PRIME
+                 for q in alg.jordan_frame()[0].coords], (count, 1))
+    return sum(2 * twice(y, twice(y, c)) - twice(twice(y, y), c)
+               for y in rng.integers(0, _PRIME, (k,) + c.shape)) % _PRIME
+
+
+def restriction_degeneracy(alg: Algebra, nu, degree: int, seed: int = 0) -> int:
+    """Dimension of the degree-I piece of polynomials restricted to the cone of
+    rank k = rho(nu): the rank of the degree-I monomials, each a product of I
+    coordinates, evaluated at points x = sum_{i<=k} P(y_i) c_1 of that cone.
+    The cone's ideal is homogeneous, so this rank alone is the graded piece.
+
+    Blocks of points join an echelon basis mod the prime p = 2^31 - 1 until a
+    point adds no rank or the rank reaches dim P_I.  The rows are integer
+    evaluations at real cone points reduced mod p, and reduction mod p can
+    only lose rank, so the result is a certified lower bound on the true
+    dimension.  It is exact with probability at least 1 - 2I/p per point
+    (Schwartz-Zippel: each monomial has degree 2I in the uniform y_i)."""
     param = WallachParam.make(alg, nu)
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    return _restriction_ranks(alg, param, degree, samples, seed)[0]
-
-
-def restriction_degeneracy(alg: Algebra, nu, degree: int, samples: int | None = None,
-                           seed: int = 0) -> int:
-    """Dimension of the degree-I graded piece of polynomials restricted to the
-    canonical cone of rank rho(nu), as a difference of SVD evaluation ranks."""
-    param = WallachParam.make(alg, nu)
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
-    if degree == 0:
-        return 1
-    r_full, r_low = _restriction_ranks(alg, param, degree, samples, seed)
-    return r_full - r_low
+    factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
+    rng = np.random.default_rng(seed)
+    basis = _limbs(np.zeros((0, len(factors)), dtype=np.int64))
+    inverse = np.zeros((0, 0), dtype=np.int64)  # of basis[:, pivots]
+    pivots = []
+    while len(pivots) < len(factors):
+        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, len(factors) - len(pivots)), rng)
+        block = np.ones((len(x), len(factors)), dtype=np.int64)
+        for column in factors.T:
+            block = block * x[:, column] % _PRIME
+        block = (block - _matmul_mod(_matmul_mod(block[:, pivots], _limbs(inverse)),
+                                     basis)) % _PRIME
+        cols = []
+        for row in block:  # reduced echelon form within the block
+            nonzero = np.flatnonzero(row)
+            if len(nonzero):
+                c = int(nonzero[0])
+                pivot = row * pow(int(row[c]), -1, _PRIME) % _PRIME
+                np.remainder(block - block[:, [c]] * pivot, _PRIME, out=block)
+                row[:] = pivot
+                cols.append(c)
+        new = block[block.any(axis=1)]  # a row without a pivot has become zero
+        inverse = np.block([[inverse, -_matmul_mod(inverse, [b[:, cols] for b in basis]) % _PRIME],
+                            [np.zeros((len(cols), len(pivots)), dtype=np.int64),
+                             np.eye(len(cols), dtype=np.int64)]])
+        basis = [np.vstack(pair) for pair in zip(basis, _limbs(new))]
+        pivots += cols
+        if len(new) < len(block):
+            break
+    return len(pivots)

@@ -125,8 +125,7 @@ def test_criterion_6_hydrogen_reproduction():
     for i in range(6):
         ok &= bound_spectrum(alg, Fr(1), i) == Fr(-1, 2 * (i + 1) ** 2)
     for i in range(6):
-        # restriction_degeneracy already cross-validates two disjoint sample
-        # sets internally; run two independent seeds on top of that
+        # two seeds draw independent cone points for the exact rank mod p
         d1 = restriction_degeneracy(alg, Fr(1), i, seed=31)
         d2 = restriction_degeneracy(alg, Fr(1), i, seed=77)
         quadric_oracle = (math.comb(i + 3, 3) - math.comb(i + 1, 3)) if i else 1

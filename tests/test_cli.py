@@ -145,6 +145,18 @@ def test_main_spectrum_table(capsys):
         assert val in out
 
 
+def test_main_spectrum_degeneracies_exact(tmp_path):
+    # the float restriction rank exited 2 here ("restriction rank unstable")
+    argv = ["spectrum", "--algebra", "gamma:3", "--nu", "1", "--levels", "10",
+            "--degeneracies", "--format", "json", "--seed", "5", "--out"]
+    assert main(argv + [str(tmp_path / "a.json")]) == 0
+    assert main(argv + [str(tmp_path / "b.json")]) == 0
+    data = (tmp_path / "a.json").read_bytes()
+    assert data == (tmp_path / "b.json").read_bytes()
+    assert [row["degeneracy"] for row in json.loads(data)["levels"]] == [
+        (i + 1) ** 2 for i in range(10)]
+
+
 def test_main_info(capsys):
     code = main(["info", "--algebra", "h:3:O"])
     assert code == 0

@@ -11,7 +11,7 @@ from jkepler import weyl
 from jkepler.weyl import (WallachParam, WeylOp, acute_ops, acute_s, acute_x,
                           acute_y, apply_op, apply_to_state, bound_spectrum, commutator,
                           compose, gaussian_conjugate, he_grading_check, he_op,
-                          lowest_weight_check, restriction_degeneracy, restriction_rank,
+                          lowest_weight_check, restriction_degeneracy,
                           tkk_op_residual, verify_tkk_ops, x_tilde, y_tilde)
 
 
@@ -304,15 +304,17 @@ def test_degeneracy_constants(g3):
     assert restriction_degeneracy(g3, Fr(1), 0, seed=1) == 1
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", range(1, 13))
 def test_hydrogen_degeneracies(g3, level):
     assert restriction_degeneracy(g3, Fr(1), level, seed=7) == (level + 1) ** 2
 
 
 def test_continuous_nu_full_dimension(g3):
-    for level in (1, 2):
-        want = math.comb(g3.dim + level - 1, level)
-        assert restriction_degeneracy(g3, Fr(3, 2), level, seed=5) == want
+    for alg, nu, top in ((g3, Fr(3, 2), 4), (make_algebra("h:3:R"), Fr(3, 2), 3),
+                         (make_algebra("h:3:H"), Fr(7), 2)):
+        for level in range(1, top + 1):
+            want = math.comb(alg.dim + level - 1, level)
+            assert restriction_degeneracy(alg, nu, level, seed=5) == want
 
 
 def test_degeneracy_deterministic_and_validated(g3):
@@ -320,13 +322,63 @@ def test_degeneracy_deterministic_and_validated(g3):
     b = restriction_degeneracy(g3, Fr(1), 2, seed=9)
     assert a == b == 9
     with pytest.raises(DomainError):
-        restriction_degeneracy(g3, Fr(1), 2, samples=4, seed=3)
+        restriction_degeneracy(g3, Fr(1), -1, seed=3)
+    with pytest.raises(DomainError):
+        restriction_degeneracy(g3, Fr(1, 3), 2, seed=3)
 
 
 def test_rank1_cone_degeneracy_additivity(g3):
-    # cumulative rank equals the sum of per-level degeneracies, two computations
-    for top in (2, 3):
+    # the cumulative dimension of the restricted polynomials of degree <= top
+    for top in (2, 3, 6):
         total = sum(restriction_degeneracy(g3, Fr(1), i, seed=13) for i in range(top + 1))
-        assert total == restriction_rank(g3, Fr(1), top, seed=41)
-    oracle = sum((i + 1) ** 2 for i in range(4))
-    assert sum(restriction_degeneracy(g3, Fr(1), i, seed=13) for i in range(4)) == oracle
+        assert total == sum((i + 1) ** 2 for i in range(top + 1))
+
+
+@pytest.mark.parametrize("spec,nu,level,want", [
+    ("gamma:3", Fr(1), 8, 81),
+    ("gamma:3", Fr(1), 9, 100),
+    ("h:3:R", Fr(1, 2), 7, 120),
+])
+def test_former_float_defects(spec, nu, level, want):
+    # the float SVD rank printed 79, 80-83 and 114-115 here
+    alg = make_algebra(spec)
+    assert restriction_degeneracy(alg, nu, level, seed=1) == want
+    assert restriction_degeneracy(alg, nu, level, seed=2) == want
+
+
+def _dim_p(n, level):
+    return math.comb(n + level - 1, level) if level >= 0 else 0
+
+
+# Faraut-Koranyi K-type counts: rank k = rho - 1 has ideal (det), of degree
+# rho; h:3:C at k = 1 is C(I+2, 2)^2; h:3:R at k = 1 is C(2I+2, 2).
+@pytest.mark.parametrize("spec,nu,top,closed_form", [
+    ("h:3:R", Fr(1, 2), 10, lambda n, i: math.comb(2 * i + 2, 2)),
+    ("h:3:R", Fr(1), 7, lambda n, i: _dim_p(n, i) - _dim_p(n, i - 3)),
+    ("h:3:C", Fr(1), 5, lambda n, i: math.comb(i + 2, 2) ** 2),
+    ("gamma:5", Fr(2), 8, lambda n, i: _dim_p(n, i) - _dim_p(n, i - 2)),
+])
+def test_degeneracy_closed_forms(spec, nu, top, closed_form):
+    alg = make_algebra(spec)
+    for level in range(top + 1):
+        assert restriction_degeneracy(alg, nu, level, seed=level) == closed_form(alg.dim, level)
+
+
+@pytest.mark.parametrize("spec,nu,level,closed_form", [
+    ("h:3:R", Fr(1, 2), 3, 28), ("gamma:3", Fr(1), 4, 25), ("h:3:C", Fr(1), 2, 36)])
+def test_degeneracy_sees_higher_rank_points(spec, nu, level, closed_form):
+    # rank-(k+1) points fed in place of rank-k points span more than the level
+    alg = make_algebra(spec)
+    param = WallachParam.make(alg, nu)
+    assert restriction_degeneracy(alg, param, level, seed=4) == closed_form
+    wrong = WallachParam(param.value, param.kind, param.k, param.rho_of_nu + 1)
+    assert restriction_degeneracy(alg, wrong, level, seed=4) > closed_form
+
+
+def test_matmul_mod_is_exact():
+    rng = np.random.default_rng(0)
+    p = weyl._PRIME
+    a = rng.integers(p - 2**20, p, (5, 300))
+    b = rng.integers(p - 2**20, p, (300, 7))
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert weyl._matmul_mod(a, weyl._limbs(b)).tolist() == want
