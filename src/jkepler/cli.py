@@ -55,6 +55,8 @@ class SuiteConfig:
             raise DomainError(f"tol must be a finite number > 0, got {self.tol!r}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.levels < 0:
             raise DomainError("levels must be >= 0")
         if self.suite not in SUITES + ("all",):
@@ -405,6 +407,8 @@ def emit(report: Report, fmt: str = "text") -> bytes:
 def spectrum_table(alg: Algebra, nu, levels: int, degeneracies: bool, seed: int) -> dict:
     if levels < 0:
         raise DomainError("levels must be >= 0")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     param = WallachParam.make(alg, nu)
     rows = []
     for i in range(levels):

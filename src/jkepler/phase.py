@@ -6,7 +6,10 @@ extended by denominators that are powers of r = <e|x>.  The canonical
 bracket is {x^a, p_b} = delta_ab; the momentum covector p is identified with
 the tangent vector pi through the inner product, so every inner-product
 contraction below carries the Gram matrix explicitly (trivial for spin
-factors, diagonal rational otherwise).
+factors, diagonal rational otherwise).  The bracket of two polynomials is
+one loop over pairs of terms on integer numerators over one denominator (a
+CQ coefficient rides it with denominator 1), with no partial derivatives
+built.
 
 The moment functions
 
@@ -23,18 +26,37 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element
-from .poly import Poly, monomial_key, same_nvars
+from .poly import Poly, field, monomial_key, numerators, pack, same_nvars
 
 def poisson_poly(f: Poly, g: Poly) -> Poly:
-    """Canonical bracket sum_a (df/dx^a dg/dp_a - df/dp_a dg/dx^a)."""
+    """Canonical bracket sum_a (df/dx^a dg/dp_a - df/dp_a dg/dx^a), on integer
+    numerators over one denominator.  For a pair of terms both halves of slot
+    a land on the monomial kf + kg - e_a - e_{n+a}, with coefficient
+    cf cg (kf[a] kg[n+a] - kf[n+a] kg[a])."""
     same_nvars(f, g)
     n = f.nvars // 2
-    out = Poly(f.nvars)
-    for a in range(n):
-        fx, fp = f.partial(a), f.partial(n + a)
-        if not (fx.is_zero() and fp.is_zero()):
-            out = out + fx * g.partial(n + a) - fp * g.partial(a)
-    return out
+    df, nf = numerators(f.terms)
+    dg, ng = numerators(g.terms)
+
+    def slots(k):  # {a: (x exponent, p exponent)} where either is positive
+        return {a: (k[a], k[n + a]) for a in range(n) if k[a] or k[n + a]}
+
+    step = [field(a) + field(n + a) for a in range(n)]
+    right = [(pack(k), c, slots(k)) for k, c in ng.items()]
+    out = {}
+    get = out.get
+    for kf, cf in nf.items():
+        pf = pack(kf)
+        f_slots = slots(kf).items()
+        for pg, cg, g_slots in right:
+            for a, (fx, fp) in f_slots:
+                gxp = g_slots.get(a)
+                if gxp is not None:
+                    w = fx * gxp[1] - fp * gxp[0]
+                    if w:
+                        key = pf + pg - step[a]
+                        out[key] = get(key, 0) + cf * cg * w
+    return Poly.from_numerators(f.nvars, out, df * dg)
 
 
 def _divmod_linear(poly: Poly, lin: list, pivot: int):

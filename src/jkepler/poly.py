@@ -7,11 +7,20 @@ maps flat exponent tuples, one entry per variable, to int, Fraction or CQ
 coefficients.  Exact zeros are dropped when a Poly is built, so equal
 polynomials have equal term dicts.  A subclass changes only the product:
 weyl.WeylOp composes in normal order where Poly multiplies commutatively.
+
+Products and brackets (here, in weyl and in phase) run on integer numerators
+over one common denominator: `numerators` splits the coefficients, the loop
+multiplies and adds Python ints, and `from_numerators` divides once per
+output term.  A CQ coefficient has no denominator; it rides the same loop as
+its own numerator, with denominator 1.  Inside those loops an exponent tuple
+is `pack`ed into one int, so multiplying two monomials is one int addition.
 """
 from __future__ import annotations
 
+import math
+import sys
+from array import array
 from fractions import Fraction
-from operator import add
 
 from .scalars import CQ
 
@@ -37,6 +46,30 @@ def same_nvars(f: "Poly", g: "Poly"):
         raise MismatchError(f"polynomials in {f.nvars} and {g.nvars} variables")
 
 
+def numerators(terms: dict) -> tuple:
+    """(den, {exponent: numerator}) with den the lcm of the coefficient
+    denominators, so that each coefficient is numerator / den.  Numerators of
+    int and Fraction coefficients are ints; a CQ (no denominator) counts as
+    denominator 1 and its numerator is the CQ times den."""
+    den = math.lcm(*[getattr(c, "denominator", 1) for c in terms.values()])
+    return den, {k: c.numerator * (den // c.denominator) if isinstance(c, (int, Fraction))
+                 else c * den for k, c in terms.items()}
+
+
+def pack(k: tuple) -> int:
+    """The exponent tuple k as one int with a 16-bit field per variable, so
+    adding packed keys adds exponents; Poly.from_numerators unpacks them.
+    The fields are written as signed 16-bit values: an exponent of 2^15 or
+    more raises OverflowError, so the sum of two packed keys never carries
+    into the next field."""
+    return int.from_bytes(array("h", k).tobytes(), sys.byteorder)
+
+
+def field(i: int) -> int:
+    """The packed key of the first power of variable i."""
+    return 1 << 16 * i
+
+
 class Poly:
     """Sparse polynomial {exponent tuple: coefficient} in `nvars` variables."""
 
@@ -52,8 +85,21 @@ class Poly:
         exponents add up."""
         out = dict(terms or {})
         for k, c in pairs:
-            out[k] = out.get(k, 0) + c
+            out[k] = out[k] + c if k in out else c
         return cls(nvars, out)
+
+    @classmethod
+    def from_numerators(cls, nvars: int, nums: dict, den: int):
+        """The Poly with coefficient v / den for each nonzero numerator v
+        accumulated under a packed key: a Fraction for an int v, a CQ for a
+        CQ v."""
+        size, order = 2 * nvars, sys.byteorder  # the inverse of pack
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {tuple(array("H", k.to_bytes(size, order))):
+                     Fraction(v, den) if type(v) is int else v / den
+                     for k, v in nums.items() if v}
+        return out
 
     @classmethod
     def constant(cls, nvars: int, c):
@@ -72,7 +118,11 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        same_nvars(self, other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] - c if k in out else -c
+        return type(self)(self.nvars, out)
 
     def __neg__(self):
         return type(self)(self.nvars, {k: -c for k, c in self.terms.items()})
@@ -95,9 +145,17 @@ class Poly:
 
     def _product(self, other):
         """Commutative product: exponents add."""
-        return self.from_pairs(self.nvars, (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
+        d1, n1 = numerators(self.terms)
+        d2, n2 = numerators(other.terms)
+        right = [(pack(e), c) for e, c in n2.items()]
+        out = {}
+        get = out.get
+        for e1, c1 in n1.items():
+            p1 = pack(e1)
+            for p2, c2 in right:
+                k = p1 + p2
+                out[k] = get(k, 0) + c1 * c2
+        return self.from_numerators(self.nvars, out, d1 * d2)
 
     def partial(self, i: int):
         """Formal derivative with respect to variable i (0-based)."""

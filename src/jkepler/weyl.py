@@ -7,7 +7,10 @@ the Leibniz exchange rule
     d^B x^C = sum_s  C(B,s) C!/(C-s)!  x^{C-s} d^{B-s}    (componentwise),
 
 so equality of operators is coefficient equality of normal forms and every
-commutation relation becomes a decidable exact check.
+commutation relation becomes a decidable exact check.  Composition,
+application to states and Gaussian conjugation run on integer numerators
+over one common denominator (poly.numerators); a CQ coefficient rides the
+same loops with denominator 1.
 
 The nu-parametrized realization quantizes the phase-space moments (p -> D):
 
@@ -34,13 +37,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element
 from .phase import (_r_coeffs, check_relations, moment_s, moment_x, moment_y,
                     relation_residual)
-from .poly import MismatchError, Poly, monomial_key, same_nvars
+from .poly import MismatchError, Poly, field, monomial_key, numerators, pack, same_nvars
 from .scalars import CQ
 
 
@@ -50,6 +54,11 @@ def _ff(c: int, s: int) -> int:
     for t in range(s):
         out *= c - t
     return out
+
+
+def _slot_mask(exps) -> int:
+    """Bit i set where exps[i] > 0."""
+    return sum(1 << i for i, e in enumerate(exps) if e)
 
 
 class WeylOp(Poly):
@@ -72,73 +81,114 @@ class WeylOp(Poly):
 
 
 def compose(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Normal-ordered product ab."""
+    """Normal-ordered product ab, on integer numerators over one denominator.
+    A pair of words x^A d^B, x^C d^D gives the Leibniz sum over the slots
+    where both B and C are positive; a pair with no such slot gives the
+    single word x^{A+C} d^{B+D}."""
     same_nvars(a, b)
     n = a.nvars // 2
-    right = [(k[:n], k[n:], c) for k, c in b.terms.items()]
-
-    def words():
-        for k, ca in a.terms.items():
-            A, B = k[:n], k[n:]
-            for C, D, cb in right:
-                base = ca * cb
-                ranges = [range(min(bi, ci) + 1) for bi, ci in zip(B, C)]
-                for s in itertools.product(*ranges):
-                    coef = base
-                    for bi, ci, si in zip(B, C, s):
-                        if si:
-                            coef = coef * (math.comb(bi, si) * _ff(ci, si))
-                    yield (tuple(ai + ci - si for ai, ci, si in zip(A, C, s))
-                           + tuple(bi + di - si for bi, di, si in zip(B, D, s))), coef
-
-    return WeylOp.from_pairs(a.nvars, words())
+    da, na = numerators(a.terms)
+    db, nb = numerators(b.terms)
+    step = [field(i) + field(n + i) for i in range(n)]
+    right = [(pack(k), k, c, _slot_mask(k[:n])) for k, c in nb.items()]
+    out = {}
+    get = out.get
+    for ka, ca in na.items():
+        pa = pack(ka)
+        d_slots = [(i, bi) for i, bi in enumerate(ka[n:]) if bi]
+        d_mask = _slot_mask(ka[n:])
+        for pb, kb, cb, x_mask in right:
+            key = pa + pb
+            if not d_mask & x_mask:
+                out[key] = get(key, 0) + ca * cb
+                continue
+            base = ca * cb
+            shared = [(i, bi, kb[i]) for i, bi in d_slots if kb[i]]
+            for s in itertools.product(*[range(min(bi, ci) + 1) for _, bi, ci in shared]):
+                coef = base
+                word = key
+                for (i, bi, ci), si in zip(shared, s):
+                    if si:
+                        coef = coef * (math.comb(bi, si) * _ff(ci, si))
+                        word -= si * step[i]
+                out[word] = get(word, 0) + coef
+    return WeylOp.from_numerators(a.nvars, out, da * db)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return compose(a, b) - compose(b, a)
 
 
-def apply_op(op: WeylOp, p: Poly) -> Poly:
+class _Words(NamedTuple):
+    """An operator in the numerator form apply_op runs on: per word x^A d^B
+    (numerator c over den) the packed shift A - B, the slots i where B_i > 0
+    as (i, B_i), and c."""
+
+    nvars: int
+    den: int
+    words: list
+
+
+def _words(op: WeylOp) -> _Words:
+    den, nums = numerators(op.terms)
+    n = op.nvars // 2
+    return _Words(op.nvars, den, [(pack(k[:n]) - pack(k[n:]),
+                                   [(i, bi) for i, bi in enumerate(k[n:]) if bi], c)
+                                  for k, c in nums.items()])
+
+
+def apply_op(op: WeylOp | _Words, p: Poly) -> Poly:
     """Apply a normal-ordered operator to a plain polynomial p, the state
-    psi = e^{-r} p."""
+    psi = e^{-r} p.  An operator applied to many states is passed in its
+    `_words` form, derived once."""
     if op.nvars != 2 * p.nvars:
         raise MismatchError("operator and state over different variable counts")
-    n = p.nvars
-
-    def terms():
-        for k, c in op.terms.items():
-            A, B = k[:n], k[n:]
-            for C, pc in p.terms.items():
-                if any(ci < bi for ci, bi in zip(C, B)):
-                    continue
-                coef = c * pc
-                for ci, bi in zip(C, B):
-                    if bi:
-                        coef = coef * _ff(ci, bi)
-                yield tuple(ai + ci - bi for ai, ci, bi in zip(A, C, B)), coef
-
-    return Poly.from_pairs(n, terms())
+    op = op if isinstance(op, _Words) else _words(op)
+    dp, nump = numerators(p.terms)
+    state = [(pack(C), C, pc) for C, pc in nump.items()]
+    out = {}
+    get = out.get
+    for shift, d_slots, c in op.words:
+        for pc_key, C, pc in state:
+            coef = c * pc
+            for i, bi in d_slots:
+                if C[i] < bi:
+                    break
+                coef = coef * _ff(C[i], bi)
+            else:
+                key = shift + pc_key
+                out[key] = get(key, 0) + coef
+    return Poly.from_numerators(p.nvars, out, op.den * dp)
 
 
 # --- the nu-parametrized (acute) realization -----------------------------------
 
 def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
     """e^{sr} op e^{-sr} with s = outer_sign: the substitution d_a -> d_a - s (Ge)_a,
-    where (Ge)_a = d_a r."""
-    sh = _r_coeffs(alg)
+    where (Ge)_a = d_a r.  On integer numerators: with shifts h_a / dh and top
+    the highest d order of op, the word of x^A d^B that keeps d^s has numerator
+    c prod_a C(B_a, s_a) h_a^(B_a - s_a) times dh^(top - |B - s|), over
+    den dh^top."""
     n = op.nvars // 2
-
-    def words():
-        for k, c in op.terms.items():
-            A, B = k[:n], k[n:]
-            for s in itertools.product(*[range(bi + 1) for bi in B]):
-                coef = c
-                for a, (bi, si) in enumerate(zip(B, s)):
-                    if bi - si:
-                        coef = coef * math.comb(bi, si) * (-outer_sign * sh[a]) ** (bi - si)
-                yield A + s, coef
-
-    return WeylOp.from_pairs(op.nvars, words())
+    den, nums = numerators(op.terms)
+    dh, shift = numerators(dict(enumerate(-outer_sign * c for c in _r_coeffs(alg))))
+    top = max((sum(k[n:]) for k in nums), default=0)
+    out = {}
+    get = out.get
+    for k, c in nums.items():
+        B = k[n:]
+        x_key = pack(k[:n])
+        d_slots = [(i, bi) for i, bi in enumerate(B) if bi]
+        lift = top - sum(B)
+        for kept in itertools.product(*[range(bi + 1) for _, bi in d_slots]):
+            coef = c
+            key = x_key
+            for (i, bi), si in zip(d_slots, kept):
+                key += si * field(n + i)
+                if bi - si:
+                    coef = coef * math.comb(bi, si) * shift[i] ** (bi - si)
+            out[key] = get(key, 0) + coef * dh ** (lift + sum(kept))
+    return WeylOp.from_numerators(op.nvars, out, den * dh ** top)
 
 
 def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
@@ -262,7 +312,7 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     if degree < 0:
         raise DomainError("degree must be >= 0")
     n = alg.dim
-    conj = gaussian_conjugate(alg, he_op(alg, nu))
+    conj = _words(gaussian_conjugate(alg, he_op(alg, nu)))  # applied to every monomial
     eig = 2 * degree + Fraction(nu) * alg.rho
     checked = 0
     witness = None

@@ -243,23 +243,37 @@ def test_main_explicit_flags_equal_to_defaults_beat_config(tmp_path):
     assert (d["params"]["trials"], d["params"]["tol"], d["params"]["levels"]) == (50, 1e-8, 4)
 
 
-@pytest.mark.parametrize("flags,config,env,prefix", [
-    (["--trials", "2", "--tol", "inf"], None, None, "domain error:"),
-    (["--trials", "2", "--tol", "nan"], None, None, "domain error:"),
-    (["--trials", "2"], None, "abc", "usage error:"),
-    (["--trials", "2", "--config", "{tmp}/absent.json"], None, None, "usage error:"),
-    (["--trials", "2"], "{trials: 3", None, "usage error:"),
-    (["--trials", "2"], "[1, 2]", None, "usage error:"),
-    ([], '{"trials": "x"}', None, "domain error:"),
-    (["--trials", "2", "--out", "{tmp}/absent/r.json"], None, None, "usage error:"),
-    ([], '{"trials": 2, "trails": 3}', None, "usage error: unknown config key 'trails'"),
-    ([], '{"algebra": "h:3:O"}', None, "usage error: unknown config key 'algebra'"),
+_BASE_ARGV = {
+    "verify": ["verify", "--suite", "jordan", "--algebra", "gamma:2"],
+    "spectrum": ["spectrum", "--algebra", "gamma:3", "--nu", "1", "--levels", "3",
+                 "--degeneracies"],
+}
+
+
+@pytest.mark.parametrize("command,flags,config,env,prefix", [
+    ("verify", ["--trials", "2", "--tol", "inf"], None, None, "domain error:"),
+    ("verify", ["--trials", "2", "--tol", "nan"], None, None, "domain error:"),
+    ("verify", ["--trials", "2"], None, "abc", "usage error:"),
+    ("verify", ["--trials", "2", "--config", "{tmp}/absent.json"], None, None, "usage error:"),
+    ("verify", ["--trials", "2"], "{trials: 3", None, "usage error:"),
+    ("verify", ["--trials", "2"], "[1, 2]", None, "usage error:"),
+    ("verify", [], '{"trials": "x"}', None, "domain error:"),
+    ("verify", ["--trials", "2", "--out", "{tmp}/absent/r.json"], None, None, "usage error:"),
+    ("verify", [], '{"trials": 2, "trails": 3}', None,
+     "usage error: unknown config key 'trails'"),
+    ("verify", [], '{"algebra": "h:3:O"}', None, "usage error: unknown config key 'algebra'"),
+    ("verify", ["--trials", "2", "--seed", "-1"], None, None, "domain error: seed must be >= 0"),
+    ("verify", ["--trials", "2"], None, "-5", "domain error: seed must be >= 0"),
+    ("verify", [], '{"trials": 2, "seed": -1}', None, "domain error: seed must be >= 0"),
+    ("spectrum", ["--seed", "-1"], None, None, "domain error: seed must be >= 0"),
+    ("spectrum", [], None, "-5", "domain error: seed must be >= 0"),
 ], ids=["tol-inf", "tol-nan", "env-seed", "config-missing", "config-not-json",
         "config-not-object", "config-wrong-type", "out-dir-missing", "config-unknown-key",
-        "config-algebra-key"])
-def test_main_bad_input_exits_2(tmp_path, monkeypatch, capsys, flags, config, env, prefix):
-    argv = ["verify", "--suite", "jordan", "--algebra", "gamma:2"]
-    argv += [f.format(tmp=tmp_path) for f in flags]
+        "config-algebra-key", "seed-negative", "env-seed-negative", "config-seed-negative",
+        "spectrum-seed-negative", "spectrum-env-seed-negative"])
+def test_main_bad_input_exits_2(tmp_path, monkeypatch, capsys, command, flags, config, env,
+                                prefix):
+    argv = _BASE_ARGV[command] + [f.format(tmp=tmp_path) for f in flags]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(config)

@@ -80,6 +80,23 @@ def test_mutated_moment_is_caught(g2):
     assert wit is not None and {"u", "v", "z", "w", "relation"} <= set(wit)
 
 
+def test_relations_look_up_poisson_poly_at_call_time(g2, monkeypatch):
+    # a tracer that replaces phase.poisson_poly must see every relation bracket
+    import jkepler.phase as phase
+
+    calls = []
+    real = phase.poisson_poly
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(phase, "poisson_poly", counting)
+    checks = verify_poisson_tkk(g2, trials=2, seed=1)
+    assert all(c["status"] == "pass" for c in checks)
+    assert len(calls) == 6 * 2
+
+
 def test_residual_rejects_unknown_relation(g2):
     rng = np.random.default_rng(2)
     u = g2.random_element(rng)

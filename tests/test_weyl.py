@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Fr
 
@@ -114,6 +115,39 @@ def test_gaussian_conjugation_involutive(g3):
     assert gaussian_conjugate(g3, gaussian_conjugate(g3, op, 1), -1) == op
 
 
+def _ref_gaussian_conjugate(alg, op, outer_sign):
+    # the substitution d_a -> d_a - s (Ge)_a as a plain scalar loop over every slot
+    sh = [g * c for g, c in zip(alg.gram, alg.identity().coords)]
+    n = op.nvars // 2
+    pairs = []
+    for k, c in op.terms.items():
+        A, B = k[:n], k[n:]
+        for s in itertools.product(*[range(bi + 1) for bi in B]):
+            coef = c
+            for a, (bi, si) in enumerate(zip(B, s)):
+                if bi - si:
+                    coef = coef * math.comb(bi, si) * (-outer_sign * sh[a]) ** (bi - si)
+            pairs.append((A + s, coef))
+    return WeylOp.from_pairs(op.nvars, pairs)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_gaussian_conjugate_matches_fraction_loop(algebra, spec):
+    alg = algebra(spec)
+    n = alg.dim
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        op = _random_op(n, rng)
+        op = WeylOp(2 * n, {k: Fr(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 3, 5, 7])))
+                            for k in op.terms})
+        if trial % 2:
+            op = op.scaled(CQ(Fr(1, 3), Fr(-2, 5)))
+        for sign in (1, -1):
+            got, want = gaussian_conjugate(alg, op, sign), _ref_gaussian_conjugate(alg, op, sign)
+            assert got.terms == want.terms
+            assert {type(c) for c in got.terms.values()} == {CQ if trial % 2 else Fr}
+
+
 def test_identification_formula(g3):
     # e^r (-i/2)(X_u + Y_u) e^{-r} = (<x|{DuD}> + nu tr(u D))/2 + Lhat_u - (nu/2) tr u
     n = g3.dim
@@ -205,6 +239,31 @@ def test_mutated_s_builder_is_caught(g3, monkeypatch):
     assert xy["witness"]["nu"] == "7/3"
     assert checks["operators:XX"]["status"] == "pass"
     assert checks["operators:YY"]["status"] == "pass"
+
+
+def test_commutator_composes_through_the_module_global(g3, monkeypatch):
+    # a tracer that replaces weyl.compose must see both products of a commutator
+    calls = []
+    real = weyl.compose
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(weyl, "compose", counting)
+    n = 2 * g3.dim
+    x, d = WeylOp.x_mul(n, 0), WeylOp.d_op(n, 0)
+    assert commutator(d, x) == WeylOp.constant(n, Fr(1))
+    assert calls == [(d, x), (x, d)]
+
+
+def test_grading_applies_each_monomial_through_the_module_global(g3, monkeypatch):
+    # the operator's numerator form is derived once; each monomial is still one apply_op
+    calls = []
+    real = weyl.apply_op
+    monkeypatch.setattr(weyl, "apply_op", lambda op, p: calls.append(p) or real(op, p))
+    rep = he_grading_check(g3, Fr(1), 2)
+    assert rep["status"] == "pass" and len(calls) == rep["checked"] == 10
 
 
 def test_tkk_residual_names(g3):
