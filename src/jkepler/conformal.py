@@ -7,9 +7,19 @@ bracket is fixed by
     [S, X_z] = X_{Sz},  [S, Y_z] = -Y_{S'z},  [S, S'] = matrix commutator,
 
 where S' denotes the adjoint with respect to <.|.>.  Every part is exact:
-Element parts have Fraction coordinates, and a structure-algebra part is
-certified to lie in span{S_uv} at construction by an exact solve against a
-row-reduced basis.
+Element parts and structure-algebra matrices have int or Fraction entries,
+and a structure-algebra part is certified to lie in span{S_uv} at
+construction.  The bracket runs on the integer numerators of both operands
+over one common denominator (int64 under a derived guard, Python ints past
+it) and returns Fractions.
+
+The span certificate is built once per algebra from the integer generators
+4 S_{e_a e_b}.  Pivot rows and columns are chosen mod p = 2^31 - 1
+(`modp`); the pivot minor A is inverted as integers adj / den with
+A adj = den 1 checked exactly, which proves rank >= r; every generator g
+then satisfies den g = (g[cols] adj) B exactly for the pivot rows B, which
+proves rank <= r.  So dim str(V) is a certified exact rank, and membership
+of a matrix v is the same exact identity for v.
 
 co(V) is a real Lie algebra, so the sl2 root triples are kept in their
 rational real form (h~, a, s); the paper's triple H = i h~, E+- = i a -+ s is
@@ -18,81 +28,104 @@ the relations among h~, a and s.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import EXACT, FLOAT, Algebra, Element, MismatchError
+from . import modp
+from .algebra import EXACT, Algebra, Element, MismatchError, _from_numerators, _numerators, _snum
 
 
 class ConsistencyError(RuntimeError):
-    """A bracket left the certified structure-algebra span."""
+    """A bracket left the certified structure-algebra span, or the span
+    certificate itself failed."""
 
 
 # --- structure-algebra span ---------------------------------------------------
 
-class _ExactSpan:
-    """Row-reduced spanning set over Q with exact membership tests."""
+def _max_abs(a: np.ndarray) -> int:
+    return max(1, int(np.abs(a).max()))
 
-    def __init__(self, vectors):
-        self.rows = {}  # pivot index -> reduced row (object ndarray)
-        for v in vectors:
-            self.insert(v)
 
-    def _reduce(self, v):
-        v = np.array(v, dtype=object)
-        for piv, row in self.rows.items():
-            c = v[piv]
-            if c:
-                v = v - c * row
-        return v
+def _exact_dtype(*bounds) -> type:
+    """float64 when every bound on a partial sum is below 2^53, so BLAS
+    products of integers stay exact; otherwise object (Python ints)."""
+    return np.float64 if max(bounds) < 2**53 else object
 
-    def insert(self, v) -> bool:
-        v = self._reduce(v)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            return False
-        self.rows[piv] = v * (1 / Fraction(v[piv]))
-        return True
 
-    def contains(self, v) -> bool:
-        return all(not c for c in self._reduce(v))
+class _StrSpan:
+    """Pivot rows B (integer, r x n^2) of the generators and the exact inverse
+    adj / den of their minor on cols."""
+
+    def __init__(self, basis: np.ndarray, cols: list, adj: np.ndarray, den: int):
+        self.basis, self.cols, self.adj, self.den = basis, cols, adj, den
+        # |(v[:, cols] adj) basis| <= scale max|v|, partial sums included
+        self._scale = len(cols) ** 2 * _max_abs(adj) * _max_abs(basis)
+        self._float = adj.astype(np.float64), basis.astype(np.float64)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.cols)
+
+    def contains(self, v: np.ndarray) -> bool:
+        """Whether every row of the integer matrix v lies in the row span of
+        basis: the exact identity v den = (v[:, cols] adj) basis.  It runs in
+        float64 when every partial sum stays below 2^53, else on Python ints."""
+        vmax = _max_abs(v)
+        if _exact_dtype(self._scale * vmax, self.den * vmax) is np.float64:
+            (adj, basis), v = self._float, v.astype(np.float64)
+        else:
+            adj, basis, v = self.adj.astype(object), self.basis.astype(object), v.astype(object)
+        return np.array_equal(v * self.den, (v[:, self.cols] @ adj) @ basis)
 
 
-def _str_span_exact(alg: Algebra) -> _ExactSpan:
+def _generator_blocks(alg: Algebra) -> list:
+    """The generators 4 S_{e_k e_a} as rows of n^2 entries, one block of n rows
+    (k = 0 .. n-1) per a.  They are small integers (at most 4 in every
+    family), computed exactly in float64 and kept as int8 when they fit."""
+    n = alg.dim
+    c2, eye = alg._c2.astype(np.float64), np.eye(n)
+    blocks = []
+    for a in range(n):
+        g = _snum(c2, eye, eye[a]).reshape(n, -1)
+        small = g.astype(np.int8)
+        blocks.append(small if np.array_equal(small, g) else g.astype(np.int64))
+    return blocks
+
+
+def _str_span_exact(alg: Algebra) -> _StrSpan:
+    """The certified basis of span{S_uv}; ConsistencyError if a certificate
+    fails, so no rank is returned unproved."""
     key = "str_span_exact"
     if key not in alg._cache:
-        gens = []
-        for a in range(alg.dim):
-            ba = alg.basis_element(a)
-            for b in range(alg.dim):
-                s = alg.smul_matrix(ba, alg.basis_element(b))
-                gens.append(s.reshape(-1))
-        alg._cache[key] = _ExactSpan(gens)
+        blocks = _generator_blocks(alg)
+        rows, cols = modp.row_basis(blocks)
+        basis = np.vstack([blocks[i // alg.dim][i % alg.dim] for i in rows])
+        pivot = basis[:, cols]
+        try:
+            adj, den = modp.lift(modp.inverse(pivot))
+        except ZeroDivisionError:
+            raise ConsistencyError("str(V) span certificate failed: the pivot minor is "
+                                   "singular mod p") from None
+        dtype = _exact_dtype(len(rows) * _max_abs(pivot) * _max_abs(adj), den)
+        if not np.array_equal(pivot.astype(dtype) @ adj.astype(dtype),
+                              den * np.eye(len(rows), dtype=dtype)):
+            raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "
+                                   "does not lift from mod p")
+        span = _StrSpan(basis, cols, adj, den)
+        if not all(span.contains(g) for g in blocks):
+            raise ConsistencyError("str(V) span certificate failed: a generator S_uv is not "
+                                   "in the span of the pivot rows")
+        alg._cache[key] = span
     return alg._cache[key]
 
 
 def dim_str(alg: Algebra) -> int:
-    """Dimension of the structure algebra span{S_uv} (float SVD rank)."""
-    key = "dim_str"
-    if key not in alg._cache:
-        n = alg.dim
-        gens = np.empty((n * n, n * n))
-        col = 0
-        for a in range(n):
-            ba = alg.basis_element(a, FLOAT)
-            for b in range(n):
-                s = alg.smul_matrix(ba, alg.basis_element(b, FLOAT))
-                gens[:, col] = s.reshape(-1)
-                col += 1
-        sv = np.linalg.svd(gens, compute_uv=False)
-        alg._cache[key] = int(np.sum(sv > 1e-8 * sv[0]))
-    return alg._cache[key]
+    """Dimension of the structure algebra span{S_uv}: the certified exact
+    rank of its generators (see the module docstring)."""
+    return _str_span_exact(alg).rank
 
 
 def dim_co(alg: Algebra) -> int:
@@ -101,8 +134,31 @@ def dim_co(alg: Algebra) -> int:
 
 
 def _certify(alg: Algebra, matrix):
-    if not _str_span_exact(alg).contains(np.asarray(matrix, dtype=object).reshape(-1)):
+    nums, _ = _numerators(matrix.ravel().tolist())
+    if not _str_span_exact(alg).contains(np.array([nums], dtype=object)):
         raise ConsistencyError("matrix is not in span{S_uv}")
+
+
+def _bracket_constants(alg: Algebra):
+    """(gnum, lg, factor).  The Gram matrix is gnum / gden and lg = lcm(gnum),
+    so the adjoint M' = G^-1 M^T G has numerators (lg / gnum_i) M_ji gnum_j
+    over lg.  With operand numerators at most X, every intermediate of the
+    bracket is at most factor X^2: |2 [M_a, M_b]| <= 4 n X^2, |4 S| <= 3 n^3 C^2 X^2
+    (the bound of Algebra's kernel, C = max|c2|) and |M' y| <= n lg max(gnum) X^2,
+    each counted twice."""
+    key = "bracket_constants"
+    if key not in alg._cache:
+        n, cmax = alg.dim, int(np.abs(alg._c2).max())
+        gnum, _ = _numerators(alg.gram)
+        lg = math.lcm(*gnum)
+        alg._cache[key] = gnum, lg, max(4 * n + 6 * n**3 * cmax**2, 2 * n * lg * max(gnum))
+    return alg._cache[key]
+
+
+def _adjoint_nums(m: np.ndarray, gnum, lg: int) -> np.ndarray:
+    """Numerators over lg of the adjoint of the numerator matrix m."""
+    w = np.array(gnum, dtype=m.dtype)
+    return (np.array([lg // g for g in gnum], dtype=m.dtype)[:, None] * m.T) * w[None, :]
 
 
 class StrElement:
@@ -114,6 +170,12 @@ class StrElement:
         self.algebra = algebra
         self.matrix = np.asarray(matrix, dtype=object)
         if not _certified:
+            n = algebra.dim
+            if self.matrix.shape != (n, n):
+                raise MismatchError(f"StrElement matrix has shape {self.matrix.shape}, "
+                                    f"expected ({n}, {n})")
+            if not all(isinstance(c, (int, Fraction)) for c in self.matrix.flat):
+                raise MismatchError("StrElement entries must be int or Fraction")
             _certify(algebra, self.matrix)
 
     @classmethod
@@ -123,13 +185,12 @@ class StrElement:
 
     def adjoint_matrix(self):
         """Adjoint with respect to <.|.>: diagonal-Gram conjugated transpose."""
-        g = self.algebra.gram
-        n = self.algebra.dim
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.matrix[j, i] * g[j] / g[i]
-        return out
+        alg = self.algebra
+        gnum, lg, _ = _bracket_constants(alg)
+        nums, den = _numerators(self.matrix.ravel().tolist())
+        dtype = np.int64 if max(map(abs, nums)) * lg * max(gnum) < 2**63 else object
+        m = np.array(nums, dtype=dtype).reshape(alg.dim, alg.dim)
+        return _from_numerators(_adjoint_nums(m, gnum, lg), den * lg)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.matrix.flat)
@@ -200,18 +261,31 @@ class CoElement:
 
 
 def co_bracket(a: CoElement, b: CoElement) -> CoElement:
-    """Lie bracket on co(V); antisymmetric, satisfies the Jacobi identity."""
+    """Lie bracket on co(V); antisymmetric, satisfies the Jacobi identity.
+
+    With every part of a and b written as integer numerators over one common
+    denominator d, the x part is (M_a x_b - M_b x_a) / d^2, the y part
+    (M_b' y_a - M_a' y_b) / (d^2 lg) and the str part
+    (2 [M_a, M_b] - 4 S(x_a, y_b) + 4 S(x_b, y_a)) / (2 d^2)."""
     if a.algebra is not b.algebra:
         raise MismatchError("CoElements belong to different algebras")
-    alg = a.algebra
-    m1, m2 = a.str_part.matrix, b.str_part.matrix
-    x_out = alg.apply_matrix(m1, b.x_part) - alg.apply_matrix(m2, a.x_part)
-    y_out = alg.apply_matrix(b.str_part.adjoint_matrix(), a.y_part) \
-        - alg.apply_matrix(a.str_part.adjoint_matrix(), b.y_part)
-    m_out = m1 @ m2 - m2 @ m1 \
-        - 2 * alg.smul_matrix(a.x_part, b.y_part) \
-        + 2 * alg.smul_matrix(b.x_part, a.y_part)
-    return CoElement(x_out, StrElement(alg, m_out), y_out)
+    alg, n = a.algebra, a.algebra.dim
+    gnum, lg, factor = _bracket_constants(alg)
+    parts = [list(a.x_part.coords), list(a.y_part.coords), a.str_part.matrix.ravel().tolist(),
+             list(b.x_part.coords), list(b.y_part.coords), b.str_part.matrix.ravel().tolist()]
+    nums, den = _numerators([c for part in parts for c in part])
+    big = max(map(abs, nums))
+    dtype = np.int64 if big * big * factor < 2**63 else object
+    c2 = alg._c2.astype(dtype, copy=False)
+    ax, ay, am, bx, by, bm = np.split(np.array(nums, dtype=dtype),
+                                      np.cumsum([len(p) for p in parts])[:-1])
+    am, bm = am.reshape(n, n), bm.reshape(n, n)
+    x = am @ bx - bm @ ax
+    y = _adjoint_nums(bm, gnum, lg) @ ay - _adjoint_nums(am, gnum, lg) @ by
+    m = 2 * (am @ bm - bm @ am) - _snum(c2, ax, by) + _snum(c2, bx, ay)
+    return CoElement(Element(alg, _from_numerators(x, den * den), EXACT),
+                     StrElement(alg, _from_numerators(m, 2 * den * den)),
+                     Element(alg, _from_numerators(y, den * den * lg), EXACT))
 
 
 def cartan_involution(a: CoElement) -> CoElement:

@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element
+from .modp import _PRIME, _limbs, _matmul_mod, rref
 from .phase import (_r_coeffs, check_relations, moment_s, moment_x, moment_y,
                     relation_residual)
 from .poly import MismatchError, Poly, field, monomial_key, numerators, pack, same_nvars
@@ -362,21 +363,7 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0, trials: int = 8) -> dic
 
 # --- degeneracies by exact restriction rank ------------------------------------------
 
-_PRIME = 2**31 - 1
 _BLOCK = 32  # points evaluated and reduced together
-
-
-def _limbs(a: np.ndarray) -> list:
-    """[a mod 2^16, a div 2^16] as float64, for int64 entries in [0, _PRIME)."""
-    return [(a & 0xFFFF).astype(float), (a >> 16).astype(float)]
-
-
-def _matmul_mod(a: np.ndarray, b: list) -> np.ndarray:
-    """a @ b mod _PRIME with b given by its _limbs.  Limb products are below
-    2^32, so BLAS sums over fewer than 2^20 terms are exact in float64."""
-    (a0, a1), (b0, b1) = _limbs(a), b
-    hi, mid, lo = (x.astype(np.int64) % _PRIME for x in (a1 @ b1, a1 @ b0 + a0 @ b1, a0 @ b0))
-    return ((((hi << 16) % _PRIME + mid) << 16) % _PRIME + lo) % _PRIME
 
 
 def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
@@ -421,15 +408,7 @@ def restriction_degeneracy(alg: Algebra, nu, degree: int, seed: int = 0) -> int:
             block = block * x[:, column] % _PRIME
         block = (block - _matmul_mod(_matmul_mod(block[:, pivots], _limbs(inverse)),
                                      basis)) % _PRIME
-        cols = []
-        for row in block:  # reduced echelon form within the block
-            nonzero = np.flatnonzero(row)
-            if len(nonzero):
-                c = int(nonzero[0])
-                pivot = row * pow(int(row[c]), -1, _PRIME) % _PRIME
-                np.remainder(block - block[:, [c]] * pivot, _PRIME, out=block)
-                row[:] = pivot
-                cols.append(c)
+        cols = [c for _, c in rref(block)]
         new = block[block.any(axis=1)]  # a row without a pivot has become zero
         inverse = np.block([[inverse, -_matmul_mod(inverse, [b[:, cols] for b in basis]) % _PRIME],
                             [np.zeros((len(cols), len(pivots)), dtype=np.int64),

@@ -1,8 +1,13 @@
+import ast
+import inspect
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+from jkepler import conformal, modp
+from jkepler.algebra import EXACT, Element, MismatchError
 from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
                                co_bracket, dim_co, dim_str, random_co_element, root_data)
 
@@ -173,3 +178,227 @@ def test_str_membership_certification(algebra):
     u = alg.random_element(rng)
     v = alg.random_element(rng)
     StrElement(alg, alg.smul_matrix(u, v))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "float-entry"])
+def test_str_element_rejects_inexact_entries(algebra, kind):
+    alg = algebra("h:3:R")
+    rng = np.random.default_rng(6)
+    m = alg.smul_matrix(alg.random_element(rng), alg.random_element(rng))
+    if kind == "float":
+        bad = m.astype(float)
+    elif kind == "complex":
+        bad = m.astype(complex)
+    else:
+        bad = m.copy()
+        bad[1, 2] = float(bad[1, 2])
+    with pytest.raises(MismatchError):
+        StrElement(alg, bad)
+    with pytest.raises(MismatchError):
+        CoElement.from_matrix(alg, bad)
+    with pytest.raises(MismatchError):
+        StrElement(alg, m[:, :-1])
+    StrElement(alg, m)  # the exact matrix itself is a member
+
+
+# --- the str(V) span against an exact Fraction row reduction ---------------------
+
+class _FractionSpan:
+    """Row-reduced spanning set over Q: Fraction elimination, one row at a time."""
+
+    def __init__(self, vectors):
+        self.rows = {}  # pivot index -> reduced row (object ndarray)
+        for v in vectors:
+            v = self._reduce(v)
+            piv = next((i for i, c in enumerate(v) if c), None)
+            if piv is not None:
+                self.rows[piv] = v * (1 / Fr(v[piv]))
+
+    def _reduce(self, v):
+        v = np.array(v, dtype=object)
+        for piv, row in self.rows.items():
+            if v[piv]:
+                v = v - v[piv] * row
+        return v
+
+    def contains(self, v) -> bool:
+        return all(not c for c in self._reduce(v))
+
+
+_REFERENCE_SPANS = {}
+
+
+def _reference_span(alg):
+    key = str(alg.spec)
+    if key not in _REFERENCE_SPANS:
+        basis = [alg.basis_element(a) for a in range(alg.dim)]
+        _REFERENCE_SPANS[key] = _FractionSpan(alg.smul_matrix(u, v).reshape(-1)
+                                              for u in basis for v in basis)
+    return _REFERENCE_SPANS[key]
+
+
+def _is_member(alg, m) -> bool:
+    try:
+        conformal._certify(alg, np.asarray(m, dtype=object))
+    except ConsistencyError:
+        return False
+    return True
+
+
+REFERENCE_SPECS = ["gamma:2", "gamma:3", "gamma:5", "h:1:R", "h:3:R", "h:4:R",
+                   "h:3:C", "h:4:C", "h:3:H"]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_str_span_matches_fraction_reduction(algebra, spec):
+    alg = algebra(spec)
+    ref = _reference_span(alg)
+    assert dim_str(alg) == len(ref.rows)
+    n = alg.dim
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    members = []
+    for _ in range(3):
+        m = sum(alg.smul_matrix(alg.random_element(rng, denominator=int(rng.integers(1, 7))),
+                                alg.random_element(rng)) for _ in range(4))
+        members.append(m)
+    projector = np.full((n, n), Fr(0), dtype=object)
+    projector[0, 0] = Fr(1)
+    random_int = np.array(rng.integers(-9, 10, (n, n)).tolist(), dtype=object)
+    # on h:1:R, str(V) = gl(1) holds every matrix
+    outside = n == 1
+    for m, member in [(x, True) for x in members] + [(projector, outside), (random_int, outside)]:
+        assert ref.contains(m.reshape(-1)) is member
+        assert _is_member(alg, m) is member
+
+
+# --- the certificates have teeth ------------------------------------------------
+
+def test_span_build_fails_when_a_pivot_row_is_dropped(algebra, monkeypatch):
+    alg = algebra("h:3:C")
+    row_basis = modp.row_basis
+
+    def drop_last(blocks):
+        rows, cols = row_basis(blocks)
+        return rows[:-1], cols[:-1]
+
+    monkeypatch.setattr(modp, "row_basis", drop_last)
+    alg._cache.pop("str_span_exact", None)
+    try:
+        with pytest.raises(ConsistencyError, match="not in the span of the pivot rows"):
+            conformal._str_span_exact(alg)
+        with pytest.raises(ConsistencyError):
+            dim_str(alg)
+    finally:
+        alg._cache.pop("str_span_exact", None)
+
+
+def test_span_build_fails_on_a_wrong_pivot_inverse(algebra, monkeypatch):
+    alg = algebra("gamma:3")
+    lift = modp.lift
+    monkeypatch.setattr(modp, "lift", lambda a: (lambda num, den: (num, den + 1))(*lift(a)))
+    alg._cache.pop("str_span_exact", None)
+    try:
+        with pytest.raises(ConsistencyError, match="pivot minor inverse"):
+            conformal._str_span_exact(alg)
+    finally:
+        alg._cache.pop("str_span_exact", None)
+
+
+def _ref_adjoint(alg, m):
+    g = alg.gram
+    return np.array([[m[j, i] * g[j] / g[i] for j in range(alg.dim)] for i in range(alg.dim)],
+                    dtype=object)
+
+
+def _ref_bracket(alg, a, b):
+    """The bracket on Fraction object matrices, straight from its definition."""
+    m1, m2 = a.str_part.matrix, b.str_part.matrix
+
+    def apply(m, u):
+        return m @ np.array(u.coords, dtype=object)
+
+    x = apply(m1, b.x_part) - apply(m2, a.x_part)
+    y = apply(_ref_adjoint(alg, m2), a.y_part) - apply(_ref_adjoint(alg, m1), b.y_part)
+    m = m1 @ m2 - m2 @ m1 - 2 * alg.smul_matrix(a.x_part, b.y_part) \
+        + 2 * alg.smul_matrix(b.x_part, a.y_part)
+    return x, m, y
+
+
+_LARGE_PRIMES = [p for p in range(10**6, 10**6 + 10**3)
+                 if all(p % q for q in range(2, 1001))]
+
+
+def _large_prime_element(alg, rng):
+    primes = rng.choice(_LARGE_PRIMES, alg.dim, replace=False)
+    return alg.element([Fr(int(rng.integers(-9, 10)), int(p)) for p in primes])
+
+
+def _assert_same(got, want):
+    got, want = list(np.asarray(got, dtype=object).flat), list(np.asarray(want, dtype=object).flat)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is Fr and g == w, (g, w)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:C"])
+@pytest.mark.parametrize("kind", ["small", "large-primes"])
+def test_co_bracket_matches_fraction_reference(algebra, spec, kind):
+    alg = algebra(spec)
+    rng = np.random.default_rng(7)
+    if kind == "small":
+        elements = [random_co_element(alg, rng) for _ in range(4)]
+    else:
+        def make():
+            el = [_large_prime_element(alg, rng) for _ in range(4)]
+            return CoElement.x(el[0]) + CoElement.y(el[1]) + CoElement.s(el[2], el[3])
+        elements = [make() for _ in range(4)]
+        # the common denominator of two operands is far past int64: the object path
+        den = math.lcm(*(c.denominator for e in elements[:2]
+                         for c in [*e.x_part.coords, *e.y_part.coords, *e.str_part.matrix.flat]))
+        assert den > 2**63
+    for a, b in [(elements[0], elements[1]), (elements[2], elements[3]),
+                 (elements[1], elements[2])]:
+        got = co_bracket(a, b)
+        x, m, y = _ref_bracket(alg, a, b)
+        _assert_same(got.x_part.coords, x)
+        _assert_same(got.str_part.matrix, m)
+        _assert_same(got.y_part.coords, y)
+        _assert_same(a.str_part.adjoint_matrix(), _ref_adjoint(alg, a.str_part.matrix))
+
+
+def test_conformal_uses_no_float_linear_algebra():
+    # dim_str is a certified exact rank: no float frame and no float solver
+    tree = ast.parse(inspect.getsource(conformal))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names}
+    attrs = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert "FLOAT" not in names
+    assert ("np", "linalg") not in attrs and ("numpy", "linalg") not in attrs
+    assert "linalg" not in names
+
+
+def test_modp_inverse_and_lift():
+    rng = np.random.default_rng(8)
+    a = rng.integers(-3, 4, (6, 6))
+    while round(abs(np.linalg.det(a))) == 0:
+        a = rng.integers(-3, 4, (6, 6))
+    adj, den = modp.lift(modp.inverse(a))
+    assert (a.astype(object) @ adj.astype(object) == den * np.eye(6, dtype=object)).all()
+    assert den <= round(abs(np.linalg.det(a)))
+    singular = np.vstack([a[:5], a[:1] + a[1:2]])
+    with pytest.raises(ZeroDivisionError):
+        modp.inverse(singular)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40])  # 2^40: past the one-product float path
+def test_modp_row_basis_finds_the_rank(scale):
+    rng = np.random.default_rng(9)
+    m = scale * rng.integers(-2, 3, (40, 7)) @ rng.integers(-2, 3, (7, 30))  # rank 7
+    blocks = [m[i:i + 8] for i in range(0, 40, 8)]
+    before = m.copy()
+    rows, cols = modp.row_basis(blocks)
+    assert np.array_equal(m, before)  # the blocks are views of m
+    assert len(rows) == len(cols) == np.linalg.matrix_rank(m) == 7
+    modp.inverse(m[rows][:, cols])  # the pivot minor is invertible mod p
