@@ -2,7 +2,9 @@
 
 Entries are kept in [0, p).  A product of two entries is below 2^62, so
 elementwise row updates stay exact in int64; matrix products split one
-factor into 16-bit limbs and run in float64 BLAS (_matmul_mod).
+factor into 16-bit limbs and run in float64 BLAS (_matmul_mod).  Echelon
+is the one elimination loop: the str(V) span in `conformal` (row_basis) and
+the degeneracy ranks in `weyl` both grow it block by block.
 
 Results mod p are never taken as answers over Q on their own: the exact
 callers check them in integers (the str(V) span certificate in `conformal`)
@@ -46,37 +48,48 @@ def rref(block: np.ndarray) -> list:
     return pivots
 
 
-def row_basis(blocks) -> tuple[list, list]:
+class Echelon:
+    """A row basis mod _PRIME that grows by blocks: the kept rows B (held as
+    _limbs), their pivot columns cols and the inverse of the pivot minor
+    B[:, cols].  A block is reduced against B by two matrix products, never
+    a row at a time."""
+
+    def __init__(self, width: int):
+        self.cols = []
+        self._basis = _limbs(np.zeros((0, width), dtype=np.int64))
+        self._inverse = np.zeros((0, 0), dtype=np.int64)
+
+    @property
+    def rank(self) -> int:
+        return len(self.cols)
+
+    def add(self, block) -> list:
+        """Reduce the integer rows of block (left unchanged) against the kept
+        rows, bring the rest to echelon form by rref, keep its pivot rows and
+        return their indices in block."""
+        block = np.asarray(block, dtype=np.int64) % _PRIME
+        block = (block - _matmul_mod(_matmul_mod(block[:, self.cols], _limbs(self._inverse)),
+                                     self._basis)) % _PRIME  # zero on the kept cols
+        pivots = rref(block)
+        rows, cols = [i for i, _ in pivots], [c for _, c in pivots]
+        # the new rows are zero on the old cols and the identity on their own
+        self._inverse = np.block([
+            [self._inverse, -_matmul_mod(self._inverse, [b[:, cols] for b in self._basis]) % _PRIME],
+            [np.zeros((len(cols), self.rank), dtype=np.int64), np.eye(len(cols), dtype=np.int64)]])
+        self._basis = [np.vstack(pair) for pair in zip(self._basis, _limbs(block[rows]))]
+        self.cols += cols
+        return rows
+
+
+def row_basis(blocks: list) -> tuple[list, list]:
     """Pivot rows and columns mod _PRIME of the integer matrix M stacked from
     blocks: (rows, cols) with M[rows][:, cols] invertible mod _PRIME and every
-    row of M in the span of M[rows] mod _PRIME.
-
-    Each block is reduced against the rows kept so far by one matrix product
-    and then by rref; its pivot rows join the kept rows, which stay reduced
-    (identity on cols).  While the block's own entries are small, the product
-    is a single float64 one, exact below 2^53."""
-    rows, cols, start = [], [], 0
-    basis = None  # the kept rows, reduced, in [0, _PRIME)
+    row of M in the span of M[rows] mod _PRIME."""
+    echelon, rows, start = Echelon(blocks[0].shape[1]), [], 0
     for block in blocks:
-        block = np.array(block, dtype=np.int64)  # a copy: rref works in place
-        if basis is None:
-            basis = np.zeros((0, block.shape[1]), dtype=np.int64)
-        coef = block[:, cols]
-        if int(np.abs(block).max()) * len(cols) * _PRIME < 2**53:
-            block = block - (coef.astype(float) @ basis.astype(float)).astype(np.int64)
-        else:
-            block = block % _PRIME - _matmul_mod(coef % _PRIME, _limbs(basis))
-        block %= _PRIME
-        pivots = rref(block)
-        if pivots:
-            new = block[[i for i, _ in pivots]]
-            new_cols = [c for _, c in pivots]
-            basis = np.vstack([(basis - _matmul_mod(basis[:, new_cols], _limbs(new))) % _PRIME,
-                               new])
-            rows += [start + i for i, _ in pivots]
-            cols += new_cols
+        rows += [start + i for i in echelon.add(block)]
         start += len(block)
-    return rows, cols
+    return rows, echelon.cols
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element
-from .modp import _PRIME, _limbs, _matmul_mod, rref
+from .modp import _PRIME, Echelon
 from .phase import (_r_coeffs, check_relations, moment_s, moment_x, moment_y,
                     relation_residual)
 from .poly import MismatchError, Poly, field, monomial_key, numerators, pack, same_nvars
@@ -398,23 +398,12 @@ def restriction_degeneracy(alg: Algebra, nu, degree: int, seed: int = 0) -> int:
         raise DomainError("degree must be >= 0")
     factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
     rng = np.random.default_rng(seed)
-    basis = _limbs(np.zeros((0, len(factors)), dtype=np.int64))
-    inverse = np.zeros((0, 0), dtype=np.int64)  # of basis[:, pivots]
-    pivots = []
-    while len(pivots) < len(factors):
-        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, len(factors) - len(pivots)), rng)
+    echelon = Echelon(len(factors))
+    while echelon.rank < len(factors):
+        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, len(factors) - echelon.rank), rng)
         block = np.ones((len(x), len(factors)), dtype=np.int64)
         for column in factors.T:
             block = block * x[:, column] % _PRIME
-        block = (block - _matmul_mod(_matmul_mod(block[:, pivots], _limbs(inverse)),
-                                     basis)) % _PRIME
-        cols = [c for _, c in rref(block)]
-        new = block[block.any(axis=1)]  # a row without a pivot has become zero
-        inverse = np.block([[inverse, -_matmul_mod(inverse, [b[:, cols] for b in basis]) % _PRIME],
-                            [np.zeros((len(cols), len(pivots)), dtype=np.int64),
-                             np.eye(len(cols), dtype=np.int64)]])
-        basis = [np.vstack(pair) for pair in zip(basis, _limbs(new))]
-        pivots += cols
-        if len(new) < len(block):
+        if len(echelon.add(block)) < len(block):
             break
-    return len(pivots)
+    return echelon.rank

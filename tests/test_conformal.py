@@ -392,7 +392,7 @@ def test_modp_inverse_and_lift():
         modp.inverse(singular)
 
 
-@pytest.mark.parametrize("scale", [1, 2**40])  # 2^40: past the one-product float path
+@pytest.mark.parametrize("scale", [1, 2**40])  # 2^40: entries past p
 def test_modp_row_basis_finds_the_rank(scale):
     rng = np.random.default_rng(9)
     m = scale * rng.integers(-2, 3, (40, 7)) @ rng.integers(-2, 3, (7, 30))  # rank 7

@@ -8,7 +8,7 @@ import pytest
 from jkepler.algebra import DomainError, make_algebra
 from jkepler.poly import Poly
 from jkepler.scalars import CQ
-from jkepler import weyl
+from jkepler import modp, weyl
 from jkepler.weyl import (WallachParam, WeylOp, acute_ops, acute_s, acute_x,
                           acute_y, apply_op, apply_to_state, bound_spectrum, commutator,
                           compose, gaussian_conjugate, he_grading_check, he_op,
@@ -436,8 +436,8 @@ def test_degeneracy_sees_higher_rank_points(spec, nu, level, closed_form):
 
 def test_matmul_mod_is_exact():
     rng = np.random.default_rng(0)
-    p = weyl._PRIME
+    p = modp._PRIME
     a = rng.integers(p - 2**20, p, (5, 300))
     b = rng.integers(p - 2**20, p, (300, 7))
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
-    assert weyl._matmul_mod(a, weyl._limbs(b)).tolist() == want
+    assert modp._matmul_mod(a, modp._limbs(b)).tolist() == want

@@ -1,11 +1,11 @@
 """Timings of jkepler's TKK layers, per family, written to BENCH_tkk_layers.json.
 
-    python3 tools/tkk_layers.py --label NAME [--src PATH] [--repeat 3] [--out BENCH_tkk_layers.json]
+    python3 tools/tkk_layers.py --label NAME [--src PATH] [--out BENCH_tkk_layers.json]
 
 --src is the `src` directory of the checkout to measure (default: the one
 next to this script), so a parent checkout and a change are measured by the
 same code.  Every figure comes from a fresh interpreter that imports jkepler
-from --src; timings are medians over --repeat processes.  Per family
+from --src; timings are medians over REPEAT = 3 processes.  Per family
 (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
 
   span_build_s    conformal._str_span_exact on a new algebra (the exact
@@ -38,6 +38,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 FAMILIES = ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
+REPEAT = 3  # fresh processes per figure
 
 _LAYERS = """
 import sys, time, numpy as np
@@ -75,17 +76,17 @@ def _python(src: Path, *args) -> str:
     return out.stdout
 
 
-def measure(src: Path, repeat: int) -> dict:
+def measure(src: Path) -> dict:
     families = {}
     for spec in FAMILIES:
         runs = [[float(x) for x in _python(src, "-c", _LAYERS, spec).split()]
-                for _ in range(repeat)]
+                for _ in range(REPEAT)]
         families[spec] = {name: statistics.median(r[i] for r in runs)
                           for i, name in enumerate(("span_build_s", "dim_str_s", "co_bracket_s"))}
         print(spec, families[spec], file=sys.stderr)
-    rss = statistics.median(float(_python(src, "-c", _INFO_RSS)) for _ in range(repeat))
+    rss = statistics.median(float(_python(src, "-c", _INFO_RSS)) for _ in range(REPEAT))
     walls = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t = time.perf_counter()
         _python(src, "-m", "jkepler.cli", "verify", "--suite", "tkk", "--algebra", "h:3:O",
                 "--trials", "1", "--format", "json")
@@ -94,7 +95,7 @@ def measure(src: Path, repeat: int) -> dict:
     import numpy
     return {"host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                      "numpy": numpy.__version__},
-            "repeat": repeat, "families": families,
+            "repeat": REPEAT, "families": families,
             "info_h3O_peak_rss_mb": rss, "tkk_h3O_wall_s": statistics.median(walls),
             "tkk_h3O_wall_s_runs": walls}
 
@@ -103,12 +104,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--src", type=Path, default=HERE.parent / "src")
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_tkk_layers.json")
     args = ap.parse_args(argv)
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
     result.setdefault("script", "tools/tkk_layers.py")
-    result.setdefault("runs", {})[args.label] = measure(args.src.resolve(), args.repeat)
+    result.setdefault("runs", {})[args.label] = measure(args.src.resolve())
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
