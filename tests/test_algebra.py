@@ -618,3 +618,12 @@ def test_int64_guard_and_object_fallback(algebra, spec):
         s = alg.smul_matrix(alg.basis_element(a), big_u)
         assert all(t[a, b, g] == s[g, b] * alg.gram[g] / (alg.gram[a] * alg.gram[b])
                    for b in range(n) for g in range(n))
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES)
+def test_structure_tables_are_c_contiguous(algebra, spec):
+    # the float tensordot summation order follows the memory layout of _con,
+    # so a strided table changes the bits of every float L matrix
+    alg = algebra(spec)
+    assert alg._c2.flags.c_contiguous
+    assert alg._con.flags.c_contiguous
