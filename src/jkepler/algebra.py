@@ -273,13 +273,25 @@ class Algebra:
     def identity(self, mode: str = EXACT) -> Element:
         if mode == EXACT:
             return self.element(self.identity_coords)
-        return Element(self, np.array([float(c) for c in self.identity_coords]) * self._scale, FLOAT)
+        return Element(self, self._float_cached(
+            "identity_float", lambda: np.array([float(c) for c in self.identity_coords]) * self._scale), FLOAT)
 
     def basis_element(self, alpha: int, mode: str = EXACT) -> Element:
-        coords = [Fraction(0)] * self.dim
-        coords[alpha] = Fraction(1)
-        e = self.element(coords)
-        return e if mode == EXACT else e.to_float()
+        if mode == EXACT:
+            coords = [Fraction(0)] * self.dim
+            coords[alpha] = Fraction(1)
+            return self.element(coords)
+        coords = np.zeros(self.dim)
+        coords[alpha] = self._scale[alpha]
+        return Element(self, coords, FLOAT)
+
+    def _float_cached(self, key, build) -> np.ndarray:
+        """Float data that depend only on the algebra: built once, read-only."""
+        if key not in self._cache:
+            arr = build()
+            arr.flags.writeable = False
+            self._cache[key] = arr
+        return self._cache[key]
 
     def random_element(self, rng, mode: str = EXACT, span: int = 9, denominator: int = 1) -> Element:
         """Deterministic random element: integer coords in [-span, span] over
@@ -423,6 +435,12 @@ class Algebra:
             return JordanFrame([self.element(c1), self.element(c2)])
         idem = [self.basis_element(i) for i in range(self.rho)]
         return JordanFrame(idem)
+
+    def float_frame(self) -> np.ndarray:
+        """The canonical Jordan frame in the float frame, one row per
+        idempotent: a read-only (rho, n) array."""
+        return self._float_cached(
+            "float_frame", lambda: np.stack([f.to_float().coords for f in self.jordan_frame().idempotents]))
 
     def jordan_basis(self, frame: JordanFrame | None = None) -> list:
         """Float-mode Jordan basis with Peirce labels.

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cone as cone_mod
-from .algebra import DomainError, FLOAT, Algebra, SpecificationError, make_algebra
+from .algebra import DomainError, FLOAT, Algebra, Element, SpecificationError, make_algebra
 from .conformal import (cartan_involution, co_bracket, dim_co, dim_str,
                         random_co_element, root_data)
 from .phase import (classical_angular, classical_hamiltonian, classical_lenz, poisson,
@@ -159,13 +159,12 @@ def _jordan_checks(alg: Algebra, cfg: SuiteConfig) -> list:
 
     def newton_vs_eigen():
         rng = np.random.default_rng(cfg.seed + 1)
-        fr = alg.jordan_frame()
         worst = 0.0
         for _ in range(min(cfg.trials, 50)):
             lam = rng.uniform(-2.0, 2.0, alg.rho)
             x = alg.zero(FLOAT)
-            for li, ei in zip(lam, fr.idempotents):
-                x = x + ei.to_float().scaled(float(li))
+            for li, ei in zip(lam, alg.float_frame()):
+                x = x + Element(alg, ei, FLOAT).scaled(float(li))
             for k in range(1, alg.rho + 1):
                 direct = float(elementary_from_power([float(np.sum(lam ** m))
                                                       for m in range(1, k + 1)], k)[-1])

@@ -4,7 +4,9 @@ Points of rank k are built as automorphism-transported positive frame
 combinations, so frames, eigenvalues, projectors and pseudo-inverses are
 known by construction and no general spectral theorem is needed.  All cone
 numerics run in the orthonormal float frame, where the metric pairing is the
-plain dot product.
+plain dot product.  Float data that depend only on the algebra (the Jordan
+frame, the identity, the polar-chart generators) are built once per algebra,
+in its cache, and are read-only.
 
 The density function lambda_u is computed by two independent routes:
 
@@ -87,8 +89,7 @@ def sample_cone_point(alg: Algebra, k: int, seed: int, eigenvalues=None,
         avals = np.asarray(eigenvalues, dtype=float)
         if len(avals) != k or np.any(avals <= 0) or np.any(np.diff(avals) > 0):
             raise DomainError("eigenvalues must be positive and non-increasing")
-    frame = alg.jordan_frame()
-    vecs = np.stack([f.to_float().coords for f in frame.idempotents])
+    vecs = alg.float_frame()
     if rotate:
         g = alg.automorphism_sample(int(rng.integers(2**31)))
         vecs = vecs @ g.T
@@ -98,10 +99,7 @@ def sample_cone_point(alg: Algebra, k: int, seed: int, eigenvalues=None,
 def radial_cone_point(alg: Algebra, avals) -> ConePoint:
     """Cone point sum a_i e_ii over the canonical (untransported) frame."""
     avals = np.asarray(avals, dtype=float)
-    k = len(avals)
-    frame = alg.jordan_frame()
-    vecs = np.stack([f.to_float().coords for f in frame.idempotents])
-    return _assemble_point(alg, k, avals, vecs)
+    return _assemble_point(alg, len(avals), avals, alg.float_frame())
 
 
 # --- metric -------------------------------------------------------------------
@@ -501,21 +499,28 @@ def polar_chart(alg: Algebra, k: int, avals) -> PolarChart:
     avals = np.asarray(avals, dtype=float)
     if len(avals) != k or np.any(avals <= 0) or np.any(np.diff(avals) >= 0):
         raise DomainError("radial point needs strictly decreasing positive entries")
-    frame = alg.jordan_frame()
-    basis = alg.jordan_basis(frame)
-    lframe = [alg.lmul_matrix(f.to_float()) for f in frame.idempotents]
-    gens = []
-    for label, vec in basis:
-        if ":" not in label:
-            continue
-        ij = label[1:].split(":")[0]
-        i = int(ij[0])
-        if i > k:
-            continue
-        lv = alg.lmul_matrix(vec)
-        gens.append(lframe[i - 1] @ lv - lv @ lframe[i - 1])
-    point = radial_cone_point(alg, avals)
-    return PolarChart(alg, k, avals, gens, point)
+    return PolarChart(alg, k, avals, list(_chart_generators(alg, k)), radial_cone_point(alg, avals))
+
+
+def _chart_generators(alg: Algebra, k: int) -> tuple:
+    """[L_{e_ii}, L_v] for the off-diagonal Jordan basis vectors v of V_ij,
+    i <= k: read-only, built once per (algebra, k)."""
+    key = ("polar_generators", k)
+    if key not in alg._cache:
+        lframe = [alg.lmul_matrix(Element(alg, f, FLOAT)) for f in alg.float_frame()]
+        gens = []
+        for label, vec in alg.jordan_basis():
+            if ":" not in label:
+                continue
+            i = int(label[1])
+            if i > k:
+                continue
+            lv = alg.lmul_matrix(vec)
+            gen = lframe[i - 1] @ lv - lv @ lframe[i - 1]
+            gen.flags.writeable = False
+            gens.append(gen)
+        alg._cache[key] = tuple(gens)
+    return alg._cache[key]
 
 
 def radial_density(alg: Algebra, k: int, avals) -> float:
@@ -538,13 +543,16 @@ def chart_measure_density(chart: PolarChart) -> float:
     point, with h the canonical-metric Gram matrix of the chart tangents."""
     alg = chart.algebra
     p = chart.point
-    tangents = [f.to_float().coords for f in alg.jordan_frame().idempotents[:chart.k]]
+    tangents = list(alg.float_frame()[:chart.k])
     tangents += [gen @ p.x.coords for gen in chart.generators]
+    # canonical_metric on each pair, with each projection and t_i @ pinv made once
+    proj = [p.tangent_project(t) for t in tangents]
     m = len(tangents)
     h = np.empty((m, m))
     for i in range(m):
+        row = proj[i] @ p.pinv
         for j in range(i, m):
-            h[i, j] = h[j, i] = canonical_metric(p, tangents[i], tangents[j])
+            h[i, j] = h[j, i] = float(p.r * (row @ proj[j]))
     det = np.linalg.det(h)
     if det <= 0:
         raise DomainError("chart metric is degenerate at this radial point")

@@ -627,3 +627,31 @@ def test_structure_tables_are_c_contiguous(algebra, spec):
     alg = algebra(spec)
     assert alg._c2.flags.c_contiguous
     assert alg._con.flags.c_contiguous
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES)
+def test_float_caches_change_no_bits(algebra, spec):
+    # the float basis, identity and frame are built without the exact
+    # round-trip; each must equal to_float() of its exact element, bit for bit
+    alg = algebra(spec)
+    for a in range(alg.dim):
+        got = alg.basis_element(a, FLOAT).coords
+        want = alg.basis_element(a).to_float().coords
+        assert np.array_equal(got, want) and _same_bits(got, want)
+    want = np.stack([f.to_float().coords for f in alg.jordan_frame().idempotents])
+    assert np.array_equal(alg.float_frame(), want) and _same_bits(alg.float_frame(), want)
+    assert _same_bits(alg.identity(FLOAT).coords, alg.identity().to_float().coords)
+    # cached arrays are shared across calls, so they must refuse writes
+    assert alg.float_frame() is alg.float_frame()
+    for cached in (alg.float_frame(), alg.float_frame()[0], alg.identity(FLOAT).coords):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    # the float basis element is a fresh array
+    b = alg.basis_element(0, FLOAT)
+    b.coords[0] = 7.0
+    assert alg.basis_element(0, FLOAT).coords[0] != 7.0

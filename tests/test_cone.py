@@ -340,3 +340,45 @@ def test_sample_validation(algebra):
         C.sample_cone_point(alg, 3, 1)
     with pytest.raises(DomainError):
         C.sample_cone_point(alg, 2, 1, eigenvalues=[1.0, 2.0])
+
+
+def _reference_chart(alg, k, avals):
+    """Polar chart generators and measure density built without the
+    per-algebra float caches: the float frame converted from the exact
+    idempotents on each call, and canonical_metric on each pair of tangents."""
+    frame = [f.to_float() for f in alg.jordan_frame().idempotents]
+    lframe = [alg.lmul_matrix(f) for f in frame]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    gens = []
+    # the off-diagonal Jordan basis vectors sit at their basis positions
+    for a, (label, _) in enumerate(alg.jordan_basis()):
+        if ":" not in label or int(label[1]) > k:
+            continue
+        lv = alg.lmul_matrix(alg.basis_element(a).to_float().scaled(inv_sqrt2))
+        i = int(label[1])
+        gens.append(lframe[i - 1] @ lv - lv @ lframe[i - 1])
+    p = C._assemble_point(alg, k, avals, np.stack([f.coords for f in frame]))
+    tangents = [f.coords for f in frame[:k]] + [g @ p.x.coords for g in gens]
+    m = len(tangents)
+    h = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            h[i, j] = h[j, i] = C.canonical_metric(p, tangents[i], tangents[j])
+    phi = C._phi_k(alg, k, p.eigenvalues)[0]
+    return gens, math.sqrt(phi) / p.r * math.sqrt(np.linalg.det(h))
+
+
+@pytest.mark.parametrize("spec,k", [("gamma:3", 1), ("gamma:3", 2), ("h:3:R", 1), ("h:3:R", 2),
+                                    ("h:3:R", 3), ("h:3:O", 1), ("h:3:O", 2), ("h:3:O", 3)])
+def test_cached_chart_matches_uncached_reference(algebra, spec, k):
+    alg = algebra(spec)
+    for shift in (0.0, 0.37):
+        avals = 1.0 + shift + 0.4 * np.arange(k)[::-1]
+        chart = C.polar_chart(alg, k, avals)
+        ref_gens, ref_density = _reference_chart(alg, k, avals)
+        assert len(chart.generators) == len(ref_gens)
+        for g, r in zip(chart.generators, ref_gens):
+            assert g.tobytes() == r.tobytes()
+        assert C.chart_measure_density(chart) == ref_density
+    with pytest.raises(ValueError):
+        chart.generators[0][0, 0] = 1.0
