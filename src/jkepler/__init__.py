@@ -2,7 +2,7 @@
 conformal (TKK) algebras, classical and operator realizations, canonical-cone
 geometry, and generalized Kepler spectra."""
 
-from .algebra import (AlgebraSpec, Algebra, Element, JordanFrame, make_algebra,
+from .algebra import (AlgebraSpec, Algebra, Element, make_algebra,
                       SpecificationError, MismatchError, DomainError, EXACT, FLOAT)
 from .conformal import (StrElement, CoElement, RootData, co_bracket, cartan_involution,
                         root_data, dim_str, dim_co, ConsistencyError)
@@ -15,9 +15,9 @@ from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
                    lowest_weight_check, restriction_degeneracy,
                    bound_spectrum)
 from .cone import (ConePoint, PolarChart, cone_dim, sample_cone_point, radial_cone_point,
-                   canonical_metric, co_metric, kepler_metric_crosscheck, lambda_u,
-                   phi_value, r_laplace_apply, quantum_potential, polar_chart,
-                   radial_density, measure_crosscheck, radial_exponent, integral_finite,
+                   canonical_metric, kepler_metric_crosscheck, lambda_route_a,
+                   lambda_route_b, r_laplace_apply, polar_chart, radial_density,
+                   measure_crosscheck, radial_exponent, integral_finite,
                    radial_exponent_continuous, truncated_integral_continuous)
 
 __version__ = "0.1.0"

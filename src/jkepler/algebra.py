@@ -35,7 +35,7 @@ import numpy as np
 
 from . import divalg
 from .poly import MismatchError
-from .symfun import elementary_from_power, tau_poly
+from .symfun import elementary_from_power
 
 EXACT = "exact"
 FLOAT = "float64"
@@ -182,26 +182,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({self.algebra.spec}, {list(self.coords)!r}, {self.mode})"
-
-
-@dataclass
-class JordanFrame:
-    """Complete system of orthogonal primitive idempotents."""
-
-    idempotents: list
-
-    def __len__(self):
-        return len(self.idempotents)
-
-    def __getitem__(self, i):
-        return self.idempotents[i]
-
-    def partial_unit(self, i: int) -> Element:
-        """e[i] = e_11 + ... + e_ii."""
-        acc = self.idempotents[0]
-        for j in range(1, i):
-            acc = acc + self.idempotents[j]
-        return acc
 
 
 def _numerators(coords):
@@ -385,23 +365,12 @@ class Algebra:
                 p = self.product(p, x)
         return out
 
-    def power_trace(self, x: Element, m: int):
-        if m < 1:
-            raise DomainError("power_trace needs m >= 1")
-        return self.power_traces(x, m)[-1]
-
     def sym_c(self, x: Element, k: int):
         """c_k(x): k-th elementary symmetric function of the Jordan eigenvalues,
         as the Newton polynomial in tr x .. tr x^k."""
         if not 1 <= k <= self.rho:
             raise DomainError(f"sym_c needs 1 <= k <= rho = {self.rho}")
         return elementary_from_power(self.power_traces(x, k), k)[-1]
-
-    def sym_tau(self, x: Element, k: int):
-        """tau_k(x) = prod_{i<j<=k} (lam_i + lam_j) via its power-sum polynomial."""
-        if not 1 <= k <= self.rho:
-            raise DomainError(f"sym_tau needs 1 <= k <= rho = {self.rho}")
-        return tau_poly(k).value(self.power_traces(x, k))
 
     def det(self, x: Element):
         """det x = product of the Jordan eigenvalues = c_rho(x)."""
@@ -421,10 +390,11 @@ class Algebra:
             raise DomainError("non-real Jordan eigenvalues; input is not a valid element")
         return np.sort(roots.real)[::-1]
 
-    # --- frames and Peirce data -------------------------------------------
+    # --- frames ---------------------------------------------------------------
 
-    def jordan_frame(self) -> JordanFrame:
-        """Canonical frame: diagonal matrix units, or (1/2, +-1/2 e_1) for spin."""
+    def jordan_frame(self) -> tuple:
+        """Canonical frame, a complete system of orthogonal primitive
+        idempotents: diagonal matrix units, or (1/2, +-1/2 e_1) for spin."""
         if self.spec.family == "gamma":
             n = self.dim
             c1 = [Fraction(0)] * n
@@ -432,24 +402,21 @@ class Algebra:
             c1[0] = c2[0] = Fraction(1, 2)
             c1[1] = Fraction(1, 2)
             c2[1] = Fraction(-1, 2)
-            return JordanFrame([self.element(c1), self.element(c2)])
-        idem = [self.basis_element(i) for i in range(self.rho)]
-        return JordanFrame(idem)
+            return (self.element(c1), self.element(c2))
+        return tuple(self.basis_element(i) for i in range(self.rho))
 
     def float_frame(self) -> np.ndarray:
         """The canonical Jordan frame in the float frame, one row per
         idempotent: a read-only (rho, n) array."""
         return self._float_cached(
-            "float_frame", lambda: np.stack([f.to_float().coords for f in self.jordan_frame().idempotents]))
+            "float_frame", lambda: np.stack([f.to_float().coords for f in self.jordan_frame()]))
 
-    def jordan_basis(self, frame: JordanFrame | None = None) -> list:
-        """Float-mode Jordan basis with Peirce labels.
+    def jordan_basis(self) -> list:
+        """Float-mode Jordan basis with Peirce labels, over the canonical frame.
 
         Returns (label, element) pairs; every vector has squared length 1/rho.
-        Only the canonical frame is supported.
         """
-        if frame is None:
-            frame = self.jordan_frame()
+        frame = self.jordan_frame()
         out = []
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         if self.spec.family == "gamma":
@@ -469,45 +436,9 @@ class Algebra:
                     pos += 1
         return out
 
-    def peirce_projection(self, i: int, frame: JordanFrame | None = None):
-        """Orthogonal projection onto V_i, the eigenvalue-1 eigenspace of
-        L_{e[i]}: the spectral polynomial 2L^2 - L (eigenvalues 0, 1/2, 1)."""
-        if frame is None:
-            frame = self.jordan_frame()
-        if not 1 <= i <= self.rho:
-            raise DomainError(f"peirce_projection needs 1 <= i <= rho = {self.rho}")
-        lm = self.lmul_matrix(frame.partial_unit(i))
-        return 2 * (lm @ lm) - lm
-
-    def principal_minor(self, x: Element, i: int):
-        """Delta_i(x): determinant of the projection of x to the rank-i
-        subalgebra V_i, computed inside that subalgebra."""
-        if not 1 <= i <= self.rho:
-            raise DomainError(f"principal_minor needs 1 <= i <= rho = {self.rho}")
-        proj = self.peirce_projection(i)
-        if x.mode == FLOAT:
-            proj = _matrix_to_float(proj, self._scale)
-        y = self.apply_matrix(proj, x)
-        return elementary_from_power(self.power_traces(y, i), i)[-1]
-
-    def delta_m(self, x: Element, m) -> object:
-        """Delta_m = prod_i Delta_i^{m_i - m_{i+1}} for m_1 >= ... >= m_rho >= 0."""
-        m = list(m)
-        if len(m) != self.rho or any(m[i] < m[i + 1] for i in range(len(m) - 1)) or m[-1] < 0:
-            raise DomainError("multi-index must satisfy m_1 >= ... >= m_rho >= 0")
-        if not any(m):
-            return Fraction(1) if x.mode == EXACT else 1.0
-        acc = Fraction(1) if x.mode == EXACT else 1.0
-        m.append(0)
-        for i in range(1, self.rho + 1):
-            power = m[i - 1] - m[i]
-            if power:
-                acc = acc * self.principal_minor(x, i) ** power
-        return acc
-
     # --- automorphisms ------------------------------------------------------
 
-    def automorphism_sample(self, seed: int, magnitude: float = 1.0) -> np.ndarray:
+    def automorphism_sample(self, seed: int) -> np.ndarray:
         """exp of a random derivation sum c_i [L_{u_i}, L_{v_i}] (float frame).
 
         Derivations are antisymmetric, so the result is orthogonal, fixes the
@@ -522,11 +453,9 @@ class Algebra:
             v = self.random_element(rng, FLOAT)
             lu, lv = self.lmul_matrix(u), self.lmul_matrix(v)
             d += rng.uniform(-1.0, 1.0) * (lu @ lv - lv @ lu)
-        norm = np.linalg.norm(d)
-        if norm > 0:
-            d *= magnitude / max(1.0, norm / 2.0)
-        else:
-            d *= magnitude
+        # a multiply by the reciprocal, not a divide: the cone reports
+        # depend on these bits
+        d *= 1.0 / max(1.0, np.linalg.norm(d) / 2.0)
         return expm(d)
 
     # --- misc ----------------------------------------------------------------
@@ -562,12 +491,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.spec}, rho={self.rho}, delta={self.delta}, n={self.dim})"
-
-
-def _matrix_to_float(m, scale):
-    """Rational-frame exact matrix -> orthonormal-frame float matrix."""
-    mf = np.array([[float(x) for x in row] for row in m])
-    return scale[:, None] * mf / scale[None, :]
 
 
 def _build_spin(k: int):

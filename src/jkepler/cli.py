@@ -146,7 +146,7 @@ def _jordan_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         e = alg.identity()
         ok = True
         tot = alg.zero()
-        for i, ei in enumerate(fr.idempotents):
+        for i, ei in enumerate(fr):
             ok &= (ei * ei - ei).is_zero() and alg.trace(ei) == 1
             for j in range(i):
                 ok &= (ei * fr[j]).is_zero()
@@ -302,16 +302,14 @@ def _cone_checks(alg: Algebra, cfg: SuiteConfig) -> list:
             mop = p.r * p.pinv
             cop = p.lx / p.r
             worst_dual = max(worst_dual, float(np.max(np.abs(mop @ cop - p.projector))))
-            f = cone_mod.linear_field(alg, u)
-            got = cone_mod.r_laplace_apply(alg, k, f, p)
+            fu = cone_mod.LinearField(alg, u)
+            got = cone_mod.r_laplace_apply(alg, k, fu, p)
             worst_rd = max(worst_rd, abs(got - 2 * la) / max(1.0, abs(la)))
             v = alg.random_element(rng, FLOAT)
-            fg = cone_mod.ProductField(cone_mod.linear_field(alg, u),
-                                       cone_mod.linear_field(alg, v))
-            dc = (cone_mod.r_laplace_apply(alg, k, fg, p)
-                  - f.value(p.x.coords) * cone_mod.r_laplace_apply(
-                      alg, k, cone_mod.linear_field(alg, v), p)
-                  - cone_mod.LinearField(alg, v).value(p.x.coords) * got)
+            fv = cone_mod.LinearField(alg, v)
+            dc = (cone_mod.r_laplace_apply(alg, k, cone_mod.ProductField(fu, fv), p)
+                  - fu.value(p.x.coords) * cone_mod.r_laplace_apply(alg, k, fv, p)
+                  - fv.value(p.x.coords) * got)
             want = 2 * float(alg.inner(alg.product(u, v), p.x))
             worst_rd = max(worst_rd, abs(dc - want) / max(1.0, abs(want)))
         out.append(_check(f"cone:rank:k={k}", rank_ok, witness={"expected": dk}))
@@ -337,10 +335,8 @@ def _measure_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         top = Fraction(alg.rho - 1) * alg.delta / 2
         above = top + Fraction(1, 2)
         ok = cone_mod.integral_finite(alg, above)
-        ok &= cone_mod.radial_exponent(alg, above) > -1
         # at the threshold the exponent hits -1 exactly
-        s_at = ((alg.delta / 2.0) * 1 - 1.0) + float(top) - alg.rho * alg.delta / 2.0
-        ok &= abs(s_at - (-1.0)) < 1e-12
+        ok &= abs(cone_mod.radial_exponent_continuous(alg, top) - (-1.0)) < 1e-12
         # discrete values are always integrable
         for k in range(1, alg.rho):
             ok &= cone_mod.integral_finite(alg, Fraction(k) * alg.delta / 2)

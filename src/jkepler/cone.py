@@ -75,25 +75,16 @@ def _assemble_point(alg: Algebra, k: int, avals: np.ndarray, frame_vecs: np.ndar
     return ConePoint(alg, k, x, np.asarray(avals, dtype=float), frame_vecs, lx, proj, pinv, r)
 
 
-def sample_cone_point(alg: Algebra, k: int, seed: int, eigenvalues=None,
-                      rotate: bool = True) -> ConePoint:
+def sample_cone_point(alg: Algebra, k: int, seed: int) -> ConePoint:
     """Deterministic rank-k cone point: exp(derivation) applied to a positive
     frame combination with distinct eigenvalues."""
     if not 1 <= k <= alg.rho:
         raise DomainError(f"cone rank must satisfy 1 <= k <= rho = {alg.rho}")
     rng = np.random.default_rng(seed)
-    if eigenvalues is None:
-        avals = np.sort(rng.uniform(0.5, 1.5, size=k))[::-1]
-        avals += 0.08 * np.arange(k)[::-1]  # keep eigenvalues separated
-    else:
-        avals = np.asarray(eigenvalues, dtype=float)
-        if len(avals) != k or np.any(avals <= 0) or np.any(np.diff(avals) > 0):
-            raise DomainError("eigenvalues must be positive and non-increasing")
-    vecs = alg.float_frame()
-    if rotate:
-        g = alg.automorphism_sample(int(rng.integers(2**31)))
-        vecs = vecs @ g.T
-    return _assemble_point(alg, k, avals, vecs)
+    avals = np.sort(rng.uniform(0.5, 1.5, size=k))[::-1]
+    avals += 0.08 * np.arange(k)[::-1]  # keep eigenvalues separated
+    g = alg.automorphism_sample(int(rng.integers(2**31)))
+    return _assemble_point(alg, k, avals, alg.float_frame() @ g.T)
 
 
 def radial_cone_point(alg: Algebra, avals) -> ConePoint:
@@ -113,13 +104,6 @@ def canonical_metric(p: ConePoint, u, v) -> float:
     uc = p.tangent_project(uc)
     vc = p.tangent_project(vc)
     return float(p.r * (uc @ p.pinv @ vc))
-
-
-def co_metric(p: ConePoint, a, b) -> float:
-    """Inverse metric on covectors: <a | L_x | b> / r."""
-    ac = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
-    bc = b.coords if isinstance(b, Element) else np.asarray(b, dtype=float)
-    return float((ac @ p.lx @ bc) / p.r)
 
 
 def kepler_metric_crosscheck(alg: Algebra, samples: int = 50, seed: int = 0) -> dict:
@@ -142,7 +126,8 @@ def kepler_metric_crosscheck(alg: Algebra, samples: int = 50, seed: int = 0) -> 
 # --- scalar fields with exact derivative data -----------------------------------
 
 class ScalarField:
-    """Interface: value(x), grad(x), hess(x) for coords in the float frame."""
+    """Interface: value(x), grad(x), hess(x) for coords in the float frame;
+    hess is needed only by fields passed to r_laplace_apply."""
 
     def value(self, x):
         raise NotImplementedError
@@ -152,21 +137,6 @@ class ScalarField:
 
     def hess(self, x):
         raise NotImplementedError
-
-
-class ConstField(ScalarField):
-    def __init__(self, alg: Algebra, c: float):
-        self.alg = alg
-        self.c = float(c)
-
-    def value(self, x):
-        return self.c
-
-    def grad(self, x):
-        return np.zeros(self.alg.dim)
-
-    def hess(self, x):
-        return np.zeros((self.alg.dim, self.alg.dim))
 
 
 class LinearField(ScalarField):
@@ -212,17 +182,10 @@ class SumField(ScalarField):
     def grad(self, x):
         return sum(c * f.grad(x) for c, f in self.parts)
 
-    def hess(self, x):
-        return sum(c * f.hess(x) for c, f in self.parts)
-
 
 class SpectralField(ScalarField):
-    """F(tr x, tr x^2, ..., tr x^m) for a power-sum polynomial F.
-
-    Gradients and Hessians come from the closed forms
-        grad tr x^m = m rho x^{m-1},
-        Hess tr x^m = m rho sum_{i+l=m-2} L_x^i L_{x^l}.
-    """
+    """F(tr x, tr x^2, ..., tr x^m) for a power-sum polynomial F, with the
+    gradient from the closed form grad tr x^m = m rho x^{m-1}."""
 
     def __init__(self, alg: Algebra, poly):
         self.alg = alg
@@ -259,30 +222,6 @@ class SpectralField(ScalarField):
                 g += fm * m * self.alg.rho * pows[m - 1]
         return g
 
-    def hess(self, x):
-        alg = self.alg
-        p = self._traces(x)
-        pows = self._pow_coords(x)
-        lmats = [alg.lmul_matrix(Element(alg, c, FLOAT)) for c in pows]
-        lx_pows = [np.eye(alg.dim)]
-        for _ in range(self.m - 2):
-            lx_pows.append(lx_pows[-1] @ lmats[1])
-        h = np.zeros((alg.dim, alg.dim))
-        for m in range(1, self.m + 1):
-            fm = float(self.poly.partial(m - 1).value(p))
-            if fm and m >= 2:
-                acc = np.zeros_like(h)
-                for i in range(m - 1):
-                    acc += lx_pows[i] @ lmats[m - 2 - i]
-                h += fm * m * alg.rho * acc
-            for mp in range(1, self.m + 1):
-                fmm = float(self.poly.partial(m - 1).partial(mp - 1).value(p))
-                if fmm:
-                    gm = m * alg.rho * pows[m - 1]
-                    gmp = mp * alg.rho * pows[mp - 1]
-                    h += fmm * np.outer(gm, gmp)
-        return h
-
 
 class LogField(ScalarField):
     """ln f for a positive field f."""
@@ -299,19 +238,6 @@ class LogField(ScalarField):
     def grad(self, x):
         return self.f.grad(x) / self.f.value(x)
 
-    def hess(self, x):
-        v = self.f.value(x)
-        g = self.f.grad(x)
-        return self.f.hess(x) / v - np.outer(g, g) / (v * v)
-
-
-def linear_field(alg: Algebra, u) -> LinearField:
-    return LinearField(alg, u)
-
-
-def r_field(alg: Algebra) -> LinearField:
-    return LinearField(alg, alg.identity(FLOAT))
-
 
 def log_phi_field(alg: Algebra, k: int) -> SumField:
     """ln phi_k = delta ln tau_k + (delta-1) ln c_k + (2 - D_k) ln r."""
@@ -320,7 +246,7 @@ def log_phi_field(alg: Algebra, k: int) -> SumField:
         parts.append((alg.delta, LogField(SpectralField(alg, tau_poly(k)))))
     if alg.delta - 1:
         parts.append((alg.delta - 1, LogField(SpectralField(alg, c_poly(k)))))
-    parts.append((2 - cone_dim(alg, k), LogField(r_field(alg))))
+    parts.append((2 - cone_dim(alg, k), LogField(LinearField(alg, alg.identity(FLOAT)))))
     return SumField(parts)
 
 
@@ -347,15 +273,6 @@ def lambda_route_b(p: ConePoint, u) -> float:
     ux = alg.product(ue, p.x).coords
     lhat = -float(ux @ g)
     return (lhat + alg.delta * p.k * float(alg.trace(ue))) / 4.0
-
-
-def lambda_u(p: ConePoint, u, route: str = "a") -> float:
-    """Density function lambda_u at a cone point; route 'a' (trace) or 'b' (phi)."""
-    if route == "a":
-        return lambda_route_a(p, u)
-    if route == "b":
-        return lambda_route_b(p, u)
-    raise ValueError("route must be 'a' or 'b'")
 
 
 def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-5) -> dict:
@@ -414,33 +331,6 @@ def _point_from_coords(alg: Algebra, xc: np.ndarray, k: int) -> ConePoint:
     return ConePoint(alg, k, x, evs, np.zeros((alg.rho, alg.dim)), lx, proj, pinv, r)
 
 
-# --- phi-function and quantum potential -------------------------------------------
-
-def phi_value(alg: Algebra, nu, p: ConePoint, normalized: bool = True) -> float:
-    """phi(nu) at a cone point, via eigenvalues.
-
-    Discrete nu = k delta/2: phi_k = tau_k^delta c_k^{delta-1} r^{2-D_k};
-    continuous nu: phi_rho det(x)^{2 nu - rho delta}.  With normalized=True
-    the value is divided by the value at the base point e[k] (all eigenvalues
-    one), pinning the otherwise-free multiplicative constant.
-    """
-    param = WallachParam.make(alg, nu)
-    k = param.rho_of_nu
-    if p.k != k:
-        raise DomainError(f"cone point has rank {p.k}, but rho(nu) = {k}")
-
-    def phi_at(avals):
-        val, ck = _phi_k(alg, k, avals)
-        if param.kind == "continuous":
-            val *= ck ** (2 * float(param.value) - alg.rho * alg.delta)
-        return val
-
-    out = phi_at(p.eigenvalues)
-    if normalized:
-        out /= phi_at(np.ones(k))
-    return out
-
-
 def r_laplace_apply(alg: Algebra, k: int, field: ScalarField, p: ConePoint) -> float:
     """(r Delta f)(x) = Tr(L_x Hess f) + 2 lambda_{grad f}(x)."""
     if p.k != k:
@@ -448,34 +338,6 @@ def r_laplace_apply(alg: Algebra, k: int, field: ScalarField, p: ConePoint) -> f
     h = field.hess(p.x.coords)
     g = field.grad(p.x.coords)
     return float(np.trace(p.lx @ h)) + 2.0 * lambda_route_a(p, Element(alg, g, FLOAT))
-
-
-def quantum_potential(alg: Algebra, nu, p: ConePoint) -> tuple[float, float]:
-    """(U(nu), V(nu)) at a cone point of rank rho(nu).
-
-    U = (r/4)(Delta ln phi + |d ln phi|^2 / 4) plus, for continuous nu,
-    (rho/4)((nu - n/rho)^2 - (delta/2 - 1)^2) tr x^{-1}; V is evaluated
-    independently from its own formula and satisfies V = U / (2r).
-    """
-    param = WallachParam.make(alg, nu)
-    k = param.rho_of_nu
-    if p.k != k:
-        raise DomainError(f"cone point has rank {p.k}, but rho(nu) = {k}")
-    if np.any(p.eigenvalues <= 1e-12):
-        raise DomainError("point is on the cone boundary")
-    lnphi = log_phi_field(alg, k)
-    lap = r_laplace_apply(alg, k, lnphi, p) / p.r
-    g = p.tangent_project(lnphi.grad(p.x.coords))
-    dsq = co_metric(p, g, g)
-    u_val = (p.r / 4.0) * (lap + dsq / 4.0)
-    v_val = (lap + dsq / 4.0) / 8.0
-    if param.kind == "continuous":
-        trinv = float(np.sum(1.0 / p.eigenvalues))
-        nuf = float(param.value)
-        coef = ((nuf - alg.dim / alg.rho) ** 2 - (alg.delta / 2.0 - 1.0) ** 2)
-        u_val += (alg.rho / 4.0) * coef * trinv
-        v_val += (alg.rho / 8.0) * coef * trinv / p.r
-    return u_val, v_val
 
 
 # --- polar chart and the measure ----------------------------------------------------

@@ -309,20 +309,18 @@ class RootData:
     s_alpha0: CoElement
 
 
-def root_data(alg: Algebra, frame=None) -> RootData:
+def root_data(alg: Algebra) -> RootData:
     """h~_c = X_c + Y_c, a_c = (X_c - Y_c)/2, s_c = S_{c,e} for c = e and for
     the first frame idempotent.  These satisfy [h~, a] = 2s, [h~, s] = -2a and
     [a, s] = -h~/2, the real and imaginary parts of [H, E+-] = +-2E+- and
     [E+, E-] = -H."""
-    if frame is None:
-        frame = alg.jordan_frame()
 
     def triple_for(c: Element):
         return (CoElement.x(c) + CoElement.y(c),
                 (CoElement.x(c) - CoElement.y(c)).scaled(Fraction(1, 2)),
                 CoElement.s(c, alg.identity()))
 
-    return RootData(*triple_for(alg.identity()), *triple_for(frame[0]))
+    return RootData(*triple_for(alg.identity()), *triple_for(alg.jordan_frame()[0]))
 
 
 def random_co_element(alg: Algebra, rng, span: int = 5) -> CoElement:

@@ -149,11 +149,11 @@ def test_criterion_7_lambda_and_rdelta():
                 p = C.sample_cone_point(alg, k, 1000 * k + i)
                 u = alg.random_element(rng, FLOAT)
                 v = alg.random_element(rng, FLOAT)
-                la = C.lambda_u(p, u, route="a")
-                lb = C.lambda_u(p, u, route="b")
+                la = C.lambda_route_a(p, u)
+                lb = C.lambda_route_b(p, u)
                 worst_lambda = max(worst_lambda, abs(la - lb) / max(1.0, abs(la)))
-                fu = C.linear_field(alg, u)
-                fv = C.linear_field(alg, v)
+                fu = C.LinearField(alg, u)
+                fv = C.LinearField(alg, v)
                 got = C.r_laplace_apply(alg, k, fu, p)
                 worst_rd = max(worst_rd, abs(got - 2 * la) / max(1.0, abs(la)))
                 dc = (C.r_laplace_apply(alg, k, C.ProductField(fu, fv), p)

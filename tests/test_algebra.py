@@ -5,6 +5,7 @@ import pytest
 
 from jkepler.algebra import (FLOAT, AlgebraSpec, Element, MismatchError,
                              DomainError, SpecificationError, make_algebra)
+from jkepler.symfun import tau_poly
 
 ALL_SPECS = ["gamma:2", "gamma:3", "gamma:5", "h:1:R", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
 
@@ -241,10 +242,9 @@ def test_c2_and_tau1(algebra):
     alg = algebra("h:3:C")
     rng = np.random.default_rng(9)
     x = alg.random_element(rng)
-    p1 = alg.power_trace(x, 1)
-    p2 = alg.power_trace(x, 2)
+    p1, p2 = alg.power_traces(x, 2)
     assert alg.sym_c(x, 2) == (p1 * p1 - p2) / 2
-    assert alg.sym_tau(x, 1) == 1
+    assert tau_poly(1).value([p1]) == 1
 
 
 def test_det_identity_element(algebra):
@@ -289,8 +289,6 @@ def test_sym_c_range_errors(algebra):
     x = alg.identity()
     with pytest.raises(DomainError):
         alg.sym_c(x, 0)
-    with pytest.raises(DomainError):
-        alg.sym_tau(x, 3)
 
 
 # --- frames, Jordan bases, Peirce data -----------------------------------------------
@@ -301,7 +299,7 @@ def test_frame_invariants(algebra, spec):
     fr = alg.jordan_frame()
     assert len(fr) == alg.rho
     total = alg.zero()
-    for i, ei in enumerate(fr.idempotents):
+    for i, ei in enumerate(fr):
         assert (ei * ei - ei).is_zero()
         assert alg.trace(ei) == 1
         for j in range(i):
@@ -335,40 +333,6 @@ def test_jordan_basis_lengths_and_peirce_dims(algebra):
     assert sum(1 for lab, _ in alg.jordan_basis() if lab.startswith("V12")) == 3
 
 
-# --- principal minors ------------------------------------------------------------------
-
-def test_principal_minor_basics(algebra):
-    alg = algebra("h:3:R")
-    e = alg.identity()
-    rng = np.random.default_rng(14)
-    x = alg.random_element(rng)
-    for i in (1, 2, 3):
-        assert alg.principal_minor(e, i) == 1
-    assert alg.principal_minor(x, 3) == alg.det(x)
-
-
-def test_principal_minor_on_diagonal_elements(algebra):
-    alg = algebra("h:3:C")
-    fr = alg.jordan_frame()
-    x = fr[0].scaled(Fr(2)) + fr[1].scaled(Fr(-3)) + fr[2].scaled(Fr(7))
-    assert alg.principal_minor(x, 1) == 2
-    assert alg.principal_minor(x, 2) == -6
-    assert alg.principal_minor(x, 3) == -42
-
-
-def test_delta_m_homogeneity(algebra):
-    alg = algebra("h:3:R")
-    rng = np.random.default_rng(15)
-    x = alg.random_element(rng)
-    m = (3, 1, 0)
-    t = Fr(7, 5)
-    assert alg.delta_m(x.scaled(t), m) == t ** 4 * alg.delta_m(x, m)
-    with pytest.raises(DomainError):
-        alg.delta_m(x, (1, 2, 0))
-    with pytest.raises(DomainError):
-        alg.delta_m(x, (1, 0, -1))
-
-
 # --- automorphisms ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:O"])
@@ -390,11 +354,6 @@ def test_automorphism_sample(algebra, spec):
     # preserves inner products and determinants
     assert abs(alg.inner(gu, gv) - alg.inner(u, v)) < 1e-10
     assert abs(alg.det(gu) - alg.det(u)) <= 1e-8 * (1 + abs(alg.det(u)))
-
-
-def test_automorphism_zero_magnitude_is_identity(algebra):
-    alg = algebra("gamma:3")
-    assert np.allclose(alg.automorphism_sample(5, magnitude=0.0), np.eye(alg.dim))
 
 
 # --- frames across modes --------------------------------------------------------------------
@@ -422,7 +381,7 @@ def test_newton_route_matches_eigenvalue_route_on_frame_diagonal(algebra):
         for _ in range(25):
             lam = rng.uniform(-2.0, 2.0, alg.rho)
             x = alg.zero(FLOAT)
-            for li, ei in zip(lam, fr.idempotents):
+            for li, ei in zip(lam, fr):
                 x = x + ei.to_float().scaled(float(li))
             for k in range(1, alg.rho + 1):
                 eig_route = sum(float(np.prod(lam[list(s)]))
@@ -643,7 +602,7 @@ def test_float_caches_change_no_bits(algebra, spec):
         got = alg.basis_element(a, FLOAT).coords
         want = alg.basis_element(a).to_float().coords
         assert np.array_equal(got, want) and _same_bits(got, want)
-    want = np.stack([f.to_float().coords for f in alg.jordan_frame().idempotents])
+    want = np.stack([f.to_float().coords for f in alg.jordan_frame()])
     assert np.array_equal(alg.float_frame(), want) and _same_bits(alg.float_frame(), want)
     assert _same_bits(alg.identity(FLOAT).coords, alg.identity().to_float().coords)
     # cached arrays are shared across calls, so they must refuse writes

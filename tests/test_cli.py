@@ -317,3 +317,18 @@ def test_dims_check_uses_the_classification(monkeypatch):
     check = _tkk_check("tkk:dims")
     assert check["status"] == "fail"
     assert check["witness"] == {"dim_str": 8, "dim_co": 16, "expected": 15}
+
+
+def test_integrability_check_uses_the_threshold_exponent(tmp_path, monkeypatch):
+    # an exponent off by 1/2 at nu = (rho-1) delta/2 must fail measure:integrability
+    import jkepler.cone as cone
+
+    true_exponent = cone.radial_exponent_continuous
+    monkeypatch.setattr(cone, "radial_exponent_continuous",
+                        lambda alg, nu: true_exponent(alg, nu) + 0.5)
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", "measure", "--algebra", "h:3:R", "--format", "json",
+                 "--out", str(out)])
+    checks = {c["name"]: c for c in json.loads(out.read_bytes().decode())["checks"]}
+    assert code == 1
+    assert checks["measure:integrability"]["status"] == "fail"
