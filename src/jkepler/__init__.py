@@ -3,11 +3,11 @@ conformal (TKK) algebras, classical and operator realizations, canonical-cone
 geometry, and generalized Kepler spectra."""
 
 from .algebra import (AlgebraSpec, Algebra, Element, make_algebra,
-                      SpecificationError, MismatchError, DomainError, EXACT, FLOAT)
+                      SpecificationError, MismatchError, DomainError)
 from .conformal import (StrElement, CoElement, RootData, co_bracket, cartan_involution,
                         root_data, dim_str, dim_co, ConsistencyError)
 from .poly import Poly
-from .phase import (PhaseRational, poisson, poisson_poly, moments,
+from .phase import (PhaseRational, poisson, poisson_poly,
                     verify_poisson_tkk, classical_hamiltonian, classical_angular,
                     classical_lenz)
 from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,

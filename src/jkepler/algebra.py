@@ -8,14 +8,12 @@ The five families (with rank rho, degree delta, dimension n):
     h:k:H     hermitian quaternion k x k   (k, 4, k(2k-1))    k >= 3
     h:3:O     hermitian octonion 3 x 3     (3, 8, 27)
 
-Two coordinate frames are maintained.  Exact elements live in the *rational
-frame* (diagonal matrix units E_ii and symmetrized off-diagonal units
-F_ij^mu; the natural basis for spin factors), in which every structure
-constant is rational with denominator dividing 2 and the invariant inner
-product <u|v> = tr(uv)/rho has a diagonal rational Gram matrix.  Float
-elements live in the *orthonormal frame*, the unit-normalized rescaling of
-the same basis, where the Gram matrix is the identity.  Spin factors are
-orthonormal in both frames.
+Elements live in the *rational frame* (diagonal matrix units E_ii and
+symmetrized off-diagonal units F_ij^mu; the natural basis for spin
+factors), in which every structure constant is rational with denominator
+dividing 2 and the invariant inner product <u|v> = tr(uv)/rho has a
+diagonal rational Gram matrix.  The float64 orthonormal rescaling of this
+frame, which only the cone geometry uses, lives in jkepler.cone.
 
 Exact coordinates are Fractions.  Exact products, L and S matrices and the
 dual triple tensor run on their integer numerators over one common
@@ -36,9 +34,6 @@ import numpy as np
 from . import divalg
 from .poly import MismatchError
 from .symfun import elementary_from_power
-
-EXACT = "exact"
-FLOAT = "float64"
 
 _FAMILIES = ("gamma", "hr", "hc", "hh", "ho")
 _DIVISION_DIM = {"hr": 1, "hc": 2, "hh": 4, "ho": 8}
@@ -105,44 +100,30 @@ class AlgebraSpec:
 
 
 class Element:
-    """Vector in a fixed algebra: exact Fraction coords or float64 coords."""
+    """Vector in a fixed algebra with exact (Fraction) coordinates."""
 
-    __slots__ = ("algebra", "coords", "mode")
+    __slots__ = ("algebra", "coords")
 
-    def __init__(self, algebra: "Algebra", coords, mode: str):
+    def __init__(self, algebra: "Algebra", coords):
         self.algebra = algebra
-        if mode == EXACT:
-            self.coords = tuple(coords)
-        elif mode == FLOAT:
-            self.coords = np.asarray(coords, dtype=np.float64)
-        else:
-            raise MismatchError(f"unknown scalar mode {mode!r}")
-        self.mode = mode
+        self.coords = tuple(coords)
         if len(self.coords) != algebra.dim:
             raise MismatchError(f"coords length {len(self.coords)} != dim {algebra.dim}")
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
             raise MismatchError("elements belong to different algebras")
-        if self.mode != other.mode:
-            raise MismatchError("mixed-mode arithmetic is rejected")
 
     def __add__(self, other):
         self._check(other)
-        if self.mode == EXACT:
-            return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)], EXACT)
-        return Element(self.algebra, self.coords + other.coords, FLOAT)
+        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        if self.mode == EXACT:
-            return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)], EXACT)
-        return Element(self.algebra, self.coords - other.coords, FLOAT)
+        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        if self.mode == EXACT:
-            return Element(self.algebra, [-a for a in self.coords], EXACT)
-        return Element(self.algebra, -self.coords, FLOAT)
+        return Element(self.algebra, [-a for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -153,35 +134,20 @@ class Element:
         return self.scaled(other)
 
     def scaled(self, s):
-        if self.mode == EXACT:
-            if isinstance(s, float):
-                raise MismatchError("float scalar on exact element")
-            return Element(self.algebra, [s * a for a in self.coords], EXACT)
-        return Element(self.algebra, float(s) * self.coords, FLOAT)
+        if isinstance(s, float):
+            raise MismatchError("float scalar on exact element")
+        return Element(self.algebra, [s * a for a in self.coords])
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if self.algebra is not other.algebra or self.mode != other.mode:
-            return False
-        if self.mode == EXACT:
-            return self.coords == other.coords
-        return bool(np.array_equal(self.coords, other.coords))
+        return self.algebra is other.algebra and self.coords == other.coords
 
     def is_zero(self) -> bool:
-        if self.mode == EXACT:
-            return all(not c for c in self.coords)
-        return bool(np.all(self.coords == 0.0))
-
-    def to_float(self) -> "Element":
-        """Convert to the orthonormal float frame."""
-        if self.mode == FLOAT:
-            return self
-        raw = np.array([float(c) for c in self.coords])
-        return Element(self.algebra, raw * self.algebra._scale, FLOAT)
+        return all(not c for c in self.coords)
 
     def __repr__(self):
-        return f"Element({self.algebra.spec}, {list(self.coords)!r}, {self.mode})"
+        return f"Element({self.algebra.spec}, {list(self.coords)!r})"
 
 
 def _numerators(coords):
@@ -212,7 +178,7 @@ def _snum(c2, x, y):
 
 
 class Algebra:
-    """A simple euclidean Jordan algebra with both coordinate frames built."""
+    """A simple euclidean Jordan algebra in its rational frame."""
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
@@ -227,9 +193,6 @@ class Algebra:
         self.gram = tuple(gram)
         self.basis = tuple(labels)
         self.identity_coords = tuple(ident)
-        self._scale = np.sqrt(np.array([float(g) for g in gram]))
-        half = c2.astype(np.float64) / 2.0
-        self._con = half * self._scale[None, None, :] / (self._scale[:, None, None] * self._scale[None, :, None])
         # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
         # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included.
         # The limit keeps a further factor 2 in hand, so every kernel stays
@@ -240,44 +203,23 @@ class Algebra:
 
     # --- constructors ---------------------------------------------------
 
-    def element(self, coords, mode: str = EXACT) -> Element:
-        if mode == EXACT:
-            coords = [Fraction(c) for c in coords]
-        return Element(self, coords, mode)
+    def element(self, coords) -> Element:
+        return Element(self, [Fraction(c) for c in coords])
 
-    def zero(self, mode: str = EXACT) -> Element:
-        if mode == EXACT:
-            return self.element([0] * self.dim)
-        return Element(self, np.zeros(self.dim), FLOAT)
+    def zero(self) -> Element:
+        return self.element([0] * self.dim)
 
-    def identity(self, mode: str = EXACT) -> Element:
-        if mode == EXACT:
-            return self.element(self.identity_coords)
-        return Element(self, self._float_cached(
-            "identity_float", lambda: np.array([float(c) for c in self.identity_coords]) * self._scale), FLOAT)
+    def identity(self) -> Element:
+        return self.element(self.identity_coords)
 
-    def basis_element(self, alpha: int, mode: str = EXACT) -> Element:
-        if mode == EXACT:
-            coords = [Fraction(0)] * self.dim
-            coords[alpha] = Fraction(1)
-            return self.element(coords)
-        coords = np.zeros(self.dim)
-        coords[alpha] = self._scale[alpha]
-        return Element(self, coords, FLOAT)
+    def basis_element(self, alpha: int) -> Element:
+        coords = [Fraction(0)] * self.dim
+        coords[alpha] = Fraction(1)
+        return self.element(coords)
 
-    def _float_cached(self, key, build) -> np.ndarray:
-        """Float data that depend only on the algebra: built once, read-only."""
-        if key not in self._cache:
-            arr = build()
-            arr.flags.writeable = False
-            self._cache[key] = arr
-        return self._cache[key]
-
-    def random_element(self, rng, mode: str = EXACT, span: int = 9, denominator: int = 1) -> Element:
+    def random_element(self, rng, span: int = 9, denominator: int = 1) -> Element:
         """Deterministic random element: integer coords in [-span, span] over
-        the given denominator (exact) or standard normal coords (float)."""
-        if mode == FLOAT:
-            return Element(self, rng.standard_normal(self.dim), FLOAT)
+        the given denominator."""
         nums = rng.integers(-span, span + 1, self.dim)
         return self.element([Fraction(int(v), denominator) for v in nums])
 
@@ -285,12 +227,9 @@ class Algebra:
 
     def product(self, u: Element, v: Element) -> Element:
         u._check(v)
-        if u.mode == FLOAT:
-            w = np.einsum("abg,a,b->g", self._con, u.coords, v.coords)
-            return Element(self, w, FLOAT)
         (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
         c2, (x, y) = self._kernel_arrays(x, y)
-        return Element(self, _from_numerators(_lnum(c2, x) @ y, 2 * xd * yd), EXACT)
+        return Element(self, _from_numerators(_lnum(c2, x) @ y, 2 * xd * yd))
 
     def _kernel_arrays(self, *operands, factor: int = 1):
         """c2 and the numerators of each operand as int64 arrays when the int64
@@ -303,9 +242,7 @@ class Algebra:
                 [np.array(nums, dtype=dtype) for nums in operands])
 
     def lmul_matrix(self, u: Element):
-        """Matrix of L_u: v -> uv, in the frame of u's mode."""
-        if u.mode == FLOAT:
-            return np.tensordot(self._con, u.coords, axes=([0], [0])).T
+        """Matrix of L_u: v -> uv."""
         x, xd = _numerators(u.coords)
         c2, (x,) = self._kernel_arrays(x)
         return _from_numerators(_lnum(c2, x), 2 * xd)
@@ -313,11 +250,6 @@ class Algebra:
     def smul_matrix(self, u: Element, v: Element):
         """S_uv = [L_u, L_v] + L_{uv}."""
         u._check(v)
-        if u.mode == FLOAT:
-            lu = self.lmul_matrix(u)
-            lv = self.lmul_matrix(v)
-            luv = self.lmul_matrix(self.product(u, v))
-            return lu @ lv - lv @ lu + luv
         (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
         c2, (x, y) = self._kernel_arrays(x, y)
         return _from_numerators(_snum(c2, x, y), 4 * xd * yd)
@@ -328,26 +260,20 @@ class Algebra:
         return p(u, p(v, w)) - p(v, p(u, w)) + p(p(u, v), w)
 
     def apply_matrix(self, m, x: Element) -> Element:
-        if x.mode == FLOAT:
-            return Element(self, m @ x.coords, FLOAT)
-        xo = np.array(x.coords, dtype=object)
-        return Element(self, m @ xo, EXACT)
+        return Element(self, m @ np.array(x.coords, dtype=object))
 
     # --- trace, inner product, spectral invariants -------------------------
 
     def inner(self, u: Element, v: Element):
         """<u|v> = tr(uv)/rho."""
         u._check(v)
-        if u.mode == FLOAT:
-            return float(u.coords @ v.coords)
         acc = Fraction(0)
         for g, a, b in zip(self.gram, u.coords, v.coords):
             acc = acc + g * a * b
         return acc
 
     def trace(self, u: Element):
-        e = self.identity(u.mode)
-        return self.rho * self.inner(u, e)
+        return self.rho * self.inner(u, self.identity())
 
     def quad_rep(self, x: Element):
         """P(x) = 2 L_x^2 - L_{x^2}."""
@@ -376,20 +302,6 @@ class Algebra:
         """det x = product of the Jordan eigenvalues = c_rho(x)."""
         return self.sym_c(x, self.rho)
 
-    def eigenvalues(self, x: Element) -> np.ndarray:
-        """Jordan eigenvalues (float, descending), as roots of the
-        characteristic polynomial rebuilt from power traces."""
-        xf = x.to_float()
-        p = [float(t) for t in self.power_traces(xf, self.rho)]
-        e = elementary_from_power(p, self.rho)
-        coeffs = [1.0]
-        for j, ej in enumerate(e):
-            coeffs.append((-1) ** (j + 1) * ej)
-        roots = np.roots(coeffs)
-        if np.max(np.abs(roots.imag)) > 1e-7 * (1 + np.max(np.abs(roots.real))):
-            raise DomainError("non-real Jordan eigenvalues; input is not a valid element")
-        return np.sort(roots.real)[::-1]
-
     # --- frames ---------------------------------------------------------------
 
     def jordan_frame(self) -> tuple:
@@ -405,66 +317,11 @@ class Algebra:
             return (self.element(c1), self.element(c2))
         return tuple(self.basis_element(i) for i in range(self.rho))
 
-    def float_frame(self) -> np.ndarray:
-        """The canonical Jordan frame in the float frame, one row per
-        idempotent: a read-only (rho, n) array."""
-        return self._float_cached(
-            "float_frame", lambda: np.stack([f.to_float().coords for f in self.jordan_frame()]))
-
-    def jordan_basis(self) -> list:
-        """Float-mode Jordan basis with Peirce labels, over the canonical frame.
-
-        Returns (label, element) pairs; every vector has squared length 1/rho.
-        """
-        frame = self.jordan_frame()
-        out = []
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        if self.spec.family == "gamma":
-            out.append(("V11", frame[0].to_float()))
-            out.append(("V22", frame[1].to_float()))
-            for j in range(2, self.dim):
-                out.append((f"V12:{j-2}", self.basis_element(j, FLOAT).scaled(inv_sqrt2)))
-            return out
-        k, d = self.spec.k, self.delta
-        for i in range(k):
-            out.append((f"V{i+1}{i+1}", frame[i].to_float()))
-        pos = k
-        for i in range(k):
-            for j in range(i + 1, k):
-                for mu in range(d):
-                    out.append((f"V{i+1}{j+1}:{mu}", self.basis_element(pos, FLOAT).scaled(inv_sqrt2)))
-                    pos += 1
-        return out
-
-    # --- automorphisms ------------------------------------------------------
-
-    def automorphism_sample(self, seed: int) -> np.ndarray:
-        """exp of a random derivation sum c_i [L_{u_i}, L_{v_i}] (float frame).
-
-        Derivations are antisymmetric, so the result is orthogonal, fixes the
-        identity and preserves Jordan products.
-        """
-        from scipy.linalg import expm
-
-        rng = np.random.default_rng(seed)
-        d = np.zeros((self.dim, self.dim))
-        for _ in range(3):
-            u = self.random_element(rng, FLOAT)
-            v = self.random_element(rng, FLOAT)
-            lu, lv = self.lmul_matrix(u), self.lmul_matrix(v)
-            d += rng.uniform(-1.0, 1.0) * (lu @ lv - lv @ lu)
-        # a multiply by the reciprocal, not a divide: the cone reports
-        # depend on these bits
-        d *= 1.0 / max(1.0, np.linalg.norm(d) / 2.0)
-        return expm(d)
-
     # --- misc ----------------------------------------------------------------
 
     def dual_triple_tensor(self, u: Element):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
         derivatives with the metric-dual basis.  Exact object array."""
-        if u.mode != EXACT:
-            raise MismatchError("dual_triple_tensor needs an exact element")
         n = self.dim
         x, xd = _numerators(u.coords)
         # T[a,b,g] = S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden:
@@ -529,8 +386,8 @@ def _build_hermitian(k: int, ddim: int):
     if diag[..., 1:].any():
         raise AssertionError("hermitian product has non-real diagonal")
     iu, ju = np.triu_indices(k, 1)
-    # C order matters: the float tensordot summation order, and with it the
-    # bits of every float L matrix, follows the memory layout of c2.
+    # C order matters: the cone layer's float tensordot summation order, and
+    # with it the bits of every float L matrix, follows the memory layout of c2.
     c2 = np.ascontiguousarray(np.concatenate([diag[..., 0], twice[:, :, iu, ju, :].reshape(n, n, -1)], axis=2))
     gram = [Fraction(1, k)] * k + [Fraction(2, k)] * (n - k)
     ident = [Fraction(1)] * k + [Fraction(0)] * (n - k)

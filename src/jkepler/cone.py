@@ -3,10 +3,13 @@
 Points of rank k are built as automorphism-transported positive frame
 combinations, so frames, eigenvalues, projectors and pseudo-inverses are
 known by construction and no general spectral theorem is needed.  All cone
-numerics run in the orthonormal float frame, where the metric pairing is the
-plain dot product.  Float data that depend only on the algebra (the Jordan
-frame, the identity, the polar-chart generators) are built once per algebra,
-in its cache, and are read-only.
+numerics run on float64 arrays in the orthonormal frame, the unit-normalized
+rescaling of the algebra's rational frame, where the Gram matrix is the
+identity and the metric pairing is the plain dot product.  This module owns
+that frame: FloatFrame holds what depends only on the algebra (the scale,
+the structure tensor, the identity, the Jordan frame), built once per
+algebra in its cache and read-only, and product, lmul, trace, power_traces
+and sym_c are the Jordan operations on it.
 
 The density function lambda_u is computed by two independent routes:
 
@@ -20,8 +23,8 @@ The density function lambda_u is computed by two independent routes:
 
 with the gradient of ln phi_k assembled from closed-form derivatives of the
 power-sum polynomials tau_k, c_k and of r; their agreement is a standing
-cross-check.  The lifted operator r*Laplace acts on scalar fields carrying
-exact gradient/Hessian data:
+cross-check.  The lifted operator r*Laplace takes a function's gradient and
+Hessian at the point:
 
       (r Delta f)(x) = Tr(L_x Hess f(x)) + 2 lambda_{grad f(x)}(x).
 """
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DomainError, FLOAT, Algebra, Element
-from .symfun import c_poly, tau_poly
+from .algebra import DomainError, Algebra
+from .symfun import c_poly, elementary_from_power, tau_poly
 from .weyl import WallachParam
 
 
@@ -44,15 +47,119 @@ def cone_dim(alg: Algebra, k: int) -> int:
     return k + alg.delta * k * alg.rho - alg.delta * (k * (k + 1)) // 2
 
 
+# --- the orthonormal float frame ----------------------------------------------------
+
+@dataclass(frozen=True)
+class FloatFrame:
+    """Read-only float data of one algebra in the orthonormal frame."""
+
+    scale: np.ndarray      # sqrt(gram): rational-frame coords -> orthonormal coords
+    con: np.ndarray        # (uv)_g = sum_ab con[a, b, g] u_a v_b
+    identity: np.ndarray
+    jordan: np.ndarray     # (rho, n): the canonical Jordan frame, one row per idempotent
+
+
+def float_frame(alg: Algebra) -> FloatFrame:
+    """The algebra's FloatFrame, built on first use and kept in its cache."""
+    frame = alg._cache.get("float_frame")
+    if frame is None:
+        scale = np.sqrt(np.array([float(g) for g in alg.gram]))
+        half = alg._c2.astype(np.float64) / 2.0
+        # C order: the tensordot summation order in lmul, and with it the
+        # bits of every L matrix, follows the memory layout of con
+        con = half * scale[None, None, :] / (scale[:, None, None] * scale[None, :, None])
+
+        def orthonormal(coords):
+            return np.array([float(c) for c in coords]) * scale
+
+        frame = FloatFrame(scale, con, orthonormal(alg.identity_coords),
+                           np.stack([orthonormal(f.coords) for f in alg.jordan_frame()]))
+        for arr in (frame.scale, frame.con, frame.identity, frame.jordan):
+            arr.flags.writeable = False
+        alg._cache["float_frame"] = frame
+    return frame
+
+
+def product(alg: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Jordan product uv."""
+    return np.einsum("abg,a,b->g", float_frame(alg).con, u, v)
+
+
+def lmul(alg: Algebra, u: np.ndarray) -> np.ndarray:
+    """Matrix of L_u: v -> uv."""
+    return np.tensordot(float_frame(alg).con, u, axes=([0], [0])).T
+
+
+def trace(alg: Algebra, u: np.ndarray) -> float:
+    """tr u = rho <u|e>."""
+    return alg.rho * float(u @ float_frame(alg).identity)
+
+
+def power_traces(alg: Algebra, x: np.ndarray, m: int) -> list:
+    """[tr x, tr x^2, ..., tr x^m]."""
+    out = []
+    p = x
+    for j in range(m):
+        out.append(trace(alg, p))
+        if j < m - 1:
+            p = product(alg, p, x)
+    return out
+
+
+def sym_c(alg: Algebra, x: np.ndarray, k: int) -> float:
+    """c_k(x), the Newton polynomial in tr x .. tr x^k."""
+    return elementary_from_power(power_traces(alg, x, k), k)[-1]
+
+
+def peirce_vectors(alg: Algebra) -> list:
+    """(i, j, v) for the off-diagonal Jordan basis over the canonical frame:
+    v spans part of the Peirce space V_ij (0-based i < j) and <v|v> = 1/rho."""
+    scale = float_frame(alg).scale
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+
+    def vec(pos):
+        v = np.zeros(alg.dim)
+        v[pos] = scale[pos]
+        return inv_sqrt2 * v
+
+    if alg.spec.family == "gamma":
+        return [(0, 1, vec(pos)) for pos in range(2, alg.dim)]
+    k = alg.spec.k
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) for _ in range(alg.delta)]
+    return [(i, j, vec(pos)) for pos, (i, j) in enumerate(pairs, start=k)]
+
+
+def automorphism_sample(alg: Algebra, seed: int) -> np.ndarray:
+    """exp of a random derivation sum c_i [L_{u_i}, L_{v_i}].
+
+    Derivations are antisymmetric, so the result is orthogonal, fixes the
+    identity and preserves Jordan products.
+    """
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    d = np.zeros((alg.dim, alg.dim))
+    for _ in range(3):
+        lu = lmul(alg, rng.standard_normal(alg.dim))
+        lv = lmul(alg, rng.standard_normal(alg.dim))
+        d += rng.uniform(-1.0, 1.0) * (lu @ lv - lv @ lu)
+    # a multiply by the reciprocal, not a divide: the cone reports
+    # depend on these bits
+    d *= 1.0 / max(1.0, np.linalg.norm(d) / 2.0)
+    return expm(d)
+
+
+# --- cone points --------------------------------------------------------------------
+
 @dataclass
 class ConePoint:
     """Rank-k semipositive element with cached frame and operator data."""
 
     algebra: Algebra
     k: int
-    x: Element
-    eigenvalues: np.ndarray        # descending, length k, all > 0
-    frame_vectors: np.ndarray      # (rho, n): transported primitive idempotents
+    x: np.ndarray
+    eigenvalues: np.ndarray | None    # descending, length k, all > 0
+    frame_vectors: np.ndarray | None  # (rho, n): transported primitive idempotents
     lx: np.ndarray
     projector: np.ndarray
     pinv: np.ndarray
@@ -63,15 +170,13 @@ class ConePoint:
 
 
 def _assemble_point(alg: Algebra, k: int, avals: np.ndarray, frame_vecs: np.ndarray) -> ConePoint:
-    xc = avals @ frame_vecs[:k]
-    x = Element(alg, xc, FLOAT)
-    ck = frame_vecs[:k].sum(axis=0)
-    lck = alg.lmul_matrix(Element(alg, ck, FLOAT))
+    x = avals @ frame_vecs[:k]
+    lck = lmul(alg, frame_vecs[:k].sum(axis=0))
     proj = 3.0 * lck - 2.0 * (lck @ lck)
-    lx = alg.lmul_matrix(x)
+    lx = lmul(alg, x)
     n = alg.dim
     pinv = np.linalg.solve(lx + (np.eye(n) - proj), proj)
-    r = float(alg.inner(x, alg.identity(FLOAT)))
+    r = float(x @ float_frame(alg).identity)
     return ConePoint(alg, k, x, np.asarray(avals, dtype=float), frame_vecs, lx, proj, pinv, r)
 
 
@@ -83,33 +188,31 @@ def sample_cone_point(alg: Algebra, k: int, seed: int) -> ConePoint:
     rng = np.random.default_rng(seed)
     avals = np.sort(rng.uniform(0.5, 1.5, size=k))[::-1]
     avals += 0.08 * np.arange(k)[::-1]  # keep eigenvalues separated
-    g = alg.automorphism_sample(int(rng.integers(2**31)))
-    return _assemble_point(alg, k, avals, alg.float_frame() @ g.T)
+    g = automorphism_sample(alg, int(rng.integers(2**31)))
+    return _assemble_point(alg, k, avals, float_frame(alg).jordan @ g.T)
 
 
 def radial_cone_point(alg: Algebra, avals) -> ConePoint:
     """Cone point sum a_i e_ii over the canonical (untransported) frame."""
     avals = np.asarray(avals, dtype=float)
-    return _assemble_point(alg, len(avals), avals, alg.float_frame())
+    return _assemble_point(alg, len(avals), avals, float_frame(alg).jordan)
 
 
 # --- metric -------------------------------------------------------------------
 
 def canonical_metric(p: ConePoint, u, v) -> float:
     """ds_K^2(u, v) = r <u | (1/L_x) | v>; inputs are projected to Im L_x."""
-    uc = u.coords if isinstance(u, Element) else np.asarray(u, dtype=float)
-    vc = v.coords if isinstance(v, Element) else np.asarray(v, dtype=float)
     if p.k == 0:
         raise DomainError("zero-rank point has no tangent space")
-    uc = p.tangent_project(uc)
-    vc = p.tangent_project(vc)
+    uc = p.tangent_project(np.asarray(u, dtype=float))
+    vc = p.tangent_project(np.asarray(v, dtype=float))
     return float(p.r * (uc @ p.pinv @ vc))
 
 
 def kepler_metric_crosscheck(alg: Algebra, samples: int = 50, seed: int = 0) -> dict:
     """On C_1, the canonical metric equals (2/rho)<u|v> - <e|u><e|v>."""
     rng = np.random.default_rng(seed)
-    ef = alg.identity(FLOAT).coords
+    ef = float_frame(alg).identity
     worst = 0.0
     for i in range(samples):
         p = sample_cone_point(alg, 1, seed * 100003 + i)
@@ -123,131 +226,34 @@ def kepler_metric_crosscheck(alg: Algebra, samples: int = 50, seed: int = 0) -> 
             "metric": worst, "witness": None if status == "pass" else {"max_rel": worst}}
 
 
-# --- scalar fields with exact derivative data -----------------------------------
+# --- the gradient of ln phi_k ---------------------------------------------------------
 
-class ScalarField:
-    """Interface: value(x), grad(x), hess(x) for coords in the float frame;
-    hess is needed only by fields passed to r_laplace_apply."""
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def grad(self, x):
-        raise NotImplementedError
-
-    def hess(self, x):
-        raise NotImplementedError
-
-
-class LinearField(ScalarField):
-    """f(x) = <u|x>."""
-
-    def __init__(self, alg: Algebra, u):
-        self.alg = alg
-        self.u = u.coords if isinstance(u, Element) else np.asarray(u, dtype=float)
-
-    def value(self, x):
-        return float(self.u @ x)
-
-    def grad(self, x):
-        return self.u.copy()
-
-    def hess(self, x):
-        return np.zeros((self.alg.dim, self.alg.dim))
+def _grad_log_spectral(alg: Algebra, poly, x: np.ndarray) -> np.ndarray:
+    """grad ln F(tr x, ..., tr x^m) for a power-sum polynomial F, from the
+    closed form grad tr x^m = m rho x^{m-1}."""
+    m = poly.nvars
+    p = power_traces(alg, x, m)
+    pows = [float_frame(alg).identity]  # x^0 .. x^{m-1}
+    for _ in range(m - 1):
+        pows.append(product(alg, pows[-1], x))
+    g = np.zeros(alg.dim)
+    for j in range(1, m + 1):
+        fj = float(poly.partial(j - 1).value(p))
+        if fj:
+            g += fj * j * alg.rho * pows[j - 1]
+    return g / float(poly.value(p))
 
 
-class ProductField(ScalarField):
-    def __init__(self, f: ScalarField, g: ScalarField):
-        self.f, self.g = f, g
-
-    def value(self, x):
-        return self.f.value(x) * self.g.value(x)
-
-    def grad(self, x):
-        return self.f.value(x) * self.g.grad(x) + self.g.value(x) * self.f.grad(x)
-
-    def hess(self, x):
-        gf, gg = self.f.grad(x), self.g.grad(x)
-        return (self.f.value(x) * self.g.hess(x) + self.g.value(x) * self.f.hess(x)
-                + np.outer(gf, gg) + np.outer(gg, gf))
-
-
-class SumField(ScalarField):
-    def __init__(self, parts):
-        self.parts = [(float(c), f) for c, f in parts]
-
-    def value(self, x):
-        return sum(c * f.value(x) for c, f in self.parts)
-
-    def grad(self, x):
-        return sum(c * f.grad(x) for c, f in self.parts)
-
-
-class SpectralField(ScalarField):
-    """F(tr x, tr x^2, ..., tr x^m) for a power-sum polynomial F, with the
-    gradient from the closed form grad tr x^m = m rho x^{m-1}."""
-
-    def __init__(self, alg: Algebra, poly):
-        self.alg = alg
-        self.poly = poly
-        self.m = poly.nvars
-
-    def value(self, x):
-        p = self._traces(x)
-        return float(self.poly.value(p))
-
-    def _traces(self, x):
-        alg = self.alg
-        xe = Element(alg, x, FLOAT)
-        return [float(t) for t in alg.power_traces(xe, self.m)]
-
-    def _pow_coords(self, x):
-        """Coordinates of x^0 .. x^{m-1}."""
-        alg = self.alg
-        xe = Element(alg, x, FLOAT)
-        out = [alg.identity(FLOAT).coords]
-        cur = alg.identity(FLOAT)
-        for _ in range(self.m - 1):
-            cur = alg.product(cur, xe)
-            out.append(cur.coords)
-        return out
-
-    def grad(self, x):
-        p = self._traces(x)
-        pows = self._pow_coords(x)
-        g = np.zeros(self.alg.dim)
-        for m in range(1, self.m + 1):
-            fm = float(self.poly.partial(m - 1).value(p))
-            if fm:
-                g += fm * m * self.alg.rho * pows[m - 1]
-        return g
-
-
-class LogField(ScalarField):
-    """ln f for a positive field f."""
-
-    def __init__(self, f: ScalarField):
-        self.f = f
-
-    def value(self, x):
-        v = self.f.value(x)
-        if v <= 0:
-            raise DomainError("log of a non-positive field value")
-        return math.log(v)
-
-    def grad(self, x):
-        return self.f.grad(x) / self.f.value(x)
-
-
-def log_phi_field(alg: Algebra, k: int) -> SumField:
-    """ln phi_k = delta ln tau_k + (delta-1) ln c_k + (2 - D_k) ln r."""
+def grad_log_phi(alg: Algebra, k: int, x: np.ndarray) -> np.ndarray:
+    """grad ln phi_k, with ln phi_k = delta ln tau_k + (delta-1) ln c_k + (2 - D_k) ln r."""
     parts = []
     if alg.delta and k >= 2:
-        parts.append((alg.delta, LogField(SpectralField(alg, tau_poly(k)))))
+        parts.append((alg.delta, _grad_log_spectral(alg, tau_poly(k), x)))
     if alg.delta - 1:
-        parts.append((alg.delta - 1, LogField(SpectralField(alg, c_poly(k)))))
-    parts.append((2 - cone_dim(alg, k), LogField(LinearField(alg, alg.identity(FLOAT)))))
-    return SumField(parts)
+        parts.append((alg.delta - 1, _grad_log_spectral(alg, c_poly(k), x)))
+    e = float_frame(alg).identity
+    parts.append((2 - cone_dim(alg, k), e / float(e @ x)))
+    return sum(float(c) * g for c, g in parts)
 
 
 # --- lambda_u by two routes -------------------------------------------------------
@@ -255,24 +261,21 @@ def log_phi_field(alg: Algebra, k: int) -> SumField:
 def lambda_route_a(p: ConePoint, u) -> float:
     """Trace formula for lambda_u."""
     alg = p.algebra
-    ue = u if isinstance(u, Element) else Element(alg, u, FLOAT)
-    lux = alg.lmul_matrix(alg.product(ue, p.x))
-    lu = alg.lmul_matrix(ue)
+    lux = lmul(alg, product(alg, u, p.x))
+    lu = lmul(alg, u)
     trp = float(np.trace(p.projector))
     val = (-0.5 * float(np.trace(p.pinv @ lux))
            + float(np.trace(p.projector @ lu))
-           + float(alg.inner(ue, p.x)) / p.r * (trp / 2.0 - 1.0))
+           + float(u @ p.x) / p.r * (trp / 2.0 - 1.0))
     return val / 2.0
 
 
 def lambda_route_b(p: ConePoint, u) -> float:
     """phi-function formula: 4 lambda_u = Lhat_u(ln phi_k) + delta k tr u."""
     alg = p.algebra
-    ue = u if isinstance(u, Element) else Element(alg, u, FLOAT)
-    g = log_phi_field(alg, p.k).grad(p.x.coords)
-    ux = alg.product(ue, p.x).coords
-    lhat = -float(ux @ g)
-    return (lhat + alg.delta * p.k * float(alg.trace(ue))) / 4.0
+    g = grad_log_phi(alg, p.k, p.x)
+    lhat = -float(product(alg, u, p.x) @ g)
+    return (lhat + alg.delta * p.k * trace(alg, u)) / 4.0
 
 
 def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-5) -> dict:
@@ -285,19 +288,19 @@ def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-
 
     rng = np.random.default_rng(seed)
     p = sample_cone_point(alg, k, seed + 17)
-    u = alg.random_element(rng, FLOAT)
-    v = alg.random_element(rng, FLOAT)
+    u = rng.standard_normal(alg.dim)
+    v = rng.standard_normal(alg.dim)
 
     def lam_at(xc, w):
         q = _point_from_coords(alg, xc, k)
         return lambda_route_a(q, w)
 
     def flow_derivative(w_gen, w_eval):
-        lgen = alg.lmul_matrix(w_gen)
+        lgen = lmul(alg, w_gen)
 
         def central(h):
-            xp = expm(-h * lgen) @ p.x.coords
-            xm = expm(h * lgen) @ p.x.coords
+            xp = expm(-h * lgen) @ p.x
+            xm = expm(h * lgen) @ p.x
             return (lam_at(xp, w_eval) - lam_at(xm, w_eval)) / (2 * h)
 
         d1 = central(step)
@@ -314,9 +317,8 @@ def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-
 
 def _point_from_coords(alg: Algebra, xc: np.ndarray, k: int) -> ConePoint:
     """Cone data for an arbitrary rank-k cone element via eigendecomposition
-    of L_x (rank is known, frames are not needed)."""
-    x = Element(alg, xc, FLOAT)
-    lx = alg.lmul_matrix(x)
+    of L_x (rank is known; frames and eigenvalues are not needed)."""
+    lx = lmul(alg, xc)
     w, vmat = np.linalg.eigh(lx)
     dk = cone_dim(alg, k)
     order = np.argsort(-np.abs(w))
@@ -326,18 +328,14 @@ def _point_from_coords(alg: Algebra, xc: np.ndarray, k: int) -> ConePoint:
         raise DomainError("element does not have the expected cone rank")
     proj = vmat[:, keep] @ vmat[:, keep].T
     pinv = vmat[:, keep] @ np.diag(1.0 / w[keep]) @ vmat[:, keep].T
-    r = float(alg.inner(x, alg.identity(FLOAT)))
-    evs = alg.eigenvalues(x)[:k]
-    return ConePoint(alg, k, x, evs, np.zeros((alg.rho, alg.dim)), lx, proj, pinv, r)
+    r = float(xc @ float_frame(alg).identity)
+    return ConePoint(alg, k, xc, None, None, lx, proj, pinv, r)
 
 
-def r_laplace_apply(alg: Algebra, k: int, field: ScalarField, p: ConePoint) -> float:
-    """(r Delta f)(x) = Tr(L_x Hess f) + 2 lambda_{grad f}(x)."""
-    if p.k != k:
-        raise DomainError("cone point rank does not match k")
-    h = field.hess(p.x.coords)
-    g = field.grad(p.x.coords)
-    return float(np.trace(p.lx @ h)) + 2.0 * lambda_route_a(p, Element(alg, g, FLOAT))
+def r_laplace_apply(p: ConePoint, grad: np.ndarray, hess: np.ndarray) -> float:
+    """(r Delta f)(x) = Tr(L_x Hess f) + 2 lambda_{grad f}(x), from the
+    gradient and Hessian of f at p.x."""
+    return float(np.trace(p.lx @ hess)) + 2.0 * lambda_route_a(p, grad)
 
 
 # --- polar chart and the measure ----------------------------------------------------
@@ -352,10 +350,6 @@ class PolarChart:
     generators: list          # [L_{e_ii}, L_{e_ij^mu}] commutators, i <= k
     point: ConePoint
 
-    @property
-    def generator_count(self) -> int:
-        return len(self.generators)
-
 
 def polar_chart(alg: Algebra, k: int, avals) -> PolarChart:
     avals = np.asarray(avals, dtype=float)
@@ -369,16 +363,13 @@ def _chart_generators(alg: Algebra, k: int) -> tuple:
     i <= k: read-only, built once per (algebra, k)."""
     key = ("polar_generators", k)
     if key not in alg._cache:
-        lframe = [alg.lmul_matrix(Element(alg, f, FLOAT)) for f in alg.float_frame()]
+        lframe = [lmul(alg, f) for f in float_frame(alg).jordan]
         gens = []
-        for label, vec in alg.jordan_basis():
-            if ":" not in label:
+        for i, _, vec in peirce_vectors(alg):
+            if i >= k:
                 continue
-            i = int(label[1])
-            if i > k:
-                continue
-            lv = alg.lmul_matrix(vec)
-            gen = lframe[i - 1] @ lv - lv @ lframe[i - 1]
+            lv = lmul(alg, vec)
+            gen = lframe[i] @ lv - lv @ lframe[i]
             gen.flags.writeable = False
             gens.append(gen)
         alg._cache[key] = tuple(gens)
@@ -405,8 +396,8 @@ def chart_measure_density(chart: PolarChart) -> float:
     point, with h the canonical-metric Gram matrix of the chart tangents."""
     alg = chart.algebra
     p = chart.point
-    tangents = list(alg.float_frame()[:chart.k])
-    tangents += [gen @ p.x.coords for gen in chart.generators]
+    tangents = list(float_frame(alg).jordan[:chart.k])
+    tangents += [gen @ p.x for gen in chart.generators]
     # canonical_metric on each pair, with each projection and t_i @ pinv made once
     proj = [p.tangent_project(t) for t in tangents]
     m = len(tangents)

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import EXACT, Algebra, Element, MismatchError, _from_numerators, _numerators, _snum
+from .algebra import Algebra, Element, MismatchError, _from_numerators, _numerators, _snum
 
 
 class ConsistencyError(RuntimeError):
@@ -204,8 +204,6 @@ class CoElement:
     def __init__(self, x_part: Element, str_part: StrElement, y_part: Element):
         if x_part.algebra is not str_part.algebra or x_part.algebra is not y_part.algebra:
             raise MismatchError("CoElement parts belong to different algebras")
-        if x_part.mode != EXACT or y_part.mode != EXACT:
-            raise MismatchError("CoElement parts must be exact")
         self.algebra = x_part.algebra
         self.x_part = x_part
         self.str_part = str_part
@@ -223,10 +221,6 @@ class CoElement:
     def s(cls, u: Element, v: Element):
         m = u.algebra.smul_matrix(u, v)
         return cls(u.algebra.zero(), StrElement(u.algebra, m, _certified=True), u.algebra.zero())
-
-    @classmethod
-    def from_matrix(cls, alg: Algebra, m):
-        return cls(alg.zero(), StrElement(alg, m), alg.zero())
 
     def __add__(self, other: "CoElement"):
         return CoElement(self.x_part + other.x_part,
@@ -283,9 +277,9 @@ def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     x = am @ bx - bm @ ax
     y = _adjoint_nums(bm, gnum, lg) @ ay - _adjoint_nums(am, gnum, lg) @ by
     m = 2 * (am @ bm - bm @ am) - _snum(c2, ax, by) + _snum(c2, bx, ay)
-    return CoElement(Element(alg, _from_numerators(x, den * den), EXACT),
+    return CoElement(Element(alg, _from_numerators(x, den * den)),
                      StrElement(alg, _from_numerators(m, 2 * den * den)),
-                     Element(alg, _from_numerators(y, den * den * lg), EXACT))
+                     Element(alg, _from_numerators(y, den * den * lg)))
 
 
 def cartan_involution(a: CoElement) -> CoElement:

@@ -220,11 +220,6 @@ def moment_y(alg: Algebra, v: Element) -> Poly:
     return Poly(2 * n, {monomial_key(2 * n, a): alg.gram[a] * v.coords[a] for a in range(n)})
 
 
-def moments(alg: Algebra, u: Element, v: Element):
-    """(S_uv, X_u, Y_v) as exact phase polynomials."""
-    return moment_s(alg, u, v), moment_x(alg, u), moment_y(alg, v)
-
-
 # --- TKK relation verification -------------------------------------------------
 
 _RELATIONS = ("XX", "YY", "XY", "SX", "SY", "SS")

@@ -28,8 +28,8 @@ _SCALARS = (int, Fraction, CQ)
 
 
 class MismatchError(ValueError):
-    """Operands from different algebras or scalar modes, or polynomials in
-    different numbers of variables."""
+    """Operands from different algebras, an inexact scalar on an exact
+    operand, or polynomials in different numbers of variables."""
 
 
 def monomial_key(nvars: int, *indices: int) -> tuple:

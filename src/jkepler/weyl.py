@@ -69,14 +69,6 @@ class WeylOp(Poly):
 
     __slots__ = ()
 
-    @classmethod
-    def x_mul(cls, nvars, a) -> "WeylOp":
-        return cls.var(nvars, a)
-
-    @classmethod
-    def d_op(cls, nvars, a) -> "WeylOp":
-        return cls.var(nvars, nvars // 2 + a)
-
     def _product(self, other):
         return compose(self, other)
 
@@ -259,7 +251,7 @@ def verify_tkk_ops(alg: Algebra, nu, trials: int = 30, seed: int = 0) -> list:
 class WallachParam:
     """Nonzero Wallach parameter nu with its kind and associated cone rank."""
 
-    value: object  # Fraction or float
+    value: Fraction
     kind: str      # "discrete" or "continuous"
     k: int | None
     rho_of_nu: int
@@ -268,10 +260,9 @@ class WallachParam:
     def make(cls, alg: Algebra, nu) -> "WallachParam":
         if isinstance(nu, WallachParam):
             return nu
-        exact = isinstance(nu, (int, Fraction))
-        nu_f = Fraction(nu) if exact else float(nu)
-        if not exact and not math.isfinite(nu_f):
-            raise DomainError(f"nu = {nu} is not a finite number")
+        if not isinstance(nu, (int, Fraction)):
+            raise DomainError(f"nu = {nu!r} is not an int or a Fraction")
+        nu_f = Fraction(nu)
         if nu_f <= 0:
             raise DomainError(
                 f"nu = {nu} is not in the nonzero Wallach set of {alg.spec}: need "
@@ -279,10 +270,9 @@ class WallachParam:
         top = Fraction(alg.rho - 1) * alg.delta / 2
         if nu_f > top:
             return cls(nu_f, "continuous", None, alg.rho)
-        if exact:
-            ratio = 2 * nu_f / alg.delta
-            if ratio.denominator == 1 and 1 <= ratio <= alg.rho - 1:
-                return cls(nu_f, "discrete", int(ratio), int(ratio))
+        ratio = 2 * nu_f / alg.delta
+        if ratio.denominator == 1 and 1 <= ratio <= alg.rho - 1:
+            return cls(nu_f, "discrete", int(ratio), int(ratio))
         raise DomainError(
             f"nu = {nu} is not in the nonzero Wallach set of {alg.spec}: need "
             f"nu = k*delta/2 (1 <= k < rho) or nu > (rho-1)*delta/2 = {top}")
@@ -293,10 +283,7 @@ def bound_spectrum(alg: Algebra, nu, level: int):
     if level < 0:
         raise DomainError("level index must be >= 0")
     param = WallachParam.make(alg, nu)
-    shift = param.value * alg.rho / 2
-    if isinstance(param.value, Fraction):
-        return -Fraction(1, 2) / (level + shift) ** 2
-    return -0.5 / float(level + shift) ** 2
+    return -Fraction(1, 2) / (level + param.value * alg.rho / 2) ** 2
 
 
 # --- grading and lowest weight ----------------------------------------------------

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from jkepler.algebra import (FLOAT, AlgebraSpec, Element, MismatchError,
+from jkepler import cone as C
+from jkepler.algebra import (AlgebraSpec, Element, MismatchError,
                              DomainError, SpecificationError, make_algebra)
 from jkepler.symfun import tau_poly
 
@@ -90,8 +92,6 @@ def test_mode_and_algebra_mismatch(algebra):
     u = a3.random_element(rng)
     with pytest.raises(MismatchError):
         u * a2.random_element(rng)
-    with pytest.raises(MismatchError):
-        u * a3.random_element(rng, FLOAT)
     with pytest.raises(MismatchError):
         u.scaled(0.5)
 
@@ -225,14 +225,19 @@ def test_quad_rep_of_identity(algebra):
 
 
 def test_quad_rep_fundamental_identity_float(algebra):
-    # Str-characterizing identity P(P(x)y) = P(x)P(y)P(x)
+    # Str-characterizing identity P(P(x)y) = P(x)P(y)P(x) in the cone's float frame
     alg = algebra("h:3:R")
     rng = np.random.default_rng(8)
-    x = alg.random_element(rng, FLOAT)
-    y = alg.random_element(rng, FLOAT)
-    px = alg.quad_rep(x)
-    pxy = alg.quad_rep(Element(alg, px @ y.coords, FLOAT))
-    rhs = px @ alg.quad_rep(y) @ px
+
+    def quad_rep(z):
+        lz = C.lmul(alg, z)
+        return 2 * (lz @ lz) - C.lmul(alg, C.product(alg, z, z))
+
+    x = rng.standard_normal(alg.dim)
+    y = rng.standard_normal(alg.dim)
+    px = quad_rep(x)
+    pxy = quad_rep(px @ y)
+    rhs = px @ quad_rep(y) @ px
     assert np.allclose(pxy, rhs, atol=1e-9)
 
 
@@ -266,22 +271,6 @@ def test_spin_det_and_minimal_polynomial(algebra):
         e = alg.identity()
         resid = x * x - x.scaled(alg.trace(x)) + e.scaled(d)
         assert resid.is_zero()
-
-
-def test_spin_eigenvalues(algebra):
-    alg = algebra("gamma:5")
-    x = alg.element([Fr(3), 2, 0, 0, 1, 2])
-    ev = alg.eigenvalues(x)
-    assert np.allclose(sorted(ev), sorted([6.0, 0.0]))
-
-
-def test_matrix_eigenvalues_match_numpy(algebra):
-    alg = algebra("h:3:R")
-    rng = np.random.default_rng(12)
-    x = alg.random_element(rng)
-    c = [float(t) for t in x.coords]
-    m = np.array([[c[0], c[3], c[4]], [c[3], c[1], c[5]], [c[4], c[5], c[2]]])
-    assert np.allclose(np.sort(alg.eigenvalues(x)), np.sort(np.linalg.eigvalsh(m)), atol=1e-8)
 
 
 def test_sym_c_range_errors(algebra):
@@ -318,19 +307,23 @@ def test_symreal3_frame_is_diagonal_units(algebra):
 
 
 def test_jordan_basis_lengths_and_peirce_dims(algebra):
+    # the cone's float Jordan basis: the frame rows and the off-diagonal Peirce vectors
     for spec in ["gamma:3", "gamma:4", "h:3:R", "h:3:O"]:
         alg = algebra(spec)
-        jb = alg.jordan_basis()
-        assert len(jb) == alg.dim
-        for label, b in jb:
-            assert abs(alg.inner(b, b) - 1.0 / alg.rho) < 1e-12
-        off = [lab for lab, _ in jb if ":" in lab]
-        diag = [lab for lab, _ in jb if ":" not in lab]
+        diag = C.float_frame(alg).jordan
+        off = C.peirce_vectors(alg)
         assert len(diag) == alg.rho
         assert len(off) == alg.rho * (alg.rho - 1) * alg.delta // 2
+        for b in list(diag) + [v for _, _, v in off]:
+            assert abs(b @ b - 1.0 / alg.rho) < 1e-12
+        for i, j, v in off:
+            assert 0 <= i < j < alg.rho
+            # v lies in V_ij: c_i v = c_j v = v/2
+            for c in (diag[i], diag[j]):
+                assert np.allclose(C.product(alg, c, v), v / 2, atol=1e-12)
     # V_12 of gamma:4 has dimension delta = 3
     alg = algebra("gamma:4")
-    assert sum(1 for lab, _ in alg.jordan_basis() if lab.startswith("V12")) == 3
+    assert sum(1 for i, j, _ in C.peirce_vectors(alg) if (i, j) == (0, 1)) == 3
 
 
 # --- automorphisms ------------------------------------------------------------------------
@@ -338,25 +331,31 @@ def test_jordan_basis_lengths_and_peirce_dims(algebra):
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:O"])
 def test_automorphism_sample(algebra, spec):
     alg = algebra(spec)
-    g = alg.automorphism_sample(21)
+    g = C.automorphism_sample(alg, 21)
     n = alg.dim
     assert np.allclose(g @ g.T, np.eye(n), atol=1e-10)
-    ef = alg.identity(FLOAT)
-    assert np.allclose(g @ ef.coords, ef.coords, atol=1e-10)
+    ef = C.float_frame(alg).identity
+    assert np.allclose(g @ ef, ef, atol=1e-10)
     rng = np.random.default_rng(3)
-    u = alg.random_element(rng, FLOAT)
-    v = alg.random_element(rng, FLOAT)
-    gu = Element(alg, g @ u.coords, FLOAT)
-    gv = Element(alg, g @ v.coords, FLOAT)
-    lhs = g @ (u * v).coords
-    rhs = (gu * gv).coords
+    u = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    gu, gv = g @ u, g @ v
+    lhs = g @ C.product(alg, u, v)
+    rhs = C.product(alg, gu, gv)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
     # preserves inner products and determinants
-    assert abs(alg.inner(gu, gv) - alg.inner(u, v)) < 1e-10
-    assert abs(alg.det(gu) - alg.det(u)) <= 1e-8 * (1 + abs(alg.det(u)))
+    assert abs(gu @ gv - u @ v) < 1e-10
+    det_u = C.sym_c(alg, u, alg.rho)
+    assert abs(C.sym_c(alg, gu, alg.rho) - det_u) <= 1e-8 * (1 + abs(det_u))
 
 
-# --- frames across modes --------------------------------------------------------------------
+# --- the exact frame against the cone's float frame ------------------------------------------
+
+def _to_float(alg, x):
+    """Reference conversion of an exact element to the orthonormal float
+    frame: each rational coordinate times the square root of its Gram entry."""
+    return np.array([float(c) for c in x.coords]) * np.sqrt(np.array([float(g) for g in alg.gram]))
+
 
 def test_float_frame_consistency(algebra):
     for spec in ["gamma:3", "h:3:H"]:
@@ -364,15 +363,18 @@ def test_float_frame_consistency(algebra):
         rng = np.random.default_rng(2)
         u = alg.random_element(rng)
         v = alg.random_element(rng)
-        exact_then_convert = (u * v).to_float().coords
-        convert_then_multiply = (u.to_float() * v.to_float()).coords
+        uf, vf = _to_float(alg, u), _to_float(alg, v)
+        exact_then_convert = _to_float(alg, u * v)
+        convert_then_multiply = C.product(alg, uf, vf)
         assert np.allclose(exact_then_convert, convert_then_multiply, atol=1e-12)
-        assert abs(float(alg.inner(u, v)) - alg.inner(u.to_float(), v.to_float())) < 1e-12
-        assert abs(float(alg.det(u)) - alg.det(u.to_float())) < 1e-9 * (1 + abs(float(alg.det(u))))
+        assert abs(float(alg.inner(u, v)) - uf @ vf) < 1e-12
+        assert abs(float(alg.trace(u)) - C.trace(alg, uf)) < 1e-12
+        det_f = C.sym_c(alg, uf, alg.rho)
+        assert abs(float(alg.det(u)) - det_f) < 1e-9 * (1 + abs(float(alg.det(u))))
 
 
 def test_newton_route_matches_eigenvalue_route_on_frame_diagonal(algebra):
-    # float mode, frame-diagonal elements: c_k two ways within 1e-9 relative
+    # cone float frame, frame-diagonal elements: c_k two ways within 1e-9 relative
     from itertools import combinations
     for spec in ["gamma:3", "h:3:C", "h:3:O"]:
         alg = algebra(spec)
@@ -380,13 +382,13 @@ def test_newton_route_matches_eigenvalue_route_on_frame_diagonal(algebra):
         rng = np.random.default_rng(17)
         for _ in range(25):
             lam = rng.uniform(-2.0, 2.0, alg.rho)
-            x = alg.zero(FLOAT)
+            x = np.zeros(alg.dim)
             for li, ei in zip(lam, fr):
-                x = x + ei.to_float().scaled(float(li))
+                x = x + float(li) * _to_float(alg, ei)
             for k in range(1, alg.rho + 1):
                 eig_route = sum(float(np.prod(lam[list(s)]))
                                 for s in combinations(range(alg.rho), k))
-                newton_route = alg.sym_c(x, k)
+                newton_route = C.sym_c(alg, x, k)
                 assert abs(newton_route - eig_route) <= 1e-9 * max(1.0, abs(eig_route))
 
 
@@ -414,7 +416,6 @@ def test_octonion_fano_convention():
 # --- the integer kernel against entrywise reference formulas -----------------------
 
 from jkepler import divalg  # noqa: E402
-from jkepler.algebra import EXACT  # noqa: E402
 
 
 def _reference_c2(k, ddim):
@@ -491,7 +492,7 @@ def _ref_product(alg, u, v):
 
 def _ref_smul(alg, u, v):
     lu, lv = _ref_lmul(alg, u), _ref_lmul(alg, v)
-    luv = _ref_lmul(alg, Element(alg, _ref_product(alg, u, v), EXACT))
+    luv = _ref_lmul(alg, Element(alg, _ref_product(alg, u, v)))
     return lu @ lv - lv @ lu + luv
 
 
@@ -515,7 +516,7 @@ def _exact_element(alg, rng, kind):
             out.append(num)
         else:
             out.append(Fr(num, int(rng.integers(1, 5))))
-    return Element(alg, out, EXACT)
+    return Element(alg, out)
 
 
 _LARGE_PRIMES = [p for p in range(10**6, 10**6 + 10**3)
@@ -569,7 +570,7 @@ def test_int64_guard_and_object_fallback(algebra, spec):
     # S_{cu,v} = c S_{u,v} for c on both sides of the guard and far past it,
     # so a guard looser than the true int64 range would show here
     for scale in [c, c + 1, -c, Fr(c + 1, 3)] + [3**j for j in range(0, 48, 4)]:
-        u = Element(alg, [scale * x for x in u0.coords], EXACT)
+        u = Element(alg, [scale * x for x in u0.coords])
         _assert_same_entries(alg.smul_matrix(u, v), scale * s0)
     big_u = alg.element([(limit + 1) * s for s in signs])
     t = alg.dual_triple_tensor(big_u)
@@ -581,11 +582,11 @@ def test_int64_guard_and_object_fallback(algebra, spec):
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
 def test_structure_tables_are_c_contiguous(algebra, spec):
-    # the float tensordot summation order follows the memory layout of _con,
-    # so a strided table changes the bits of every float L matrix
+    # the float tensordot summation order follows the memory layout of the
+    # cone frame's con, so a strided table changes the bits of every float L matrix
     alg = algebra(spec)
     assert alg._c2.flags.c_contiguous
-    assert alg._con.flags.c_contiguous
+    assert C.float_frame(alg).con.flags.c_contiguous
 
 
 def _same_bits(a, b):
@@ -595,22 +596,24 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
 def test_float_caches_change_no_bits(algebra, spec):
-    # the float basis, identity and frame are built without the exact
-    # round-trip; each must equal to_float() of its exact element, bit for bit
+    # the cone's float frame is built once per algebra; its identity, Jordan
+    # frame and Peirce vectors must equal the reference conversion of their
+    # exact elements, bit for bit
     alg = algebra(spec)
-    for a in range(alg.dim):
-        got = alg.basis_element(a, FLOAT).coords
-        want = alg.basis_element(a).to_float().coords
-        assert np.array_equal(got, want) and _same_bits(got, want)
-    want = np.stack([f.to_float().coords for f in alg.jordan_frame()])
-    assert np.array_equal(alg.float_frame(), want) and _same_bits(alg.float_frame(), want)
-    assert _same_bits(alg.identity(FLOAT).coords, alg.identity().to_float().coords)
+    frame = C.float_frame(alg)
+    want = np.stack([_to_float(alg, f) for f in alg.jordan_frame()])
+    assert np.array_equal(frame.jordan, want) and _same_bits(frame.jordan, want)
+    assert _same_bits(frame.identity, _to_float(alg, alg.identity()))
+    # the off-diagonal basis positions are rho .. n-1 in every family
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    got = [v for _, _, v in C.peirce_vectors(alg)]
+    want = [inv_sqrt2 * _to_float(alg, alg.basis_element(a)) for a in range(alg.rho, alg.dim)]
+    assert len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want))
     # cached arrays are shared across calls, so they must refuse writes
-    assert alg.float_frame() is alg.float_frame()
-    for cached in (alg.float_frame(), alg.float_frame()[0], alg.identity(FLOAT).coords):
+    assert C.float_frame(alg) is frame
+    for cached in (frame.scale, frame.con, frame.jordan, frame.jordan[0], frame.identity):
         with pytest.raises(ValueError):
             cached[0] = 1.0
-    # the float basis element is a fresh array
-    b = alg.basis_element(0, FLOAT)
-    b.coords[0] = 7.0
-    assert alg.basis_element(0, FLOAT).coords[0] != 7.0
+    # a Peirce vector is a fresh array
+    got[0][alg.rho] = 7.0
+    assert C.peirce_vectors(alg)[0][2][alg.rho] != 7.0

@@ -37,6 +37,13 @@ def test_cone_suite():
     assert rep.all_pass(), [c for c in rep.checks if c["status"] == "fail"]
 
 
+def test_main_cone_suite_on_rank_four(capsys):
+    # lambda-symmetry builds cone points from coordinates alone; at rank 4
+    # float roots of the characteristic polynomial are not real enough to
+    # serve as Jordan eigenvalues, so those points must not need them
+    assert main(["verify", "--suite", "cone", "--algebra", "h:4:R", "--trials", "3"]) == 0
+
+
 def test_checks_sorted_and_deterministic():
     cfg = SuiteConfig(algebra="gamma:2", suite="poisson", trials=5, seed=9)
     r1, r2 = run(cfg), run(cfg)
@@ -213,7 +220,7 @@ def test_main_exit_code_on_failure(tmp_path, monkeypatch):
 ])
 @pytest.mark.parametrize("nu,message", [
     ("-1/2", "not in the nonzero Wallach set"),
-    ("-inf", "is not a finite number"),
+    ("-inf", "cannot read nu"),
     ("-0.5", "not in the nonzero Wallach set"),
     ("abc", "cannot read nu"),
     ("1/0", "cannot read nu"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jkepler import conformal, modp
-from jkepler.algebra import EXACT, Element, MismatchError
+from jkepler.algebra import MismatchError
 from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
                                co_bracket, dim_co, dim_str, random_co_element, root_data)
 
@@ -105,7 +105,7 @@ def test_theta_eigenspaces(algebra):
     u, v, w = (alg.random_element(rng) for _ in range(3))
     # fixed space u: [L_u, L_v] and X_w + Y_w
     lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
-    ku = CoElement.from_matrix(alg, lu @ lv - lv @ lu)
+    ku = CoElement(alg.zero(), StrElement(alg, lu @ lv - lv @ lu), alg.zero())
     assert cartan_involution(ku) == ku
     kw = CoElement.x(w) + CoElement.y(w)
     assert cartan_involution(kw) == kw
@@ -194,8 +194,6 @@ def test_str_element_rejects_inexact_entries(algebra, kind):
         bad[1, 2] = float(bad[1, 2])
     with pytest.raises(MismatchError):
         StrElement(alg, bad)
-    with pytest.raises(MismatchError):
-        CoElement.from_matrix(alg, bad)
     with pytest.raises(MismatchError):
         StrElement(alg, m[:, :-1])
     StrElement(alg, m)  # the exact matrix itself is a member
