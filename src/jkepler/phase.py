@@ -9,7 +9,8 @@ contraction below carries the Gram matrix explicitly (trivial for spin
 factors, diagonal rational otherwise).  The bracket of two polynomials is
 one loop over pairs of terms on integer numerators over one denominator (a
 CQ coefficient rides it with denominator 1), with no partial derivatives
-built.
+built.  A quotient N / r^m is kept as given, with no normal form: every
+check only asks whether an observable vanishes, and N / r^m does iff N does.
 
 The moment functions
 
@@ -59,53 +60,14 @@ def poisson_poly(f: Poly, g: Poly) -> Poly:
     return Poly.from_numerators(f.nvars, out, df * dg)
 
 
-def _divmod_linear(poly: Poly, lin: list, pivot: int):
-    """Divide by the linear form sum_a lin[a] x^a; returns (quotient, remainder).
-
-    Processes terms bucketed by descending pivot exponent: eliminating a term
-    of pivot degree d only creates terms of degree d-1, so one sweep suffices.
-    """
-    cpiv = lin[pivot]
-    others = [(a, la) for a, la in enumerate(lin) if la and a != pivot]
-    buckets: dict[int, list] = {}
-    for k, c in poly.terms.items():
-        buckets.setdefault(k[pivot], []).append((k, c))
-    quot = []
-    while True:
-        live = [d for d in buckets if d > 0 and buckets[d]]
-        if not live:
-            break
-        d = max(live)
-        level = Poly.from_pairs(poly.nvars, buckets.pop(d))
-        lower = buckets.setdefault(d - 1, [])
-        for k, c in level.terms.items():
-            qk = k[:pivot] + (d - 1,) + k[pivot + 1:]
-            qc = c / cpiv
-            quot.append((qk, qc))
-            for a, la in others:
-                lower.append((qk[:a] + (qk[a] + 1,) + qk[a + 1:], -qc * la))
-    return (Poly.from_pairs(poly.nvars, quot),
-            Poly.from_pairs(poly.nvars, buckets.get(0, [])))
-
-
 class PhaseRational:
-    """Quotient N / r^m with N a phase Poly and r = <e|x>; kept reduced."""
+    """Quotient N / r^m with N a phase Poly and r = <e|x>, not reduced:
+    (N r) / r^(m+1) and N / r^m are different objects that compare equal."""
 
     __slots__ = ("algebra", "num", "rpow")
 
     def __init__(self, algebra: Algebra, num: Poly, rpow: int = 0):
         self.algebra = algebra
-        if num.is_zero():
-            rpow = 0
-        else:
-            lin = _r_coeffs(algebra)
-            pivot = next(a for a, c in enumerate(lin) if c)
-            while rpow > 0:
-                q, s = _divmod_linear(num, lin, pivot)
-                if not s.is_zero():
-                    break
-                num = q
-                rpow -= 1
         self.num = num
         self.rpow = rpow
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from jkepler import cli, phase
 from jkepler.algebra import DomainError, make_algebra
 from jkepler.cli import (Report, SuiteConfig, emit, info_table, main, parse_nu, run,
                          spectrum_table)
@@ -29,6 +30,40 @@ def test_operators_suite_with_nu():
     assert rep.all_pass()
     names = {c["name"] for c in rep.checks}
     assert "operators:SS" in names and "grading:I=2" in names and "lowest-weight" in names
+
+
+def test_operators_default_nu_is_in_the_wallach_set(capsys):
+    # 1 is not in W(gamma:5); the default delta/2 = 2 is, so nothing is skipped
+    assert main(["verify", "--suite", "operators", "--algebra", "gamma:5", "--trials", "1",
+                 "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["params"]["nu"] is None
+    assert len(d["checks"]) == 13
+    assert all(c["status"] == "pass" for c in d["checks"])
+
+
+def _classical_failures(spec):
+    rep = run(SuiteConfig(algebra=spec, suite="poisson", trials=1))
+    return {c["name"] for c in rep.checks if c["status"] == "fail"}
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_classical_checks_catch_a_perturbed_hamiltonian(spec, monkeypatch):
+    def hamiltonian(alg):  # H + <e_1|x>/r is not conserved by L or A
+        y = phase.moment_y(alg, alg.basis_element(1))
+        return phase.classical_hamiltonian(alg) + phase.PhaseRational(alg, y, 1)
+
+    assert _classical_failures(spec) == set()
+    monkeypatch.setattr(cli, "classical_hamiltonian", hamiltonian)
+    assert _classical_failures(spec) == {"poisson:conserve-angular", "poisson:conserve-lenz",
+                                         "poisson:lenz-closure"}
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_classical_checks_catch_the_other_orientation(spec, monkeypatch):
+    monkeypatch.setattr(cli, "classical_angular",
+                        lambda alg, u, v: phase.classical_angular(alg, v, u))  # [L_u, L_v]
+    assert _classical_failures(spec) == {"poisson:equivariance", "poisson:lenz-closure"}
 
 
 def test_cone_suite():
