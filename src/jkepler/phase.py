@@ -1,16 +1,17 @@
 """Exact symbolic symplectic calculus on T*V.
 
 Observables are sparse polynomials (poly.Poly in 2n variables: the position
-coordinates x^a, then the conjugate momenta p_a) with Fraction coefficients,
+coordinates x^a, then the conjugate momenta p_a) with rational coefficients,
 extended by denominators that are powers of r = <e|x>.  The canonical
 bracket is {x^a, p_b} = delta_ab; the momentum covector p is identified with
 the tangent vector pi through the inner product, so every inner-product
 contraction below carries the Gram matrix explicitly (trivial for spin
 factors, diagonal rational otherwise).  The bracket of two polynomials is
-one loop over pairs of terms on integer numerators over one denominator (a
-CQ coefficient rides it with denominator 1), with no partial derivatives
-built.  A quotient N / r^m is kept as given, with no normal form: every
-check only asks whether an observable vanishes, and N / r^m does iff N does.
+one loop over pairs of stored terms, integer numerators under packed
+exponent keys (a CQ coefficient rides it with denominator 1), with no
+partial derivatives built.  A quotient N / r^m is kept as given, with no
+normal form: every check only asks whether an observable vanishes, and
+N / r^m does iff N does.
 
 The moment functions
 
@@ -27,37 +28,34 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element
-from .poly import Poly, field, monomial_key, numerators, pack, same_nvars
+from .poly import Poly, check_fields, field, monomial_key, same_nvars, unpack
+
 
 def poisson_poly(f: Poly, g: Poly) -> Poly:
-    """Canonical bracket sum_a (df/dx^a dg/dp_a - df/dp_a dg/dx^a), on integer
-    numerators over one denominator.  For a pair of terms both halves of slot
-    a land on the monomial kf + kg - e_a - e_{n+a}, with coefficient
-    cf cg (kf[a] kg[n+a] - kf[n+a] kg[a])."""
+    """Canonical bracket sum_a (df/dx^a dg/dp_a - df/dp_a dg/dx^a), on the
+    stored numerators.  Only pairs of terms that both have slot a (a positive
+    x^a or p_a exponent) contribute to it: both halves land on the monomial
+    kf + kg - e_a - e_{n+a}, with coefficient cf cg (kf[a] kg[n+a] - kf[n+a] kg[a])."""
     same_nvars(f, g)
+    check_fields(f, g)
     n = f.nvars // 2
-    df, nf = numerators(f.terms)
-    dg, ng = numerators(g.terms)
 
-    def slots(k):  # {a: (x exponent, p exponent)} where either is positive
-        return {a: (k[a], k[n + a]) for a in range(n) if k[a] or k[n + a]}
+    def by_slot(h):  # per slot a, the terms (key, numerator, x^a and p_a exponents) with it
+        terms = [(key, c, unpack(key, h.nvars)) for key, c in h.nums.items()]
+        return [[(key, c, k[a], k[n + a]) for key, c, k in terms if k[a] or k[n + a]]
+                for a in range(n)]
 
-    step = [field(a) + field(n + a) for a in range(n)]
-    right = [(pack(k), c, slots(k)) for k, c in ng.items()]
     out = {}
     get = out.get
-    for kf, cf in nf.items():
-        pf = pack(kf)
-        f_slots = slots(kf).items()
-        for pg, cg, g_slots in right:
-            for a, (fx, fp) in f_slots:
-                gxp = g_slots.get(a)
-                if gxp is not None:
-                    w = fx * gxp[1] - fp * gxp[0]
-                    if w:
-                        key = pf + pg - step[a]
-                        out[key] = get(key, 0) + cf * cg * w
-    return Poly.from_numerators(f.nvars, out, df * dg)
+    for a, f_terms, g_terms in zip(range(n), by_slot(f), by_slot(g)):
+        step = field(a) + field(n + a)
+        for pf, cf, fx, fp in f_terms:
+            for pg, cg, gx, gp in g_terms:
+                w = fx * gp - fp * gx
+                if w:
+                    key = pf + pg - step
+                    out[key] = get(key, 0) + cf * cg * w
+    return Poly._make(f.nvars, out, f.den * g.den)
 
 
 class PhaseRational:
@@ -108,7 +106,7 @@ class PhaseRational:
         return NotImplemented
 
     def __repr__(self):
-        return f"PhaseRational({self.algebra.spec}, {len(self.num.terms)} terms / r^{self.rpow})"
+        return f"PhaseRational({self.algebra.spec}, {len(self.num.nums)} terms / r^{self.rpow})"
 
 
 def _as_rational(alg: Algebra, f) -> PhaseRational:
@@ -119,18 +117,9 @@ def _as_rational(alg: Algebra, f) -> PhaseRational:
     return PhaseRational(alg, f, 0)
 
 
-def _r_coeffs(alg: Algebra) -> list:
-    key = "phase_r_coeffs"
-    if key not in alg._cache:
-        e = alg.identity()
-        alg._cache[key] = [g * c for g, c in zip(alg.gram, e.coords)]
-    return alg._cache[key]
-
-
 def r_poly(alg: Algebra) -> Poly:
     """r = <e|x> as a phase Poly."""
-    nvars = 2 * alg.dim
-    return Poly(nvars, {monomial_key(nvars, a): c for a, c in enumerate(_r_coeffs(alg))})
+    return moment_y(alg, alg.identity())
 
 
 def poisson(f, g) -> PhaseRational:

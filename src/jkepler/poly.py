@@ -2,18 +2,18 @@
 
 One class serves every polynomial-shaped object of the workbench: phase-space
 observables (x block, then p block), normal-ordered operators (x block, then
-D block), polynomial states over V, and polynomials in power sums.  A Poly
-maps flat exponent tuples, one entry per variable, to int, Fraction or CQ
-coefficients.  Exact zeros are dropped when a Poly is built, so equal
-polynomials have equal term dicts.  A subclass changes only the product:
-weyl.WeylOp composes in normal order where Poly multiplies commutatively.
+D block), polynomial states over V, and polynomials in power sums.  A
+subclass changes only the product: weyl.WeylOp composes in normal order where
+Poly multiplies commutatively.
 
-Products and brackets (here, in weyl and in phase) run on integer numerators
-over one common denominator: `numerators` splits the coefficients, the loop
-multiplies and adds Python ints, and `from_numerators` divides once per
-output term.  A CQ coefficient has no denominator; it rides the same loop as
-its own numerator, with denominator 1.  Inside those loops an exponent tuple
-is `pack`ed into one int, so multiplying two monomials is one int addition.
+A Poly stores integer numerators over one positive denominator `den`: `nums`
+maps the `pack`ed exponent key of each term to its nonzero numerator.  Every
+result divides out gcd(den, *nums), so an int/Fraction polynomial has one
+stored form.  Products and brackets (here, in weyl and in phase) loop over
+keys and numerators directly: a monomial product is one int addition of keys.
+Sums bring both operands to the lcm of their denominators.  A CQ coefficient
+rides the same loops as its own numerator over denominator 1.  `terms` is the
+read-only view {exponent tuple: Fraction (or CQ)}.
 """
 from __future__ import annotations
 
@@ -46,23 +46,15 @@ def same_nvars(f: "Poly", g: "Poly"):
         raise MismatchError(f"polynomials in {f.nvars} and {g.nvars} variables")
 
 
-def numerators(terms: dict) -> tuple:
-    """(den, {exponent: numerator}) with den the lcm of the coefficient
-    denominators, so that each coefficient is numerator / den.  Numerators of
-    int and Fraction coefficients are ints; a CQ (no denominator) counts as
-    denominator 1 and its numerator is the CQ times den."""
-    den = math.lcm(*[getattr(c, "denominator", 1) for c in terms.values()])
-    return den, {k: c.numerator * (den // c.denominator) if isinstance(c, (int, Fraction))
-                 else c * den for k, c in terms.items()}
-
-
 def pack(k: tuple) -> int:
     """The exponent tuple k as one int with a 16-bit field per variable, so
-    adding packed keys adds exponents; Poly.from_numerators unpacks them.
-    The fields are written as signed 16-bit values: an exponent of 2^15 or
-    more raises OverflowError, so the sum of two packed keys never carries
-    into the next field."""
-    return int.from_bytes(array("h", k).tobytes(), sys.byteorder)
+    adding packed keys adds exponents (OverflowError outside 0..2^16-1)."""
+    return int.from_bytes(array("H", k).tobytes(), sys.byteorder)
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed key (the inverse of pack)."""
+    return tuple(array("H", key.to_bytes(2 * nvars, sys.byteorder)))
 
 
 def field(i: int) -> int:
@@ -70,14 +62,44 @@ def field(i: int) -> int:
     return 1 << 16 * i
 
 
-class Poly:
-    """Sparse polynomial {exponent tuple: coefficient} in `nvars` variables."""
+def check_fields(*polys):
+    """Raise OverflowError on an exponent of 2^15 or more, so that a loop that
+    adds the keys of two operands never carries into the next field."""
+    for p in polys:
+        high = pack((1 << 15,) * p.nvars)
+        if any(k & high for k in p.nums):
+            raise OverflowError("exponent of 2^15 or more in a packed product")
 
-    __slots__ = ("nvars", "terms")
+
+class Poly:
+    """Sparse polynomial in `nvars` variables: numerator `nums[key]` over
+    `den` for each packed exponent key."""
+
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: dict | None = None):
+        """{exponent tuple: int, Fraction or CQ coefficient}; zeros dropped."""
+        terms = {k: c for k, c in (terms or {}).items() if c}
         self.nvars = nvars
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.den = math.lcm(*[getattr(c, "denominator", 1) for c in terms.values()])
+        self.nums = {pack(k): c.numerator * (self.den // c.denominator)
+                     if isinstance(c, (int, Fraction)) else c * self.den
+                     for k, c in terms.items()}
+
+    @classmethod
+    def _make(cls, nvars: int, nums: dict, den: int):
+        """nums / den with zeros dropped and gcd(den, *nums) divided out (a CQ
+        numerator has no gcd; that Poly keeps den)."""
+        out = cls.__new__(cls)
+        out.nvars, out.nums = nvars, {k: v for k, v in nums.items() if v}
+        try:
+            g = math.gcd(den, *out.nums.values())
+        except TypeError:
+            g = 1
+        out.den = den // g
+        if g != 1:
+            out.nums = {k: v // g for k, v in out.nums.items()}
+        return out
 
     @classmethod
     def from_pairs(cls, nvars: int, pairs, terms: dict | None = None):
@@ -89,19 +111,6 @@ class Poly:
         return cls(nvars, out)
 
     @classmethod
-    def from_numerators(cls, nvars: int, nums: dict, den: int):
-        """The Poly with coefficient v / den for each nonzero numerator v
-        accumulated under a packed key: a Fraction for an int v, a CQ for a
-        CQ v."""
-        size, order = 2 * nvars, sys.byteorder  # the inverse of pack
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = {tuple(array("H", k.to_bytes(size, order))):
-                     Fraction(v, den) if type(v) is int else v / den
-                     for k, v in nums.items() if v}
-        return out
-
-    @classmethod
     def constant(cls, nvars: int, c):
         return cls(nvars, {(0,) * nvars: c})
 
@@ -109,26 +118,37 @@ class Poly:
     def var(cls, nvars: int, i: int):
         return cls(nvars, {monomial_key(nvars, i): Fraction(1)})
 
-    def __add__(self, other):
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction (a CQ for a CQ numerator)}, in stored order."""
+        return {unpack(k, self.nvars): Fraction(v, self.den) if type(v) is int else v / self.den
+                for k, v in self.nums.items()}
+
+    def _sum(self, other, sign: int):
         if not isinstance(other, Poly):
             return NotImplemented
         same_nvars(self, other)
-        return self.from_pairs(self.nvars, other.terms.items(), self.terms)
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, sign * (den // other.den)
+        out = {k: v * m1 for k, v in self.nums.items()} if m1 != 1 else dict(self.nums)
+        get = out.get
+        for k, v in other.nums.items():
+            out[k] = get(k, 0) + v * m2
+        return self._make(self.nvars, out, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        same_nvars(self, other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return type(self)(self.nvars, out)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return type(self)(self.nvars, {k: -c for k, c in self.terms.items()})
+        return self._make(self.nvars, {k: -v for k, v in self.nums.items()}, self.den)
 
     def scaled(self, c):
-        return type(self)(self.nvars, {k: c * v for k, v in self.terms.items()})
+        num, den = ((c.numerator, self.den * c.denominator) if isinstance(c, (int, Fraction))
+                    else (c, self.den))
+        return self._make(self.nvars, {k: num * v for k, v in self.nums.items()}, den)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -145,53 +165,55 @@ class Poly:
 
     def _product(self, other):
         """Commutative product: exponents add."""
-        d1, n1 = numerators(self.terms)
-        d2, n2 = numerators(other.terms)
-        right = [(pack(e), c) for e, c in n2.items()]
+        check_fields(self, other)
+        right = list(other.nums.items())
         out = {}
         get = out.get
-        for e1, c1 in n1.items():
-            p1 = pack(e1)
-            for p2, c2 in right:
-                k = p1 + p2
+        for k1, c1 in self.nums.items():
+            for k2, c2 in right:
+                k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return self.from_numerators(self.nvars, out, d1 * d2)
+        return self._make(self.nvars, out, self.den * other.den)
 
     def partial(self, i: int):
         """Formal derivative with respect to variable i (0-based)."""
-        return type(self)(self.nvars, {
-            k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i]
-            for k, c in self.terms.items() if k[i]})
+        shift, step = 16 * i, field(i)
+        return self._make(self.nvars, {k - step: v * e for k, v in self.nums.items()
+                                       if (e := k >> shift & 0xFFFF)}, self.den)
 
     def value(self, vals):
         """Evaluate at exact (int/Fraction) or float values.  Each term is its
-        coefficient (as a float for float values) times the powers in variable
-        order; terms are summed in insertion order."""
+        coefficient (for floats, the correctly rounded numerator / den) times
+        the powers in variable order; terms are summed in stored order."""
         if len(vals) != self.nvars:
             raise MismatchError(f"{len(vals)} values for {self.nvars} variables")
         exact = bool(vals) and isinstance(vals[0], (int, Fraction))
         acc = Fraction(0) if exact else 0.0
-        for e, c in self.terms.items():
-            t = c if exact else float(c)
-            for v, ei in zip(vals, e):
-                if ei:
-                    t = t * v ** ei
+        for k, v in self.nums.items():
+            t = Fraction(v, self.den) if exact and type(v) is int else v / self.den
+            for x in vals:
+                if k & 0xFFFF:
+                    t = t * x ** (k & 0xFFFF)
+                k >>= 16
             acc = acc + t
         return acc
 
     def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(unpack(k, self.nvars)) for k in self.nums), default=0)
 
     def graded_part(self, d: int):
-        return type(self)(self.nvars, {k: c for k, c in self.terms.items() if sum(k) == d})
+        return self._make(self.nvars, {k: v for k, v in self.nums.items()
+                                       if sum(unpack(k, self.nvars)) == d}, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.nums.keys() == other.nums.keys()
+                    and all(v * other.den == other.nums[k] * self.den
+                            for k, v in self.nums.items()))
         return NotImplemented
 
     def __repr__(self):
-        return f"{type(self).__name__}(nvars={self.nvars}, {len(self.terms)} terms)"
+        return f"{type(self).__name__}(nvars={self.nvars}, {len(self.nums)} terms)"

@@ -65,8 +65,7 @@ def symmetric_to_elementary(poly: Poly) -> Poly:
     result = {}
     elem = [None] + [_lam_elementary(j, k) for j in range(1, k + 1)]
     while not work.is_zero():
-        lead = max(work.terms)
-        c = work.terms[lead]
+        lead, c = max(work.terms.items())
         mu = list(lead)
         if any(mu[i] < mu[i + 1] for i in range(k - 1)):
             raise ValueError("input polynomial is not symmetric")

@@ -7,10 +7,11 @@ the Leibniz exchange rule
     d^B x^C = sum_s  C(B,s) C!/(C-s)!  x^{C-s} d^{B-s}    (componentwise),
 
 so equality of operators is coefficient equality of normal forms and every
-commutation relation becomes a decidable exact check.  Composition,
-application to states and Gaussian conjugation run on integer numerators
-over one common denominator (poly.numerators); a CQ coefficient rides the
-same loops with denominator 1.
+commutation relation becomes a decidable exact check.  A WeylOp is stored
+as a Poly is, integer numerators over one denominator under packed exponent
+keys; composition, application to states and Gaussian conjugation read and
+write that form directly (a CQ coefficient rides the same loops with
+denominator 1).
 
 The nu-parametrized realization quantizes the phase-space moments (p -> D):
 
@@ -37,24 +38,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element
 from .modp import _PRIME, Echelon
-from .phase import (_r_coeffs, check_relations, moment_s, moment_x, moment_y,
-                    relation_residual)
-from .poly import MismatchError, Poly, field, monomial_key, numerators, pack, same_nvars
+from .phase import check_relations, moment_s, moment_x, moment_y, r_poly, relation_residual
+from .poly import MismatchError, Poly, check_fields, field, monomial_key, same_nvars, unpack
 from .scalars import CQ
 
 
-def _ff(c: int, s: int) -> int:
-    """Falling factorial c (c-1) ... (c-s+1)."""
-    out = 1
-    for t in range(s):
-        out *= c - t
-    return out
+_ff = math.perm  # _ff(c, s) is the falling factorial c (c-1) ... (c-s+1)
 
 
 def _slot_mask(exps) -> int:
@@ -74,29 +68,29 @@ class WeylOp(Poly):
 
 
 def compose(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Normal-ordered product ab, on integer numerators over one denominator.
-    A pair of words x^A d^B, x^C d^D gives the Leibniz sum over the slots
-    where both B and C are positive; a pair with no such slot gives the
-    single word x^{A+C} d^{B+D}."""
+    """Normal-ordered product ab, on the stored numerators.  A pair of words
+    x^A d^B, x^C d^D gives the Leibniz sum over the slots where both B and C
+    are positive; a pair with no such slot gives the single word
+    x^{A+C} d^{B+D}."""
     same_nvars(a, b)
+    check_fields(a, b)
     n = a.nvars // 2
-    da, na = numerators(a.terms)
-    db, nb = numerators(b.terms)
     step = [field(i) + field(n + i) for i in range(n)]
-    right = [(pack(k), k, c, _slot_mask(k[:n])) for k, c in nb.items()]
+    right = [(kb, x_exps, cb, _slot_mask(x_exps)) for kb, cb in b.nums.items()
+             for x_exps in [unpack(kb, a.nvars)[:n]]]
     out = {}
     get = out.get
-    for ka, ca in na.items():
-        pa = pack(ka)
-        d_slots = [(i, bi) for i, bi in enumerate(ka[n:]) if bi]
-        d_mask = _slot_mask(ka[n:])
-        for pb, kb, cb, x_mask in right:
-            key = pa + pb
+    for ka, ca in a.nums.items():
+        d_exps = unpack(ka, a.nvars)[n:]
+        d_slots = [(i, bi) for i, bi in enumerate(d_exps) if bi]
+        d_mask = _slot_mask(d_exps)
+        for kb, x_exps, cb, x_mask in right:
+            key = ka + kb
             if not d_mask & x_mask:
                 out[key] = get(key, 0) + ca * cb
                 continue
             base = ca * cb
-            shared = [(i, bi, kb[i]) for i, bi in d_slots if kb[i]]
+            shared = [(i, bi, x_exps[i]) for i, bi in d_slots if x_exps[i]]
             for s in itertools.product(*[range(min(bi, ci) + 1) for _, bi, ci in shared]):
                 coef = base
                 word = key
@@ -105,43 +99,37 @@ def compose(a: WeylOp, b: WeylOp) -> WeylOp:
                         coef = coef * (math.comb(bi, si) * _ff(ci, si))
                         word -= si * step[i]
                 out[word] = get(word, 0) + coef
-    return WeylOp.from_numerators(a.nvars, out, da * db)
+    return WeylOp._make(a.nvars, out, a.den * b.den)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return compose(a, b) - compose(b, a)
 
 
-class _Words(NamedTuple):
-    """An operator in the numerator form apply_op runs on: per word x^A d^B
+def _words(op: WeylOp) -> tuple:
+    """op in the form apply_op runs on, (nvars, den, words): per word x^A d^B
     (numerator c over den) the packed shift A - B, the slots i where B_i > 0
     as (i, B_i), and c."""
-
-    nvars: int
-    den: int
-    words: list
-
-
-def _words(op: WeylOp) -> _Words:
-    den, nums = numerators(op.terms)
+    check_fields(op)
     n = op.nvars // 2
-    return _Words(op.nvars, den, [(pack(k[:n]) - pack(k[n:]),
-                                   [(i, bi) for i, bi in enumerate(k[n:]) if bi], c)
-                                  for k, c in nums.items()])
+    return op.nvars, op.den, [
+        ((k & (field(n) - 1)) - (k >> 16 * n),
+         [(i, bi) for i, bi in enumerate(unpack(k, op.nvars)[n:]) if bi], c)
+        for k, c in op.nums.items()]
 
 
-def apply_op(op: WeylOp | _Words, p: Poly) -> Poly:
+def apply_op(op: WeylOp | tuple, p: Poly) -> Poly:
     """Apply a normal-ordered operator to a plain polynomial p, the state
     psi = e^{-r} p.  An operator applied to many states is passed in its
     `_words` form, derived once."""
-    if op.nvars != 2 * p.nvars:
+    nvars, den, words = op if isinstance(op, tuple) else _words(op)
+    if nvars != 2 * p.nvars:
         raise MismatchError("operator and state over different variable counts")
-    op = op if isinstance(op, _Words) else _words(op)
-    dp, nump = numerators(p.terms)
-    state = [(pack(C), C, pc) for C, pc in nump.items()]
+    check_fields(p)
+    state = [(k, unpack(k, p.nvars), pc) for k, pc in p.nums.items()]
     out = {}
     get = out.get
-    for shift, d_slots, c in op.words:
+    for shift, d_slots, c in words:
         for pc_key, C, pc in state:
             coef = c * pc
             for i, bi in d_slots:
@@ -151,26 +139,27 @@ def apply_op(op: WeylOp | _Words, p: Poly) -> Poly:
             else:
                 key = shift + pc_key
                 out[key] = get(key, 0) + coef
-    return Poly.from_numerators(p.nvars, out, op.den * dp)
+    return Poly._make(p.nvars, out, den * p.den)
 
 
 # --- the nu-parametrized (acute) realization -----------------------------------
 
 def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
     """e^{sr} op e^{-sr} with s = outer_sign: the substitution d_a -> d_a - s (Ge)_a,
-    where (Ge)_a = d_a r.  On integer numerators: with shifts h_a / dh and top
-    the highest d order of op, the word of x^A d^B that keeps d^s has numerator
-    c prod_a C(B_a, s_a) h_a^(B_a - s_a) times dh^(top - |B - s|), over
+    where (Ge)_a = d_a r.  On the stored numerators: with r = sum_a h_a x_a / dh
+    (so the shifts are -s h_a / dh) and top the highest d order of op, the
+    word of x^A d^B that keeps d^s has numerator
+    c prod_a C(B_a, s_a) (-s h_a)^(B_a - s_a) times dh^(top - |B - s|), over
     den dh^top."""
     n = op.nvars // 2
-    den, nums = numerators(op.terms)
-    dh, shift = numerators(dict(enumerate(-outer_sign * c for c in _r_coeffs(alg))))
-    top = max((sum(k[n:]) for k in nums), default=0)
+    r = r_poly(alg)
+    dh = r.den
+    shift = [-outer_sign * r.nums.get(field(a), 0) for a in range(n)]
+    words = [(k & (field(n) - 1), unpack(k, op.nvars)[n:], c) for k, c in op.nums.items()]
+    top = max((sum(B) for _, B, _ in words), default=0)
     out = {}
     get = out.get
-    for k, c in nums.items():
-        B = k[n:]
-        x_key = pack(k[:n])
+    for x_key, B, c in words:
         d_slots = [(i, bi) for i, bi in enumerate(B) if bi]
         lift = top - sum(B)
         for kept in itertools.product(*[range(bi + 1) for _, bi in d_slots]):
@@ -181,7 +170,7 @@ def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
                 if bi - si:
                     coef = coef * math.comb(bi, si) * shift[i] ** (bi - si)
             out[key] = get(key, 0) + coef * dh ** (lift + sum(kept))
-    return WeylOp.from_numerators(op.nvars, out, den * dh ** top)
+    return WeylOp._make(op.nvars, out, op.den * dh ** top)
 
 
 def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
@@ -191,7 +180,7 @@ def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
 
 def _quantized(p: Poly) -> WeylOp:
     """A moment Poly read as an operator: the p block becomes the D block."""
-    return WeylOp(p.nvars, p.terms)
+    return WeylOp._make(p.nvars, p.nums, p.den)
 
 
 def acute_s(alg: Algebra, nu, u: Element, v: Element) -> WeylOp:

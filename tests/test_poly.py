@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jkepler.phase import poisson_poly
 from jkepler.poly import MismatchError, Poly
 from jkepler.scalars import CQ
+from jkepler.symfun import c_poly, tau_poly
 from jkepler.weyl import WeylOp, _ff, apply_op, compose
 
 N = 3
@@ -144,6 +145,102 @@ COEFFS = {
                        st.builds(CQ, prime_fractions, prime_fractions)),
 }
 OUT_TYPE = {"Fraction": Fr, "CQ": CQ}  # pure inputs keep their scalar type
+
+
+# --- the stored form (numerators over one denominator) against a Fraction dict ---
+
+ref_dicts = st.dictionaries(exponents, st.one_of(st.integers(-6, 6), prime_fractions), max_size=5)
+
+
+def _ref(d):
+    return {k: Fr(c) for k, c in d.items() if c}
+
+
+def _assert_reduced(f):
+    # the stored denominator is the lcm of the coefficient denominators
+    assert f.den == math.lcm(*[c.denominator for c in f.terms.values()])
+    assert math.gcd(f.den, *f.nums.values()) == 1
+    assert all(type(v) is int and v for v in f.nums.values())
+
+
+@exact_settings
+@given(ref_dicts, st.integers(0, N - 1), st.integers(0, 6))
+def test_stored_form_reads_back_as_the_fraction_dict(d, i, deg):
+    f, ref = Poly(N, d), _ref(d)
+    _assert_reduced(f)
+    assert f.terms == ref and list(f.terms) == list(ref)
+    assert all(type(c) is Fr for c in f.terms.values())
+    assert f.partial(i).terms == {k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i]
+                                  for k, c in ref.items() if k[i]}
+    assert f.graded_part(deg).terms == {k: c for k, c in ref.items() if sum(k) == deg}
+    assert f.degree() == max((sum(k) for k in ref), default=0)
+    pt = [Fr(2, 3), Fr(-5, 7), Fr(3)]
+    assert f.value(pt) == sum((c * math.prod(v ** e for v, e in zip(pt, k))
+                               for k, c in ref.items()), Fr(0))
+    assert f.is_zero() == (not ref)
+
+
+@exact_settings
+@given(ref_dicts, ref_dicts, st.one_of(st.integers(-3, 3), prime_fractions))
+def test_equality_and_arithmetic_agree_with_the_fraction_dict(d1, d2, c):
+    f, g = Poly(N, d1), Poly(N, d2)
+    r1, r2 = _ref(d1), _ref(d2)
+    assert (f == g) == (r1 == r2)
+    assert f == Poly(N, f.terms) and (f - f).is_zero()
+    keys = list(r1) + [k for k in r2 if k not in r1]
+    for got, want in ((f + g, {k: r1.get(k, 0) + r2.get(k, 0) for k in keys}),
+                      (f - g, {k: r1.get(k, 0) - r2.get(k, 0) for k in keys}),
+                      (-f, {k: -v for k, v in r1.items()}),
+                      (f.scaled(c), {k: c * v for k, v in r1.items()}),
+                      (f * g, ref_product(f, g).terms)):
+        _assert_reduced(got)
+        assert got.terms == _ref(want) and list(got.terms) == list(_ref(want))
+
+
+def test_same_polynomial_through_different_denominators():
+    direct = Poly(2, {(2, 0): Fr(2, 4), (0, 2): Fr(-1, 2)})  # (x^2 - y^2) / 2
+    # (x + y)/4 times 2(x - y): the cross terms cancel, and the den 4 reduces to 2
+    via_product = Poly(2, {(1, 0): Fr(1, 4), (0, 1): Fr(1, 4)}) * Poly(2, {(1, 0): 2, (0, 1): -2})
+    # over 12 before reduction: (7x^2/12 + xy/3) - (x^2/12 + xy/3 + y^2/2)
+    via_sum = (Poly(2, {(2, 0): Fr(7, 12), (1, 1): Fr(1, 3)})
+               - Poly(2, {(2, 0): Fr(1, 12), (1, 1): Fr(1, 3), (0, 2): Fr(1, 2)}))
+    via_scale = Poly(2, {(2, 0): 3, (0, 2): -3}).scaled(Fr(1, 6))
+    for f in (via_product, via_sum, via_scale):
+        assert f == direct and direct == f
+        assert f.terms == direct.terms == {(2, 0): Fr(1, 2), (0, 2): Fr(-1, 2)}
+        assert f.den == direct.den == 2 and f.nums == direct.nums
+    assert via_product != direct.scaled(2) and via_product != Poly(2, {(2, 0): Fr(1, 2)})
+
+
+def ref_float_value(f, vals):
+    # float(Fraction) coefficients, powers in variable order, terms summed in order
+    acc = 0.0
+    for e, c in f.terms.items():
+        t = float(c)
+        for v, ei in zip(vals, e):
+            if ei:
+                t = t * v ** ei
+        acc = acc + t
+    return acc
+
+
+@exact_settings
+@given(st.dictionaries(exponents, st.builds(Fr, st.integers(-10 ** 20, 10 ** 20),
+                                            st.integers(1, 10 ** 20)), max_size=5))
+def test_float_value_rounds_each_coefficient_once(d):
+    f = Poly(N, d)
+    for vals in ([0.3, -1.7, 2.5], [1e-3, 7.0, -1 / 3]):
+        assert f.value(vals).hex() == ref_float_value(f, vals).hex()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tau_and_c_float_values_are_bit_identical_to_fraction_sums(k):
+    # the float path of cone's phi_k and grad ln phi_k
+    for vals in ([1.7, -0.3, 2.9], [0.1, 1e3, 1 / 3], [-2.5, 0.7, 5e-4]):
+        vals = vals[:k]
+        for poly in (tau_poly(k), c_poly(k)):
+            for f in [poly] + [poly.partial(j) for j in range(k)]:
+                assert f.value(vals).hex() == ref_float_value(f, vals).hex()
 
 
 def _check(kind, got, want):
