@@ -15,10 +15,11 @@ dividing 2 and the invariant inner product <u|v> = tr(uv)/rho has a
 diagonal rational Gram matrix.  The float64 orthonormal rescaling of this
 frame, which only the cone geometry uses, lives in jkepler.cone.
 
-Exact coordinates are Fractions.  Exact products, L and S matrices and the
-dual triple tensor run on their integer numerators over one common
-denominator: int64 under a guard derived from the structure table, Python
-ints past it.
+Exact data over V has one stored form, that of poly.Poly: integer
+numerators over one reduced positive denominator (`coords` is a Fraction
+view).  Products, L and S matrices and the dual triple tensor run on the
+numerators, int64 under a guard derived from the structure table and Python
+ints past it; the matrix kernels return (numerators, denominator).
 
 The quaternionic and octonionic entries are realified; the trace is the real
 diagonal sum.
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import divalg
-from .poly import MismatchError
+from .poly import MismatchError, exact_parts, numerators
 from .symfun import elementary_from_power
 
 _FAMILIES = ("gamma", "hr", "hc", "hh", "ho")
@@ -99,68 +100,84 @@ class AlgebraSpec:
         return k, delta, k + k * (k - 1) * delta // 2
 
 
-class Element:
-    """Vector in a fixed algebra with exact (Fraction) coordinates."""
+class _Exact:
+    """Exact data over an algebra in its one stored form: integer numerators
+    `nums` (a tuple) over one positive denominator `den`, with
+    gcd(den, *nums) == 1.  Sums bring both operands to the lcm of their
+    denominators."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: "Algebra", coords):
-        self.algebra = algebra
-        self.coords = tuple(coords)
-        if len(self.coords) != algebra.dim:
-            raise MismatchError(f"coords length {len(self.coords)} != dim {algebra.dim}")
+    def _set(self, algebra: "Algebra", nums, den: int):
+        g = math.gcd(den, *nums)
+        self.algebra, self.den = algebra, den // g
+        self.nums = tuple(nums) if g == 1 else tuple(v // g for v in nums)
+        return self
 
-    def _check(self, other: "Element"):
+    @classmethod
+    def _make(cls, algebra: "Algebra", nums, den: int):
+        """nums / den with gcd(den, *nums) divided out; nums are Python ints."""
+        return cls.__new__(cls)._set(algebra, nums, den)
+
+    def _check(self, other: "_Exact"):
         if self.algebra is not other.algebra:
             raise MismatchError("elements belong to different algebras")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
         self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, sign * (den // other.den)
+        return self._make(self.algebra, [a * m1 + b * m2 for a, b in zip(self.nums, other.nums)], den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords])
+        return self._make(self.algebra, [-a for a in self.nums], self.den)
+
+    def scaled(self, s):
+        """s times self for an int or Fraction s; MismatchError otherwise."""
+        num, den = exact_parts(s)
+        return self._make(self.algebra, [num * a for a in self.nums], self.den * den)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.algebra is other.algebra and self.den == other.den and self.nums == other.nums
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+
+class Element(_Exact):
+    """Vector in a fixed algebra with exact coordinates."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra: "Algebra", coords):
+        """int or Fraction coordinates; MismatchError for any other."""
+        coords = list(coords)
+        if len(coords) != algebra.dim:
+            raise MismatchError(f"coords length {len(coords)} != dim {algebra.dim}")
+        self._set(algebra, *numerators(coords))
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.product(self, other)
         return self.scaled(other)
 
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, s):
-        if isinstance(s, float):
-            raise MismatchError("float scalar on exact element")
-        return Element(self.algebra, [s * a for a in self.coords])
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+    __rmul__ = _Exact.scaled
 
     def __repr__(self):
         return f"Element({self.algebra.spec}, {list(self.coords)!r})"
-
-
-def _numerators(coords):
-    """Exact coordinates (int or Fraction) -> (nums, den): integer numerators
-    over the one common denominator den."""
-    den = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
-def _from_numerators(nums, den) -> np.ndarray:
-    """Inverse of _numerators on arrays: an object array of Fractions."""
-    flat = [Fraction(a, den) for a in nums.ravel().tolist()]
-    return np.array(flat, dtype=object).reshape(nums.shape)
 
 
 # Integer kernels on numerator arrays (int64, or object arrays of Python ints
@@ -191,6 +208,7 @@ class Algebra:
         assert c2.shape == (n, n, n)
         self._c2 = c2
         self.gram = tuple(gram)
+        self._gram = numerators(gram)
         self.basis = tuple(labels)
         self.identity_coords = tuple(ident)
         # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
@@ -198,38 +216,35 @@ class Algebra:
         # The limit keeps a further factor 2 in hand, so every kernel stays
         # below 2**63 when X * Y * (any extra factor) <= _int64_limit.
         cmax = int(np.abs(c2).max())
-        self._int64_limit = (2**63 - 1) // (6 * n**3 * cmax**2)
+        self._kernel_bound = 6 * n**3 * cmax**2
+        self._int64_limit = (2**63 - 1) // self._kernel_bound
         self._cache = {}
 
     # --- constructors ---------------------------------------------------
 
-    def element(self, coords) -> Element:
-        return Element(self, [Fraction(c) for c in coords])
-
     def zero(self) -> Element:
-        return self.element([0] * self.dim)
+        return Element._make(self, [0] * self.dim, 1)
 
     def identity(self) -> Element:
-        return self.element(self.identity_coords)
+        return Element(self, self.identity_coords)
 
     def basis_element(self, alpha: int) -> Element:
-        coords = [Fraction(0)] * self.dim
-        coords[alpha] = Fraction(1)
-        return self.element(coords)
+        nums = [0] * self.dim
+        nums[alpha] = 1
+        return Element._make(self, nums, 1)
 
     def random_element(self, rng, span: int = 9, denominator: int = 1) -> Element:
         """Deterministic random element: integer coords in [-span, span] over
         the given denominator."""
         nums = rng.integers(-span, span + 1, self.dim)
-        return self.element([Fraction(int(v), denominator) for v in nums])
+        return Element._make(self, nums.tolist(), int(denominator))
 
     # --- products ---------------------------------------------------------
 
     def product(self, u: Element, v: Element) -> Element:
         u._check(v)
-        (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
-        c2, (x, y) = self._kernel_arrays(x, y)
-        return Element(self, _from_numerators(_lnum(c2, x) @ y, 2 * xd * yd))
+        c2, (x, y) = self._kernel_arrays(u.nums, v.nums)
+        return Element._make(self, (_lnum(c2, x) @ y).tolist(), 2 * u.den * v.den)
 
     def _kernel_arrays(self, *operands, factor: int = 1):
         """c2 and the numerators of each operand as int64 arrays when the int64
@@ -242,17 +257,15 @@ class Algebra:
                 [np.array(nums, dtype=dtype) for nums in operands])
 
     def lmul_matrix(self, u: Element):
-        """Matrix of L_u: v -> uv."""
-        x, xd = _numerators(u.coords)
-        c2, (x,) = self._kernel_arrays(x)
-        return _from_numerators(_lnum(c2, x), 2 * xd)
+        """L_u: v -> uv, as (nums, den); nums holds Python ints, so products stay exact."""
+        c2, (x,) = self._kernel_arrays(u.nums)
+        return _lnum(c2, x).astype(object), 2 * u.den
 
     def smul_matrix(self, u: Element, v: Element):
-        """S_uv = [L_u, L_v] + L_{uv}."""
+        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den)."""
         u._check(v)
-        (x, xd), (y, yd) = _numerators(u.coords), _numerators(v.coords)
-        c2, (x, y) = self._kernel_arrays(x, y)
-        return _from_numerators(_snum(c2, x, y), 4 * xd * yd)
+        c2, (x, y) = self._kernel_arrays(u.nums, v.nums)
+        return _snum(c2, x, y).astype(object), 4 * u.den * v.den
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -260,26 +273,27 @@ class Algebra:
         return p(u, p(v, w)) - p(v, p(u, w)) + p(p(u, v), w)
 
     def apply_matrix(self, m, x: Element) -> Element:
-        return Element(self, m @ np.array(x.coords, dtype=object))
+        """M x for a matrix M given as (nums, den)."""
+        nums, den = m
+        out = np.asarray(nums, dtype=object) @ np.array(x.nums, dtype=object)
+        return Element._make(self, out.tolist(), den * x.den)
 
     # --- trace, inner product, spectral invariants -------------------------
 
-    def inner(self, u: Element, v: Element):
+    def inner(self, u: Element, v: Element) -> Fraction:
         """<u|v> = tr(uv)/rho."""
         u._check(v)
-        acc = Fraction(0)
-        for g, a, b in zip(self.gram, u.coords, v.coords):
-            acc = acc + g * a * b
-        return acc
+        gnum, gden = self._gram
+        return Fraction(sum(g * a * b for g, a, b in zip(gnum, u.nums, v.nums)),
+                        gden * u.den * v.den)
 
     def trace(self, u: Element):
         return self.rho * self.inner(u, self.identity())
 
     def quad_rep(self, x: Element):
-        """P(x) = 2 L_x^2 - L_{x^2}."""
-        lx = self.lmul_matrix(x)
-        lx2 = self.lmul_matrix(self.product(x, x))
-        return 2 * (lx @ lx) - lx2
+        """P(x) = 2 L_x^2 - L_{x^2}, as (nums, den)."""
+        (a, ad), (b, bd) = self.lmul_matrix(x), self.lmul_matrix(self.product(x, x))
+        return 2 * bd * (a @ a) - ad * ad * b, ad * ad * bd
 
     def power_traces(self, x: Element, m: int) -> list:
         """[tr x, tr x^2, ..., tr x^m]."""
@@ -308,32 +322,26 @@ class Algebra:
         """Canonical frame, a complete system of orthogonal primitive
         idempotents: diagonal matrix units, or (1/2, +-1/2 e_1) for spin."""
         if self.spec.family == "gamma":
-            n = self.dim
-            c1 = [Fraction(0)] * n
-            c2 = [Fraction(0)] * n
-            c1[0] = c2[0] = Fraction(1, 2)
-            c1[1] = Fraction(1, 2)
-            c2[1] = Fraction(-1, 2)
-            return (self.element(c1), self.element(c2))
+            rest = [0] * (self.dim - 2)
+            return (Element._make(self, [1, 1] + rest, 2), Element._make(self, [1, -1] + rest, 2))
         return tuple(self.basis_element(i) for i in range(self.rho))
 
     # --- misc ----------------------------------------------------------------
 
     def dual_triple_tensor(self, u: Element):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
-        derivatives with the metric-dual basis.  Exact object array."""
+        derivatives with the metric-dual basis, as (nums, den)."""
         n = self.dim
-        x, xd = _numerators(u.coords)
         # T[a,b,g] = S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden:
         # the Gram factor is gnum[g] gden (lg / (gnum[a] gnum[b])) / lg
-        gnum, gden = _numerators(self.gram)
+        gnum, gden = self._gram
         lg = math.lcm(*gnum) ** 2
         factor = max(gnum) * gden * lg
-        c2, (x,) = self._kernel_arrays(x, factor=factor)
+        c2, (x,) = self._kernel_arrays(u.nums, factor=factor)
         weight = np.array([[[lg // (ga * gb) * gg * gden for gg in gnum] for gb in gnum] for ga in gnum],
                           dtype=c2.dtype)
         s = _snum(c2, np.eye(n, dtype=c2.dtype), x)
-        return _from_numerators(weight * np.swapaxes(s, 1, 2), 4 * xd * lg)
+        return (weight * np.swapaxes(s, 1, 2)).astype(object), 4 * u.den * lg
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

@@ -237,8 +237,8 @@ def _poisson_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         rng = np.random.default_rng(cfg.seed + 5)
         u, v, z = (alg.random_element(rng, span=3) for _ in range(3))
         luv = classical_angular(alg, u, v)
-        lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
-        mz = alg.apply_matrix(lv @ lu - lu @ lv, z)
+        (lu, du), (lv, dv) = alg.lmul_matrix(u), alg.lmul_matrix(v)
+        mz = alg.apply_matrix((lv @ lu - lu @ lv, du * dv), z)
         ok_equiv = (poisson(PhaseRational(alg, luv, 0), classical_lenz(alg, z))
                     - classical_lenz(alg, mz)).is_zero()
         return [_check("poisson:conserve-angular", bool(ok_hl)),

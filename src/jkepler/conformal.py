@@ -6,12 +6,13 @@ bracket is fixed by
     [X_u, X_v] = 0,  [Y_u, Y_v] = 0,  [X_u, Y_v] = -2 S_uv,
     [S, X_z] = X_{Sz},  [S, Y_z] = -Y_{S'z},  [S, S'] = matrix commutator,
 
-where S' denotes the adjoint with respect to <.|.>.  Every part is exact:
-Element parts and structure-algebra matrices have int or Fraction entries,
-and a structure-algebra part is certified to lie in span{S_uv} at
-construction.  The bracket runs on the integer numerators of both operands
-over one common denominator (int64 under a derived guard, Python ints past
-it) and returns Fractions.
+where S' denotes the adjoint with respect to <.|.>.  Every part is exact and
+has the stored form of algebra.Element: integer numerators over one reduced
+denominator (a structure-algebra part holds its n x n matrix row-major, and
+`matrix` is a Fraction view).  A structure-algebra part is certified to lie
+in span{S_uv} at construction.  The bracket runs on the numerators of each
+operand over its one denominator, int64 under the algebra's kernel guard
+and Python ints past it.
 
 The span certificate is built once per algebra from the integer generators
 4 S_{e_a e_b}.  Pivot rows and columns are chosen mod p = 2^31 - 1
@@ -35,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import Algebra, Element, MismatchError, _from_numerators, _numerators, _snum
+from .algebra import Algebra, Element, MismatchError, _Exact, _snum
+from .poly import numerators
 
 
 class ConsistencyError(RuntimeError):
@@ -133,26 +135,23 @@ def dim_co(alg: Algebra) -> int:
     return 2 * alg.dim + dim_str(alg)
 
 
-def _certify(alg: Algebra, matrix):
-    nums, _ = _numerators(matrix.ravel().tolist())
-    if not _str_span_exact(alg).contains(np.array([nums], dtype=object)):
+def _certify(alg: Algebra, nums: np.ndarray):
+    """ConsistencyError unless the n x n matrix with the integer numerators
+    nums (over any denominator) lies in span{S_uv}."""
+    if not _str_span_exact(alg).contains(nums.reshape(1, -1)):
         raise ConsistencyError("matrix is not in span{S_uv}")
 
 
 def _bracket_constants(alg: Algebra):
     """(gnum, lg, factor).  The Gram matrix is gnum / gden and lg = lcm(gnum),
-    so the adjoint M' = G^-1 M^T G has numerators (lg / gnum_i) M_ji gnum_j
-    over lg.  With operand numerators at most X, every intermediate of the
-    bracket is at most factor X^2: |2 [M_a, M_b]| <= 4 n X^2, |4 S| <= 3 n^3 C^2 X^2
-    (the bound of Algebra's kernel, C = max|c2|) and |M' y| <= n lg max(gnum) X^2,
-    each counted twice."""
-    key = "bracket_constants"
-    if key not in alg._cache:
-        n, cmax = alg.dim, int(np.abs(alg._c2).max())
-        gnum, _ = _numerators(alg.gram)
-        lg = math.lcm(*gnum)
-        alg._cache[key] = gnum, lg, max(4 * n + 6 * n**3 * cmax**2, 2 * n * lg * max(gnum))
-    return alg._cache[key]
+    so M' = G^-1 M^T G has numerators (lg / gnum_i) M_ji gnum_j over lg.  For
+    operand numerators at most X and Y, each bracket intermediate is at most
+    B X Y, B = max(4 n + 6 n^3 C^2, 2 n lg max(gnum)): |2 [M_a, M_b]| <= 4 n XY
+    and |4 S| <= 3 n^3 C^2 XY twice (6 n^3 C^2 is Algebra's kernel bound), and
+    |M' y| <= n lg max(gnum) XY twice.  factor = ceil(B / kernel bound)."""
+    n, (gnum, _), kernel = alg.dim, alg._gram, alg._kernel_bound
+    lg = math.lcm(*gnum)
+    return gnum, lg, -(-max(4 * n + kernel, 2 * n * lg * max(gnum)) // kernel)
 
 
 def _adjoint_nums(m: np.ndarray, gnum, lg: int) -> np.ndarray:
@@ -161,53 +160,55 @@ def _adjoint_nums(m: np.ndarray, gnum, lg: int) -> np.ndarray:
     return (np.array([lg // g for g in gnum], dtype=m.dtype)[:, None] * m.T) * w[None, :]
 
 
-class StrElement:
-    """Endomorphism certified to lie in the structure algebra."""
+class StrElement(_Exact):
+    """Endomorphism certified to lie in the structure algebra: the numerators
+    of its n x n matrix, row-major, over one denominator."""
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ()
 
-    def __init__(self, algebra: Algebra, matrix, _certified: bool = False):
-        self.algebra = algebra
-        self.matrix = np.asarray(matrix, dtype=object)
-        if not _certified:
-            n = algebra.dim
-            if self.matrix.shape != (n, n):
-                raise MismatchError(f"StrElement matrix has shape {self.matrix.shape}, "
-                                    f"expected ({n}, {n})")
-            if not all(isinstance(c, (int, Fraction)) for c in self.matrix.flat):
-                raise MismatchError("StrElement entries must be int or Fraction")
-            _certify(algebra, self.matrix)
+    def __init__(self, algebra: Algebra, matrix):
+        """Certify an n x n matrix of int or Fraction entries, or a pair (nums,
+        den) of integer numerators and their denominator, in span{S_uv}."""
+        if not isinstance(matrix, tuple):
+            flat, den = numerators(np.ravel(matrix).tolist())
+            matrix = np.array(flat, dtype=object).reshape(np.shape(matrix)), den
+        (nums, den), n = matrix, algebra.dim
+        if np.shape(nums) != (n, n):
+            raise MismatchError(f"StrElement matrix has shape {np.shape(nums)}, expected ({n}, {n})")
+        _certify(algebra, nums)
+        self._set(algebra, nums.ravel().tolist(), den)
 
     @classmethod
     def zero(cls, algebra: Algebra):
-        n = algebra.dim
-        return cls(algebra, np.full((n, n), Fraction(0), dtype=object), _certified=True)
+        return cls._make(algebra, [0] * algebra.dim**2, 1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The matrix as a Fraction object array (a read-only view)."""
+        n = self.algebra.dim
+        return np.array([Fraction(v, self.den) for v in self.nums], dtype=object).reshape(n, n)
 
     def adjoint_matrix(self):
-        """Adjoint with respect to <.|.>: diagonal-Gram conjugated transpose."""
+        """Adjoint with respect to <.|.> (G^-1 M^T G), as (nums, den)."""
         alg = self.algebra
         gnum, lg, _ = _bracket_constants(alg)
-        nums, den = _numerators(self.matrix.ravel().tolist())
-        dtype = np.int64 if max(map(abs, nums)) * lg * max(gnum) < 2**63 else object
-        m = np.array(nums, dtype=dtype).reshape(alg.dim, alg.dim)
-        return _from_numerators(_adjoint_nums(m, gnum, lg), den * lg)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.matrix.flat)
+        m = np.array(self.nums, dtype=object).reshape(alg.dim, alg.dim)
+        return _adjoint_nums(m, gnum, lg), self.den * lg
 
 
-class CoElement:
-    """(u, M, v) in V + str(V) + V*: coefficients of X_u, an endomorphism, Y_v."""
+class CoElement(_Exact):
+    """(u, M, v) in V + str(V) + V*: the coefficients of X_u, an endomorphism
+    and Y_v, stored as one vector of numerators (u, M row-major, v) over one
+    denominator; the parts are views."""
 
-    __slots__ = ("algebra", "x_part", "str_part", "y_part")
+    __slots__ = ()
 
     def __init__(self, x_part: Element, str_part: StrElement, y_part: Element):
-        if x_part.algebra is not str_part.algebra or x_part.algebra is not y_part.algebra:
+        parts = (x_part, str_part, y_part)
+        if any(p.algebra is not x_part.algebra for p in parts):
             raise MismatchError("CoElement parts belong to different algebras")
-        self.algebra = x_part.algebra
-        self.x_part = x_part
-        self.str_part = str_part
-        self.y_part = y_part
+        den = math.lcm(*(p.den for p in parts))
+        self._set(x_part.algebra, [v * (den // p.den) for p in parts for v in p.nums], den)
 
     @classmethod
     def x(cls, u: Element):
@@ -219,36 +220,22 @@ class CoElement:
 
     @classmethod
     def s(cls, u: Element, v: Element):
-        m = u.algebra.smul_matrix(u, v)
-        return cls(u.algebra.zero(), StrElement(u.algebra, m, _certified=True), u.algebra.zero())
+        m, den = u.algebra.smul_matrix(u, v)
+        return cls(u.algebra.zero(), StrElement._make(u.algebra, m.ravel().tolist(), den),
+                   u.algebra.zero())
 
-    def __add__(self, other: "CoElement"):
-        return CoElement(self.x_part + other.x_part,
-                         StrElement(self.algebra, self.str_part.matrix + other.str_part.matrix,
-                                    _certified=True),
-                         self.y_part + other.y_part)
+    @property
+    def x_part(self) -> Element:
+        return Element._make(self.algebra, self.nums[:self.algebra.dim], self.den)
 
-    def __sub__(self, other: "CoElement"):
-        return CoElement(self.x_part - other.x_part,
-                         StrElement(self.algebra, self.str_part.matrix - other.str_part.matrix,
-                                    _certified=True),
-                         self.y_part - other.y_part)
+    @property
+    def str_part(self) -> StrElement:
+        n = self.algebra.dim
+        return StrElement._make(self.algebra, self.nums[n:-n], self.den)
 
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c):
-        return CoElement(self.x_part.scaled(c),
-                         StrElement(self.algebra, c * self.str_part.matrix, _certified=True),
-                         self.y_part.scaled(c))
-
-    def is_zero(self) -> bool:
-        return self.x_part.is_zero() and self.str_part.is_zero() and self.y_part.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CoElement):
-            return NotImplemented
-        return (self - other).is_zero()
+    @property
+    def y_part(self) -> Element:
+        return Element._make(self.algebra, self.nums[-self.algebra.dim:], self.den)
 
     def __repr__(self):
         return f"CoElement({self.algebra.spec}, x={list(self.x_part.coords)}, y={list(self.y_part.coords)})"
@@ -257,36 +244,29 @@ class CoElement:
 def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     """Lie bracket on co(V); antisymmetric, satisfies the Jacobi identity.
 
-    With every part of a and b written as integer numerators over one common
-    denominator d, the x part is (M_a x_b - M_b x_a) / d^2, the y part
-    (M_b' y_a - M_a' y_b) / (d^2 lg) and the str part
-    (2 [M_a, M_b] - 4 S(x_a, y_b) + 4 S(x_b, y_a)) / (2 d^2)."""
+    With the numerators of a over its denominator d_a and those of b over d_b,
+    the x part is (M_a x_b - M_b x_a) / (d_a d_b), the y part
+    (M_b' y_a - M_a' y_b) / (d_a d_b lg) and the str part
+    (2 [M_a, M_b] - 4 S(x_a, y_b) + 4 S(x_b, y_a)) / (2 d_a d_b)."""
     if a.algebra is not b.algebra:
         raise MismatchError("CoElements belong to different algebras")
     alg, n = a.algebra, a.algebra.dim
     gnum, lg, factor = _bracket_constants(alg)
-    parts = [list(a.x_part.coords), list(a.y_part.coords), a.str_part.matrix.ravel().tolist(),
-             list(b.x_part.coords), list(b.y_part.coords), b.str_part.matrix.ravel().tolist()]
-    nums, den = _numerators([c for part in parts for c in part])
-    big = max(map(abs, nums))
-    dtype = np.int64 if big * big * factor < 2**63 else object
-    c2 = alg._c2.astype(dtype, copy=False)
-    ax, ay, am, bx, by, bm = np.split(np.array(nums, dtype=dtype),
-                                      np.cumsum([len(p) for p in parts])[:-1])
-    am, bm = am.reshape(n, n), bm.reshape(n, n)
+    c2, (na, nb) = alg._kernel_arrays(a.nums, b.nums, factor=factor)
+    ax, am, ay = na[:n], na[n:-n].reshape(n, n), na[-n:]
+    bx, bm, by = nb[:n], nb[n:-n].reshape(n, n), nb[-n:]
     x = am @ bx - bm @ ax
     y = _adjoint_nums(bm, gnum, lg) @ ay - _adjoint_nums(am, gnum, lg) @ by
     m = 2 * (am @ bm - bm @ am) - _snum(c2, ax, by) + _snum(c2, bx, ay)
-    return CoElement(Element(alg, _from_numerators(x, den * den)),
-                     StrElement(alg, _from_numerators(m, 2 * den * den)),
-                     Element(alg, _from_numerators(y, den * den * lg)))
+    den = a.den * b.den
+    return CoElement(Element._make(alg, x.tolist(), den), StrElement(alg, (m, 2 * den)),
+                     Element._make(alg, y.tolist(), den * lg))
 
 
 def cartan_involution(a: CoElement) -> CoElement:
     """theta: X_u -> Y_u, Y_u -> X_u, S_uv -> -S_vu (adjoint negation)."""
-    return CoElement(a.y_part,
-                     StrElement(a.algebra, -a.str_part.adjoint_matrix(), _certified=True),
-                     a.x_part)
+    adj, den = a.str_part.adjoint_matrix()
+    return CoElement(a.y_part, -StrElement._make(a.algebra, adj.ravel().tolist(), den), a.x_part)
 
 
 @dataclass

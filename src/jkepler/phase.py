@@ -17,9 +17,11 @@ The moment functions
 
     S_uv = <S_uv(x)|pi>,   X_u = <x|{pi u pi}>,   Y_v = <x|v>
 
-realize the TKK bracket relations under the Poisson bracket, and the
-classical Kepler data (universal hamiltonian, angular observables, Lenz
-observables) is built from them.
+realize the TKK bracket relations under the Poisson bracket; each is built
+from the integer numerators and denominator of an algebra kernel, which
+become the Poly's stored form as they are.  The classical Kepler data
+(universal hamiltonian, angular observables, Lenz observables) is built
+from them.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element
-from .poly import Poly, check_fields, field, monomial_key, same_nvars, unpack
+from .poly import Poly, check_fields, field, same_nvars, unpack
 
 
 def poisson_poly(f: Poly, g: Poly) -> Poly:
@@ -145,10 +147,11 @@ def poisson(f, g) -> PhaseRational:
 # --- moment functions ---------------------------------------------------------
 
 def momentum_observable(alg: Algebra, matrix) -> Poly:
-    """<M x | pi> = sum_a (Mx)^a p_a for an endomorphism M (exact matrix)."""
+    """<M x | pi> = sum_a (Mx)^a p_a for an endomorphism M given as (nums, den)."""
+    nums, den = matrix
     n = alg.dim
-    return Poly(2 * n, {monomial_key(2 * n, b, n + a): Fraction(matrix[a, b])
-                        for a in range(n) for b in range(n) if matrix[a, b]})
+    return Poly._make(2 * n, {field(b) + field(n + a): c for (a, b), c in
+                              zip(np.argwhere(nums).tolist(), nums[nums != 0].tolist())}, den)
 
 
 def moment_s(alg: Algebra, u: Element, v: Element) -> Poly:
@@ -159,16 +162,19 @@ def moment_s(alg: Algebra, u: Element, v: Element) -> Poly:
 def moment_x(alg: Algebra, u: Element) -> Poly:
     """X_u = <x|{pi u pi}>."""
     n = alg.dim
-    t = alg.dual_triple_tensor(u)
-    return Poly.from_pairs(2 * n, (
-        (monomial_key(2 * n, g, n + a, n + b), t[a, b, g])
-        for a in range(n) for b in range(n) for g in range(n) if t[a, b, g]))
+    t, den = alg.dual_triple_tensor(u)
+    out = {}
+    for (a, b, g), c in zip(np.argwhere(t).tolist(), t[t != 0].tolist()):
+        key = field(g) + field(n + a) + field(n + b)
+        out[key] = out.get(key, 0) + c
+    return Poly._make(2 * n, out, den)
 
 
 def moment_y(alg: Algebra, v: Element) -> Poly:
     """Y_v = <x|v>."""
-    n = alg.dim
-    return Poly(2 * n, {monomial_key(2 * n, a): alg.gram[a] * v.coords[a] for a in range(n)})
+    gnum, gden = alg._gram
+    return Poly._make(2 * alg.dim, {field(a): g * c for a, (g, c) in enumerate(zip(gnum, v.nums))},
+                      gden * v.den)
 
 
 # --- TKK relation verification -------------------------------------------------
@@ -264,8 +270,8 @@ def classical_hamiltonian(alg: Algebra) -> PhaseRational:
 
 def classical_angular(alg: Algebra, u: Element, v: Element) -> Poly:
     """Angular observable of the pair (u, v): <[L_v, L_u] x | pi>."""
-    lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
-    return momentum_observable(alg, lv @ lu - lu @ lv)
+    (lu, du), (lv, dv) = alg.lmul_matrix(u), alg.lmul_matrix(v)
+    return momentum_observable(alg, (lv @ lu - lu @ lv, du * dv))
 
 
 def classical_lenz(alg: Algebra, u: Element) -> PhaseRational:

@@ -18,18 +18,37 @@ read-only view {exponent tuple: Fraction (or CQ)}.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from array import array
 from fractions import Fraction
 
 from .scalars import CQ
 
-_SCALARS = (int, Fraction, CQ)
+_SCALARS = (numbers.Number, CQ)  # scaled() refuses an inexact one
 
 
 class MismatchError(ValueError):
     """Operands from different algebras, an inexact scalar on an exact
     operand, or polynomials in different numbers of variables."""
+
+
+def exact_parts(c, cq: bool = False) -> tuple:
+    """(numerator, denominator) of an int or Fraction as Python ints, or with
+    cq of a CQ (its own numerator over 1); MismatchError for anything else."""
+    if cq and isinstance(c, CQ):
+        return c, 1
+    if not isinstance(c, numbers.Rational):
+        raise MismatchError(f"{c!r} is not an int or a Fraction")
+    return int(c.numerator), int(c.denominator)
+
+
+def numerators(values, cq: bool = False) -> tuple:
+    """Exact values -> (nums, den): their numerators (exact_parts) over the
+    lcm of their denominators; for ints and Fractions gcd(den, *nums) is 1."""
+    parts = [exact_parts(c, cq) for c in values]
+    den = math.lcm(*(d for _, d in parts))
+    return [v * (den // d) for v, d in parts], den
 
 
 def monomial_key(nvars: int, *indices: int) -> tuple:
@@ -78,13 +97,12 @@ class Poly:
     __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        """{exponent tuple: int, Fraction or CQ coefficient}; zeros dropped."""
-        terms = {k: c for k, c in (terms or {}).items() if c}
+        """{exponent tuple: int, Fraction or CQ coefficient}; zeros dropped,
+        MismatchError for any other coefficient."""
+        terms = terms or {}
+        nums, self.den = numerators(terms.values(), cq=True)
         self.nvars = nvars
-        self.den = math.lcm(*[getattr(c, "denominator", 1) for c in terms.values()])
-        self.nums = {pack(k): c.numerator * (self.den // c.denominator)
-                     if isinstance(c, (int, Fraction)) else c * self.den
-                     for k, c in terms.items()}
+        self.nums = {pack(k): v for k, v in zip(terms, nums) if v}
 
     @classmethod
     def _make(cls, nvars: int, nums: dict, den: int):
@@ -100,15 +118,6 @@ class Poly:
         if g != 1:
             out.nums = {k: v // g for k, v in out.nums.items()}
         return out
-
-    @classmethod
-    def from_pairs(cls, nvars: int, pairs, terms: dict | None = None):
-        """Sum of `terms` and the (exponent, coefficient) pairs; repeated
-        exponents add up."""
-        out = dict(terms or {})
-        for k, c in pairs:
-            out[k] = out[k] + c if k in out else c
-        return cls(nvars, out)
 
     @classmethod
     def constant(cls, nvars: int, c):
@@ -146,9 +155,8 @@ class Poly:
         return self._make(self.nvars, {k: -v for k, v in self.nums.items()}, self.den)
 
     def scaled(self, c):
-        num, den = ((c.numerator, self.den * c.denominator) if isinstance(c, (int, Fraction))
-                    else (c, self.den))
-        return self._make(self.nvars, {k: num * v for k, v in self.nums.items()}, den)
+        num, den = exact_parts(c, cq=True)
+        return self._make(self.nvars, {k: num * v for k, v in self.nums.items()}, self.den * den)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -158,10 +166,7 @@ class Poly:
         same_nvars(self, other)
         return self._product(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scaled(other)
-        return NotImplemented
+    __rmul__ = scaled
 
     def _product(self, other):
         """Commutative product: exponents add."""

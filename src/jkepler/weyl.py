@@ -44,7 +44,7 @@ import numpy as np
 from .algebra import DomainError, Algebra, Element
 from .modp import _PRIME, Echelon
 from .phase import check_relations, moment_s, moment_x, moment_y, r_poly, relation_residual
-from .poly import MismatchError, Poly, check_fields, field, monomial_key, same_nvars, unpack
+from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 from .scalars import CQ
 
 
@@ -194,8 +194,8 @@ def x_tilde(alg: Algebra, nu, u: Element) -> WeylOp:
     """X~_u(nu) = <x|{D u D}> + nu tr(u D), so that X_u(nu) = i X~_u(nu)."""
     n = alg.dim
     nur = Fraction(nu) * alg.rho
-    return _quantized(moment_x(alg, u)) + WeylOp(
-        2 * n, {monomial_key(2 * n, n + a): nur * u.coords[a] for a in range(n)})
+    return _quantized(moment_x(alg, u)) + WeylOp._make(
+        2 * n, {field(n + a): nur.numerator * c for a, c in enumerate(u.nums)}, nur.denominator * u.den)
 
 
 def y_tilde(alg: Algebra, v: Element) -> WeylOp:
@@ -351,8 +351,8 @@ def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
         t = ((u @ c2) % _PRIME).reshape(v.shape + (-1,))
         return ((t * v[:, :, None]) % _PRIME).sum(axis=1) % _PRIME
 
-    c = np.tile([q.numerator * pow(q.denominator, -1, _PRIME) % _PRIME
-                 for q in alg.jordan_frame()[0].coords], (count, 1))
+    c1 = alg.jordan_frame()[0]
+    c = np.tile([v * pow(c1.den, -1, _PRIME) % _PRIME for v in c1.nums], (count, 1))
     return sum(2 * twice(y, twice(y, c)) - twice(twice(y, y), c)
                for y in rng.integers(0, _PRIME, (k,) + c.shape)) % _PRIME
 

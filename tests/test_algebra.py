@@ -78,7 +78,7 @@ def test_identity_and_axioms_random(algebra, spec):
 
 def test_l_e_is_identity_matrix(algebra):
     alg = algebra("h:3:C")
-    le = alg.lmul_matrix(alg.identity())
+    le = as_fractions(alg.lmul_matrix(alg.identity()))
     n = alg.dim
     for i in range(n):
         for j in range(n):
@@ -94,6 +94,10 @@ def test_mode_and_algebra_mismatch(algebra):
         u * a2.random_element(rng)
     with pytest.raises(MismatchError):
         u.scaled(0.5)
+    # an inexact coordinate is refused at construction, not at the next product
+    for bad in (0.5, 1j, np.float64(2.0)):
+        with pytest.raises(MismatchError):
+            Element(a3, [0, 0, bad, 0])
 
 
 def test_spin_product_closed_form(algebra):
@@ -160,7 +164,7 @@ def test_symreal3_product_matches_matrix_oracle(algebra):
                          [c[4], c[5], c[2]]], dtype=object)
 
     def from_matrix(m):
-        return alg.element([m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]])
+        return Element(alg, [m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]])
 
     for _ in range(15):
         a = alg.random_element(rng)
@@ -183,14 +187,15 @@ def test_triple_product_identities(algebra, spec):
         # {u e w} = uw
         assert alg.triple(u, e, w) == u * w
         # S_ue = L_u
-        assert np.array_equal(alg.smul_matrix(u, e), alg.lmul_matrix(u))
+        assert np.array_equal(as_fractions(alg.smul_matrix(u, e)), as_fractions(alg.lmul_matrix(u)))
         # adjoint: <S_uv x | y> = <x | S_vu y>
         suv, svu = alg.smul_matrix(u, v), alg.smul_matrix(v, u)
         assert alg.inner(alg.apply_matrix(suv, z), w) == alg.inner(z, alg.apply_matrix(svu, w))
         # [S_uv, S_zw] = S_{uvz},w - S_z,{vuw}
-        szw = alg.smul_matrix(z, w)
+        suv, szw = as_fractions(suv), as_fractions(alg.smul_matrix(z, w))
         lhs = suv @ szw - szw @ suv
-        rhs = alg.smul_matrix(alg.triple(u, v, z), w) - alg.smul_matrix(z, alg.triple(v, u, w))
+        rhs = (as_fractions(alg.smul_matrix(alg.triple(u, v, z), w))
+               - as_fractions(alg.smul_matrix(z, alg.triple(v, u, w))))
         assert all(x == y for x, y in zip(lhs.flat, rhs.flat))
 
 
@@ -201,7 +206,7 @@ def test_smul_adjoint_transpose_relation_for_100_pairs(algebra):
     n = alg.dim
     for _ in range(100):
         u, v = alg.random_element(rng), alg.random_element(rng)
-        suv, svu = alg.smul_matrix(u, v), alg.smul_matrix(v, u)
+        suv, svu = as_fractions(alg.smul_matrix(u, v)), as_fractions(alg.smul_matrix(v, u))
         for i in range(n):
             for j in range(n):
                 assert g[i] * suv[i, j] == g[j] * svu[j, i]
@@ -211,13 +216,13 @@ def test_smul_adjoint_transpose_relation_for_100_pairs(algebra):
 
 def test_spin_trace_formula(algebra):
     alg = algebra("gamma:4")
-    u = alg.element([Fr(5, 2), 1, 2, 3, 4])
+    u = Element(alg, [Fr(5, 2), 1, 2, 3, 4])
     assert alg.trace(u) == 5
 
 
 def test_quad_rep_of_identity(algebra):
     alg = algebra("h:3:H")
-    p = alg.quad_rep(alg.identity())
+    p = as_fractions(alg.quad_rep(alg.identity()))
     n = alg.dim
     for i in range(n):
         for j in range(n):
@@ -474,6 +479,12 @@ def test_structure_table_matches_entrywise_build(algebra, spec):
     assert np.array_equal(alg._c2, ref)
 
 
+def as_fractions(m):
+    """A kernel's (nums, den) as the object array of Fractions nums / den."""
+    nums, den = m
+    return np.array([Fr(v, den) for v in nums.flat], dtype=object).reshape(nums.shape)
+
+
 def _c_object(alg):
     n = alg.dim
     out = np.empty((n, n, n), dtype=object)
@@ -533,8 +544,39 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
     rng = np.random.default_rng(sum(map(ord, spec + kinds)))
     u, v = _exact_element(alg, rng, kinds[0]), _exact_element(alg, rng, kinds[1])
     _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
-    _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
-    _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
+    _assert_same_entries(as_fractions(alg.lmul_matrix(u)), _ref_lmul(alg, u))
+    _assert_same_entries(as_fractions(alg.smul_matrix(u, v)), _ref_smul(alg, u, v))
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:C"])
+def test_element_stored_form_matches_fraction_reference(algebra, spec):
+    # every result is stored as nums / den with den the lcm of the reduced
+    # Fraction denominators, and coords gives back exactly those Fractions
+    alg = algebra(spec)
+    rng = np.random.default_rng(12)
+    for kinds in ["FM", "QF"]:
+        u, v = _exact_element(alg, rng, kinds[0]), _exact_element(alg, rng, kinds[1])
+        cu, cv = u.coords, v.coords
+        for got, want in [(u, cu), (u + v, [a + b for a, b in zip(cu, cv)]),
+                          (u - v, [a - b for a, b in zip(cu, cv)]), (-v, [-b for b in cv]),
+                          (u.scaled(Fr(-3, 4)), [Fr(-3, 4) * a for a in cu]),
+                          (u.scaled(0), [Fr(0)] * alg.dim), (u * v, _ref_product(alg, u, v))]:
+            _assert_same_entries(got.coords, [Fr(c) for c in want])
+            assert got.den == math.lcm(*(Fr(c).denominator for c in want))
+            assert all(type(c) is int for c in got.nums) and math.gcd(got.den, *got.nums) == 1
+
+
+def test_equal_values_have_one_stored_form(algebra):
+    alg = algebra("gamma:3")
+    e = alg.identity()
+    half = Element(alg, [Fr(2, 4), 0, 0, 0])
+    assert (half.nums, half.den) == ((1, 0, 0, 0), 2)
+    # a product over den 12, a sum over den 6 and two scalings that all cancel to e/2
+    for x in [Element(alg, [Fr(1, 3), 0, 0, 0]) * Element(alg, [Fr(3, 2), 0, 0, 0]),
+              Element(alg, [Fr(1, 6), 0, 0, 0]) + Element(alg, [Fr(1, 3), 0, 0, 0]),
+              e.scaled(Fr(1, 2)), (e + e).scaled(Fr(1, 4))]:
+        assert x == half and (x.nums, x.den) == (half.nums, half.den)
+    assert half != e and (e - e) == alg.zero() and ((e - e).nums, (e - e).den) == ((0,) * 4, 1)
 
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
@@ -542,10 +584,10 @@ def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
 def test_dual_triple_tensor_matches_definition(algebra, spec, kind):
     alg = algebra(spec)
     u = _exact_element(alg, np.random.default_rng(len(spec)), kind)
-    t = alg.dual_triple_tensor(u)
+    t = as_fractions(alg.dual_triple_tensor(u))
     n, g = alg.dim, alg.gram
     for a in range(n):
-        s = alg.smul_matrix(alg.basis_element(a), u)
+        s = as_fractions(alg.smul_matrix(alg.basis_element(a), u))
         want = [[s[c, b] * g[c] * (1 / g[a]) * (1 / g[b]) for c in range(n)] for b in range(n)]
         _assert_same_entries(t[a], want)
 
@@ -558,24 +600,24 @@ def test_int64_guard_and_object_fallback(algebra, spec):
     n, limit = alg.dim, alg._int64_limit
     rng = np.random.default_rng(5)
     signs = [int(s) for s in rng.choice([-1, 1], n)]
-    v = alg.element(signs[::-1])
+    v = Element(alg, signs[::-1])
     c = limit // 7
-    u0 = alg.element([7 * s for s in signs])
+    u0 = Element(alg, [7 * s for s in signs])
     s0 = _ref_smul(alg, u0, v)
     for big in (limit, limit + 1):
-        u = alg.element([big * s for s in signs])
-        _assert_same_entries(alg.smul_matrix(u, v), _ref_smul(alg, u, v))
+        u = Element(alg, [big * s for s in signs])
+        _assert_same_entries(as_fractions(alg.smul_matrix(u, v)), _ref_smul(alg, u, v))
         _assert_same_entries(alg.product(u, v).coords, _ref_product(alg, u, v))
-        _assert_same_entries(alg.lmul_matrix(u), _ref_lmul(alg, u))
+        _assert_same_entries(as_fractions(alg.lmul_matrix(u)), _ref_lmul(alg, u))
     # S_{cu,v} = c S_{u,v} for c on both sides of the guard and far past it,
     # so a guard looser than the true int64 range would show here
     for scale in [c, c + 1, -c, Fr(c + 1, 3)] + [3**j for j in range(0, 48, 4)]:
         u = Element(alg, [scale * x for x in u0.coords])
-        _assert_same_entries(alg.smul_matrix(u, v), scale * s0)
-    big_u = alg.element([(limit + 1) * s for s in signs])
-    t = alg.dual_triple_tensor(big_u)
+        _assert_same_entries(as_fractions(alg.smul_matrix(u, v)), scale * s0)
+    big_u = Element(alg, [(limit + 1) * s for s in signs])
+    t = as_fractions(alg.dual_triple_tensor(big_u))
     for a in (0, n - 1):
-        s = alg.smul_matrix(alg.basis_element(a), big_u)
+        s = as_fractions(alg.smul_matrix(alg.basis_element(a), big_u))
         assert all(t[a, b, g] == s[g, b] * alg.gram[g] / (alg.gram[a] * alg.gram[b])
                    for b in range(n) for g in range(n))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jkepler import conformal, modp
-from jkepler.algebra import MismatchError
+from jkepler.algebra import Element, MismatchError
 from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
                                co_bracket, dim_co, dim_str, random_co_element, root_data)
 
@@ -26,6 +26,12 @@ DIMS = {
     "h:3:H": (36, 66),
     "h:3:O": (79, 133),
 }
+
+
+def as_fractions(m):
+    """A kernel's (nums, den) as the object array of Fractions nums / den."""
+    nums, den = m
+    return np.array([Fr(v, den) for v in nums.flat], dtype=object).reshape(nums.shape)
 
 
 @pytest.mark.parametrize("spec,expected", sorted(DIMS.items()))
@@ -104,7 +110,7 @@ def test_theta_eigenspaces(algebra):
     rng = np.random.default_rng(4)
     u, v, w = (alg.random_element(rng) for _ in range(3))
     # fixed space u: [L_u, L_v] and X_w + Y_w
-    lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
+    lu, lv = as_fractions(alg.lmul_matrix(u)), as_fractions(alg.lmul_matrix(v))
     ku = CoElement(alg.zero(), StrElement(alg, lu @ lv - lv @ lu), alg.zero())
     assert cartan_involution(ku) == ku
     kw = CoElement.x(w) + CoElement.y(w)
@@ -180,11 +186,31 @@ def test_str_membership_certification(algebra):
     StrElement(alg, alg.smul_matrix(u, v))
 
 
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_str_element_stored_form(algebra, spec):
+    # nums / den is reduced, equal values compare equal whatever denominator
+    # they were built over, and matrix gives back exactly the Fractions
+    alg = algebra(spec)
+    rng = np.random.default_rng(10)
+    u, v, w = (alg.random_element(rng, denominator=int(rng.integers(2, 7))) for _ in range(3))
+    s1, s2 = CoElement.s(u, v).str_part, StrElement(alg, as_fractions(alg.smul_matrix(v, w)))
+    r1, r2 = as_fractions(alg.smul_matrix(u, v)), as_fractions(alg.smul_matrix(v, w))
+    for got, want in [(s1, r1), (s2, r2), (s1 + s2, r1 + r2), (s1 - s2, r1 - r2),
+                      (s1.scaled(Fr(5, 6)), Fr(5, 6) * r1), (-s2, -r2)]:
+        _assert_same(got.matrix, want)
+        assert got.den == math.lcm(*(c.denominator for c in want.flat))
+        assert math.gcd(got.den, *got.nums) == 1
+    nums, den = alg.smul_matrix(u, v)
+    doubled = StrElement(alg, (2 * nums, 2 * den))
+    assert doubled == s1 and (doubled.nums, doubled.den) == (s1.nums, s1.den)
+    assert s1 - s1 == StrElement.zero(alg) and (s1 - s1).den == 1
+
+
 @pytest.mark.parametrize("kind", ["float", "complex", "float-entry"])
 def test_str_element_rejects_inexact_entries(algebra, kind):
     alg = algebra("h:3:R")
     rng = np.random.default_rng(6)
-    m = alg.smul_matrix(alg.random_element(rng), alg.random_element(rng))
+    m = as_fractions(alg.smul_matrix(alg.random_element(rng), alg.random_element(rng)))
     if kind == "float":
         bad = m.astype(float)
     elif kind == "complex":
@@ -230,14 +256,14 @@ def _reference_span(alg):
     key = str(alg.spec)
     if key not in _REFERENCE_SPANS:
         basis = [alg.basis_element(a) for a in range(alg.dim)]
-        _REFERENCE_SPANS[key] = _FractionSpan(alg.smul_matrix(u, v).reshape(-1)
+        _REFERENCE_SPANS[key] = _FractionSpan(as_fractions(alg.smul_matrix(u, v)).reshape(-1)
                                               for u in basis for v in basis)
     return _REFERENCE_SPANS[key]
 
 
 def _is_member(alg, m) -> bool:
     try:
-        conformal._certify(alg, np.asarray(m, dtype=object))
+        StrElement(alg, m)
     except ConsistencyError:
         return False
     return True
@@ -256,8 +282,8 @@ def test_str_span_matches_fraction_reduction(algebra, spec):
     rng = np.random.default_rng(sum(map(ord, spec)))
     members = []
     for _ in range(3):
-        m = sum(alg.smul_matrix(alg.random_element(rng, denominator=int(rng.integers(1, 7))),
-                                alg.random_element(rng)) for _ in range(4))
+        m = sum(as_fractions(alg.smul_matrix(alg.random_element(rng, denominator=int(rng.integers(1, 7))),
+                                             alg.random_element(rng))) for _ in range(4))
         members.append(m)
     projector = np.full((n, n), Fr(0), dtype=object)
     projector[0, 0] = Fr(1)
@@ -317,8 +343,8 @@ def _ref_bracket(alg, a, b):
 
     x = apply(m1, b.x_part) - apply(m2, a.x_part)
     y = apply(_ref_adjoint(alg, m2), a.y_part) - apply(_ref_adjoint(alg, m1), b.y_part)
-    m = m1 @ m2 - m2 @ m1 - 2 * alg.smul_matrix(a.x_part, b.y_part) \
-        + 2 * alg.smul_matrix(b.x_part, a.y_part)
+    m = m1 @ m2 - m2 @ m1 - 2 * as_fractions(alg.smul_matrix(a.x_part, b.y_part)) \
+        + 2 * as_fractions(alg.smul_matrix(b.x_part, a.y_part))
     return x, m, y
 
 
@@ -328,7 +354,7 @@ _LARGE_PRIMES = [p for p in range(10**6, 10**6 + 10**3)
 
 def _large_prime_element(alg, rng):
     primes = rng.choice(_LARGE_PRIMES, alg.dim, replace=False)
-    return alg.element([Fr(int(rng.integers(-9, 10)), int(p)) for p in primes])
+    return Element(alg, [Fr(int(rng.integers(-9, 10)), int(p)) for p in primes])
 
 
 def _assert_same(got, want):
@@ -361,7 +387,7 @@ def test_co_bracket_matches_fraction_reference(algebra, spec, kind):
         _assert_same(got.x_part.coords, x)
         _assert_same(got.str_part.matrix, m)
         _assert_same(got.y_part.coords, y)
-        _assert_same(a.str_part.adjoint_matrix(), _ref_adjoint(alg, a.str_part.matrix))
+        _assert_same(as_fractions(a.str_part.adjoint_matrix()), _ref_adjoint(alg, a.str_part.matrix))
 
 
 def test_conformal_uses_no_float_linear_algebra():

@@ -160,8 +160,8 @@ def test_equivariance(algebra):
     rng = np.random.default_rng(6)
     u, v, z = (alg.random_element(rng, span=3) for _ in range(3))
     luv = classical_angular(alg, u, v)
-    lu, lv = alg.lmul_matrix(u), alg.lmul_matrix(v)
-    mz = alg.apply_matrix(lv @ lu - lu @ lv, z)
+    (lu, du), (lv, dv) = alg.lmul_matrix(u), alg.lmul_matrix(v)
+    mz = alg.apply_matrix((lv @ lu - lu @ lv, du * dv), z)
     lhs = poisson(PhaseRational(alg, luv, 0), classical_lenz(alg, z))
     assert (lhs - classical_lenz(alg, mz)).is_zero()
 
@@ -169,5 +169,5 @@ def test_equivariance(algebra):
 def test_angular_is_momentum_observable_of_commutator(g2):
     rng = np.random.default_rng(7)
     u, v = g2.random_element(rng), g2.random_element(rng)
-    lu, lv = g2.lmul_matrix(u), g2.lmul_matrix(v)
-    assert classical_angular(g2, u, v) == momentum_observable(g2, lv @ lu - lu @ lv)
+    (lu, du), (lv, dv) = g2.lmul_matrix(u), g2.lmul_matrix(v)
+    assert classical_angular(g2, u, v) == momentum_observable(g2, (lv @ lu - lu @ lv, du * dv))

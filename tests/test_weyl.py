@@ -16,6 +16,14 @@ from jkepler.weyl import (WallachParam, WeylOp, acute_ops, acute_s, acute_x,
                           tkk_op_residual, verify_tkk_ops, x_tilde, y_tilde)
 
 
+def summed(cls, nvars, pairs):
+    """cls(nvars, terms) with the coefficients of repeated exponents added."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out[k] + c if k in out else c
+    return cls(nvars, out)
+
+
 @pytest.fixture(scope="module")
 def g3():
     return make_algebra("gamma:3")
@@ -128,7 +136,7 @@ def _ref_gaussian_conjugate(alg, op, outer_sign):
                 if bi - si:
                     coef = coef * math.comb(bi, si) * (-outer_sign * sh[a]) ** (bi - si)
             pairs.append((A + s, coef))
-    return WeylOp.from_pairs(op.nvars, pairs)
+    return summed(WeylOp, op.nvars, pairs)
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])

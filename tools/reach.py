@@ -6,12 +6,15 @@ Runs a fixed list of `jk` command lines through `jkepler.cli.main` in this
 process under sys.setprofile, then prints each `def` of src/jkepler (module
 functions, methods and nested functions) whose code never ran, one per line
 as `file:line qualified.name`.  Output of the commands themselves is
-discarded.  The list runs every suite; it took 90 s on a 2-core VM.
+discarded.  The list runs every suite, and one `verify --config F --format
+json` with a temporary config file; it took 90 s on a 2-core VM.
 """
 import ast
 import contextlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "jkepler"
@@ -40,15 +43,20 @@ def defs(node, prefix=""):
 
 def main() -> None:
     entered = set()
-    sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(
-        (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
-    try:
-        for argv in ARGVS:
-            sink = io.TextIOWrapper(io.BytesIO())
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                cli.main(argv)
-    finally:
-        sys.setprofile(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"trials": 2, "nu": "1"}))
+        argvs = ARGVS + [["verify", "--suite", "jordan", "--algebra", "gamma:3",
+                          "--config", str(config), "--format", "json"]]
+        sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(
+            (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+        try:
+            for argv in argvs:
+                sink = io.TextIOWrapper(io.BytesIO())
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    cli.main(argv)
+        finally:
+            sys.setprofile(None)
     for path in sorted(PKG.glob("*.py")):
         for line, name in defs(ast.parse(path.read_text())):
             if (str(path), line) not in entered:
