@@ -11,9 +11,8 @@ from .phase import (PhaseRational, poisson, poisson_poly,
                     verify_poisson_tkk, classical_hamiltonian, classical_angular,
                     classical_lenz)
 from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
-                   acute_ops, gaussian_conjugate, verify_tkk_ops, he_grading_check,
-                   lowest_weight_check, restriction_degeneracy,
-                   bound_spectrum)
+                   gaussian_conjugate, verify_tkk_ops, he_grading_check,
+                   lowest_weight_check, restriction_degeneracy, bound_spectrum)
 from .cone import (ConePoint, PolarChart, cone_dim, sample_cone_point, radial_cone_point,
                    canonical_metric, kepler_metric_crosscheck, lambda_route_a,
                    lambda_route_b, r_laplace_apply, polar_chart, radial_density,

@@ -80,11 +80,6 @@ class Report:
         return {"suite": self.suite, "algebra": self.algebra, "params": self.params,
                 "checks": self.checks, "wall_time_ms": self.wall_time_ms}
 
-    @classmethod
-    def from_json(cls, data: bytes) -> "Report":
-        d = json.loads(data.decode("utf-8"))
-        return cls(d["suite"], d["algebra"], d["params"], d["checks"], d["wall_time_ms"])
-
 
 def parse_nu(text: str, alg: Algebra):
     """nu from a string: a rational like '7/3' or '1.5', or 'd:k' for k delta/2."""
@@ -147,7 +142,17 @@ def _jordan_checks(alg: Algebra, cfg: SuiteConfig) -> list:
                 ok &= (ei * fr[j]).is_zero()
             tot = tot + ei
         ok &= (tot - e).is_zero()
-        peirce = alg.dim == alg.rho + alg.rho * (alg.rho - 1) * alg.delta // 2
+        # Peirce dimensions of the frame: dim V_ij = tr(4 L_i L_j) for i < j and
+        # dim V_ii = tr(2 L_i^2 - L_i), with tr(AB) the sum of A * B^T
+        lm = [alg.lmul_matrix(c) for c in fr]
+
+        def tr(i, j):
+            (a, ad), (b, bd) = lm[i], lm[j]
+            return Fraction(int((a * b.T).sum()), ad * bd)
+
+        off = [4 * tr(i, j) for i in range(len(fr)) for j in range(i + 1, len(fr))]
+        diag = [2 * tr(i, i) - Fraction(int(a.diagonal().sum()), ad) for i, (a, ad) in enumerate(lm)]
+        peirce = all(d == alg.delta for d in off) and sum(off) + sum(diag) == alg.dim
         return [_check("jordan:frame", bool(ok)),
                 _check("jordan:peirce-count", peirce,
                        witness={"n": alg.dim, "rho": alg.rho, "delta": alg.delta})]
@@ -328,13 +333,10 @@ def _measure_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         above = top + Fraction(1, 2)
         ok = cone_mod.integral_finite(alg, above)
         # at the threshold the exponent hits -1 exactly
-        ok &= abs(cone_mod.radial_exponent_continuous(alg, top) - (-1.0)) < 1e-12
+        ok &= cone_mod.radial_exponent_continuous(alg, top) == -1
         # discrete values are always integrable
         for k in range(1, alg.rho):
             ok &= cone_mod.integral_finite(alg, Fraction(k) * alg.delta / 2)
-        g1 = cone_mod.truncated_radial_integral(alg, above, 1e-6)
-        g2 = cone_mod.truncated_radial_integral(alg, above, 1e-9)
-        ok &= abs(g1 - g2) / max(1.0, g1) < 1e-2
         return [_check("measure:integrability", bool(ok),
                        witness={"threshold": str(top)})]
 

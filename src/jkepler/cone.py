@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -278,11 +279,12 @@ def lambda_route_b(p: ConePoint, u) -> float:
     return (lhat + alg.delta * p.k * trace(alg, u)) / 4.0
 
 
-def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-5) -> dict:
+def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0) -> dict:
     """Finite-difference symmetry Lhat_u(lambda_v) = Lhat_v(lambda_u).
 
     The flows x(t) = expm(-t L_u) x stay on the cone (structure group), so
-    central differences with one Richardson step are well defined.
+    central differences at steps 1e-5 and 5e-6 with one Richardson step are
+    well defined.
     """
     from scipy.linalg import expm
 
@@ -303,8 +305,8 @@ def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0, step: float = 1e-
             xm = expm(h * lgen) @ p.x
             return (lam_at(xp, w_eval) - lam_at(xm, w_eval)) / (2 * h)
 
-        d1 = central(step)
-        d2 = central(step / 2)
+        d1 = central(1e-5)
+        d2 = central(1e-5 / 2)
         return (4 * d2 - d1) / 3
 
     luv = flow_derivative(u, v)
@@ -439,41 +441,32 @@ def measure_crosscheck(alg: Algebra, k: int, samples: int = 10, seed: int = 0) -
             "witness": None if status == "pass" else {"ratios": ratios.tolist()}}
 
 
-def radial_exponent(alg: Algebra, nu) -> float:
+def radial_exponent(alg: Algebra, nu) -> Fraction:
     """Small-eigenvalue exponent s of the radial measure density of d mu_nu;
     the integral of e^{-2a} a^s is finite iff s > -1."""
     param = WallachParam.make(alg, nu)
-    k = param.rho_of_nu
-    s = (alg.delta / 2.0) * (alg.rho - k + 1) - 1.0
+    s = Fraction(alg.delta, 2) * (alg.rho - param.rho_of_nu + 1) - 1
     if param.kind == "continuous":
-        s += float(param.value) - alg.rho * alg.delta / 2.0
+        s += param.value - Fraction(alg.rho * alg.delta, 2)
     return s
 
 
 def integral_finite(alg: Algebra, nu) -> bool:
-    return radial_exponent(alg, nu) > -1.0
+    return radial_exponent(alg, nu) > -1
 
 
-def radial_exponent_continuous(alg: Algebra, nu) -> float:
+def radial_exponent_continuous(alg: Algebra, nu) -> Fraction:
     """Small-eigenvalue exponent of e^{-2r} det(x)^{nu - rho delta/2} times the
     full-cone measure, defined for every real nu (no Wallach membership
-    needed): the integral over Omega is finite iff this exceeds -1, i.e. iff
-    nu > (rho-1) delta/2."""
-    return float(nu) - (alg.rho - 1) * alg.delta / 2.0 - 1.0
-
-
-def _truncated_power_integral(s: float, eps: float) -> float:
-    if abs(s + 1.0) < 1e-12:
-        return -math.log(eps)
-    return (1.0 - eps ** (s + 1.0)) / (s + 1.0)
-
-
-def truncated_radial_integral(alg: Algebra, nu, eps: float) -> float:
-    """Closed form of int_eps^1 a^s da for the radial exponent s; diverges as
-    eps -> 0 exactly when the nu-measure is not integrable."""
-    return _truncated_power_integral(radial_exponent(alg, nu), eps)
+    needed; a float nu is read as its exact binary value): the integral over
+    Omega is finite iff this exceeds -1, i.e. iff nu > (rho-1) delta/2."""
+    return Fraction(nu) - Fraction((alg.rho - 1) * alg.delta, 2) - 1
 
 
 def truncated_integral_continuous(alg: Algebra, nu, eps: float) -> float:
-    """Truncated radial integral for the full-cone family at any real nu."""
-    return _truncated_power_integral(radial_exponent_continuous(alg, nu), eps)
+    """Closed form of int_eps^1 a^s da for the full-cone exponent s at any
+    real nu; diverges as eps -> 0 exactly when s <= -1."""
+    s = radial_exponent_continuous(alg, nu)
+    if s == -1:
+        return -math.log(eps)
+    return (1.0 - eps ** float(s + 1)) / float(s + 1)

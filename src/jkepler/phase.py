@@ -8,8 +8,7 @@ the tangent vector pi through the inner product, so every inner-product
 contraction below carries the Gram matrix explicitly (trivial for spin
 factors, diagonal rational otherwise).  The bracket of two polynomials is
 one loop over pairs of stored terms, integer numerators under packed
-exponent keys (a CQ coefficient rides it with denominator 1), with no
-partial derivatives built.  A quotient N / r^m is kept as given, with no
+exponent keys, with no partial derivatives built.  A quotient N / r^m is kept as given, with no
 normal form: every check only asks whether an observable vanishes, and
 N / r^m does iff N does.
 

@@ -11,9 +11,10 @@ maps the `pack`ed exponent key of each term to its nonzero numerator.  Every
 result divides out gcd(den, *nums), so an int/Fraction polynomial has one
 stored form.  Products and brackets (here, in weyl and in phase) loop over
 keys and numerators directly: a monomial product is one int addition of keys.
-Sums bring both operands to the lcm of their denominators.  A CQ coefficient
-rides the same loops as its own numerator over denominator 1.  `terms` is the
-read-only view {exponent tuple: Fraction (or CQ)}.
+Sums bring both operands to the lcm of their denominators.  Coefficients are
+rational: the paper's complex generators are units times rational operators
+(weyl), so no complex coefficient is needed.  `terms` is the read-only view
+{exponent tuple: Fraction}.
 """
 from __future__ import annotations
 
@@ -23,30 +24,24 @@ import sys
 from array import array
 from fractions import Fraction
 
-from .scalars import CQ
-
-_SCALARS = (numbers.Number, CQ)  # scaled() refuses an inexact one
-
 
 class MismatchError(ValueError):
     """Operands from different algebras, an inexact scalar on an exact
     operand, or polynomials in different numbers of variables."""
 
 
-def exact_parts(c, cq: bool = False) -> tuple:
-    """(numerator, denominator) of an int or Fraction as Python ints, or with
-    cq of a CQ (its own numerator over 1); MismatchError for anything else."""
-    if cq and isinstance(c, CQ):
-        return c, 1
+def exact_parts(c) -> tuple:
+    """(numerator, denominator) of an int or Fraction as Python ints;
+    MismatchError for anything else."""
     if not isinstance(c, numbers.Rational):
         raise MismatchError(f"{c!r} is not an int or a Fraction")
     return int(c.numerator), int(c.denominator)
 
 
-def numerators(values, cq: bool = False) -> tuple:
+def numerators(values) -> tuple:
     """Exact values -> (nums, den): their numerators (exact_parts) over the
-    lcm of their denominators; for ints and Fractions gcd(den, *nums) is 1."""
-    parts = [exact_parts(c, cq) for c in values]
+    lcm of their denominators, with gcd(den, *nums) == 1."""
+    parts = [exact_parts(c) for c in values]
     den = math.lcm(*(d for _, d in parts))
     return [v * (den // d) for v, d in parts], den
 
@@ -97,23 +92,19 @@ class Poly:
     __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        """{exponent tuple: int, Fraction or CQ coefficient}; zeros dropped,
+        """{exponent tuple: int or Fraction coefficient}; zeros dropped,
         MismatchError for any other coefficient."""
         terms = terms or {}
-        nums, self.den = numerators(terms.values(), cq=True)
+        nums, self.den = numerators(terms.values())
         self.nvars = nvars
         self.nums = {pack(k): v for k, v in zip(terms, nums) if v}
 
     @classmethod
     def _make(cls, nvars: int, nums: dict, den: int):
-        """nums / den with zeros dropped and gcd(den, *nums) divided out (a CQ
-        numerator has no gcd; that Poly keeps den)."""
+        """nums / den with zeros dropped and gcd(den, *nums) divided out."""
         out = cls.__new__(cls)
         out.nvars, out.nums = nvars, {k: v for k, v in nums.items() if v}
-        try:
-            g = math.gcd(den, *out.nums.values())
-        except TypeError:
-            g = 1
+        g = math.gcd(den, *out.nums.values())
         out.den = den // g
         if g != 1:
             out.nums = {k: v // g for k, v in out.nums.items()}
@@ -129,9 +120,8 @@ class Poly:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: Fraction (a CQ for a CQ numerator)}, in stored order."""
-        return {unpack(k, self.nvars): Fraction(v, self.den) if type(v) is int else v / self.den
-                for k, v in self.nums.items()}
+        """{exponent tuple: Fraction}, in stored order."""
+        return {unpack(k, self.nvars): Fraction(v, self.den) for k, v in self.nums.items()}
 
     def _sum(self, other, sign: int):
         if not isinstance(other, Poly):
@@ -155,14 +145,12 @@ class Poly:
         return self._make(self.nvars, {k: -v for k, v in self.nums.items()}, self.den)
 
     def scaled(self, c):
-        num, den = exact_parts(c, cq=True)
+        num, den = exact_parts(c)
         return self._make(self.nvars, {k: num * v for k, v in self.nums.items()}, self.den * den)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scaled(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            return self.scaled(other)
         same_nvars(self, other)
         return self._product(other)
 
@@ -195,7 +183,7 @@ class Poly:
         exact = bool(vals) and isinstance(vals[0], (int, Fraction))
         acc = Fraction(0) if exact else 0.0
         for k, v in self.nums.items():
-            t = Fraction(v, self.den) if exact and type(v) is int else v / self.den
+            t = Fraction(v, self.den) if exact else v / self.den
             for x in vals:
                 if k & 0xFFFF:
                     t = t * x ** (k & 0xFFFF)
@@ -215,9 +203,8 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return (self.nvars == other.nvars and self.nums.keys() == other.nums.keys()
-                    and all(v * other.den == other.nums[k] * self.den
-                            for k, v in self.nums.items()))
+            return (self.nvars == other.nvars and self.den == other.den
+                    and self.nums == other.nums)
         return NotImplemented
 
     def __repr__(self):

@@ -10,8 +10,7 @@ so equality of operators is coefficient equality of normal forms and every
 commutation relation becomes a decidable exact check.  A WeylOp is stored
 as a Poly is, integer numerators over one denominator under packed exponent
 keys; composition, application to states and Gaussian conjugation read and
-write that form directly (a CQ coefficient rides the same loops with
-denominator 1).
+write that form directly.
 
 The nu-parametrized realization quantizes the phase-space moments (p -> D):
 
@@ -20,8 +19,9 @@ The nu-parametrized realization quantizes the phase-space moments (p -> D):
     Y_v(nu) = -i Y~_v,     Y~_v = <x|v>.
 
 Every check runs on the rational S, X~ and Y~ (each complex residual is a
-unit times the rational one), with the relation table of the Poisson
-realization (phase.relation_residual) and the commutator as bracket.
+unit times the rational one, so no operator carries a complex coefficient),
+with the relation table of the Poisson realization (phase.relation_residual)
+and the commutator as bracket.
 It acts on states psi = e^{-r} p with p polynomial; operators act on p
 through conjugation by e^{r}, which is the constant shift d_a -> d_a - (Ge)_a.
 
@@ -45,7 +45,6 @@ from .algebra import DomainError, Algebra, Element
 from .modp import _PRIME, Echelon
 from .phase import check_relations, moment_s, moment_x, moment_y, r_poly, relation_residual
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
-from .scalars import CQ
 
 
 _ff = math.perm  # _ff(c, s) is the falling factorial c (c-1) ... (c-s+1)
@@ -203,19 +202,14 @@ def y_tilde(alg: Algebra, v: Element) -> WeylOp:
     return _quantized(moment_y(alg, v))
 
 
-def acute_x(alg: Algebra, nu, u: Element) -> WeylOp:
-    """X_u(nu) = i <x|{D u D}> + i nu tr(u D)."""
-    return x_tilde(alg, nu, u).scaled(CQ(0, 1))
+def acute_x(alg: Algebra, nu, u: Element) -> tuple:
+    """X_u(nu) = i X~_u(nu) as its (real, imaginary) pair of rational operators."""
+    return WeylOp(2 * alg.dim), x_tilde(alg, nu, u)
 
 
-def acute_y(alg: Algebra, nu, v: Element) -> WeylOp:
-    """Y_v(nu) = -i <x|v> (multiplication operator; nu-independent)."""
-    return y_tilde(alg, v).scaled(CQ(0, -1))
-
-
-def acute_ops(alg: Algebra, nu, u: Element, v: Element):
-    """(S_uv(nu), X_u(nu), Y_v(nu)) as normal-form operators; nu rational."""
-    return acute_s(alg, nu, u, v), acute_x(alg, nu, u), acute_y(alg, nu, v)
+def acute_y(alg: Algebra, nu, v: Element) -> tuple:
+    """Y_v(nu) = -i Y~_v as its (real, imaginary) pair (nu-independent)."""
+    return WeylOp(2 * alg.dim), -y_tilde(alg, v)
 
 
 def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> WeylOp:
@@ -305,15 +299,16 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
             "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
 
 
-def lowest_weight_check(alg: Algebra, nu, seed: int = 0, trials: int = 8) -> dict:
-    """psi_0 = e^{-r} is annihilated by the realized compact generators and by
+def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
+    """psi_0 = e^{-r} is annihilated by the realized compact generators (8
+    random derivations and a basis of compact translations) and by
     E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu."""
     n = alg.dim
     vac = Poly.constant(n, Fraction(1))
     rng = np.random.default_rng(seed)
     failures = []
     # derivation sector [L_u, L_v] = (S_uv - S_vu)/2
-    for _ in range(trials):
+    for _ in range(8):
         u = alg.random_element(rng, span=4)
         v = alg.random_element(rng, span=4)
         op = (acute_s(alg, nu, u, v) - acute_s(alg, nu, v, u)).scaled(Fraction(1, 2))

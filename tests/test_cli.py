@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from jkepler import cli, phase
-from jkepler.algebra import DomainError, make_algebra
+from jkepler.algebra import Algebra, DomainError, make_algebra
 from jkepler.cli import (Report, SuiteConfig, emit, info_table, main, parse_nu, run,
                          spectrum_table)
 
@@ -96,7 +96,7 @@ def test_emit_json_schema_and_roundtrip():
         assert set(c) == {"name", "status", "metric", "witness"}
         assert c["status"] in ("pass", "fail")
         assert c["metric"] == "exact" or isinstance(c["metric"], float)
-    back = Report.from_json(payload)
+    back = Report(**json.loads(payload))
     assert emit(back, "json") == payload
 
 
@@ -359,6 +359,20 @@ def test_dims_check_uses_the_classification(monkeypatch):
     check = _tkk_check("tkk:dims")
     assert check["status"] == "fail"
     assert check["witness"] == {"dim_str": 8, "dim_co": 16, "expected": 15}
+
+
+def test_peirce_count_reads_the_jordan_frame(monkeypatch):
+    # with c_1 in both slots of the gamma:3 frame, tr(4 L_c1 L_c1) = 6, not delta = 2
+    def peirce():
+        rep = run(SuiteConfig(algebra="gamma:3", suite="jordan", trials=1))
+        return next(c for c in rep.checks if c["name"] == "jordan:peirce-count")
+
+    assert peirce()["status"] == "pass"
+    true_frame = Algebra.jordan_frame
+    monkeypatch.setattr(Algebra, "jordan_frame", lambda alg: true_frame(alg)[:1] * 2)
+    check = peirce()
+    assert check["status"] == "fail"
+    assert check["witness"] == {"n": 4, "rho": 2, "delta": 2}
 
 
 def test_integrability_check_uses_the_threshold_exponent(tmp_path, monkeypatch):

@@ -18,8 +18,7 @@ N = 3
 exact_settings = settings(derandomize=True, deadline=None, max_examples=60)
 
 fractions = st.builds(Fr, st.integers(-6, 6), st.integers(1, 4))
-scalars = st.one_of(st.integers(-6, 6), fractions,
-                    st.builds(CQ, fractions, fractions))
+scalars = st.one_of(st.integers(-6, 6), fractions)
 exponents = st.tuples(*[st.integers(0, 2)] * N)
 
 
@@ -55,18 +54,11 @@ def test_compose_of_multiplication_operators_is_the_product(a, b):
     assert apply_op(op_a, Poly(N, b)) == Poly(N, a) * Poly(N, b)
 
 
-@exact_settings
-@given(polys(coeffs=fractions))
-def test_mixed_fraction_and_cq_sums_cancel(f):
-    as_cq = Poly(N, {k: CQ(c) for k, c in f.terms.items()})
-    assert (f - as_cq).is_zero()
-    assert (as_cq + (-f)).is_zero()
-    assert (f.scaled(CQ(0, 1)) + as_cq.scaled(CQ(0, -1))).is_zero()
-
-
-@pytest.mark.parametrize("bad", [0.5, 0.1, 1j, 0.0])
+@pytest.mark.parametrize("bad", [0.5, 0.1, 1j, 0.0, CQ(0, 1), CQ(Fr(1, 2))],
+                         ids=["0.5", "0.1", "1j", "0.0", "CQ(0,1)", "CQ(1/2)"])
 def test_inexact_coefficient_raises(bad):
-    # the CQ branch once let any type through and kept a float as a numerator
+    # coefficients are int or Fraction: a float once stayed as a numerator, and a
+    # complex CQ, even one with a zero imaginary part, is no longer a coefficient
     with pytest.raises(MismatchError):
         Poly(2, {(1, 0): bad})
     with pytest.raises(MismatchError):
@@ -163,11 +155,8 @@ prime_fractions = st.builds(Fr, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4,
 COEFFS = {
     "int": st.integers(-9, 9),
     "Fraction": prime_fractions,
-    "CQ": st.builds(CQ, prime_fractions, prime_fractions),
-    "mixed": st.one_of(st.integers(-9, 9), prime_fractions,
-                       st.builds(CQ, prime_fractions, prime_fractions)),
+    "mixed": st.one_of(st.integers(-9, 9), prime_fractions),
 }
-OUT_TYPE = {"Fraction": Fr, "CQ": CQ}  # pure inputs keep their scalar type
 
 
 # --- the stored form (numerators over one denominator) against a Fraction dict ---
@@ -266,11 +255,10 @@ def test_tau_and_c_float_values_are_bit_identical_to_fraction_sums(k):
                 assert f.value(vals).hex() == ref_float_value(f, vals).hex()
 
 
-def _check(kind, got, want):
+def _check(got, want):
     assert type(got) is type(want)
     assert got.terms == want.terms
-    if kind in OUT_TYPE:
-        assert all(type(c) is OUT_TYPE[kind] for c in got.terms.values())
+    assert all(type(c) is Fr for c in got.terms.values())
 
 
 def test_packed_exponents_are_exact_up_to_the_field_limit():
@@ -297,7 +285,7 @@ def _ops(kind, n=2):
 @given(data=st.data())
 def test_product_matches_fraction_loop(kind, data):
     f, g = (Poly(2 * N, data.draw(_ops(kind, N))) for _ in range(2))
-    _check(kind, f * g, ref_product(f, g))
+    _check(f * g, ref_product(f, g))
 
 
 @pytest.mark.parametrize("kind", list(COEFFS))
@@ -305,8 +293,8 @@ def test_product_matches_fraction_loop(kind, data):
 @given(data=st.data())
 def test_compose_matches_fraction_loop(kind, data):
     a, b = (WeylOp(4, data.draw(_ops(kind))) for _ in range(2))
-    _check(kind, compose(a, b), ref_compose(a, b))
-    _check(kind, b * a, ref_compose(b, a))
+    _check(compose(a, b), ref_compose(a, b))
+    _check(b * a, ref_compose(b, a))
 
 
 @pytest.mark.parametrize("kind", list(COEFFS))
@@ -316,7 +304,7 @@ def test_apply_op_matches_fraction_loop(kind, data):
     op = WeylOp(4, data.draw(_ops(kind)))
     state = Poly(2, data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
                                               COEFFS[kind], max_size=5)))
-    _check(kind, apply_op(op, state), ref_apply(op, state))
+    _check(apply_op(op, state), ref_apply(op, state))
 
 
 @pytest.mark.parametrize("kind", list(COEFFS))
@@ -324,4 +312,4 @@ def test_apply_op_matches_fraction_loop(kind, data):
 @given(data=st.data())
 def test_poisson_poly_matches_partial_loop(kind, data):
     f, g = (Poly(4, data.draw(_ops(kind))) for _ in range(2))
-    _check(kind, poisson_poly(f, g), ref_poisson(f, g))
+    _check(poisson_poly(f, g), ref_poisson(f, g))

@@ -1,10 +1,12 @@
 import ast
 import importlib.util
 import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import jkepler
 from jkepler.scalars import CQ, I, as_cq
 
 
@@ -52,11 +54,15 @@ def test_as_cq():
         as_cq(1.5)
 
 
-@pytest.mark.parametrize("module", ["jkepler.algebra", "jkepler.conformal"])
+# every module but scalars itself: the package runs on int and Fraction alone
+MODULES = ["jkepler"] + sorted(f"jkepler.{m.name}" for m in pkgutil.iter_modules(jkepler.__path__)
+                               if m.name != "scalars")
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_exact_layers_do_not_import_scalars(module):
-    # the Jordan kernel and the TKK layer run on Fraction alone
     mod = importlib.import_module(module)
-    imported = set()
+    imported, names = set(), set()
     for node in ast.walk(ast.parse(inspect.getsource(mod))):
         if isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
@@ -64,4 +70,9 @@ def test_exact_layers_do_not_import_scalars(module):
             base = importlib.util.resolve_name("." * node.level + (node.module or ""), "jkepler")
             imported.add(base)
             imported.update(f"{base}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     assert "jkepler.scalars" not in imported
+    assert "CQ" not in names
