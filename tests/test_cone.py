@@ -1,5 +1,8 @@
+import ctypes
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -262,11 +265,16 @@ def test_integrability_threshold(algebra):
     assert C.radial_exponent_continuous(alg, 1.0) == -1.0
     assert C.radial_exponent_continuous(alg, 0.5) < -1.0
     assert C.radial_exponent_continuous(alg, 1.25) > -1.0
-    g_fine = C.truncated_integral_continuous(alg, 1.5, 1e-9)
-    g_coarse = C.truncated_integral_continuous(alg, 1.5, 1e-6)
+
+    def truncated(nu, eps):  # int_eps^1 a^s da, s != -1
+        s = C.radial_exponent_continuous(alg, nu)
+        return (1.0 - eps ** float(s + 1)) / float(s + 1)
+
+    g_fine = truncated(1.5, 1e-9)
+    g_coarse = truncated(1.5, 1e-6)
     assert abs(g_fine - g_coarse) / g_fine < 2e-3
-    d1 = C.truncated_integral_continuous(alg, 0.5, 1e-6)
-    d2 = C.truncated_integral_continuous(alg, 0.5, 1e-9)
+    d1 = truncated(0.5, 1e-6)
+    d2 = truncated(0.5, 1e-9)
     assert d2 / d1 > 30  # eps^{-1/2} growth
 
 
@@ -354,3 +362,44 @@ def test_float_reports_match_the_benchmark_pins(monkeypatch):
     failed = [(op.key, out.reason) for op in ops for out in [workloads.execute(op, expected)]
               if not out.ok]
     assert failed == []
+
+
+# --- the BLAS thread policy -----------------------------------------------------------
+
+_GET_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads")
+
+
+def test_cone_layer_puts_every_bundled_openblas_on_one_thread(algebra):
+    C.automorphism_sample(algebra("gamma:3"), 0)
+    import scipy
+
+    libs = [path for m in (np, scipy)
+            for path in sorted((Path(m.__file__).resolve().parent.parent
+                                / f"{m.__name__}.libs").glob("*openblas*"))]
+    if not libs or not hasattr(os, "RTLD_NOLOAD"):
+        pytest.skip("no wheel-bundled OpenBLAS")
+    for path in libs:
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        getter = next(getattr(lib, n) for n in _GET_THREADS if hasattr(lib, n))
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        assert getter() == 1, path.name
+
+
+def test_blas_thread_policy_without_a_loaded_openblas(tmp_path):
+    # a directory without OpenBLAS, one that does not exist, and a file with
+    # an OpenBLAS name that this process never loaded: nothing to set
+    (tmp_path / "libscipy_openblas-0000.so").write_bytes(b"not a library")
+    assert C._one_blas_thread([tmp_path / "absent", tmp_path]) is None
+    assert C._one_blas_thread([]) is None
+
+
+def test_importing_jkepler_leaves_scipy_unloaded():
+    src = str(Path(C.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import jkepler, sys; assert 'scipy' not in sys.modules"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
