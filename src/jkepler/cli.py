@@ -35,7 +35,7 @@ from .phase import (classical_angular, classical_hamiltonian, classical_lenz, po
                     PhaseRational, verify_poisson_tkk)
 from .symfun import elementary_from_power
 from .weyl import (WallachParam, bound_spectrum, he_grading_check, lowest_weight_check,
-                   restriction_degeneracy, verify_tkk_ops)
+                   restriction_degeneracy, verify_tkk_ops, wallach_set)
 
 SUITES = ("jordan", "tkk", "poisson", "operators", "cone", "measure")
 
@@ -329,14 +329,14 @@ def _measure_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         return out
 
     def integrability():
-        top = Fraction(alg.rho - 1) * alg.delta / 2
+        discrete, top = wallach_set(alg)
         above = top + Fraction(1, 2)
         ok = cone_mod.integral_finite(alg, above)
         # at the threshold the exponent hits -1 exactly
         ok &= cone_mod.radial_exponent_continuous(alg, top) == -1
         # discrete values are always integrable
-        for k in range(1, alg.rho):
-            ok &= cone_mod.integral_finite(alg, Fraction(k) * alg.delta / 2)
+        for point in discrete:
+            ok &= cone_mod.integral_finite(alg, point)
         return [_check("measure:integrability", bool(ok),
                        witness={"threshold": str(top)})]
 
@@ -385,9 +385,8 @@ def emit(report: Report, fmt: str = "text") -> bytes:
             line += f"  witness: {json.dumps(c['witness'])}"
         lines.append(line)
     npass = sum(1 for c in report.checks if c["status"] == "pass")
-    nfail = sum(1 for c in report.checks if c["status"] == "fail")
-    nskip = len(report.checks) - npass - nfail
-    lines.append(f"  [{npass} pass, {nfail} fail, {nskip} skipped] in {report.wall_time_ms} ms")
+    nfail = len(report.checks) - npass
+    lines.append(f"  [{npass} pass, {nfail} fail] in {report.wall_time_ms} ms")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -409,11 +408,11 @@ def spectrum_table(alg: Algebra, nu, levels: int, degeneracies: bool, seed: int)
 
 
 def info_table(alg: Algebra) -> dict:
-    top = Fraction(alg.rho - 1) * alg.delta / 2
-    discrete = [str(Fraction(k) * alg.delta / 2) for k in range(1, alg.rho)]
+    discrete, top = wallach_set(alg)
     return {"algebra": str(alg.spec), "rho": alg.rho, "delta": alg.delta, "dim": alg.dim,
             "dim_str": dim_str(alg), "dim_co": dim_co(alg),
-            "wallach_discrete": discrete, "wallach_continuous_above": str(top)}
+            "wallach_discrete": [str(p) for p in discrete],
+            "wallach_continuous_above": str(top)}
 
 
 # --- argument handling ------------------------------------------------------------
@@ -427,15 +426,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--algebra", required=True,
                        help="gamma:k | h:k:R | h:k:C | h:k:H | h:3:O")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", default=None, help="write output to this file")
+
+    def seeded(p):  # info reads neither flag, so only verify and spectrum take them
+        common(p)
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (fallback: JK_SEED, then 0)")
         p.add_argument("--nu", default=None,
                        help="Wallach parameter: rational like 1/2, or d:k for k*delta/2")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write output to this file")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv)
+    seeded(pv)
     # None marks a flag that was not given; SuiteConfig holds the defaults
     pv.add_argument("--suite", choices=SUITES + ("all",))
     pv.add_argument("--trials", type=int)
@@ -444,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", default=None, help="JSON file mirroring flags (flags win)")
 
     ps = sub.add_parser("spectrum", help="bound-state spectrum table")
-    common(ps)
+    seeded(ps)
     ps.add_argument("--levels", type=int, default=4)
     ps.add_argument("--degeneracies", action="store_true")
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .algebra import DomainError, Algebra
 from .symfun import c_poly, elementary_from_power, tau_poly
-from .weyl import WallachParam
+from .weyl import WallachParam, wallach_set
 
 
 def cone_dim(alg: Algebra, k: int) -> int:
@@ -514,4 +514,4 @@ def radial_exponent_continuous(alg: Algebra, nu) -> Fraction:
     full-cone measure, defined for every real nu (no Wallach membership
     needed; a float nu is read as its exact binary value): the integral over
     Omega is finite iff this exceeds -1, i.e. iff nu > (rho-1) delta/2."""
-    return Fraction(nu) - Fraction((alg.rho - 1) * alg.delta, 2) - 1
+    return Fraction(nu) - wallach_set(alg)[1] - 1

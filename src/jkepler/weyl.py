@@ -230,6 +230,13 @@ def verify_tkk_ops(alg: Algebra, nu, trials: int = 30, seed: int = 0) -> list:
 
 # --- Wallach parameter -----------------------------------------------------------
 
+def wallach_set(alg: Algebra) -> tuple[list[Fraction], Fraction]:
+    """The nonzero Wallach set W(V): its discrete points k*delta/2 (1 <= k < rho)
+    and the threshold (rho-1)*delta/2 above which every nu belongs to it."""
+    half = Fraction(alg.delta, 2)
+    return [k * half for k in range(1, alg.rho)], (alg.rho - 1) * half
+
+
 @dataclass(frozen=True)
 class WallachParam:
     """Nonzero Wallach parameter nu with its kind and associated cone rank."""
@@ -250,12 +257,12 @@ class WallachParam:
             raise DomainError(
                 f"nu = {nu} is not in the nonzero Wallach set of {alg.spec}: need "
                 f"nu = k*delta/2 (1 <= k < rho) or nu > (rho-1)*delta/2")
-        top = Fraction(alg.rho - 1) * alg.delta / 2
+        discrete, top = wallach_set(alg)
         if nu_f > top:
             return cls(nu_f, "continuous", None, alg.rho)
-        ratio = 2 * nu_f / alg.delta
-        if ratio.denominator == 1 and 1 <= ratio <= alg.rho - 1:
-            return cls(nu_f, "discrete", int(ratio), int(ratio))
+        if nu_f in discrete:
+            k = discrete.index(nu_f) + 1
+            return cls(nu_f, "discrete", k, k)
         raise DomainError(
             f"nu = {nu} is not in the nonzero Wallach set of {alg.spec}: need "
             f"nu = k*delta/2 (1 <= k < rho) or nu > (rho-1)*delta/2 = {top}")

@@ -33,7 +33,7 @@ def test_operators_suite_with_nu():
 
 
 def test_operators_default_nu_is_in_the_wallach_set(capsys):
-    # 1 is not in W(gamma:5); the default delta/2 = 2 is, so nothing is skipped
+    # 1 is not in W(gamma:5); the default delta/2 = 2 is, so every check runs
     assert main(["verify", "--suite", "operators", "--algebra", "gamma:5", "--trials", "1",
                  "--format", "json"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -112,6 +112,8 @@ def test_empty_and_failing_reports_serialize():
     assert d["checks"][0]["witness"] == witness
     text = emit(failing, "text").decode()
     assert "witness" in text and "fail" in text
+    assert text.endswith("  [0 pass, 1 fail] in 0 ms\n")
+    assert emit(empty, "text").decode().endswith("  [0 pass, 0 fail] in 0 ms\n")
 
 
 def test_parse_nu_sugar():
@@ -264,6 +266,15 @@ def test_main_spaced_signed_nu_reaches_domain_check(capsys, command, nu, message
     assert main(command + ["--nu", nu]) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--nu", "banana"), ("--seed", "7")])
+def test_main_info_refuses_flags_it_does_not_read(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--algebra", "gamma:3", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_main_nu_without_value_is_usage_error(capsys):
