@@ -15,11 +15,13 @@ operand over its one denominator, int64 under the algebra's kernel guard
 and Python ints past it.
 
 The span certificate is built once per algebra from the integer generators
-4 S_{e_a e_b}.  Pivot rows and columns are chosen mod p = 2^31 - 1
-(`modp`); the pivot minor A is inverted as integers adj / den with
-A adj = den 1 checked exactly, which proves rank >= r; every generator g
-then satisfies den g = (g[cols] adj) B exactly for the pivot rows B, which
-proves rank <= r.  So dim str(V) is a certified exact rank, and membership
+4 S_{e_a e_b}, with zero rows and rows equal up to sign to an earlier one
+left out (138 of 729 rows remain on h:3:O).  Pivot rows and columns are
+chosen mod p = 2^31 - 1 (`modp`); the pivot minor A is inverted as integers
+adj / den with A adj = den 1 checked exactly, which proves rank >= r; every
+kept generator g, and so every generator, then satisfies
+den g = (g[cols] adj) B exactly for the pivot rows B, which proves
+rank <= r.  So dim str(V) is a certified exact rank, and membership
 of a matrix v is the same exact identity for v.
 
 co(V) is a real Lie algebra, so the sl2 root triples are kept in their
@@ -83,10 +85,13 @@ class _StrSpan:
         return np.array_equal(v * self.den, (v[:, self.cols] @ adj) @ basis)
 
 
-def _generator_blocks(alg: Algebra) -> list:
-    """The generators 4 S_{e_k e_a} as rows of n^2 entries, one block of n rows
-    (k = 0 .. n-1) per a.  They are small integers (at most 4 in every
-    family), computed exactly in float64 and kept as int8 when they fit."""
+def _generators(alg: Algebra) -> np.ndarray:
+    """The distinct generators of str(V): of the rows 4 S_{e_k e_a} (n^2
+    entries each, a-major), those that are nonzero and not equal up to sign to
+    an earlier row, in order.  Every generator is 0 or +- one of them, so they
+    span str(V) and a certificate on them covers every generator.  They are
+    small integers (at most 4 in every family), computed exactly in float64
+    and kept as int8 when they fit."""
     n = alg.dim
     c2, eye = alg._c2.astype(np.float64), np.eye(n)
     blocks = []
@@ -94,7 +99,13 @@ def _generator_blocks(alg: Algebra) -> list:
         g = _snum(c2, eye, eye[a]).reshape(n, -1)
         small = g.astype(np.int8)
         blocks.append(small if np.array_equal(small, g) else g.astype(np.int64))
-    return blocks
+    g = np.vstack(blocks)
+    sign = np.sign(g[np.arange(len(g)), (g != 0).argmax(axis=1)])
+    first = {}
+    for i, (s, row) in enumerate(zip(sign.tolist(), g * sign[:, None])):
+        if s:
+            first.setdefault(row.tobytes(), i)
+    return g[list(first.values())]
 
 
 def _str_span_exact(alg: Algebra) -> _StrSpan:
@@ -102,9 +113,10 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
     fails, so no rank is returned unproved."""
     key = "str_span_exact"
     if key not in alg._cache:
-        blocks = _generator_blocks(alg)
+        gens, n = _generators(alg), alg.dim
+        blocks = [gens[i:i + n] for i in range(0, len(gens), n)]
         rows, cols = modp.row_basis(blocks)
-        basis = np.vstack([blocks[i // alg.dim][i % alg.dim] for i in rows])
+        basis = gens[rows]
         pivot = basis[:, cols]
         try:
             adj, den = modp.lift(modp.inverse(pivot))
@@ -117,7 +129,7 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
             raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "
                                    "does not lift from mod p")
         span = _StrSpan(basis, cols, adj, den)
-        if not all(span.contains(g) for g in blocks):
+        if not all(span.contains(b) for b in blocks):
             raise ConsistencyError("str(V) span certificate failed: a generator S_uv is not "
                                    "in the span of the pivot rows")
         alg._cache[key] = span

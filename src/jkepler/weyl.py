@@ -20,10 +20,20 @@ The nu-parametrized realization quantizes the phase-space moments (p -> D):
 
 Every check runs on the rational S, X~ and Y~ (each complex residual is a
 unit times the rational one, so no operator carries a complex coefficient),
-with the relation table of the Poisson realization (phase.relation_residual)
-and the commutator as bracket.
-It acts on states psi = e^{-r} p with p polynomial; operators act on p
-through conjugation by e^{r}, which is the constant shift d_a -> d_a - (Ge)_a.
+with the relation table of the Poisson realization (phase.relation_residual).
+Each generator has x-degree <= 1: S is xD plus a constant, X~ (the Bessel
+operator of Hilgert-Kobayashi-Moellers, J. Math. Soc. Japan 66, 2014) is xDD
+plus D, and Y~ is x.  The relation checks therefore hold them as XLinearOp,
+a_0(D) + sum_g x_g a_g(D) in integer tensors over one denominator, built
+from the kernels smul_matrix and dual_triple_tensor and the Gram numerators,
+and bracket them in closed form: only a D of one factor meeting the x of the
+other survives a commutator, so the words that cancel are never built.
+compose and commutator remain the general WeylOp product, the reference the
+tests hold the x-linear bracket to.
+
+The realization acts on states psi = e^{-r} p with p polynomial; operators
+act on p through conjugation by e^{r}, which is the constant shift
+d_a -> d_a - (Ge)_a.
 
 As in the phase-space module, derivative slots are paired with the
 metric-dual basis, so the Gram matrix of the rational frame appears
@@ -212,12 +222,157 @@ def acute_y(alg: Algebra, nu, v: Element) -> tuple:
     return WeylOp(2 * alg.dim), -y_tilde(alg, v)
 
 
-def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> WeylOp:
+# --- x-linear operators as integer tensors ---------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+def _max_abs(t: np.ndarray) -> int:
+    return int(np.abs(t).max()) if t.size else 0
+
+
+def _ints(t: np.ndarray) -> np.ndarray:
+    """Integer numerators as int64 where every entry fits, else as Python ints."""
+    try:
+        return t.astype(np.int64)
+    except OverflowError:
+        return t.astype(object)
+
+
+def _fit(bound: int, tensors: dict) -> dict:
+    """The tensors as int64 when bound holds every entry and partial sum of
+    the kernel about to run on them, else as object arrays of Python ints."""
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return {d: t.astype(dtype, copy=False) for d, t in tensors.items()}
+
+
+class XLinearOp:
+    """An operator of x-degree <= 1, a_0(D) + sum_g x_g a_g(D), as integer
+    tensors over one positive denominator `den`.  parts[d] is the D-degree d
+    part, an array of shape (n+1, n, ..., n) with d axes of length n: entry
+    [s, i_1, ..., i_d] is the numerator of x_s D_i1 ... D_id, where slot s = 0
+    has no x and slot g+1 is x_g.  The D_i commute, so a polynomial in D is
+    the sum of its tensor's entries and has many tensors: the operator is zero
+    exactly when each part, symmetrized over its D axes, is zero."""
+
+    __slots__ = ("n", "parts", "den")
+
+    def __init__(self, n: int, parts: dict, den: int):
+        self.n, self.parts, self.den = n, parts, den
+
+    def _max(self) -> int:
+        """max(1, largest |numerator|), a factor of every kernel bound."""
+        return max([1] + [_max_abs(t) for t in self.parts.values()])
+
+    def _sum(self, other, sign: int):
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, sign * (den // other.den)
+        bound = self._max() * m1 + other._max() * abs(m2)
+        parts = {d: m1 * t for d, t in _fit(bound, self.parts).items()}
+        for d, t in _fit(bound, other.parts).items():
+            parts[d] = parts[d] + m2 * t if d in parts else m2 * t
+        return XLinearOp(self.n, parts, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rmul__(self, c: int):
+        if not isinstance(c, int):
+            return NotImplemented
+        return XLinearOp(self.n, {d: c * t for d, t in _fit(abs(c) * self._max(),
+                                                               self.parts).items()}, self.den)
+
+    def is_zero(self) -> bool:
+        for d, t in _fit(math.factorial(max(self.parts, default=0)) * self._max(),
+                         self.parts).items():
+            sym = sum(t.transpose((0,) + p) for p in itertools.permutations(range(1, d + 1)))
+            if np.count_nonzero(sym):
+                return False
+        return True
+
+    def weyl_op(self) -> WeylOp:
+        """The same operator as a WeylOp in normal form."""
+        n, out = self.n, {}
+        for t in self.parts.values():
+            for (s, *idx), c in zip(np.argwhere(t).tolist(), t[t != 0].tolist()):
+                key = (field(s - 1) if s else 0) + sum(field(n + i) for i in idx)
+                out[key] = out.get(key, 0) + c
+        return WeylOp._make(2 * n, out, self.den)
+
+
+def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
+    """The commutator [A, B], slot by slot [A, B]_s = sum_h (d_h a_s b_h -
+    d_h b_s a_h), d_h the derivative in D_h.  Of the words of AB and BA only
+    those where a D of one factor meets the x of the other differ, so no
+    cancelling word is built.  Each output entry and partial sum is at most
+    n X Y (sum_a d |b| + sum_b d |a|) for numerators at most X and Y, degrees
+    d and part counts |a|, |b|: the int64 guard."""
+    n = a.n
+    bound = n * a._max() * b._max() * (sum(a.parts) * len(b.parts) + sum(b.parts) * len(a.parts))
+    out = {}
+    for sign, left, right in ((1, a, b), (-1, b, a)):
+        left, right = _fit(bound, left.parts), _fit(bound, right.parts)
+        for dl, tl in left.items():
+            if not dl:
+                continue
+            # d_h of the degree-dl part, with h moved to the last axis
+            dt = sum(tl.transpose([i for i in range(dl + 1) if i != k] + [k])
+                     for k in range(1, dl + 1))
+            for dr, tr in right.items():
+                d = dl - 1 + dr
+                term = (dt @ tr[1:].reshape(n, -1)).reshape((n + 1,) + (n,) * d)
+                out[d] = out[d] + sign * term if d in out else sign * term
+    return XLinearOp(n, out, a.den * b.den)
+
+
+def _slots(n: int, d: int) -> np.ndarray:
+    """An empty (n+1, n, ..., n) numerator tensor of D-degree d."""
+    return np.zeros((n + 1,) + (n,) * d, dtype=object)
+
+
+def xlinear_s(alg: Algebra, nu, u: Element, v: Element) -> XLinearOp:
+    """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv), from the numerators of
+    smul_matrix: the numerator of x_b D_a is -S_uv[a, b]."""
+    n = alg.dim
+    m, den = alg.smul_matrix(u, v)
+    c = Fraction(nu) * alg.rho * alg.inner(u, v) / 2
+    common = math.lcm(den, c.denominator)
+    t0, t1 = _slots(n, 0), _slots(n, 1)
+    t0[0] = -c.numerator * (common // c.denominator)
+    t1[1:] = m.T * -(common // den)
+    return XLinearOp(n, {0: _ints(t0), 1: _ints(t1)}, common)
+
+
+def xlinear_x(alg: Algebra, nu, u: Element) -> XLinearOp:
+    """X~_u(nu) = <x|{D u D}> + nu tr(u D), from the numerators of
+    dual_triple_tensor: the numerator of x_g D_a D_b is T[a, b, g]."""
+    n = alg.dim
+    t, den = alg.dual_triple_tensor(u)
+    nur = Fraction(nu) * alg.rho
+    common = math.lcm(den, nur.denominator * u.den)
+    t1, t2 = _slots(n, 1), _slots(n, 2)
+    t1[0] = np.array(u.nums, dtype=object) * (nur.numerator * (common // (nur.denominator * u.den)))
+    t2[1:] = np.moveaxis(t, 2, 0) * (common // den)
+    return XLinearOp(n, {1: _ints(t1), 2: _ints(t2)}, common)
+
+
+def xlinear_y(alg: Algebra, v: Element) -> XLinearOp:
+    """Y~_v = <x|v>, from the Gram numerators."""
+    gnum, gden = alg._gram
+    t0 = _slots(alg.dim, 0)
+    t0[1:] = [g * c for g, c in zip(gnum, v.nums)]
+    return XLinearOp(alg.dim, {0: _ints(t0)}, gden * v.den)
+
+
+def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> XLinearOp:
     """Residual of one relation family for S, X~ and Y~ under the commutator;
     that of S, X, Y is -1, -1, 1, i, -i, 1 times it for XX, YY, XY, SX, SY, SS
     ([iA, iB] = -[A, B], [iA, -iB] = [A, B]), so it is zero iff that holds."""
-    return relation_residual(alg, name, commutator, lambda a, b: acute_s(alg, nu, a, b),
-                             lambda a: x_tilde(alg, nu, a), lambda b: y_tilde(alg, b),
+    return relation_residual(alg, name, bracket, lambda a, b: xlinear_s(alg, nu, a, b),
+                             lambda a: xlinear_x(alg, nu, a), lambda b: xlinear_y(alg, b),
                              u, v, z, w)
 
 

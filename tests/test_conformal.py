@@ -297,6 +297,25 @@ def test_str_span_matches_fraction_reduction(algebra, spec):
 
 # --- the certificates have teeth ------------------------------------------------
 
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O", "h:4:R"])
+def test_span_from_distinct_generators_matches_all_rows(algebra, spec):
+    # reference: pivots of all n^2 generators 4 S_{e_k e_a}, zero and repeated
+    # rows included, one block of n rows per a
+    alg = algebra(spec)
+    n = alg.dim
+    blocks = [np.array([alg.smul_matrix(alg.basis_element(k), alg.basis_element(a))[0].ravel()
+                        for k in range(n)], dtype=np.int64) for a in range(n)]
+    rows, cols = modp.row_basis(blocks)
+    basis = np.vstack(blocks)[rows]
+    adj, den = modp.lift(modp.inverse(basis[:, cols]))
+    span = conformal._str_span_exact(alg)
+    assert np.array_equal(span.basis, basis) and span.cols == cols
+    assert np.array_equal(span.adj, adj) and span.den == den
+    # no two kept generators agree up to sign, and none is zero
+    gens = conformal._generators(alg)
+    assert len({g.tobytes() for g in np.vstack([gens, -gens])}) == 2 * len(gens) < 2 * n * n
+
+
 def test_span_build_fails_when_a_pivot_row_is_dropped(algebra, monkeypatch):
     alg = algebra("h:3:C")
     row_basis = modp.row_basis

@@ -1,18 +1,20 @@
 import itertools
 import math
+import time
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from jkepler.algebra import DomainError, make_algebra
+from jkepler.algebra import DomainError, Element, make_algebra
 from jkepler.poly import Poly
 from jkepler import modp, weyl
-from jkepler.weyl import (WallachParam, WeylOp, acute_s, acute_x,
-                          acute_y, apply_op, apply_to_state, bound_spectrum, commutator,
-                          compose, gaussian_conjugate, he_grading_check, he_op,
+from jkepler.weyl import (WallachParam, WeylOp, XLinearOp, acute_s, acute_x,
+                          acute_y, apply_op, apply_to_state, bound_spectrum,
+                          commutator, compose, gaussian_conjugate, he_grading_check, he_op,
                           lowest_weight_check, restriction_degeneracy,
-                          tkk_op_residual, verify_tkk_ops, x_tilde, y_tilde)
+                          tkk_op_residual, verify_tkk_ops, x_tilde, xlinear_s, xlinear_x,
+                          xlinear_y, y_tilde)
 
 
 def summed(cls, nvars, pairs):
@@ -254,7 +256,8 @@ def test_complex_operators_are_units_times_rational(algebra, spec, nus):
             (a, b, rest), (ra, rb, _) = ref[name], rat[name]
             bracket = c_commutator(a, b)
             assert bracket == Cx(commutator(ra, rb)).times(*unit)
-            assert bracket + rest == Cx(tkk_op_residual(alg, name, nu, u, v, z, w)).times(*unit)
+            residual = tkk_op_residual(alg, name, nu, u, v, z, w).weyl_op()
+            assert bracket + rest == Cx(residual).times(*unit)
             # the brackets are not all zero, so the unit is pinned
             assert bracket.is_zero() == (name in ("XX", "YY"))
 
@@ -274,8 +277,8 @@ def test_rational_he_and_lowest_weight_operators(g3):
 
 
 def test_mutated_s_builder_is_caught(g3, monkeypatch):
-    real = weyl.acute_s
-    monkeypatch.setattr(weyl, "acute_s", lambda *args: -real(*args))
+    real = weyl.xlinear_s
+    monkeypatch.setattr(weyl, "xlinear_s", lambda *args: -1 * real(*args))
     checks = {c["name"]: c for c in verify_tkk_ops(g3, Fr(7, 3), trials=3, seed=1)}
     xy = checks["operators:XY"]
     assert xy["status"] == "fail"
@@ -283,6 +286,99 @@ def test_mutated_s_builder_is_caught(g3, monkeypatch):
     assert xy["witness"]["nu"] == "7/3"
     assert checks["operators:XX"]["status"] == "pass"
     assert checks["operators:YY"]["status"] == "pass"
+
+
+def test_nu_shift_in_x_alone_is_caught(g3, monkeypatch):
+    # nu + 1 in X~ only (S keeps nu): [X~_u, Y~_v] + 2 S_uv is then a nonzero constant
+    real = weyl.xlinear_x
+    monkeypatch.setattr(weyl, "xlinear_x", lambda alg, nu, u: real(alg, nu + 1, u))
+    checks = {c["name"]: c for c in verify_tkk_ops(g3, Fr(7, 3), trials=3, seed=1)}
+    assert checks["operators:XY"]["status"] == "fail"
+    assert checks["operators:XY"]["witness"]["relation"] == "XY"
+
+
+# --- the x-linear kernel -------------------------------------------------------------
+
+def _sparse_element(alg, rng, k):
+    """k random nonzero coordinates in [-4, 4] over a denominator in 1..3."""
+    nums = [0] * alg.dim
+    for a in rng.choice(alg.dim, k, replace=False):
+        nums[a] = int(rng.integers(1, 5)) * int(rng.choice([-1, 1]))
+    return Element._make(alg, nums, int(rng.integers(1, 4)))
+
+
+# dense random elements, and sparse ones on h:3:H, where the commutator of two
+# dense X~ builds about 10^5 words that cancel
+@pytest.mark.parametrize("spec,nus", [("gamma:3", (Fr(1), Fr(7, 3))),
+                                      ("h:3:R", (Fr(1, 2), Fr(7, 3))),
+                                      ("h:3:C", (Fr(1), Fr(7, 3))),
+                                      ("h:3:H", (Fr(2), Fr(7, 3)))])
+def test_xlinear_brackets_are_the_commutator(algebra, spec, nus):
+    alg = algebra(spec)
+    rng = np.random.default_rng(23)
+    for nu in nus:
+        if spec == "h:3:H":
+            u, v, z, w = (_sparse_element(alg, rng, 3) for _ in range(4))
+        else:
+            u, v, z, w = (alg.random_element(rng, span=4, denominator=3) for _ in range(4))
+        ops = [(xlinear_s(alg, nu, u, v), acute_s(alg, nu, u, v)),
+               (xlinear_s(alg, nu, z, w), acute_s(alg, nu, z, w)),
+               (xlinear_x(alg, nu, u), x_tilde(alg, nu, u)),
+               (xlinear_x(alg, nu, z), x_tilde(alg, nu, z)),
+               (xlinear_y(alg, v), y_tilde(alg, v)),
+               (xlinear_y(alg, w), y_tilde(alg, w))]
+        for op, ref in ops:
+            assert op.weyl_op() == ref
+        nonzero = 0
+        for (a, ra), (b, rb) in itertools.combinations_with_replacement(ops, 2):
+            ref = commutator(ra, rb)
+            got = weyl.bracket(a, b)
+            assert got.weyl_op() == ref
+            assert got.is_zero() == ref.is_zero()
+            nonzero += not ref.is_zero()
+        # of the 21 brackets, [A, A], [X, X'] and [Y, Y'] vanish; sparse
+        # elements may zero a few more
+        assert 10 <= nonzero <= 21 - 6 - 2
+
+
+def test_xlinear_zero_is_the_symmetrized_tensor(g3):
+    n = g3.dim
+    t = np.zeros((n + 1, n, n), dtype=np.int64)
+    t[2, 0, 1], t[2, 1, 0] = 5, -5  # x_1 (5 D_0 D_1 - 5 D_1 D_0) = 0
+    zero = XLinearOp(n, {2: t}, 3)
+    assert zero.is_zero() and zero.weyl_op().is_zero()
+    t[2, 1, 0] = -4
+    assert not XLinearOp(n, {2: t}, 3).is_zero()
+
+
+def test_xlinear_kernel_falls_back_to_python_ints(g3):
+    nu = Fr(7, 3)
+    rng = np.random.default_rng(4)
+    big = Element._make(g3, [10**12 + int(c) for c in rng.integers(-9, 10, g3.dim)], 1)
+    huge = Element._make(g3, [10**20 + int(c) for c in rng.integers(-9, 10, g3.dim)], 7)
+    small = g3.random_element(rng, span=4)
+    x_big, x_huge, s_small = xlinear_x(g3, nu, big), xlinear_x(g3, nu, huge), \
+        xlinear_s(g3, nu, small, big)
+    assert x_big.parts[2].dtype == np.int64  # each fits, their bracket does not
+    assert x_huge.parts[2].dtype == object
+    for a, b, ra, rb in [(x_big, s_small, x_tilde(g3, nu, big), acute_s(g3, nu, small, big)),
+                         (x_huge, x_big, x_tilde(g3, nu, huge), x_tilde(g3, nu, big))]:
+        got = weyl.bracket(a, b)
+        assert all(t.dtype == object for t in got.parts.values())
+        assert got.weyl_op() == commutator(ra, rb)
+    k = 3 * 10**7  # k max|numerator| passes 2^63
+    assert (x_big + k * x_big).weyl_op() == x_tilde(g3, nu, big).scaled(k + 1)
+    assert (k * x_big).parts[2].dtype == object
+
+
+def test_h3O_relations_within_budget(algebra):
+    # the six families on e7(-25) at the default nu = delta/2; through the
+    # commutator of WeylOps this took about 85 s and 2 GB
+    alg = algebra("h:3:O")
+    start = time.perf_counter()
+    checks = verify_tkk_ops(alg, Fr(alg.delta, 2), trials=1, seed=6)
+    assert time.perf_counter() - start < 20
+    assert [c["status"] for c in checks] == ["pass"] * 6
 
 
 def test_commutator_composes_through_the_module_global(g3, monkeypatch):

@@ -10,17 +10,26 @@ interpreter that imports jkepler from --src.  The result is merged into --out
 set's REPEAT and the host's core count and Python, numpy and scipy versions.
 
 poly -> BENCH_poly_layers.json.  Medians over REPEAT = 3 processes.  Per
-family (gamma:3, h:3:R, h:3:C):
+family (gamma:3, h:3:R, h:3:C, h:3:H):
 
   poisson_s     `jk verify --suite poisson --trials 1 --format json`
   operators_s   `jk verify --suite operators --trials 1 --format json`
                 (the default nu)
+  relations_s   weyl.verify_tkk_ops at the default nu = delta/2, trials 1,
+                seed 6: the six operator relation families alone
 
-each timed inside the process around cli.main, so interpreter start and
-imports are left out.  One end-to-end figure:
+each timed inside the process (around cli.main, or verify_tkk_ops on an
+algebra built before the clock starts), so interpreter start and imports are
+left out.  Three end-to-end figures:
 
-  exact_wall_s  wall_s of `bench/run.py --workload exact --seed 0 --seconds 15`
-                from the checkout that holds --src
+  exact_wall_s               wall_s of `bench/run.py --workload exact --seed 0
+                             --seconds 15` from the checkout that holds --src
+  operators_h3O_wall_s       wall time of `jk verify --suite operators
+                             --algebra h:3:O --trials 1`, process start to exit
+  operators_h3O_peak_rss_mb  peak RSS of that process
+
+The h:3:O figures come from one process, not a median: through the WeylOp
+commutator that run takes about 90 s and 2 GB.
 
 tkk -> BENCH_tkk_layers.json.  Medians over REPEAT = 3 processes.  Per
 family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
@@ -82,6 +91,29 @@ assert code == 0, code
 print(elapsed)
 """
 
+_RELATIONS = """
+import sys, time
+from fractions import Fraction
+from jkepler import algebra, weyl
+alg = algebra.make_algebra(sys.argv[1])
+t = time.perf_counter()
+checks = weyl.verify_tkk_ops(alg, Fraction(alg.delta, 2), trials=1, seed=6)
+elapsed = time.perf_counter() - t
+assert all(c["status"] == "pass" for c in checks), checks
+print(elapsed)
+"""
+
+_OPERATORS_RSS = """
+import contextlib, io, resource
+from jkepler import cli
+argv = ["verify", "--suite", "operators", "--algebra", "h:3:O", "--trials", "1",
+        "--format", "json"]
+with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+    code = cli.main(argv)
+assert code == 0, code
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 _LAYERS = """
 import sys, time, numpy as np
 from jkepler.algebra import make_algebra
@@ -141,11 +173,17 @@ def _python(src: Path, *args, cwd=None, env=None) -> str:
 
 def measure_poly(src: Path, repeat: int) -> dict:
     families = {}
-    for spec in ("gamma:3", "h:3:R", "h:3:C"):
+    for spec in ("gamma:3", "h:3:R", "h:3:C", "h:3:H"):
         families[spec] = {f"{suite}_s": statistics.median(
             float(_python(src, "-c", _SUITE, suite, spec)) for _ in range(repeat))
             for suite in ("poisson", "operators")}
+        families[spec]["relations_s"] = statistics.median(
+            float(_python(src, "-c", _RELATIONS, spec)) for _ in range(repeat))
         print(spec, families[spec], file=sys.stderr)
+    t = time.perf_counter()
+    rss = float(_python(src, "-c", _OPERATORS_RSS))
+    wall = time.perf_counter() - t
+    print("operators h:3:O", wall, rss, file=sys.stderr)
     walls = []
     for _ in range(repeat):
         last = _python(src, "bench/run.py", "--workload", "exact", "--seed", "0",
@@ -155,7 +193,8 @@ def measure_poly(src: Path, repeat: int) -> dict:
         walls.append(result["metrics"]["wall_s"]["value"])
     print("exact wall_s", walls, file=sys.stderr)
     return {"families": families, "exact_wall_s": statistics.median(walls),
-            "exact_wall_s_runs": walls}
+            "exact_wall_s_runs": walls, "operators_h3O_wall_s": wall,
+            "operators_h3O_peak_rss_mb": rss}
 
 
 def measure_tkk(src: Path, repeat: int) -> dict:
@@ -192,7 +231,8 @@ class LayerSet(NamedTuple):
     snippets: tuple[str, ...]              # the code measure runs with `python -c`
 
 
-SETS = {"poly": LayerSet("BENCH_poly_layers.json", 3, measure_poly, (_SUITE,)),
+SETS = {"poly": LayerSet("BENCH_poly_layers.json", 3, measure_poly,
+                        (_SUITE, _RELATIONS, _OPERATORS_RSS)),
         "tkk": LayerSet("BENCH_tkk_layers.json", 3, measure_tkk, (_LAYERS, _INFO_RSS)),
         "cone": LayerSet("BENCH_cone_threads.json", 15, measure_cone, (_OPS,))}
 
