@@ -183,6 +183,22 @@ class Element(_Exact):
 # Integer kernels on numerator arrays (int64, or object arrays of Python ints
 # for the overflow fallback).  x may carry leading batch axes.
 
+# The largest integer each fast dtype holds exactly: int64 arithmetic wraps
+# silently past it, and float64 products round past 2^53.
+_EXACT_MAX = {np.int64: 2**63 - 1, np.float64: 2**53 - 1}
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max(1, largest |entry|) of an integer array, a factor of kernel bounds."""
+    return max(1, int(np.abs(a).max(initial=0)))
+
+
+def _exact_dtype(bound: int, fast: type = np.int64) -> type:
+    """fast (int64, or float64 for BLAS products) when bound, a bound on every
+    entry and partial sum of a kernel, is an integer fast holds exactly;
+    otherwise object (Python ints)."""
+    return fast if bound <= _EXACT_MAX[fast] else object
+
 def _lnum(c2, x):
     """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a]."""
     return np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
@@ -213,11 +229,10 @@ class Algebra:
         self.identity_coords = tuple(ident)
         # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
         # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included.
-        # The limit keeps a further factor 2 in hand, so every kernel stays
-        # below 2**63 when X * Y * (any extra factor) <= _int64_limit.
+        # The bound keeps a further factor 2 in hand, so every kernel stays
+        # below 2**63 when X * Y * (any extra factor) * _kernel_bound does.
         cmax = int(np.abs(c2).max())
         self._kernel_bound = 6 * n**3 * cmax**2
-        self._int64_limit = (2**63 - 1) // self._kernel_bound
         self._cache = {}
 
     # --- constructors ---------------------------------------------------
@@ -249,10 +264,10 @@ class Algebra:
     def _kernel_arrays(self, *operands, factor: int = 1):
         """c2 and the numerators of each operand as int64 arrays when the int64
         guard holds, else as object arrays of Python ints."""
-        bound = factor
+        bound = factor * self._kernel_bound
         for nums in operands:
             bound *= max(1, max(abs(c) for c in nums))
-        dtype = np.int64 if bound <= self._int64_limit else object
+        dtype = _exact_dtype(bound)
         return (self._c2.astype(dtype, copy=False),
                 [np.array(nums, dtype=dtype) for nums in operands])
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import Algebra, Element, MismatchError, _Exact, _snum
+from .algebra import Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs, _snum
 from .poly import numerators
 
 
@@ -48,16 +48,6 @@ class ConsistencyError(RuntimeError):
 
 
 # --- structure-algebra span ---------------------------------------------------
-
-def _max_abs(a: np.ndarray) -> int:
-    return max(1, int(np.abs(a).max()))
-
-
-def _exact_dtype(*bounds) -> type:
-    """float64 when every bound on a partial sum is below 2^53, so BLAS
-    products of integers stay exact; otherwise object (Python ints)."""
-    return np.float64 if max(bounds) < 2**53 else object
-
 
 class _StrSpan:
     """Pivot rows B (integer, r x n^2) of the generators and the exact inverse
@@ -78,7 +68,7 @@ class _StrSpan:
         basis: the exact identity v den = (v[:, cols] adj) basis.  It runs in
         float64 when every partial sum stays below 2^53, else on Python ints."""
         vmax = _max_abs(v)
-        if _exact_dtype(self._scale * vmax, self.den * vmax) is np.float64:
+        if _exact_dtype(max(self._scale, self.den) * vmax, np.float64) is np.float64:
             (adj, basis), v = self._float, v.astype(np.float64)
         else:
             adj, basis, v = self.adj.astype(object), self.basis.astype(object), v.astype(object)
@@ -123,7 +113,7 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
         except ZeroDivisionError:
             raise ConsistencyError("str(V) span certificate failed: the pivot minor is "
                                    "singular mod p") from None
-        dtype = _exact_dtype(len(rows) * _max_abs(pivot) * _max_abs(adj), den)
+        dtype = _exact_dtype(max(len(rows) * _max_abs(pivot) * _max_abs(adj), den), np.float64)
         if not np.array_equal(pivot.astype(dtype) @ adj.astype(dtype),
                               den * np.eye(len(rows), dtype=dtype)):
             raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "

@@ -23,13 +23,15 @@ unit times the rational one, so no operator carries a complex coefficient),
 with the relation table of the Poisson realization (phase.relation_residual).
 Each generator has x-degree <= 1: S is xD plus a constant, X~ (the Bessel
 operator of Hilgert-Kobayashi-Moellers, J. Math. Soc. Japan 66, 2014) is xDD
-plus D, and Y~ is x.  The relation checks therefore hold them as XLinearOp,
-a_0(D) + sum_g x_g a_g(D) in integer tensors over one denominator, built
-from the kernels smul_matrix and dual_triple_tensor and the Gram numerators,
-and bracket them in closed form: only a D of one factor meeting the x of the
-other survives a commutator, so the words that cancel are never built.
-compose and commutator remain the general WeylOp product, the reference the
-tests hold the x-linear bracket to.
+plus D, and Y~ is x.  Each has one builder, an XLinearOp: a_0(D) +
+sum_g x_g a_g(D) in integer tensors over one denominator, from the kernels
+smul_matrix and dual_triple_tensor and the Gram numerators; acute_s, x_tilde
+and y_tilde are the WeylOp normal forms of the same builders, so the
+relation, grading and lowest-weight checks all run on one construction.  The
+relation checks bracket the tensors in closed form: only a D of one factor
+meeting the x of the other survives a commutator, so the words that cancel
+are never built.  compose and commutator remain the general WeylOp product,
+the reference the tests hold the x-linear bracket to.
 
 The realization acts on states psi = e^{-r} p with p polynomial; operators
 act on p through conjugation by e^{r}, which is the constant shift
@@ -51,9 +53,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element
+from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
 from .modp import _PRIME, Echelon
-from .phase import check_relations, moment_s, moment_x, moment_y, r_poly, relation_residual
+from .phase import check_relations, r_poly, relation_residual
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
 
@@ -187,29 +189,19 @@ def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
     return apply_op(gaussian_conjugate(alg, op), p)
 
 
-def _quantized(p: Poly) -> WeylOp:
-    """A moment Poly read as an operator: the p block becomes the D block."""
-    return WeylOp._make(p.nvars, p.nums, p.den)
-
-
 def acute_s(alg: Algebra, nu, u: Element, v: Element) -> WeylOp:
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv)."""
-    tr_uv = alg.rho * alg.inner(u, v)
-    return (-_quantized(moment_s(alg, u, v))
-            - WeylOp.constant(2 * alg.dim, Fraction(nu) * tr_uv / 2))
+    return xlinear_s(alg, nu, u, v).weyl_op()
 
 
 def x_tilde(alg: Algebra, nu, u: Element) -> WeylOp:
     """X~_u(nu) = <x|{D u D}> + nu tr(u D), so that X_u(nu) = i X~_u(nu)."""
-    n = alg.dim
-    nur = Fraction(nu) * alg.rho
-    return _quantized(moment_x(alg, u)) + WeylOp._make(
-        2 * n, {field(n + a): nur.numerator * c for a, c in enumerate(u.nums)}, nur.denominator * u.den)
+    return xlinear_x(alg, nu, u).weyl_op()
 
 
 def y_tilde(alg: Algebra, v: Element) -> WeylOp:
     """Y~_v = <x|v>, so that Y_v(nu) = -i Y~_v."""
-    return _quantized(moment_y(alg, v))
+    return xlinear_y(alg, v).weyl_op()
 
 
 def acute_x(alg: Algebra, nu, u: Element) -> tuple:
@@ -224,25 +216,15 @@ def acute_y(alg: Algebra, nu, v: Element) -> tuple:
 
 # --- x-linear operators as integer tensors ---------------------------------------
 
-_INT64_MAX = 2**63 - 1
-
-
-def _max_abs(t: np.ndarray) -> int:
-    return int(np.abs(t).max()) if t.size else 0
-
-
 def _ints(t: np.ndarray) -> np.ndarray:
     """Integer numerators as int64 where every entry fits, else as Python ints."""
-    try:
-        return t.astype(np.int64)
-    except OverflowError:
-        return t.astype(object)
+    return t.astype(_exact_dtype(_max_abs(t)))
 
 
 def _fit(bound: int, tensors: dict) -> dict:
     """The tensors as int64 when bound holds every entry and partial sum of
     the kernel about to run on them, else as object arrays of Python ints."""
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    dtype = _exact_dtype(bound)
     return {d: t.astype(dtype, copy=False) for d, t in tensors.items()}
 
 

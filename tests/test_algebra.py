@@ -597,7 +597,7 @@ def test_int64_guard_and_object_fallback(algebra, spec):
     # numpy int64 matmul wraps silently: at the guard the int64 path must stay
     # exact, and just past it the object fallback must give the same values.
     alg = algebra(spec)
-    n, limit = alg.dim, alg._int64_limit
+    n, limit = alg.dim, (2**63 - 1) // alg._kernel_bound
     rng = np.random.default_rng(5)
     signs = [int(s) for s in rng.choice([-1, 1], n)]
     v = Element(alg, signs[::-1])

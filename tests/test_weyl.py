@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from jkepler.algebra import DomainError, Element, make_algebra
-from jkepler.poly import Poly
+from jkepler.phase import moment_s, moment_x, moment_y
+from jkepler.poly import Poly, field
 from jkepler import modp, weyl
 from jkepler.weyl import (WallachParam, WeylOp, XLinearOp, acute_s, acute_x,
                           acute_y, apply_op, apply_to_state, bound_spectrum,
@@ -51,6 +52,32 @@ class Cx(tuple):
 
     def is_zero(self):
         return self[0].is_zero() and self[1].is_zero()
+
+
+# --- reference realization: the phase-space moments quantized (p -> D) ------
+
+def _quantized(p):
+    """A moment Poly read as an operator: the p block becomes the D block."""
+    return WeylOp._make(p.nvars, p.nums, p.den)
+
+
+def ref_s(alg, nu, u, v):
+    """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv)."""
+    return (-_quantized(moment_s(alg, u, v))
+            - WeylOp.constant(2 * alg.dim, Fr(nu) * alg.rho * alg.inner(u, v) / 2))
+
+
+def ref_x(alg, nu, u):
+    """X~_u(nu) = <x|{D u D}> + nu tr(u D)."""
+    n, nur = alg.dim, Fr(nu) * alg.rho
+    return _quantized(moment_x(alg, u)) + WeylOp._make(
+        2 * n, {field(n + a): nur.numerator * c for a, c in enumerate(u.nums)},
+        nur.denominator * u.den)
+
+
+def ref_y(alg, v):
+    """Y~_v = <x|v>."""
+    return _quantized(moment_y(alg, v))
 
 
 def c_commutator(p, q):
@@ -286,6 +313,9 @@ def test_mutated_s_builder_is_caught(g3, monkeypatch):
     assert xy["witness"]["nu"] == "7/3"
     assert checks["operators:XX"]["status"] == "pass"
     assert checks["operators:YY"]["status"] == "pass"
+    # acute_s is the same builder, so the lowest-weight check sees it too
+    witness = lowest_weight_check(g3, Fr(7, 3))["witness"]
+    assert witness is not None and {"check": "E_-alpha0"} in witness
 
 
 def test_nu_shift_in_x_alone_is_caught(g3, monkeypatch):
@@ -321,14 +351,18 @@ def test_xlinear_brackets_are_the_commutator(algebra, spec, nus):
             u, v, z, w = (_sparse_element(alg, rng, 3) for _ in range(4))
         else:
             u, v, z, w = (alg.random_element(rng, span=4, denominator=3) for _ in range(4))
-        ops = [(xlinear_s(alg, nu, u, v), acute_s(alg, nu, u, v)),
-               (xlinear_s(alg, nu, z, w), acute_s(alg, nu, z, w)),
-               (xlinear_x(alg, nu, u), x_tilde(alg, nu, u)),
-               (xlinear_x(alg, nu, z), x_tilde(alg, nu, z)),
-               (xlinear_y(alg, v), y_tilde(alg, v)),
-               (xlinear_y(alg, w), y_tilde(alg, w))]
+        ops = [(xlinear_s(alg, nu, u, v), ref_s(alg, nu, u, v)),
+               (xlinear_s(alg, nu, z, w), ref_s(alg, nu, z, w)),
+               (xlinear_x(alg, nu, u), ref_x(alg, nu, u)),
+               (xlinear_x(alg, nu, z), ref_x(alg, nu, z)),
+               (xlinear_y(alg, v), ref_y(alg, v)),
+               (xlinear_y(alg, w), ref_y(alg, w))]
         for op, ref in ops:
             assert op.weyl_op() == ref
+        # the WeylOp builders the grading and lowest-weight checks use
+        assert acute_s(alg, nu, u, v) == ref_s(alg, nu, u, v)
+        assert x_tilde(alg, nu, u) == ref_x(alg, nu, u)
+        assert y_tilde(alg, v) == ref_y(alg, v)
         nonzero = 0
         for (a, ra), (b, rb) in itertools.combinations_with_replacement(ops, 2):
             ref = commutator(ra, rb)
@@ -361,13 +395,13 @@ def test_xlinear_kernel_falls_back_to_python_ints(g3):
         xlinear_s(g3, nu, small, big)
     assert x_big.parts[2].dtype == np.int64  # each fits, their bracket does not
     assert x_huge.parts[2].dtype == object
-    for a, b, ra, rb in [(x_big, s_small, x_tilde(g3, nu, big), acute_s(g3, nu, small, big)),
-                         (x_huge, x_big, x_tilde(g3, nu, huge), x_tilde(g3, nu, big))]:
+    for a, b, ra, rb in [(x_big, s_small, ref_x(g3, nu, big), ref_s(g3, nu, small, big)),
+                         (x_huge, x_big, ref_x(g3, nu, huge), ref_x(g3, nu, big))]:
         got = weyl.bracket(a, b)
         assert all(t.dtype == object for t in got.parts.values())
         assert got.weyl_op() == commutator(ra, rb)
     k = 3 * 10**7  # k max|numerator| passes 2^63
-    assert (x_big + k * x_big).weyl_op() == x_tilde(g3, nu, big).scaled(k + 1)
+    assert (x_big + k * x_big).weyl_op() == ref_x(g3, nu, big).scaled(k + 1)
     assert (k * x_big).parts[2].dtype == object
 
 
