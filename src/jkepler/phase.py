@@ -16,19 +16,26 @@ The moment functions
 
     S_uv = <S_uv(x)|pi>,   X_u = <x|{pi u pi}>,   Y_v = <x|v>
 
-realize the TKK bracket relations under the Poisson bracket; each is built
-from the integer numerators and denominator of an algebra kernel, which
-become the Poly's stored form as they are.  The classical Kepler data
-(universal hamiltonian, angular observables, Lenz observables) is built
-from them.
+are x-linear symbols, a_0(p) + sum_g x_g a_g(p), and each has one builder
+here, an XLinearOp read from the integer numerators of the kernels
+smul_matrix and dual_triple_tensor and of the Gram matrix.  The same symbols,
+read with p -> D, are the nu = 0 operators of the quantum realization
+(weyl adds the nu-terms).  For x-linear symbols the normal-ordered
+commutator stops at first order, so {a, b} = -[a, b] = [b, a] exactly: one
+closed-form tensor bracket serves the Poisson relations here and the
+operator relations in weyl.  poisson_poly serves the r-power Kepler data,
+which are not x-linear; the classical hamiltonian, angular and Lenz
+observables read the Poly form of the symbols.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _exact_dtype, _max_abs
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
 
@@ -120,7 +127,7 @@ def _as_rational(alg: Algebra, f) -> PhaseRational:
 
 def r_poly(alg: Algebra) -> Poly:
     """r = <e|x> as a phase Poly."""
-    return moment_y(alg, alg.identity())
+    return moment_y(alg, alg.identity()).poly()
 
 
 def poisson(f, g) -> PhaseRational:
@@ -143,37 +150,138 @@ def poisson(f, g) -> PhaseRational:
     return PhaseRational(alg, num, f.rpow + g.rpow + 1)
 
 
-# --- moment functions ---------------------------------------------------------
+# --- x-linear symbols as integer tensors ---------------------------------------
 
-def momentum_observable(alg: Algebra, matrix) -> Poly:
-    """<M x | pi> = sum_a (Mx)^a p_a for an endomorphism M given as (nums, den)."""
-    nums, den = matrix
-    n = alg.dim
-    return Poly._make(2 * n, {field(b) + field(n + a): c for (a, b), c in
-                              zip(np.argwhere(nums).tolist(), nums[nums != 0].tolist())}, den)
+def _ints(t: np.ndarray) -> np.ndarray:
+    """Integer numerators as int64 where every entry fits, else as Python ints."""
+    return t.astype(_exact_dtype(_max_abs(t)))
 
 
-def moment_s(alg: Algebra, u: Element, v: Element) -> Poly:
-    """S_uv = <S_uv(x)|pi>."""
-    return momentum_observable(alg, alg.smul_matrix(u, v))
+def _fit(bound: int, tensors: dict) -> dict:
+    """The tensors as int64 when bound holds every entry and partial sum of
+    the kernel about to run on them, else as object arrays of Python ints."""
+    dtype = _exact_dtype(bound)
+    return {d: t.astype(dtype, copy=False) for d, t in tensors.items()}
 
 
-def moment_x(alg: Algebra, u: Element) -> Poly:
-    """X_u = <x|{pi u pi}>."""
-    n = alg.dim
-    t, den = alg.dual_triple_tensor(u)
+def _slots(n: int, d: int) -> np.ndarray:
+    """An empty (n+1, n, ..., n) numerator tensor of degree d in D."""
+    return np.zeros((n + 1,) + (n,) * d, dtype=object)
+
+
+class XLinearOp:
+    """A symbol of x-degree <= 1, a_0(D) + sum_g x_g a_g(D), as integer
+    tensors over one positive denominator `den`; D is the momentum p of a
+    phase observable or the derivative of an operator.  parts[d] is the
+    D-degree d part, an array of shape (n+1, n, ..., n) with d axes of length
+    n: entry [s, i_1, ..., i_d] is the numerator of x_s D_i1 ... D_id, where
+    slot s = 0 has no x and slot g+1 is x_g.  The D_i commute, so a
+    polynomial in D is the sum of its tensor's entries and has many tensors:
+    the symbol is zero exactly when each part, symmetrized over its D axes,
+    is zero."""
+
+    __slots__ = ("n", "parts", "den")
+
+    def __init__(self, n: int, parts: dict, den: int):
+        self.n, self.parts, self.den = n, parts, den
+
+    def _max(self) -> int:
+        """max(1, largest |numerator|), a factor of every kernel bound."""
+        return max([1] + [_max_abs(t) for t in self.parts.values()])
+
+    def _sum(self, other, sign: int):
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, sign * (den // other.den)
+        bound = self._max() * m1 + other._max() * abs(m2)
+        parts = {d: m1 * t for d, t in _fit(bound, self.parts).items()}
+        for d, t in _fit(bound, other.parts).items():
+            parts[d] = parts[d] + m2 * t if d in parts else m2 * t
+        return XLinearOp(self.n, parts, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rmul__(self, c: int):
+        if not isinstance(c, int):
+            return NotImplemented
+        return XLinearOp(self.n, {d: c * t for d, t in _fit(abs(c) * self._max(),
+                                                               self.parts).items()}, self.den)
+
+    def is_zero(self) -> bool:
+        for d, t in _fit(math.factorial(max(self.parts, default=0)) * self._max(),
+                         self.parts).items():
+            sym = sum(t.transpose((0,) + p) for p in itertools.permutations(range(1, d + 1)))
+            if np.count_nonzero(sym):
+                return False
+        return True
+
+    def poly(self, cls=Poly) -> Poly:
+        """The same symbol as a cls in 2n variables, the x block then the D
+        block: a phase Poly, or the normal form of the operator for
+        cls = weyl.WeylOp."""
+        n, out = self.n, {}
+        for t in self.parts.values():
+            for (s, *idx), c in zip(np.argwhere(t).tolist(), t[t != 0].tolist()):
+                key = (field(s - 1) if s else 0) + sum(field(n + i) for i in idx)
+                out[key] = out.get(key, 0) + c
+        return cls._make(2 * n, out, self.den)
+
+
+def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
+    """The commutator [A, B] of the normal-ordered operators, slot by slot
+    [A, B]_s = sum_h (d_h a_s b_h - d_h b_s a_h), d_h the derivative in D_h.
+    Of the words of AB and BA only those where a D of one factor meets the x
+    of the other differ, so no cancelling word is built; the Poisson bracket
+    of the symbols is {a, b} = -[A, B].  Each output entry and partial sum is
+    at most n X Y (sum_a d |b| + sum_b d |a|) for numerators at most X and Y,
+    degrees d and part counts |a|, |b|: the int64 guard."""
+    n = a.n
+    bound = n * a._max() * b._max() * (sum(a.parts) * len(b.parts) + sum(b.parts) * len(a.parts))
     out = {}
-    for (a, b, g), c in zip(np.argwhere(t).tolist(), t[t != 0].tolist()):
-        key = field(g) + field(n + a) + field(n + b)
-        out[key] = out.get(key, 0) + c
-    return Poly._make(2 * n, out, den)
+    for sign, left, right in ((1, a, b), (-1, b, a)):
+        left, right = _fit(bound, left.parts), _fit(bound, right.parts)
+        for dl, tl in left.items():
+            if not dl:
+                continue
+            # d_h of the degree-dl part, with h moved to the last axis
+            dt = sum(tl.transpose([i for i in range(dl + 1) if i != k] + [k])
+                     for k in range(1, dl + 1))
+            for dr, tr in right.items():
+                d = dl - 1 + dr
+                term = (dt @ tr[1:].reshape(n, -1)).reshape((n + 1,) + (n,) * d)
+                out[d] = out[d] + sign * term if d in out else sign * term
+    return XLinearOp(n, out, a.den * b.den)
 
 
-def moment_y(alg: Algebra, v: Element) -> Poly:
-    """Y_v = <x|v>."""
+# --- moment functions: the one builder of each generator's symbol ----------------
+
+def moment_s(alg: Algebra, u: Element, v: Element) -> XLinearOp:
+    """S_uv = <S_uv(x)|pi>, from the numerators of smul_matrix: the numerator
+    of x_b p_a is S_uv[a, b]."""
+    m, den = alg.smul_matrix(u, v)
+    t1 = _slots(alg.dim, 1)
+    t1[1:] = m.T
+    return XLinearOp(alg.dim, {1: _ints(t1)}, den)
+
+
+def moment_x(alg: Algebra, u: Element) -> XLinearOp:
+    """X_u = <x|{pi u pi}>, from the numerators of dual_triple_tensor: the
+    numerator of x_g p_a p_b is T[a, b, g]."""
+    t, den = alg.dual_triple_tensor(u)
+    t2 = _slots(alg.dim, 2)
+    t2[1:] = np.moveaxis(t, 2, 0)
+    return XLinearOp(alg.dim, {2: _ints(t2)}, den)
+
+
+def moment_y(alg: Algebra, v: Element) -> XLinearOp:
+    """Y_v = <x|v>, from the Gram numerators."""
     gnum, gden = alg._gram
-    return Poly._make(2 * alg.dim, {field(a): g * c for a, (g, c) in enumerate(zip(gnum, v.nums))},
-                      gden * v.den)
+    t0 = _slots(alg.dim, 0)
+    t0[1:] = [g * c for g, c in zip(gnum, v.nums)]
+    return XLinearOp(alg.dim, {0: _ints(t0)}, gden * v.den)
 
 
 # --- TKK relation verification -------------------------------------------------
@@ -184,7 +292,8 @@ _RELATIONS = ("XX", "YY", "XY", "SX", "SY", "SS")
 def relation_residual(alg: Algebra, name: str, bracket, s, x, y, u, v, z, w):
     """Residual of one TKK relation family for a bracket and the builders
     s(u, v), x(u), y(v) of the generators; zero iff the relation holds.  It
-    serves the Poisson bracket here and the commutator in weyl."""
+    serves the Poisson bracket here and the commutator in weyl, both on
+    XLinearOps."""
     if name == "XX":
         return bracket(x(u), x(v))
     if name == "YY":
@@ -221,17 +330,18 @@ def check_relations(alg: Algebra, prefix: str, residual, trials: int, seed: int,
 
 
 def poisson_relation_residual(alg: Algebra, name: str, u, v, z, w,
-                              mutated_moment: bool = False) -> Poly:
-    """Residual polynomial of one bracket-relation family; zero iff it holds.
+                              mutated_moment: bool = False) -> XLinearOp:
+    """Residual symbol of one bracket-relation family under {a, b} = [b, a];
+    zero iff it holds.
 
     mutated_moment flips the sign of S_uv inside the XY relation; it is a
     harness self-check hook and must make the residual nonzero.
     """
     def s(a, b):
         m = moment_s(alg, a, b)
-        return -m if mutated_moment and name == "XY" else m
+        return -1 * m if mutated_moment and name == "XY" else m
 
-    return relation_residual(alg, name, poisson_poly, s, lambda a: moment_x(alg, a),
+    return relation_residual(alg, name, lambda f, g: bracket(g, f), s, lambda a: moment_x(alg, a),
                              lambda b: moment_y(alg, b), u, v, z, w)
 
 
@@ -263,19 +373,18 @@ LENZ_SIGN = -1
 
 def classical_hamiltonian(alg: Algebra) -> PhaseRational:
     """H = (1/2) <x|pi^2> / r - 1/r."""
-    num = Fraction(1, 2) * moment_x(alg, alg.identity()) - Poly.constant(2 * alg.dim, 1)
+    num = Fraction(1, 2) * moment_x(alg, alg.identity()).poly() - Poly.constant(2 * alg.dim, 1)
     return PhaseRational(alg, num, 1)
 
 
 def classical_angular(alg: Algebra, u: Element, v: Element) -> Poly:
-    """Angular observable of the pair (u, v): <[L_v, L_u] x | pi>."""
-    (lu, du), (lv, dv) = alg.lmul_matrix(u), alg.lmul_matrix(v)
-    return momentum_observable(alg, (lv @ lu - lu @ lv, du * dv))
+    """Angular observable of the pair (u, v): <[L_v, L_u] x | pi> = (S_vu - S_uv)/2,
+    as S_uv = L_uv + [L_u, L_v]."""
+    return Fraction(1, 2) * (moment_s(alg, v, u) - moment_s(alg, u, v)).poly()
 
 
 def classical_lenz(alg: Algebra, u: Element) -> PhaseRational:
     """Lenz observable A_u = sign * (1/r) {L_u, r^2 H} with L_u = S_ue."""
-    l_u = moment_s(alg, u, alg.identity())
-    r = r_poly(alg)
-    r2h = r * (Fraction(1, 2) * moment_x(alg, alg.identity()) - Poly.constant(2 * alg.dim, 1))
+    l_u = moment_s(alg, u, alg.identity()).poly()
+    r2h = r_poly(alg) * classical_hamiltonian(alg).num
     return PhaseRational(alg, LENZ_SIGN * poisson_poly(l_u, r2h), 1)

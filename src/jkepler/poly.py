@@ -4,7 +4,10 @@ One class serves every polynomial-shaped object of the workbench: phase-space
 observables (x block, then p block), normal-ordered operators (x block, then
 D block), polynomial states over V, and polynomials in power sums.  A
 subclass changes only the product: weyl.WeylOp composes in normal order where
-Poly multiplies commutatively.
+Poly multiplies commutatively.  The moment functions S, X, Y are x-linear
+and are built once, as integer tensors (phase.XLinearOp, whose one bracket
+is the commutator and minus the Poisson bracket); XLinearOp.poly reads such
+a symbol as a phase Poly or as a WeylOp.
 
 A Poly stores integer numerators over one positive denominator `den`: `nums`
 maps the `pack`ed exponent key of each term to its nonzero numerator.  Every

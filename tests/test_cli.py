@@ -50,7 +50,7 @@ def _classical_failures(spec):
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
 def test_classical_checks_catch_a_perturbed_hamiltonian(spec, monkeypatch):
     def hamiltonian(alg):  # H + <e_1|x>/r is not conserved by L or A
-        y = phase.moment_y(alg, alg.basis_element(1))
+        y = phase.moment_y(alg, alg.basis_element(1)).poly()
         return phase.classical_hamiltonian(alg) + phase.PhaseRational(alg, y, 1)
 
     assert _classical_failures(spec) == set()

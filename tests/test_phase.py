@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from jkepler.algebra import make_algebra
+from jkepler import cli, phase
+from jkepler.cli import SuiteConfig
 from jkepler.phase import (PhaseRational, classical_angular,
                            classical_hamiltonian, classical_lenz, moment_x,
-                           moment_s, moment_y, momentum_observable, poisson, poisson_poly,
+                           moment_s, moment_y, poisson, poisson_poly,
                            poisson_relation_residual, r_poly, verify_poisson_tkk)
-from jkepler.poly import Poly
+from jkepler.poly import Poly, field
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +54,17 @@ def test_antisymmetry_and_jacobi_for_polys(g2):
 
 
 def test_moment_y_of_identity_is_r(g2):
-    assert moment_y(g2, g2.identity()) == r_poly(g2)
+    assert moment_y(g2, g2.identity()).poly() == r_poly(g2)
 
 
 def test_xy_bracket_gives_s(g2):
     rng = np.random.default_rng(1)
     for _ in range(100):
         u, v = g2.random_element(rng), g2.random_element(rng)
-        s, x, y = moment_s(g2, u, v), moment_x(g2, u), moment_y(g2, v)
+        # on the Poly forms, through the sparse bracket
+        s, x, y = (moment_s(g2, u, v).poly(), moment_x(g2, u).poly(), moment_y(g2, v).poly())
         assert (poisson_poly(x, y) + 2 * s).is_zero()
-        assert poisson_poly(x, moment_x(g2, v)).is_zero()
+        assert poisson_poly(x, moment_x(g2, v).poly()).is_zero()
 
 
 @pytest.mark.parametrize("spec,trials", [("gamma:2", 25), ("h:3:R", 8)])
@@ -75,25 +78,26 @@ def test_mutated_moment_is_caught(g2):
     checks = verify_poisson_tkk(g2, trials=3, seed=1, mutated_moment=True)
     bad = [c for c in checks if c["status"] == "fail"]
     assert len(bad) == 1 and bad[0]["name"] == "poisson:XY"
-    wit = bad[0]["witness"]
-    assert wit is not None and {"u", "v", "z", "w", "relation"} <= set(wit)
+    # the check dicts of the sparse poisson_poly route, witness included
+    assert bad[0]["witness"] == {"relation": "XY", "u": ["0", "0", "2"], "v": ["4", "-4", "-3"],
+                                 "z": ["3", "4", "-2"], "w": ["-2", "3", "-1"]}
+    assert [c["name"] for c in checks] == [f"poisson:{n}" for n in
+                                           ("XX", "YY", "XY", "SX", "SY", "SS")]
+    assert all(c["witness"] is None for c in checks if c is not bad[0])
 
 
-def test_relations_look_up_poisson_poly_at_call_time(g2, monkeypatch):
-    # a tracer that replaces phase.poisson_poly must see every relation bracket
-    import jkepler.phase as phase
-
+def test_poisson_poly_serves_only_the_conservation_checks(g2, monkeypatch):
+    # the relations bracket x-linear symbols in closed form; the r-power
+    # Kepler data still go through phase.poisson_poly, looked up at call time
     calls = []
     real = phase.poisson_poly
-
-    def counting(f, g):
-        calls.append(1)
-        return real(f, g)
-
-    monkeypatch.setattr(phase, "poisson_poly", counting)
+    monkeypatch.setattr(phase, "poisson_poly", lambda f, g: calls.append(1) or real(f, g))
     checks = verify_poisson_tkk(g2, trials=2, seed=1)
     assert all(c["status"] == "pass" for c in checks)
-    assert len(calls) == 6 * 2
+    assert calls == []
+    checks = cli._poisson_checks(g2, SuiteConfig("gamma:2", trials=2, seed=1))
+    assert all(c["status"] == "pass" for c in checks)
+    assert len(calls) > 0
 
 
 def test_residual_rejects_unknown_relation(g2):
@@ -124,7 +128,7 @@ def test_rational_arithmetic(g2):
             - PhaseRational(g2, Poly.constant(2 * g2.dim, 1), 0)).is_zero()
     assert (one_over_r + (-one_over_r)).is_zero()
     # quotients are compared, not reduced: (N r) / r^(m+1) == N / r^m
-    x = moment_x(g2, g2.identity())
+    x = moment_x(g2, g2.identity()).poly()
     for m in range(3):
         assert PhaseRational(g2, x * r, m + 1) == PhaseRational(g2, x, m)
     # X_e is not divisible by r, so X_e / r^2 and X_e / r differ
@@ -136,7 +140,7 @@ def test_rational_arithmetic(g2):
 def test_hamiltonian_form(g2):
     h = classical_hamiltonian(g2)
     assert h.rpow == 1
-    want = Fr(1, 2) * moment_x(g2, g2.identity()) - Poly.constant(2 * g2.dim, 1)
+    want = Fr(1, 2) * moment_x(g2, g2.identity()).poly() - Poly.constant(2 * g2.dim, 1)
     assert h.num == want
 
 
@@ -166,8 +170,20 @@ def test_equivariance(algebra):
     assert (lhs - classical_lenz(alg, mz)).is_zero()
 
 
-def test_angular_is_momentum_observable_of_commutator(g2):
+def _momentum_observable(alg, matrix):
+    """<M x | pi> = sum_ab M[a, b] x^b p_a for an endomorphism M given as (nums, den)."""
+    nums, den = matrix
+    n = alg.dim
+    return Poly._make(2 * n, {field(b) + field(n + a): int(nums[a, b])
+                              for a in range(n) for b in range(n)}, den)
+
+
+def test_angular_is_momentum_observable_of_commutator(algebra):
+    # classical_angular reads (S_vu - S_uv)/2; the reference is <[L_v, L_u] x | pi>
     rng = np.random.default_rng(7)
-    u, v = g2.random_element(rng), g2.random_element(rng)
-    (lu, du), (lv, dv) = g2.lmul_matrix(u), g2.lmul_matrix(v)
-    assert classical_angular(g2, u, v) == momentum_observable(g2, (lv @ lu - lu @ lv, du * dv))
+    for spec in ("gamma:2", "h:3:R", "h:3:C"):
+        alg = algebra(spec)
+        u, v = alg.random_element(rng), alg.random_element(rng)
+        (lu, du), (lv, dv) = alg.lmul_matrix(u), alg.lmul_matrix(v)
+        want = _momentum_observable(alg, (lv @ lu - lu @ lv, du * dv))
+        assert classical_angular(alg, u, v) == want and not want.is_zero()

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from jkepler.algebra import DomainError, Element, make_algebra
-from jkepler.phase import moment_s, moment_x, moment_y
-from jkepler.poly import Poly, field
-from jkepler import modp, weyl
-from jkepler.weyl import (WallachParam, WeylOp, XLinearOp, acute_s, acute_x,
+from jkepler.phase import (XLinearOp, moment_s, moment_x, moment_y, poisson_poly,
+                           verify_poisson_tkk)
+from jkepler.poly import Poly, monomial_key
+from jkepler import modp, phase, weyl
+from jkepler.weyl import (WallachParam, WeylOp, acute_s, acute_x,
                           acute_y, apply_op, apply_to_state, bound_spectrum,
                           commutator, compose, gaussian_conjugate, he_grading_check, he_op,
                           lowest_weight_check, restriction_degeneracy,
                           tkk_op_residual, verify_tkk_ops, x_tilde, xlinear_s, xlinear_x,
-                          xlinear_y, y_tilde)
+                          y_tilde)
 
 
 def summed(cls, nvars, pairs):
@@ -54,30 +55,58 @@ class Cx(tuple):
         return self[0].is_zero() and self[1].is_zero()
 
 
-# --- reference realization: the phase-space moments quantized (p -> D) ------
+# --- reference realization, from the definitions ------------------------------
+# The moment functions written out with Jordan triple products on basis
+# elements and the Gram matrix, so that the kernels the builders read
+# (smul_matrix, dual_triple_tensor) are not their own oracle; then quantized
+# (p -> D) with the nu-terms added.
+
+def ref_moment_s(alg, u, v):
+    """S_uv = <S_uv(x)|pi> = sum_ab {u v e_b}^a x^b p_a."""
+    n = alg.dim
+    columns = [alg.triple(u, v, alg.basis_element(b)).coords for b in range(n)]
+    return summed(Poly, 2 * n, [(monomial_key(2 * n, b, n + a), c)
+                                for b, col in enumerate(columns) for a, c in enumerate(col)])
+
+
+def ref_moment_x(alg, u):
+    """X_u = <x|{pi u pi}> with pi_a = p_a / gram_a and <x|y> = sum_g gram_g x^g y^g."""
+    n, g = alg.dim, alg.gram
+    pairs = []
+    for a, b in itertools.product(range(n), repeat=2):
+        t = alg.triple(alg.basis_element(a), u, alg.basis_element(b)).coords
+        pairs += [(monomial_key(2 * n, k, n + a, n + b), g[k] * c / (g[a] * g[b]))
+                  for k, c in enumerate(t) if c]
+    return summed(Poly, 2 * n, pairs)
+
+
+def ref_moment_y(alg, v):
+    """Y_v = <x|v>."""
+    n = alg.dim
+    return Poly(2 * n, {monomial_key(2 * n, k): alg.gram[k] * c for k, c in enumerate(v.coords)})
+
 
 def _quantized(p):
-    """A moment Poly read as an operator: the p block becomes the D block."""
+    """A phase Poly read as an operator: the p block becomes the D block."""
     return WeylOp._make(p.nvars, p.nums, p.den)
 
 
 def ref_s(alg, nu, u, v):
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv)."""
-    return (-_quantized(moment_s(alg, u, v))
+    return (-_quantized(ref_moment_s(alg, u, v))
             - WeylOp.constant(2 * alg.dim, Fr(nu) * alg.rho * alg.inner(u, v) / 2))
 
 
 def ref_x(alg, nu, u):
     """X~_u(nu) = <x|{D u D}> + nu tr(u D)."""
     n, nur = alg.dim, Fr(nu) * alg.rho
-    return _quantized(moment_x(alg, u)) + WeylOp._make(
-        2 * n, {field(n + a): nur.numerator * c for a, c in enumerate(u.nums)},
-        nur.denominator * u.den)
+    return _quantized(ref_moment_x(alg, u)) + WeylOp(
+        2 * n, {monomial_key(2 * n, n + a): nur * c for a, c in enumerate(u.coords)})
 
 
 def ref_y(alg, v):
     """Y~_v = <x|v>."""
-    return _quantized(moment_y(alg, v))
+    return _quantized(ref_moment_y(alg, v))
 
 
 def c_commutator(p, q):
@@ -283,7 +312,7 @@ def test_complex_operators_are_units_times_rational(algebra, spec, nus):
             (a, b, rest), (ra, rb, _) = ref[name], rat[name]
             bracket = c_commutator(a, b)
             assert bracket == Cx(commutator(ra, rb)).times(*unit)
-            residual = tkk_op_residual(alg, name, nu, u, v, z, w).weyl_op()
+            residual = tkk_op_residual(alg, name, nu, u, v, z, w).poly(WeylOp)
             assert bracket + rest == Cx(residual).times(*unit)
             # the brackets are not all zero, so the unit is pinned
             assert bracket.is_zero() == (name in ("XX", "YY"))
@@ -327,7 +356,54 @@ def test_nu_shift_in_x_alone_is_caught(g3, monkeypatch):
     assert checks["operators:XY"]["witness"]["relation"] == "XY"
 
 
+def test_negated_moment_s_fails_both_suites(g3, monkeypatch):
+    # S has one builder, phase.moment_s: negated at every binding (as a tracer
+    # patches it), it breaks the Poisson and the operator XY relations alike
+    real = phase.moment_s
+    for module in (phase, weyl):
+        monkeypatch.setattr(module, "moment_s", lambda *args: -1 * real(*args))
+    classical = {c["name"]: c["status"] for c in verify_poisson_tkk(g3, trials=2, seed=1)}
+    quantum = {c["name"]: c["status"] for c in verify_tkk_ops(g3, Fr(7, 3), trials=2, seed=1)}
+    assert classical["poisson:XY"] == quantum["operators:XY"] == "fail"
+    assert classical["poisson:XX"] == quantum["operators:XX"] == "pass"
+    assert classical["poisson:YY"] == quantum["operators:YY"] == "pass"
+
+
 # --- the x-linear kernel -------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H"])
+def test_builders_match_definitions(algebra, spec):
+    alg = algebra(spec)
+    rng = np.random.default_rng(29)
+    u, v = (alg.random_element(rng, span=4, denominator=3) for _ in range(2))
+    assert moment_s(alg, u, v).poly() == ref_moment_s(alg, u, v)
+    assert moment_x(alg, u).poly() == ref_moment_x(alg, u)
+    assert moment_y(alg, v).poly() == ref_moment_y(alg, v)
+    for nu in (Fr(0), Fr(1, 2), Fr(7, 3)):
+        s = ref_s(alg, nu, u, v)
+        assert xlinear_s(alg, nu, u, v).poly(WeylOp) == s == acute_s(alg, nu, u, v)
+        assert xlinear_x(alg, nu, u).poly(WeylOp) == ref_x(alg, nu, u) == x_tilde(alg, nu, u)
+    assert moment_y(alg, v).poly(WeylOp) == ref_y(alg, v) == y_tilde(alg, v)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
+def test_xlinear_bracket_is_minus_poisson_poly(algebra, spec):
+    # the kernel of the poisson:* and operators:* relations against the sparse
+    # bracket, on builder symbols at nu = 0 and 3/2 and on sums of them
+    alg = algebra(spec)
+    rng = np.random.default_rng(31)
+    u, v, z, w = (alg.random_element(rng, span=4, denominator=3) for _ in range(4))
+    nu = Fr(3, 2)
+    syms = [moment_s(alg, u, v), moment_x(alg, z), moment_y(alg, w),
+            xlinear_s(alg, nu, z, w), xlinear_x(alg, nu, u)]
+    syms += [syms[0] + syms[1], syms[2] - syms[3] + syms[4]]
+    nonzero = 0
+    for a, b in itertools.combinations_with_replacement(syms, 2):
+        got, want = phase.bracket(a, b), poisson_poly(a.poly(), b.poly())
+        assert got.poly() == -want
+        assert got.is_zero() == want.is_zero()
+        nonzero += not want.is_zero()
+    assert nonzero >= 15
 
 def _sparse_element(alg, rng, k):
     """k random nonzero coordinates in [-4, 4] over a denominator in 1..3."""
@@ -355,19 +431,15 @@ def test_xlinear_brackets_are_the_commutator(algebra, spec, nus):
                (xlinear_s(alg, nu, z, w), ref_s(alg, nu, z, w)),
                (xlinear_x(alg, nu, u), ref_x(alg, nu, u)),
                (xlinear_x(alg, nu, z), ref_x(alg, nu, z)),
-               (xlinear_y(alg, v), ref_y(alg, v)),
-               (xlinear_y(alg, w), ref_y(alg, w))]
+               (moment_y(alg, v), ref_y(alg, v)),
+               (moment_y(alg, w), ref_y(alg, w))]
         for op, ref in ops:
-            assert op.weyl_op() == ref
-        # the WeylOp builders the grading and lowest-weight checks use
-        assert acute_s(alg, nu, u, v) == ref_s(alg, nu, u, v)
-        assert x_tilde(alg, nu, u) == ref_x(alg, nu, u)
-        assert y_tilde(alg, v) == ref_y(alg, v)
+            assert op.poly(WeylOp) == ref
         nonzero = 0
         for (a, ra), (b, rb) in itertools.combinations_with_replacement(ops, 2):
             ref = commutator(ra, rb)
-            got = weyl.bracket(a, b)
-            assert got.weyl_op() == ref
+            got = phase.bracket(a, b)
+            assert got.poly(WeylOp) == ref
             assert got.is_zero() == ref.is_zero()
             nonzero += not ref.is_zero()
         # of the 21 brackets, [A, A], [X, X'] and [Y, Y'] vanish; sparse
@@ -380,7 +452,7 @@ def test_xlinear_zero_is_the_symmetrized_tensor(g3):
     t = np.zeros((n + 1, n, n), dtype=np.int64)
     t[2, 0, 1], t[2, 1, 0] = 5, -5  # x_1 (5 D_0 D_1 - 5 D_1 D_0) = 0
     zero = XLinearOp(n, {2: t}, 3)
-    assert zero.is_zero() and zero.weyl_op().is_zero()
+    assert zero.is_zero() and zero.poly(WeylOp).is_zero()
     t[2, 1, 0] = -4
     assert not XLinearOp(n, {2: t}, 3).is_zero()
 
@@ -397,11 +469,11 @@ def test_xlinear_kernel_falls_back_to_python_ints(g3):
     assert x_huge.parts[2].dtype == object
     for a, b, ra, rb in [(x_big, s_small, ref_x(g3, nu, big), ref_s(g3, nu, small, big)),
                          (x_huge, x_big, ref_x(g3, nu, huge), ref_x(g3, nu, big))]:
-        got = weyl.bracket(a, b)
+        got = phase.bracket(a, b)
         assert all(t.dtype == object for t in got.parts.values())
-        assert got.weyl_op() == commutator(ra, rb)
+        assert got.poly(WeylOp) == commutator(ra, rb)
     k = 3 * 10**7  # k max|numerator| passes 2^63
-    assert (x_big + k * x_big).weyl_op() == ref_x(g3, nu, big).scaled(k + 1)
+    assert (x_big + k * x_big).poly(WeylOp) == ref_x(g3, nu, big).scaled(k + 1)
     assert (k * x_big).parts[2].dtype == object
 
 

@@ -17,8 +17,11 @@ family (gamma:3, h:3:R, h:3:C, h:3:H):
                 (the default nu)
   relations_s   weyl.verify_tkk_ops at the default nu = delta/2, trials 1,
                 seed 6: the six operator relation families alone
+  poisson_relations_s
+                phase.verify_poisson_tkk, trials 1, seed 6: the six Poisson
+                relation families alone
 
-each timed inside the process (around cli.main, or verify_tkk_ops on an
+each timed inside the process (around cli.main, or the relation check on an
 algebra built before the clock starts), so interpreter start and imports are
 left out.  Three end-to-end figures:
 
@@ -28,8 +31,9 @@ left out.  Three end-to-end figures:
                              --algebra h:3:O --trials 1`, process start to exit
   operators_h3O_peak_rss_mb  peak RSS of that process
 
-The h:3:O figures come from one process, not a median: through the WeylOp
-commutator that run takes about 90 s and 2 GB.
+The h:3:O figures come from one process, not a median.  On the x-linear
+bracket that run takes about 5 s and 51 MB on a 2-core VM; through the WeylOp
+commutator it took about 90 s and 2 GB.
 
 tkk -> BENCH_tkk_layers.json.  Medians over REPEAT = 3 processes.  Per
 family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
@@ -94,13 +98,15 @@ print(elapsed)
 _RELATIONS = """
 import sys, time
 from fractions import Fraction
-from jkepler import algebra, weyl
+from jkepler import algebra, phase, weyl
 alg = algebra.make_algebra(sys.argv[1])
-t = time.perf_counter()
-checks = weyl.verify_tkk_ops(alg, Fraction(alg.delta, 2), trials=1, seed=6)
-elapsed = time.perf_counter() - t
-assert all(c["status"] == "pass" for c in checks), checks
-print(elapsed)
+for run in (lambda: weyl.verify_tkk_ops(alg, Fraction(alg.delta, 2), trials=1, seed=6),
+            lambda: phase.verify_poisson_tkk(alg, trials=1, seed=6)):
+    t = time.perf_counter()
+    checks = run()
+    elapsed = time.perf_counter() - t
+    assert all(c["status"] == "pass" for c in checks), checks
+    print(elapsed)
 """
 
 _OPERATORS_RSS = """
@@ -177,8 +183,9 @@ def measure_poly(src: Path, repeat: int) -> dict:
         families[spec] = {f"{suite}_s": statistics.median(
             float(_python(src, "-c", _SUITE, suite, spec)) for _ in range(repeat))
             for suite in ("poisson", "operators")}
-        families[spec]["relations_s"] = statistics.median(
-            float(_python(src, "-c", _RELATIONS, spec)) for _ in range(repeat))
+        runs = [_python(src, "-c", _RELATIONS, spec).split() for _ in range(repeat)]
+        for i, name in enumerate(("relations_s", "poisson_relations_s")):
+            families[spec][name] = statistics.median(float(r[i]) for r in runs)
         print(spec, families[spec], file=sys.stderr)
     t = time.perf_counter()
     rss = float(_python(src, "-c", _OPERATORS_RSS))
