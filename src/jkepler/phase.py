@@ -256,6 +256,31 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
     return XLinearOp(n, out, a.den * b.den)
 
 
+def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
+    """e^{r} A e^{-r} for a linear form r = sum_g h_g x_g (D-degree 0, no
+    constant): the substitution D_i -> D_i - h_i.  Part d of A feeds part
+    d - k through the C(d, k) contractions of k of its D axes with -h, lifted
+    to the denominator A.den hd^top, hd that of r and top the highest D-degree
+    of A.  The D-degree-0 part of the result is A applied to the vacuum: the
+    coefficients of A e^{-r} = e^{-r} (c_0 + sum_g c_g x_g).  Each output
+    entry and partial sum is at most |parts| X (n H + hd)^top for numerators
+    at most X and H: the int64 guard."""
+    n, hd = a.n, r.den
+    top = max(a.parts, default=0)
+    bound = len(a.parts) * a._max() * (n * r._max() + hd) ** top
+    minus_h = -_fit(bound, {0: r.parts[0][1:]})[0]
+    out = {}
+    for d, t in _fit(bound, a.parts).items():
+        for k in range(d + 1):
+            for axes in itertools.combinations(range(1, d + 1), k):
+                term = t
+                for axis in reversed(axes):
+                    term = np.tensordot(term, minus_h, axes=([axis], [0]))
+                term = term * hd ** (top - k)
+                out[d - k] = out[d - k] + term if d - k in out else term
+    return XLinearOp(n, out, a.den * hd ** top)
+
+
 # --- moment functions: the one builder of each generator's symbol ----------------
 
 def moment_s(alg: Algebra, u: Element, v: Element) -> XLinearOp:

@@ -194,13 +194,6 @@ class Poly:
             acc = acc + t
         return acc
 
-    def degree(self) -> int:
-        return max((sum(unpack(k, self.nvars)) for k in self.nums), default=0)
-
-    def graded_part(self, d: int):
-        return self._make(self.nvars, {k: v for k, v in self.nums.items()
-                                       if sum(unpack(k, self.nvars)) == d}, self.den)
-
     def is_zero(self) -> bool:
         return not self.nums
 

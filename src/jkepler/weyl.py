@@ -27,8 +27,7 @@ plus D, and Y~ is x.  So each is the x-linear symbol phase.moment_s/x/y,
 the one builder of that generator, read with p -> D: xlinear_s negates S
 and adds the constant, xlinear_x adds nu tr(u D), and Y~ is moment_y as it
 is.  acute_s, x_tilde and y_tilde are the WeylOp normal forms of the same
-symbols, so the relation, grading and lowest-weight checks all run on one
-construction.  The relation checks take phase.bracket, the closed-form
+symbols.  The relation checks take phase.bracket, the closed-form
 commutator of x-linear symbols (the Poisson bracket up to sign): only a D of
 one factor meeting the x of the other survives, so the words that cancel
 are never built.  compose and commutator remain the general WeylOp product,
@@ -36,7 +35,13 @@ the reference the tests hold that bracket to.
 
 The realization acts on states psi = e^{-r} p with p polynomial; operators
 act on p through conjugation by e^{r}, which is the constant shift
-d_a -> d_a - (Ge)_a.
+d_a -> d_a - (Ge)_a.  On an x-linear symbol that is phase.conjugate, a
+contraction of D axes with -Ge that keeps the symbol x-linear.  The grading
+check reads the conjugated H_e on every degree-I monomial at once from its
+D-degree 0 and 1 parts, and the lowest-weight check reads each generator on
+the vacuum e^{-r} from its D-degree-0 part, so no check builds a WeylOp.
+gaussian_conjugate and apply_op, the same conjugation and action word by
+word on WeylOps, are the references the tests hold them to.
 
 As in the phase-space module, derivative slots are paired with the
 metric-dual basis, so the Gram matrix of the rational frame appears
@@ -54,10 +59,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element
+from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
 from .modp import _PRIME, Echelon
-from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, moment_s, moment_x,
-                    moment_y, r_poly, relation_residual)
+from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, conjugate, moment_s,
+                    moment_x, moment_y, r_poly, relation_residual)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
 
@@ -119,27 +124,17 @@ def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return compose(a, b) - compose(b, a)
 
 
-def _words(op: WeylOp) -> tuple:
-    """op in the form apply_op runs on, (nvars, den, words): per word x^A d^B
-    (numerator c over den) the packed shift A - B, the slots i where B_i > 0
-    as (i, B_i), and c."""
-    check_fields(op)
-    n = op.nvars // 2
-    return op.nvars, op.den, [
-        ((k & (field(n) - 1)) - (k >> 16 * n),
-         [(i, bi) for i, bi in enumerate(unpack(k, op.nvars)[n:]) if bi], c)
-        for k, c in op.nums.items()]
-
-
-def apply_op(op: WeylOp | tuple, p: Poly) -> Poly:
+def apply_op(op: WeylOp, p: Poly) -> Poly:
     """Apply a normal-ordered operator to a plain polynomial p, the state
-    psi = e^{-r} p.  An operator applied to many states is passed in its
-    `_words` form, derived once."""
-    nvars, den, words = op if isinstance(op, tuple) else _words(op)
-    if nvars != 2 * p.nvars:
+    psi = e^{-r} p."""
+    if op.nvars != 2 * p.nvars:
         raise MismatchError("operator and state over different variable counts")
-    check_fields(p)
-    state = [(k, unpack(k, p.nvars), pc) for k, pc in p.nums.items()]
+    check_fields(op, p)
+    n = p.nvars
+    words = [((k & (field(n) - 1)) - (k >> 16 * n),
+              [(i, bi) for i, bi in enumerate(unpack(k, op.nvars)[n:]) if bi], c)
+             for k, c in op.nums.items()]  # the shift A - B, the slots of d^B, c
+    state = [(k, unpack(k, n), pc) for k, pc in p.nums.items()]
     out = {}
     get = out.get
     for shift, d_slots, c in words:
@@ -152,7 +147,7 @@ def apply_op(op: WeylOp | tuple, p: Poly) -> Poly:
             else:
                 key = shift + pc_key
                 out[key] = get(key, 0) + coef
-    return Poly._make(p.nvars, out, den * p.den)
+    return Poly._make(n, out, op.den * p.den)
 
 
 # --- the nu-parametrized (acute) realization -----------------------------------
@@ -184,11 +179,6 @@ def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
                     coef = coef * math.comb(bi, si) * shift[i] ** (bi - si)
             out[key] = get(key, 0) + coef * dh ** (lift + sum(kept))
     return WeylOp._make(op.nvars, out, op.den * dh ** top)
-
-
-def apply_to_state(alg: Algebra, op: WeylOp, p: Poly) -> Poly:
-    """Action on psi = e^{-r} p: returns q with op psi = e^{-r} q."""
-    return apply_op(gaussian_conjugate(alg, op), p)
 
 
 def acute_s(alg: Algebra, nu, u: Element, v: Element) -> WeylOp:
@@ -301,30 +291,38 @@ def bound_spectrum(alg: Algebra, nu, level: int):
 
 # --- grading and lowest weight ----------------------------------------------------
 
-def he_op(alg: Algebra, nu) -> WeylOp:
-    """H_e realized: i (X_e(nu) + Y_e(nu)) = Y~_e - X~_e."""
-    e = alg.identity()
-    return y_tilde(alg, e) - x_tilde(alg, nu, e)
-
-
 def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     """Exact leading-term check: on homogeneous degree-I monomials, the
-    conjugated H_e acts as 2I + nu rho plus lower-degree terms."""
+    conjugated H_e acts as 2I + nu rho plus lower-degree terms.
+
+    H_e = i (X_e(nu) + Y_e(nu)) = Y~_e - X~_e conjugated is c_0 + sum_g l_g x_g
+    + sum_gi M_gi x_g D_i plus terms that lower the degree.  On x^alpha the
+    l_g x_g give degree I + 1, so with l != 0 every monomial fails.  Otherwise
+    the degree-I part is (c_0 + sum_i alpha_i M_ii) x^alpha plus the words
+    alpha_i M_gi x^(alpha - e_i + e_g), g != i, distinct monomials that cannot
+    cancel; so x^alpha passes iff that coefficient is 2I + nu rho and alpha_i
+    = 0 on each column i of M with an off-diagonal entry.  All monomials are
+    checked at once, in combinations_with_replacement order; `checked` counts
+    those before the first failure."""
     if degree < 0:
         raise DomainError("degree must be >= 0")
     n = alg.dim
-    conj = _words(gaussian_conjugate(alg, he_op(alg, nu)))  # applied to every monomial
+    e = alg.identity()
+    r = moment_y(alg, e)
+    conj = conjugate(r - xlinear_x(alg, nu, e), r)
+    p0, m = conj.parts[0], conj.parts[1][1:]  # m[g, i]: x_g D_i
     eig = 2 * degree + Fraction(nu) * alg.rho
-    checked = 0
-    witness = None
-    for idx in itertools.combinations_with_replacement(range(n), degree):
-        exps = tuple(idx.count(a) for a in range(n))
-        p = Poly(n, {exps: Fraction(1)})
-        q = apply_op(conj, p)
-        if q.degree() > degree or not (q.graded_part(degree) - p.scaled(eig)).is_zero():
-            witness = {"monomial": list(exps)}
-            break
-        checked += 1
+    target = eig * conj.den
+    exps = (np.array(list(itertools.combinations_with_replacement(range(n), degree)),
+                     dtype=np.int64)[:, :, None] == np.arange(n)).sum(axis=1)
+    diag = np.diagonal(m)
+    diag = diag.astype(_exact_dtype(_max_abs(p0) + degree * _max_abs(diag)), copy=False)
+    mixing = np.count_nonzero(m - np.diag(diag), axis=0) > 0
+    fail = (np.count_nonzero(p0[1:]) > 0) | (exps @ diag + p0[0] != target) \
+        | (exps[:, mixing] > 0).any(axis=1)
+    failed = np.flatnonzero(fail)
+    checked = int(failed[0]) if len(failed) else len(exps)
+    witness = {"monomial": exps[checked].tolist()} if len(failed) else None
     return {"name": f"grading:I={degree}", "status": "pass" if witness is None else "fail",
             "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
 
@@ -332,31 +330,44 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
 def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
     """psi_0 = e^{-r} is annihilated by the realized compact generators (8
     random derivations and a basis of compact translations) and by
-    E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu."""
+    E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu.  A
+    generator sends psi_0 to e^{-r} q, q the D-degree-0 part of its
+    conjugate: a constant and a linear form.  Each generator is checked up to
+    a nonzero factor, which does not change whether q vanishes."""
     n = alg.dim
-    vac = Poly.constant(n, Fraction(1))
+    e = alg.identity()
+    r = moment_y(alg, e)
+
+    def kills(op: XLinearOp) -> bool:
+        return not np.count_nonzero(conjugate(op, r).parts[0])
+
     rng = np.random.default_rng(seed)
     failures = []
     # derivation sector [L_u, L_v] = (S_uv - S_vu)/2
     for _ in range(8):
         u = alg.random_element(rng, span=4)
         v = alg.random_element(rng, span=4)
-        op = (acute_s(alg, nu, u, v) - acute_s(alg, nu, v, u)).scaled(Fraction(1, 2))
-        if not apply_to_state(alg, op, vac).is_zero():
+        if not kills(xlinear_s(alg, nu, u, v) - xlinear_s(alg, nu, v, u)):
             failures.append({"check": "derivation", "u": [str(c) for c in u.coords]})
     # compact translations X_w + Y_w = i (X~_w - Y~_w) with w orthogonal to e
     for w in alg.e_perp_basis():
-        op = x_tilde(alg, nu, w) - y_tilde(alg, w)
-        if not apply_to_state(alg, op, vac).is_zero():
+        if not kills(xlinear_x(alg, nu, w) - moment_y(alg, w)):
             failures.append({"check": "compact-translation", "w": [str(c) for c in w.coords]})
-    # alpha_0 sl2 data: E_-alpha0 = (i/2)(X_c - Y_c) + S_ce, H_alpha0 = i (X_c + Y_c)
+    # alpha_0 sl2 data: E_-alpha0 = (i/2)(X_c - Y_c) + S_ce = S_ce - (X~_c + Y~_c)/2,
+    # H_alpha0 = i (X_c + Y_c) = Y~_c - X~_c
     c = alg.jordan_frame()[0]
-    xc, yc = x_tilde(alg, nu, c), y_tilde(alg, c)
-    e_minus = acute_s(alg, nu, c, alg.identity()) - (xc + yc).scaled(Fraction(1, 2))
-    if not apply_to_state(alg, e_minus, vac).is_zero():
+    xc, yc = xlinear_x(alg, nu, c), moment_y(alg, c)
+    if not kills(2 * xlinear_s(alg, nu, c, e) - (xc + yc)):
         failures.append({"check": "E_-alpha0"})
-    got = apply_to_state(alg, yc - xc, vac)  # H_alpha0
-    if not (got - vac.scaled(Fraction(nu))).is_zero():
+    h = conjugate(yc - xc, r)
+    q = h.parts[0]  # the constant, then x_0 .. x_{n-1}, over h.den
+    if int(q[0]) != Fraction(nu) * h.den or np.count_nonzero(q[1:]):
+        # terms in the order of the word-by-word action: by the first word of
+        # Y~_c - X~_c with each x part
+        slot = {0: 0, **{field(g): g + 1 for g in range(n)}}
+        words = (yc.poly() - xc.poly()).nums
+        got = Poly._make(n, {k: int(q[slot[k]]) for k in
+                             dict.fromkeys(k & (field(n) - 1) for k in words)}, h.den)
         failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
     return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
             "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction as Fr
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 from jkepler.algebra import DomainError, Element, make_algebra
-from jkepler.phase import (XLinearOp, moment_s, moment_x, moment_y, poisson_poly,
+from jkepler.phase import (XLinearOp, conjugate, moment_s, moment_x, moment_y, poisson_poly,
                            verify_poisson_tkk)
 from jkepler.poly import Poly, monomial_key
-from jkepler import modp, phase, weyl
+from jkepler import cli, modp, phase, weyl
 from jkepler.weyl import (WallachParam, WeylOp, acute_s, acute_x,
-                          acute_y, apply_op, apply_to_state, bound_spectrum,
-                          commutator, compose, gaussian_conjugate, he_grading_check, he_op,
+                          acute_y, apply_op, bound_spectrum,
+                          commutator, compose, gaussian_conjugate, he_grading_check,
                           lowest_weight_check, restriction_degeneracy,
                           tkk_op_residual, verify_tkk_ops, x_tilde, xlinear_s, xlinear_x,
                           y_tilde)
@@ -321,7 +322,8 @@ def test_complex_operators_are_units_times_rational(algebra, spec, nus):
 def test_rational_he_and_lowest_weight_operators(g3):
     nu = Fr(5, 2)
     c, e = g3.jordan_frame()[0], g3.identity()
-    assert Cx(he_op(g3, nu)) == (Cx(*acute_x(g3, nu, e)) + Cx(*acute_y(g3, nu, e))).times(0, 1)
+    he = y_tilde(g3, e) - x_tilde(g3, nu, e)
+    assert Cx(he) == (Cx(*acute_x(g3, nu, e)) + Cx(*acute_y(g3, nu, e))).times(0, 1)
     e_minus = (Cx(*acute_x(g3, nu, c)) - Cx(*acute_y(g3, nu, c))).times(0, Fr(1, 2)) \
         + Cx(acute_s(g3, nu, c, e))
     assert e_minus == Cx(acute_s(g3, nu, c, e)
@@ -487,6 +489,17 @@ def test_h3O_relations_within_budget(algebra):
     assert [c["status"] for c in checks] == ["pass"] * 6
 
 
+def test_h3O_operators_within_budget(algebra):
+    # the operators suite on e7(-25) at the default nu and one trial: relations,
+    # grading at levels 0-4, lowest weight and the spectrum; with the grading
+    # applying the conjugated WeylOp to each monomial this took about 5 s
+    alg = algebra("h:3:O")
+    start = time.perf_counter()
+    checks = cli._operator_checks(alg, cli.SuiteConfig("h:3:O", suite="operators", trials=1))
+    assert time.perf_counter() - start < 20
+    assert [c["status"] for c in checks] == ["pass"] * 13
+
+
 def test_commutator_composes_through_the_module_global(g3, monkeypatch):
     # a tracer that replaces weyl.compose must see both products of a commutator
     calls = []
@@ -501,15 +514,6 @@ def test_commutator_composes_through_the_module_global(g3, monkeypatch):
     x, d = WeylOp.var(n, 0), WeylOp.var(n, g3.dim)
     assert commutator(d, x) == WeylOp.constant(n, Fr(1))
     assert calls == [(d, x), (x, d)]
-
-
-def test_grading_applies_each_monomial_through_the_module_global(g3, monkeypatch):
-    # the operator's numerator form is derived once; each monomial is still one apply_op
-    calls = []
-    real = weyl.apply_op
-    monkeypatch.setattr(weyl, "apply_op", lambda op, p: calls.append(p) or real(op, p))
-    rep = he_grading_check(g3, Fr(1), 2)
-    assert rep["status"] == "pass" and len(calls) == rep["checked"] == 10
 
 
 def test_tkk_residual_names(g3):
@@ -557,6 +561,131 @@ def test_spectrum_monotone_increasing_to_zero(algebra):
 
 # --- grading and lowest weight ----------------------------------------------------------
 
+# The references: the WeylOp route, each generator's normal form conjugated
+# word by word (gaussian_conjugate) and applied to every monomial or to the
+# vacuum (apply_op).  They read xlinear_x and xlinear_s through the weyl
+# module, so a monkeypatched builder reaches them as it reaches the checks.
+
+def _act(alg, op, p):
+    """op on the state psi = e^{-r} p: the q with op psi = e^{-r} q."""
+    return apply_op(gaussian_conjugate(alg, op), p)
+
+
+def ref_grading(alg, nu, degree):
+    n, e = alg.dim, alg.identity()
+    conj = gaussian_conjugate(alg, y_tilde(alg, e) - x_tilde(alg, nu, e))
+    eig = 2 * degree + Fr(nu) * alg.rho
+    checked, witness = 0, None
+    for idx in itertools.combinations_with_replacement(range(n), degree):
+        exps = tuple(idx.count(a) for a in range(n))
+        p = Poly(n, {exps: Fr(1)})
+        q = apply_op(conj, p)
+        # no term above degree I, and the degree-I part is eig p
+        if Poly(n, {k: c for k, c in q.terms.items() if sum(k) >= degree}) != p.scaled(eig):
+            witness = {"monomial": list(exps)}
+            break
+        checked += 1
+    return {"name": f"grading:I={degree}", "status": "pass" if witness is None else "fail",
+            "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
+
+
+def ref_lowest_weight(alg, nu, seed=0):
+    n = alg.dim
+    vac = Poly.constant(n, Fr(1))
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(8):
+        u = alg.random_element(rng, span=4)
+        v = alg.random_element(rng, span=4)
+        op = (acute_s(alg, nu, u, v) - acute_s(alg, nu, v, u)).scaled(Fr(1, 2))
+        if not _act(alg, op, vac).is_zero():
+            failures.append({"check": "derivation", "u": [str(c) for c in u.coords]})
+    for w in alg.e_perp_basis():
+        if not _act(alg, x_tilde(alg, nu, w) - y_tilde(alg, w), vac).is_zero():
+            failures.append({"check": "compact-translation", "w": [str(c) for c in w.coords]})
+    c = alg.jordan_frame()[0]
+    xc, yc = x_tilde(alg, nu, c), y_tilde(alg, c)
+    e_minus = acute_s(alg, nu, c, alg.identity()) - (xc + yc).scaled(Fr(1, 2))
+    if not _act(alg, e_minus, vac).is_zero():
+        failures.append({"check": "E_-alpha0"})
+    got = _act(alg, yc - xc, vac)
+    if not (got - vac.scaled(Fr(nu))).is_zero():
+        failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
+    return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
+            "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}
+
+
+def _perturbed(op, d, index):
+    """op with 1 added to the numerator at `index` of its D-degree-d part."""
+    parts = {k: t.astype(object) for k, t in op.parts.items()}
+    parts[d][index] += 1
+    return XLinearOp(op.n, parts, op.den)
+
+
+def _mutations(alg):
+    """(name, builder attribute, replacement factory) for each mutated builder.
+    With h = grad r nonzero at i and zero at j, one added X~ entry changes one
+    term of the conjugated H_e: x_j D_i D_j adds -h_i x_j D_j (an eigenvalue
+    from degree 1 on), x_i D_i D_j adds -h_i x_i D_j (x_j leaves the
+    monomial), and x_i D_i D_i adds h_i^2 x_i (degree I + 1 at every I)."""
+    h = moment_y(alg, alg.identity()).parts[0][1:]
+    i, j = int(np.flatnonzero(h)[0]), int(np.flatnonzero(h == 0)[0])
+
+    def x_entry(index):
+        return lambda real: lambda a, nu, u: _perturbed(real(a, nu, u), 2, index)
+
+    return [("nu+1 in X~", "xlinear_x", lambda real: lambda a, nu, u: real(a, nu + 1, u)),
+            ("X~ doubled", "xlinear_x", lambda real: lambda a, nu, u: 2 * real(a, nu, u)),
+            ("X~ eigenvalue entry", "xlinear_x", x_entry((j + 1, i, j))),
+            ("X~ mixing entry", "xlinear_x", x_entry((i + 1, i, j))),
+            ("X~ raising entry", "xlinear_x", x_entry((i + 1, i, i))),
+            ("S entry", "xlinear_s",
+             lambda real: lambda a, nu, u, v: _perturbed(real(a, nu, u, v), 1, (j + 1, i)))]
+
+
+@pytest.mark.parametrize("spec,nu", [("gamma:3", Fr(1)), ("h:3:R", Fr(1, 2)),
+                                     ("h:3:C", Fr(1))])
+def test_checks_match_the_weylop_route(algebra, spec, nu, monkeypatch):
+    alg = algebra(spec)
+    levels = range(4 if alg.dim < 9 else 3)
+    cases = [("builders", None, None)] + _mutations(alg)
+    fails_above_zero = 0
+    for name, attr, factory in cases:
+        with monkeypatch.context() as m:
+            if attr:
+                m.setattr(weyl, attr, factory(getattr(weyl, attr)))
+            grading = [he_grading_check(alg, nu, i) for i in levels]
+            assert grading == [ref_grading(alg, nu, i) for i in levels], name
+            got, want = lowest_weight_check(alg, nu, seed=3), ref_lowest_weight(alg, nu, seed=3)
+            assert json.dumps(got) == json.dumps(want), name
+        statuses = [g["status"] for g in grading]
+        if attr is None:
+            assert statuses == ["pass"] * len(levels) and got["status"] == "pass"
+        else:
+            assert "fail" in statuses or got["status"] == "fail", name
+        fails_above_zero += statuses[0] == "pass" and "fail" in statuses
+    assert fails_above_zero >= 2
+
+
+def test_conjugate_falls_back_to_python_ints(g3):
+    # e^{kr} A e^{-kr} is gaussian_conjugate with outer_sign k
+    nu = Fr(7, 3)
+    rng = np.random.default_rng(4)
+    big = Element._make(g3, [10**12 + int(c) for c in rng.integers(-9, 10, g3.dim)], 1)
+    huge = Element._make(g3, [10**20 + int(c) for c in rng.integers(-9, 10, g3.dim)], 7)
+    small = g3.random_element(rng, span=4)
+    r = moment_y(g3, g3.identity())
+    x_big, x_huge = xlinear_x(g3, nu, big), xlinear_x(g3, nu, huge)
+    s_big = xlinear_s(g3, nu, small, big)
+    for a, k, fits in [(x_big, 1, True), (x_big, 10**3, False), (x_huge, 1, False),
+                       (s_big + x_big, 10**4, False)]:
+        got = conjugate(a, k * r)
+        assert all((t.dtype == np.int64) == fits for t in got.parts.values())
+        assert got.poly(WeylOp) == gaussian_conjugate(g3, a.poly(WeylOp), k)
+    # past the guard the int64 kernel would have wrapped
+    assert max(abs(int(c)) for c in conjugate(x_big, 10**3 * r).parts[0].ravel()) > 2**63
+
+
 @pytest.mark.parametrize("nu", [Fr(1), Fr(2)])
 def test_he_grading(g3, nu):
     for i in range(4):
@@ -586,7 +715,7 @@ def test_vacuum_annihilated_by_alpha0_lowering(g3):
         + Cx(acute_s(g3, nu, c, g3.identity()))
     assert not op[0].is_zero()
     for part in op:
-        assert apply_to_state(g3, part, Poly.constant(g3.dim, Fr(1))).is_zero()
+        assert _act(g3, part, Poly.constant(g3.dim, Fr(1))).is_zero()
 
 
 def test_grading_respects_degree_filtration(g3):
@@ -602,7 +731,7 @@ def test_grading_respects_degree_filtration(g3):
         for exps in [(2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1)]:
             p = Poly(g3.dim, {exps: Fr(1)})
             q = apply_op(conj, p)
-            assert q.degree() <= sum(exps)
+            assert all(sum(k) <= sum(exps) for k in q.terms)
 
 
 # --- degeneracies ----------------------------------------------------------------------

@@ -31,9 +31,10 @@ left out.  Three end-to-end figures:
                              --algebra h:3:O --trials 1`, process start to exit
   operators_h3O_peak_rss_mb  peak RSS of that process
 
-The h:3:O figures come from one process, not a median.  On the x-linear
-bracket that run takes about 5 s and 51 MB on a 2-core VM; through the WeylOp
-commutator it took about 90 s and 2 GB.
+The h:3:O figures come from one process, not a median.  With the relations
+on the x-linear bracket and the grading and lowest-weight checks on the
+conjugated symbols that run takes about 1 s on a 2-core VM; through the
+WeylOp commutator it took about 90 s and 2 GB.
 
 tkk -> BENCH_tkk_layers.json.  Medians over REPEAT = 3 processes.  Per
 family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
