@@ -7,9 +7,8 @@ from .algebra import (AlgebraSpec, Algebra, Element, make_algebra,
 from .conformal import (StrElement, CoElement, RootData, co_bracket, cartan_involution,
                         root_data, dim_str, dim_co, ConsistencyError)
 from .poly import Poly
-from .phase import (PhaseRational, poisson, poisson_poly,
-                    verify_poisson_tkk, classical_hamiltonian, classical_angular,
-                    classical_lenz)
+from .phase import (poisson, poisson_poly, verify_poisson_tkk, kepler_hamiltonian,
+                    kepler_angular, kepler_lenz)
 from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
                    gaussian_conjugate, verify_tkk_ops, he_grading_check,
                    lowest_weight_check, restriction_degeneracy, bound_spectrum)

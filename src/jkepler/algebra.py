@@ -287,12 +287,6 @@ class Algebra:
         p = self.product
         return p(u, p(v, w)) - p(v, p(u, w)) + p(p(u, v), w)
 
-    def apply_matrix(self, m, x: Element) -> Element:
-        """M x for a matrix M given as (nums, den)."""
-        nums, den = m
-        out = np.asarray(nums, dtype=object) @ np.array(x.nums, dtype=object)
-        return Element._make(self, out.tolist(), den * x.den)
-
     # --- trace, inner product, spectral invariants -------------------------
 
     def inner(self, u: Element, v: Element) -> Fraction:

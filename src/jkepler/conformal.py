@@ -22,7 +22,9 @@ adj / den with A adj = den 1 checked exactly, which proves rank >= r; every
 kept generator g, and so every generator, then satisfies
 den g = (g[cols] adj) B exactly for the pivot rows B, which proves
 rank <= r.  So dim str(V) is a certified exact rank, and membership
-of a matrix v is the same exact identity for v.
+of a matrix v is the same exact identity for v.  The pivot rows, with X_{e_a}
+and Y_{e_a}, are the basis of co(V) in which structure_constants reads the
+bracket.
 
 co(V) is a real Lie algebra, so the sl2 root triples are kept in their
 rational real form (h~, a, s); the paper's triple H = i h~, E+- = i a -+ s is
@@ -75,21 +77,26 @@ class _StrSpan:
         return np.array_equal(v * self.den, (v[:, self.cols] @ adj) @ basis)
 
 
-def _generators(alg: Algebra) -> np.ndarray:
-    """The distinct generators of str(V): of the rows 4 S_{e_k e_a} (n^2
-    entries each, a-major), those that are nonzero and not equal up to sign to
-    an earlier row, in order.  Every generator is 0 or +- one of them, so they
-    span str(V) and a certificate on them covers every generator.  They are
-    small integers (at most 4 in every family), computed exactly in float64
-    and kept as int8 when they fit."""
+def _snums(alg: Algebra) -> np.ndarray:
+    """4 S_{e_a e_b} for every basis pair: [b, a] is its n x n numerator matrix,
+    row-major.  They are small integers (at most 4 in every family), computed
+    exactly in float64 and kept as int8 when they fit."""
     n = alg.dim
     c2, eye = alg._c2.astype(np.float64), np.eye(n)
     blocks = []
-    for a in range(n):
-        g = _snum(c2, eye, eye[a]).reshape(n, -1)
+    for b in range(n):
+        g = _snum(c2, eye, eye[b]).reshape(n, -1)
         small = g.astype(np.int8)
         blocks.append(small if np.array_equal(small, g) else g.astype(np.int64))
-    g = np.vstack(blocks)
+    return np.stack(blocks)
+
+
+def _generators(alg: Algebra) -> np.ndarray:
+    """The distinct generators of str(V): of the rows of _snums (4 S_{e_a e_b}
+    at row b n + a), those that are nonzero and not equal up to sign to an
+    earlier row, in order.  Every generator is 0 or +- one of them, so they span
+    str(V) and a certificate on them covers every generator."""
+    g = _snums(alg).reshape(alg.dim ** 2, -1)
     sign = np.sign(g[np.arange(len(g)), (g != 0).argmax(axis=1)])
     first = {}
     for i, (s, row) in enumerate(zip(sign.tolist(), g * sign[:, None])):
@@ -157,9 +164,11 @@ def _bracket_constants(alg: Algebra):
 
 
 def _adjoint_nums(m: np.ndarray, gnum, lg: int) -> np.ndarray:
-    """Numerators over lg of the adjoint of the numerator matrix m."""
+    """Numerators over lg of the adjoint of the numerator matrix m (or of each
+    matrix of a stack m)."""
     w = np.array(gnum, dtype=m.dtype)
-    return (np.array([lg // g for g in gnum], dtype=m.dtype)[:, None] * m.T) * w[None, :]
+    return (np.array([lg // g for g in gnum], dtype=m.dtype)[:, None]
+            * np.swapaxes(m, -1, -2)) * w[None, :]
 
 
 class StrElement(_Exact):
@@ -263,6 +272,42 @@ def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     den = a.den * b.den
     return CoElement(Element._make(alg, x.tolist(), den), StrElement(alg, (m, 2 * den)),
                      Element._make(alg, y.tolist(), den * lg))
+
+
+def structure_constants(alg: Algebra):
+    """(c, den): [z_i, z_j] = sum_k c[i, j, k] z_k / den in the basis
+    z = (X_{e_a}, B_k, Y_{e_a}) of co(V), B_k the pivot rows of the certified
+    str(V) span read as n x n matrices.  The blocks are those of co_bracket,
+    each read for all basis pairs at once: [X_a, Y_b] = -4 S_{e_a e_b} / 2,
+    [B_k, X_a] = X_{B_k e_a}, [B_k, Y_a] = -Y_{B_k' e_a} and
+    [B_k, B_l] = B_k B_l - B_l B_k, where a str(V) matrix m has the
+    coordinates m[cols] adj / span.den."""
+    key = "structure_constants"
+    if key not in alg._cache:
+        n, span = alg.dim, _str_span_exact(alg)
+        r, gnum, lg = span.rank, *_bracket_constants(alg)[:2]
+        den = math.lcm(lg, 2 * span.den)
+        s4 = np.swapaxes(_snums(alg), 0, 1)  # [a, b]: 4 S_{e_a e_b}
+        b = span.basis.reshape(r, n, n)
+        # every entry below is at most this, partial sums included
+        bound = den * max(r * _max_abs(span.adj) * (_max_abs(s4) + 2 * n * _max_abs(b) ** 2),
+                          _max_abs(b) * max(gnum))
+        dtype = _exact_dtype(bound, np.float64)  # float64 for the BLAS products
+        adj, b = span.adj.astype(dtype), b.astype(dtype)
+        rows, cols = divmod(np.array(span.cols), n)
+        # [p, k, l]: entry cols[p] of B_k B_l
+        prod = b[:, rows, :].transpose(1, 0, 2) @ b[:, :, cols].transpose(2, 1, 0)
+        c = np.zeros((2 * n + r,) * 3, dtype=np.int64 if dtype is np.float64 else object)
+        xs, ss, ys = slice(0, n), slice(n, n + r), slice(n + r, None)
+        c[xs, ys, ss] = -(s4[:, :, span.cols] @ adj) * (den // (2 * span.den))
+        c[ss, xs, xs] = np.swapaxes(b, 1, 2) * den
+        c[ss, ys, ys] = -np.swapaxes(_adjoint_nums(b, gnum, lg), 1, 2) * (den // lg)
+        c[ss, ss, ss] = prod.transpose(1, 2, 0) @ adj * (den // span.den)
+        c[ss, ss] -= np.swapaxes(c[ss, ss], 0, 1).copy()
+        for i, j in ((xs, ys), (ss, xs), (ss, ys)):
+            c[j, i] = -np.swapaxes(c[i, j], 0, 1)
+        alg._cache[key] = c, den
+    return alg._cache[key]
 
 
 def cartan_involution(a: CoElement) -> CoElement:

@@ -1,16 +1,14 @@
-"""Exact symbolic symplectic calculus on T*V.
+"""Exact symbolic symplectic calculus on T*V, and the Kepler data on co(V)*.
 
-Observables are sparse polynomials (poly.Poly in 2n variables: the position
-coordinates x^a, then the conjugate momenta p_a) with rational coefficients,
-extended by denominators that are powers of r = <e|x>.  The canonical
-bracket is {x^a, p_b} = delta_ab; the momentum covector p is identified with
-the tangent vector pi through the inner product, so every inner-product
-contraction below carries the Gram matrix explicitly (trivial for spin
-factors, diagonal rational otherwise).  The bracket of two polynomials is
-one loop over pairs of stored terms, integer numerators under packed
-exponent keys, with no partial derivatives built.  A quotient N / r^m is kept as given, with no
-normal form: every check only asks whether an observable vanishes, and
-N / r^m does iff N does.
+Observables on T*V are sparse polynomials (poly.Poly in 2n variables: the
+position coordinates x^a, then the conjugate momenta p_a) with rational
+coefficients.  The canonical bracket is {x^a, p_b} = delta_ab; the momentum
+covector p is identified with the tangent vector pi through the inner
+product, so every inner-product contraction below carries the Gram matrix
+explicitly (trivial for spin factors, diagonal rational otherwise).
+poisson_poly, the bracket of two such polynomials, is one loop over pairs of
+stored terms, integer numerators under packed exponent keys.  No check calls
+it: it is the reference that the tests hold `bracket` and the Kepler data to.
 
 The moment functions
 
@@ -23,9 +21,15 @@ read with p -> D, are the nu = 0 operators of the quantum realization
 (weyl adds the nu-terms).  For x-linear symbols the normal-ordered
 commutator stops at first order, so {a, b} = -[a, b] = [b, a] exactly: one
 closed-form tensor bracket serves the Poisson relations here and the
-operator relations in weyl.  poisson_poly serves the r-power Kepler data,
-which are not x-linear; the classical hamiltonian, angular and Lenz
-observables read the Poly form of the symbols.
+operator relations in weyl.
+
+The relations say that z -> its moment function takes co_bracket to the
+Poisson bracket, so the moment map mu = (S, X, Y) is a Poisson map from T*V
+to co(V)* with its Lie-Poisson bracket {z_i, z_j} = sum_k c_ij^k z_k
+(conformal.structure_constants).  The Kepler hamiltonian, angular and Lenz
+observables are polynomials in the coordinates z of co(V)* over powers of
+Y_e = r (CoStar), so each of their identities is one of the free polynomial
+ring, with no relation of a coadjoint orbit, and pulls back to T*V.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element, _exact_dtype, _max_abs
+from .conformal import _str_span_exact, structure_constants
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
 
@@ -64,90 +69,6 @@ def poisson_poly(f: Poly, g: Poly) -> Poly:
                     key = pf + pg - step
                     out[key] = get(key, 0) + cf * cg * w
     return Poly._make(f.nvars, out, f.den * g.den)
-
-
-class PhaseRational:
-    """Quotient N / r^m with N a phase Poly and r = <e|x>, not reduced:
-    (N r) / r^(m+1) and N / r^m are different objects that compare equal."""
-
-    __slots__ = ("algebra", "num", "rpow")
-
-    def __init__(self, algebra: Algebra, num: Poly, rpow: int = 0):
-        self.algebra = algebra
-        self.num = num
-        self.rpow = rpow
-
-    def __add__(self, other):
-        other = _as_rational(self.algebra, other)
-        m = max(self.rpow, other.rpow)
-        r = r_poly(self.algebra)
-        n1 = self.num
-        for _ in range(m - self.rpow):
-            n1 = n1 * r
-        n2 = other.num
-        for _ in range(m - other.rpow):
-            n2 = n2 * r
-        return PhaseRational(self.algebra, n1 + n2, m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_rational(self.algebra, other))
-
-    def __neg__(self):
-        return PhaseRational(self.algebra, -self.num, self.rpow)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PhaseRational(self.algebra, self.num * other, self.rpow)
-        other = _as_rational(self.algebra, other)
-        return PhaseRational(self.algebra, self.num * other.num, self.rpow + other.rpow)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (PhaseRational, Poly, int, Fraction)):
-            return (self - other).is_zero()
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PhaseRational({self.algebra.spec}, {len(self.num.nums)} terms / r^{self.rpow})"
-
-
-def _as_rational(alg: Algebra, f) -> PhaseRational:
-    if isinstance(f, PhaseRational):
-        return f
-    if isinstance(f, (int, Fraction)):
-        f = Poly.constant(2 * alg.dim, f)
-    return PhaseRational(alg, f, 0)
-
-
-def r_poly(alg: Algebra) -> Poly:
-    """r = <e|x> as a phase Poly."""
-    return moment_y(alg, alg.identity()).poly()
-
-
-def poisson(f, g) -> PhaseRational:
-    """Poisson bracket of phase observables (polynomials or r-power quotients).
-
-    For f = N1/r^a, g = N2/r^b:
-    {f, g} = (r {N1,N2} - a N1 {r,N2} + b N2 {r,N1}) / r^{a+b+1}.
-    """
-    if isinstance(f, Poly) and isinstance(g, Poly):
-        raise TypeError("use poisson_poly for two plain polynomials")
-    alg = f.algebra if isinstance(f, PhaseRational) else g.algebra
-    f = _as_rational(alg, f)
-    g = _as_rational(alg, g)
-    r = r_poly(alg)
-    num = r * poisson_poly(f.num, g.num)
-    if f.rpow:
-        num = num - f.rpow * (f.num * poisson_poly(r, g.num))
-    if g.rpow:
-        num = num + g.rpow * (g.num * poisson_poly(r, f.num))
-    return PhaseRational(alg, num, f.rpow + g.rpow + 1)
 
 
 # --- x-linear symbols as integer tensors ---------------------------------------
@@ -378,38 +299,143 @@ def verify_poisson_tkk(alg: Algebra, trials: int = 50, seed: int = 0,
         alg, name, *t, mutated_moment=mutated_moment), trials, seed)
 
 
-# --- classical Kepler data ------------------------------------------------------
-#
-# Sign conventions.  With the canonical bracket {x^a, p_b} = +delta and the
-# moment functions above, the bracket {A_u, A_v} of the Lenz observables is
-# independent of any overall sign put on A (it is quadratic in A).  The free
-# sign of the system therefore lives in the orientation of the rotation
-# sector: classical_angular uses [L_v, L_u], which is the unique orientation
-# for which the closed system
-#
-#     {H, L_{u,v}} = 0,  {H, A_u} = 0,  {A_u, A_v} = -2 H L_{u,v},
-#     {L_{u,v}, A_z} = A_{[L_v, L_u] z}
-#
-# holds identically.  LENZ_SIGN matches the i-bookkeeping of the operator
-# Lenz definition; all four identities hold for either value.
+# --- Kepler data on co(V)* -------------------------------------------------------
 
-LENZ_SIGN = -1
+class CoStar:
+    """Polynomials on co(V)*: Polys in the coordinates z = (X_a, B_k, Y_a) of
+    conformal.structure_constants, under the Lie-Poisson bracket
+    {z_i, z_j} = sum_k c_ij^k z_k."""
+
+    def __init__(self, alg: Algebra):
+        (self.table, self.den), self.alg = structure_constants(alg), alg
+        self.nvars, self.span = len(self.table), _str_span_exact(alg)
+        idx = np.argwhere(self.table)
+        self.forms = {}  # (i, j) -> [(packed key of z_k, numerator of c_ij^k)]
+        for (i, j, k), c in zip(idx.tolist(), self.table[tuple(idx.T)].tolist()):
+            self.forms.setdefault((i, j), []).append((field(k), c))
+
+    def _linear(self, first: int, nums, den: int) -> Poly:
+        return Poly._make(self.nvars, {field(first + a): c for a, c in enumerate(nums)}, den)
+
+    def x(self, u: Element) -> Poly:
+        return self._linear(0, u.nums, u.den)
+
+    def y(self, v: Element) -> Poly:
+        return self._linear(self.nvars - self.alg.dim, v.nums, v.den)
+
+    def s(self, u: Element, v: Element) -> Poly:
+        """S_uv in the B coordinates, m[cols] adj / span.den for its matrix m:
+        read from smul_matrix, not from the table, whose X-Y block the Lenz
+        brackets then test."""
+        m, den = self.alg.smul_matrix(u, v)
+        row, adj = m.ravel()[self.span.cols], self.span.adj
+        dtype = _exact_dtype(self.span.rank * _max_abs(row) * _max_abs(adj))
+        return self._linear(self.alg.dim, (row.astype(dtype) @ adj.astype(dtype)).tolist(),
+                            den * self.span.den)
+
+    def bracket(self, f: Poly, g: Poly) -> Poly:
+        """{f, g} = sum_ij df/dz_i dg/dz_j {z_i, z_j} on the stored numerators:
+        a term cf of f with z_i to the power ei and a term cg of g with z_j to
+        the power ej put cf cg ei ej c_ij^k on kf + kg - z_i - z_j + z_k."""
+        same_nvars(f, g)
+        check_fields(f, g)
+
+        def by_var(h):  # (key / z_i, numerator times the exponent of z_i, i)
+            out = []
+            for key, c in h.nums.items():
+                k = key
+                while k:  # the variables of the term, lowest first
+                    i = ((k & -k).bit_length() - 1) >> 4
+                    e = k >> 16 * i & 0xFFFF
+                    out.append((key - field(i), c * e, i))
+                    k -= e << 16 * i
+            return out
+
+        out, g_terms = {}, by_var(g)
+        get = out.get
+        for kf, cf, i in by_var(f):
+            for kg, cg, j in g_terms:
+                for kk, ck in self.forms.get((i, j), ()):
+                    key = kf + kg + kk
+                    out[key] = get(key, 0) + cf * cg * ck
+        return Poly._make(f.nvars, out, f.den * g.den * self.den)
 
 
-def classical_hamiltonian(alg: Algebra) -> PhaseRational:
-    """H = (1/2) <x|pi^2> / r - 1/r."""
-    num = Fraction(1, 2) * moment_x(alg, alg.identity()).poly() - Poly.constant(2 * alg.dim, 1)
-    return PhaseRational(alg, num, 1)
+def co_star(alg: Algebra) -> CoStar:
+    """The algebra's CoStar, built once."""
+    if "co_star" not in alg._cache:
+        alg._cache["co_star"] = CoStar(alg)
+    return alg._cache["co_star"]
 
 
-def classical_angular(alg: Algebra, u: Element, v: Element) -> Poly:
-    """Angular observable of the pair (u, v): <[L_v, L_u] x | pi> = (S_vu - S_uv)/2,
-    as S_uv = L_uv + [L_u, L_v]."""
-    return Fraction(1, 2) * (moment_s(alg, v, u) - moment_s(alg, u, v)).poly()
+def poisson(alg: Algebra, f: tuple, g: tuple) -> tuple:
+    """{N1 / Y_e^a, N2 / Y_e^b} = (Y_e {N1, N2} - a N1 {Y_e, N2} + b N2 {Y_e, N1})
+    / Y_e^(a+b+1) for quotients (N, a) on co(V)*, kept as built: each check
+    only asks whether one vanishes, and N / Y_e^a does iff N does."""
+    cs, (n1, a), (n2, b) = co_star(alg), f, g
+    ye = cs.y(alg.identity())
+    num = ye * cs.bracket(n1, n2)
+    if a:
+        num = num - a * (n1 * cs.bracket(ye, n2))
+    if b:
+        num = num + b * (n2 * cs.bracket(ye, n1))
+    return num, a + b + 1
 
 
-def classical_lenz(alg: Algebra, u: Element) -> PhaseRational:
-    """Lenz observable A_u = sign * (1/r) {L_u, r^2 H} with L_u = S_ue."""
-    l_u = moment_s(alg, u, alg.identity()).poly()
-    r2h = r_poly(alg) * classical_hamiltonian(alg).num
-    return PhaseRational(alg, LENZ_SIGN * poisson_poly(l_u, r2h), 1)
+def over(alg: Algebra, f: tuple, m: int) -> Poly:
+    """N Y_e^(m - a): the numerator of the quotient f = (N, a) over Y_e^m."""
+    num, a = f
+    for _ in range(m - a):
+        num = num * co_star(alg).y(alg.identity())
+    return num
+
+
+def kepler_hamiltonian(alg: Algebra) -> tuple:
+    """H = (X_e/2 - 1) / Y_e, the pullback of (1/2) <x|pi^2> / r - 1/r."""
+    cs = co_star(alg)
+    return Fraction(1, 2) * cs.x(alg.identity()) - Poly.constant(cs.nvars, 1), 1
+
+
+def kepler_angular(alg: Algebra, u: Element, v: Element) -> Poly:
+    """L_uv = (S_vu - S_uv)/2, the momentum observable of [L_v, L_u] (as
+    S_uv = L_uv + [L_u, L_v]): the orientation for which {H, L_uv} = 0,
+    {H, A_u} = 0, {A_u, A_v} = -2 H L_uv and {L_uv, A_z} = A_{[L_v, L_u] z}
+    all hold.  The sign of A is free, as {A_u, A_v} is quadratic in A."""
+    cs = co_star(alg)
+    return Fraction(1, 2) * (cs.s(v, u) - cs.s(u, v))
+
+
+def kepler_lenz(alg: Algebra, u: Element) -> tuple:
+    """A_u = ((Y_u X_e - X_u Y_e)/2 - Y_u) / Y_e, the pullback of
+    -(1/r) {L_u, r^2 H} with L_u = S_ue."""
+    cs, e = co_star(alg), alg.identity()
+    return Fraction(1, 2) * (cs.y(u) * cs.x(e) - cs.x(u) * cs.y(e)) - cs.y(u), 1
+
+
+def equivariance_witness(alg: Algebra, pairs: list, angular: list):
+    """The first basis triple {"u": i, "v": j, "z": a} on which
+    {L_uv, A_z} = A_{[L_v, L_u] z} fails, for the linear forms L_uv of the
+    basis pairs (i, j); None if there is none.  A_z is built from X_z, Y_z and
+    X_e, Y_e, so the identity holds for every z once {L_uv, X_a} = X_{D e_a}
+    and {L_uv, Y_a} = Y_{D e_a} for every a, D = [L_v, L_u] (D e = 0 then
+    gives {L_uv, X_e} = {L_uv, Y_e} = 0): one product of the forms with the X
+    and Y columns of the table, against D from lmul_matrix."""
+    cs, n = co_star(alg), alg.dim
+    nvars = cs.nvars
+    keys, lden = [field(k) for k in range(nvars)], math.lcm(*(f.den for f in angular))
+    if any(set(f.nums) - set(keys) for f in angular):
+        raise ValueError("an angular observable is not a linear form")
+    lmat = np.array([[f.nums.get(key, 0) * (lden // f.den) for key in keys] for f in angular],
+                    dtype=object).reshape(len(pairs), nvars)
+    cols = cs.table[:, list(range(n)) + list(range(nvars - n, nvars))].reshape(nvars, -1)
+    l2 = np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)])  # 2 L_{e_a}
+    # 4 {L_uv, z_a} and 4 D lden den: every entry and partial sum is below bound
+    bound = 4 * nvars * _max_abs(lmat) * _max_abs(cols) + 2 * n * _max_abs(l2) ** 2 * lden * cs.den
+    dtype = _exact_dtype(bound, np.float64)
+    act = ((4 * lmat).astype(dtype) @ cols.astype(dtype)).reshape(len(pairs), 2 * n, nvars)
+    i, j, l2 = [p[0] for p in pairs], [p[1] for p in pairs], l2.astype(dtype)
+    d4 = np.swapaxes(l2[j] @ l2[i] - l2[i] @ l2[j], 1, 2) * (lden * cs.den)  # [p, a, b]: 4 D_ba
+    act[:, :n, :n] -= d4
+    act[:, n:, -n:] -= d4
+    bad = np.argwhere(act.any(axis=2)).tolist()
+    return {"u": i[bad[0][0]], "v": j[bad[0][0]], "z": bad[0][1] % n} if bad else None

@@ -1,8 +1,9 @@
 """Sparse polynomials with exact coefficients.
 
 One class serves every polynomial-shaped object of the workbench: phase-space
-observables (x block, then p block), normal-ordered operators (x block, then
-D block), polynomial states over V, and polynomials in power sums.  A
+observables (x block, then p block), polynomials on co(V)* (the Kepler data,
+phase.CoStar), normal-ordered operators (x block, then D block), polynomial
+states over V, and polynomials in power sums.  A
 subclass changes only the product: weyl.WeylOp composes in normal order where
 Poly multiplies commutatively.  The moment functions S, X, Y are x-linear
 and are built once, as integer tensors (phase.XLinearOp, whose one bracket

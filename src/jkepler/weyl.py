@@ -62,7 +62,7 @@ import numpy as np
 from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
 from .modp import _PRIME, Echelon
 from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, conjugate, moment_s,
-                    moment_x, moment_y, r_poly, relation_residual)
+                    moment_x, moment_y, relation_residual)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
 
@@ -160,7 +160,7 @@ def gaussian_conjugate(alg: Algebra, op: WeylOp, outer_sign: int = 1) -> WeylOp:
     c prod_a C(B_a, s_a) (-s h_a)^(B_a - s_a) times dh^(top - |B - s|), over
     den dh^top."""
     n = op.nvars // 2
-    r = r_poly(alg)
+    r = moment_y(alg, alg.identity()).poly()
     dh = r.den
     shift = [-outer_sign * r.nums.get(field(a), 0) for a in range(n)]
     words = [(k & (field(n) - 1), unpack(k, op.nvars)[n:], c) for k, c in op.nums.items()]

@@ -190,7 +190,9 @@ def test_triple_product_identities(algebra, spec):
         assert np.array_equal(as_fractions(alg.smul_matrix(u, e)), as_fractions(alg.lmul_matrix(u)))
         # adjoint: <S_uv x | y> = <x | S_vu y>
         suv, svu = alg.smul_matrix(u, v), alg.smul_matrix(v, u)
-        assert alg.inner(alg.apply_matrix(suv, z), w) == alg.inner(z, alg.apply_matrix(svu, w))
+        suv_z, svu_w = (Element(alg, as_fractions(m) @ np.array(x.coords, dtype=object))
+                        for m, x in ((suv, z), (svu, w)))
+        assert alg.inner(suv_z, w) == alg.inner(z, svu_w)
         # [S_uv, S_zw] = S_{uvz},w - S_z,{vuw}
         suv, szw = as_fractions(suv), as_fractions(alg.smul_matrix(z, w))
         lhs = suv @ szw - szw @ suv

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from jkepler import cli, phase
@@ -42,28 +43,85 @@ def test_operators_default_nu_is_in_the_wallach_set(capsys):
     assert all(c["status"] == "pass" for c in d["checks"])
 
 
-def _classical_failures(spec):
+def _classical_failures(spec, checks=False):
     rep = run(SuiteConfig(algebra=spec, suite="poisson", trials=1))
-    return {c["name"] for c in rep.checks if c["status"] == "fail"}
+    failed = [c for c in rep.checks if c["status"] == "fail"]
+    return failed if checks else {c["name"] for c in failed}
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
 def test_classical_checks_catch_a_perturbed_hamiltonian(spec, monkeypatch):
-    def hamiltonian(alg):  # H + <e_1|x>/r is not conserved by L or A
-        y = phase.moment_y(alg, alg.basis_element(1)).poly()
-        return phase.classical_hamiltonian(alg) + phase.PhaseRational(alg, y, 1)
+    def hamiltonian(alg):  # H + Y_{e_1}/Y_e is not conserved by L or A
+        num, m = phase.kepler_hamiltonian(alg)
+        return num + phase.co_star(alg).y(alg.basis_element(1)), m
 
     assert _classical_failures(spec) == set()
-    monkeypatch.setattr(cli, "classical_hamiltonian", hamiltonian)
+    monkeypatch.setattr(cli, "kepler_hamiltonian", hamiltonian)
     assert _classical_failures(spec) == {"poisson:conserve-angular", "poisson:conserve-lenz",
                                          "poisson:lenz-closure"}
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
 def test_classical_checks_catch_the_other_orientation(spec, monkeypatch):
-    monkeypatch.setattr(cli, "classical_angular",
-                        lambda alg, u, v: phase.classical_angular(alg, v, u))  # [L_u, L_v]
+    monkeypatch.setattr(cli, "kepler_angular",
+                        lambda alg, u, v: phase.kepler_angular(alg, v, u))  # [L_u, L_v]
     assert _classical_failures(spec) == {"poisson:equivariance", "poisson:lenz-closure"}
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
+def test_lenz_coefficient_one_on_yu_xe_fails_with_a_basis_witness(spec, monkeypatch):
+    def lenz(alg, u):  # (Y_u X_e - X_u Y_e / 2 - Y_u) / Y_e
+        cs, e = phase.co_star(alg), alg.identity()
+        num, m = phase.kepler_lenz(alg, u)
+        return num + Fr(1, 2) * (cs.y(u) * cs.x(e)), m
+
+    monkeypatch.setattr(cli, "kepler_lenz", lenz)
+    failed = _classical_failures(spec, checks=True)
+    assert [c["name"] for c in failed] == ["poisson:conserve-lenz", "poisson:lenz-closure"]
+    n = make_algebra(spec).dim
+    lenz_w, closure_w = (c["witness"] for c in failed)
+    assert set(lenz_w) == {"u"} and 0 <= lenz_w["u"] < n
+    assert set(closure_w) == {"u", "v"} and 0 <= closure_w["v"] < closure_w["u"] < n
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_a_sign_flipped_structure_constant_fails(spec, monkeypatch):
+    # the Lenz brackets read the [X_a, Y_b] block of the table, and S_uv comes
+    # from smul_matrix, so a flipped entry there shows; the B-B block is not
+    # read by any Kepler identity
+    real = phase.structure_constants
+
+    def flipped(alg):  # the first nonzero c_ij^k with z_i = X_a, z_j = Y_b, a != b
+        c, den = real(alg)
+        c, n = c.copy(), alg.dim
+        a, b, k = next(e for e in np.argwhere(c[:n, -n:]).tolist() if e[0] != e[1])
+        i, j = a, len(c) - n + b
+        c[i, j, k], c[j, i, k] = -c[i, j, k], -c[j, i, k]
+        return c, den
+
+    assert _classical_failures(spec) == set()
+    monkeypatch.setattr(phase, "structure_constants", flipped)
+    failed = _classical_failures(spec, checks=True)
+    assert [c["name"] for c in failed] == ["poisson:conserve-lenz", "poisson:lenz-closure"]
+    lenz_w, closure_w = (c["witness"] for c in failed)
+    assert set(lenz_w) == {"u"} and set(closure_w) == {"u", "v"}
+
+
+def test_a_lenz_perturbation_on_the_last_basis_element_fails(monkeypatch):
+    # every basis element is checked, not only the first four
+    alg = make_algebra("h:3:R")
+    last = alg.dim - 1
+
+    def lenz(alg, u):  # A_u + Y_u for u = e_{n-1} alone
+        num, m = phase.kepler_lenz(alg, u)
+        if u == alg.basis_element(alg.dim - 1):
+            num = num + phase.co_star(alg).y(u) * phase.co_star(alg).y(alg.identity())
+        return num, m
+
+    monkeypatch.setattr(cli, "kepler_lenz", lenz)
+    failed = _classical_failures("h:3:R", checks=True)
+    assert "poisson:conserve-lenz" in [c["name"] for c in failed]
+    assert next(c["witness"] for c in failed if c["name"] == "poisson:conserve-lenz") == {"u": last}
 
 
 def test_cone_suite():

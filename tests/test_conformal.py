@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from jkepler import conformal, modp
-from jkepler.algebra import Element, MismatchError
+from jkepler.algebra import Element, MismatchError, make_algebra
 from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
-                               co_bracket, dim_co, dim_str, random_co_element, root_data)
+                               co_bracket, dim_co, dim_str, random_co_element, root_data,
+                               structure_constants)
 
 # dimensions from the real-Lie-algebra table:
 #   gamma:k   -> so(k,1)+R, so(k+1,2)
@@ -407,6 +408,38 @@ def test_co_bracket_matches_fraction_reference(algebra, spec, kind):
         _assert_same(got.str_part.matrix, m)
         _assert_same(got.y_part.coords, y)
         _assert_same(as_fractions(a.str_part.adjoint_matrix()), _ref_adjoint(alg, a.str_part.matrix))
+
+
+def _co_basis(alg):
+    """The basis (X_{e_a}, B_k, Y_{e_a}) of structure_constants as CoElements."""
+    n, zero = alg.dim, alg.zero()
+    basis = [alg.basis_element(a) for a in range(n)]
+    strs = [CoElement(zero, StrElement(alg, (b.reshape(n, n).astype(object), 1)), zero)
+            for b in conformal._str_span_exact(alg).basis]
+    return [CoElement.x(e) for e in basis] + strs + [CoElement.y(e) for e in basis]
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
+def test_structure_constants_reproduce_co_bracket(algebra, spec):
+    # [z_i, z_j] = sum_k c_ij^k z_k / den on every basis pair
+    alg = algebra(spec)
+    c, den = structure_constants(alg)
+    z = _co_basis(alg)
+    assert c.shape == (dim_co(alg),) * 3
+    for i, zi in enumerate(z):
+        for j, zj in enumerate(z):
+            want = CoElement.x(alg.zero())
+            for k in np.flatnonzero(c[i, j]).tolist():
+                want = want + z[k].scaled(Fr(int(c[i, j, k]), den))
+            assert co_bracket(zi, zj) == want, (i, j)
+
+
+def test_structure_constants_object_fallback(monkeypatch):
+    # past the float64 guard the same table is built on Python ints
+    want, den = structure_constants(make_algebra("h:3:R"))
+    monkeypatch.setattr(conformal, "_exact_dtype", lambda bound, fast=np.int64: object)
+    got, got_den = structure_constants(make_algebra("h:3:R"))
+    assert got.dtype == object and got_den == den and np.array_equal(got, want)
 
 
 def test_conformal_uses_no_float_linear_algebra():

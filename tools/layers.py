@@ -23,18 +23,22 @@ family (gamma:3, h:3:R, h:3:C, h:3:H):
 
 each timed inside the process (around cli.main, or the relation check on an
 algebra built before the clock starts), so interpreter start and imports are
-left out.  Three end-to-end figures:
+left out.  Four end-to-end figures:
 
   exact_wall_s               wall_s of `bench/run.py --workload exact --seed 0
                              --seconds 15` from the checkout that holds --src
   operators_h3O_wall_s       wall time of `jk verify --suite operators
                              --algebra h:3:O --trials 1`, process start to exit
   operators_h3O_peak_rss_mb  peak RSS of that process
+  poisson_h3O_wall_s         wall time of `jk verify --suite poisson
+                             --algebra h:3:O --trials 1`, process start to
+                             exit: median over REPEAT processes, each run in
+                             poisson_h3O_wall_s_runs
 
-The h:3:O figures come from one process, not a median.  With the relations
-on the x-linear bracket and the grading and lowest-weight checks on the
-conjugated symbols that run takes about 1 s on a 2-core VM; through the
-WeylOp commutator it took about 90 s and 2 GB.
+The operators figures come from one process, not a median.  With the
+relations on the x-linear bracket and the grading and lowest-weight checks
+on the conjugated symbols that run takes about 1 s on a 2-core VM; through
+the WeylOp commutator it took about 90 s and 2 GB.
 
 tkk -> BENCH_tkk_layers.json.  Medians over REPEAT = 3 processes.  Per
 family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
@@ -192,6 +196,13 @@ def measure_poly(src: Path, repeat: int) -> dict:
     rss = float(_python(src, "-c", _OPERATORS_RSS))
     wall = time.perf_counter() - t
     print("operators h:3:O", wall, rss, file=sys.stderr)
+    poisson_walls = []
+    for _ in range(repeat):
+        t = time.perf_counter()
+        _python(src, "-m", "jkepler.cli", "verify", "--suite", "poisson", "--algebra", "h:3:O",
+                "--trials", "1", "--format", "json")
+        poisson_walls.append(time.perf_counter() - t)
+    print("poisson h:3:O", poisson_walls, file=sys.stderr)
     walls = []
     for _ in range(repeat):
         last = _python(src, "bench/run.py", "--workload", "exact", "--seed", "0",
@@ -202,7 +213,9 @@ def measure_poly(src: Path, repeat: int) -> dict:
     print("exact wall_s", walls, file=sys.stderr)
     return {"families": families, "exact_wall_s": statistics.median(walls),
             "exact_wall_s_runs": walls, "operators_h3O_wall_s": wall,
-            "operators_h3O_peak_rss_mb": rss}
+            "operators_h3O_peak_rss_mb": rss,
+            "poisson_h3O_wall_s": statistics.median(poisson_walls),
+            "poisson_h3O_wall_s_runs": poisson_walls}
 
 
 def measure_tkk(src: Path, repeat: int) -> dict:
