@@ -208,6 +208,19 @@ def test_equivariance(algebra):
     assert equivariance_witness(alg, pairs, [-a for a in angular]) == {"u": 2, "v": 1, "z": 1}
 
 
+def test_equivariance_witness_object_fallback(algebra, monkeypatch):
+    # past the float64 guard the same witnesses come from Python ints
+    alg = algebra("h:3:R")
+    basis = [alg.basis_element(a) for a in range(alg.dim)]
+    pairs = [(i, j) for i in range(alg.dim) for j in range(i)]
+    angular = [kepler_angular(alg, basis[i], basis[j]) for i, j in pairs]
+    flipped = [-a for a in angular]
+    want = equivariance_witness(alg, pairs, flipped)
+    monkeypatch.setattr(phase, "_exact_dtype", lambda bound, fast=np.int64: object)
+    assert equivariance_witness(alg, pairs, angular) is None
+    assert equivariance_witness(alg, pairs, flipped) == want == {"u": 3, "v": 0, "z": 0}
+
+
 def test_angular_is_momentum_observable_of_commutator(algebra):
     # kepler_angular reads (S_vu - S_uv)/2; pulled back to T*V it is <[L_v, L_u] x | pi>
     rng = np.random.default_rng(7)
