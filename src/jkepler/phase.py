@@ -20,8 +20,8 @@ smul_matrix and dual_triple_tensor and of the Gram matrix.  The same symbols,
 read with p -> D, are the nu = 0 operators of the quantum realization
 (weyl adds the nu-terms).  For x-linear symbols the normal-ordered
 commutator stops at first order, so {a, b} = -[a, b] = [b, a] exactly: one
-closed-form tensor bracket serves the Poisson relations here and the
-operator relations in weyl.
+closed-form tensor bracket serves the Poisson relations here, the operator
+relations in weyl, and conjugate, e^{r} A e^{-r} = exp(ad r) A.
 
 The relations say that z -> its moment function takes co_bracket to the
 Poisson bracket, so the moment map mu = (S, X, Y) is a Poisson map from T*V
@@ -178,28 +178,15 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
 
 
 def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
-    """e^{r} A e^{-r} for a linear form r = sum_g h_g x_g (D-degree 0, no
-    constant): the substitution D_i -> D_i - h_i.  Part d of A feeds part
-    d - k through the C(d, k) contractions of k of its D axes with -h, lifted
-    to the denominator A.den hd^top, hd that of r and top the highest D-degree
-    of A.  The D-degree-0 part of the result is A applied to the vacuum: the
-    coefficients of A e^{-r} = e^{-r} (c_0 + sum_g c_g x_g).  Each output
-    entry and partial sum is at most |parts| X (n H + hd)^top for numerators
-    at most X and H: the int64 guard."""
-    n, hd = a.n, r.den
-    top = max(a.parts, default=0)
-    bound = len(a.parts) * a._max() * (n * r._max() + hd) ** top
-    minus_h = -_fit(bound, {0: r.parts[0][1:]})[0]
-    out = {}
-    for d, t in _fit(bound, a.parts).items():
-        for k in range(d + 1):
-            for axes in itertools.combinations(range(1, d + 1), k):
-                term = t
-                for axis in reversed(axes):
-                    term = np.tensordot(term, minus_h, axes=([axis], [0]))
-                term = term * hd ** (top - k)
-                out[d - k] = out[d - k] + term if d - k in out else term
-    return XLinearOp(n, out, a.den * hd ** top)
+    """e^{r} A e^{-r} = sum_k ad_r^k(A) / k! (Hadamard) for a linear form r,
+    the substitution D_i -> D_i - d_i r; ad_r = bracket(r, .) lowers the
+    D-degree by one, so the series stops at the top D-degree of A.  Its
+    D-degree-0 part is A on the vacuum: A e^{-r} = e^{-r} (c_0 + sum_g c_g x_g)."""
+    out = term = a
+    for k in range(1, max(a.parts, default=0) + 1):
+        term = bracket(r, term)
+        out = out + XLinearOp(a.n, term.parts, term.den * math.factorial(k))
+    return out
 
 
 # --- moment functions: the one builder of each generator's symbol ----------------
@@ -412,14 +399,17 @@ def kepler_lenz(alg: Algebra, u: Element) -> tuple:
     return Fraction(1, 2) * (cs.y(u) * cs.x(e) - cs.x(u) * cs.y(e)) - cs.y(u), 1
 
 
+_PAIRS = 32  # basis pairs of the equivariance product taken together
+
+
 def equivariance_witness(alg: Algebra, pairs: list, angular: list):
     """The first basis triple {"u": i, "v": j, "z": a} on which
     {L_uv, A_z} = A_{[L_v, L_u] z} fails, for the linear forms L_uv of the
     basis pairs (i, j); None if there is none.  A_z is built from X_z, Y_z and
     X_e, Y_e, so the identity holds for every z once {L_uv, X_a} = X_{D e_a}
     and {L_uv, Y_a} = Y_{D e_a} for every a, D = [L_v, L_u] (D e = 0 then
-    gives {L_uv, X_e} = {L_uv, Y_e} = 0): one product of the forms with the X
-    and Y columns of the table, against D from lmul_matrix."""
+    gives {L_uv, X_e} = {L_uv, Y_e} = 0): products, _PAIRS pairs at a time, of
+    the forms with the X and Y columns of the table, against D from lmul_matrix."""
     cs, n = co_star(alg), alg.dim
     nvars = cs.nvars
     keys, lden = [field(k) for k in range(nvars)], math.lcm(*(f.den for f in angular))
@@ -432,10 +422,14 @@ def equivariance_witness(alg: Algebra, pairs: list, angular: list):
     # 4 {L_uv, z_a} and 4 D lden den: every entry and partial sum is below bound
     bound = 4 * nvars * _max_abs(lmat) * _max_abs(cols) + 2 * n * _max_abs(l2) ** 2 * lden * cs.den
     dtype = _exact_dtype(bound, np.float64)
-    act = ((4 * lmat).astype(dtype) @ cols.astype(dtype)).reshape(len(pairs), 2 * n, nvars)
-    i, j, l2 = [p[0] for p in pairs], [p[1] for p in pairs], l2.astype(dtype)
-    d4 = np.swapaxes(l2[j] @ l2[i] - l2[i] @ l2[j], 1, 2) * (lden * cs.den)  # [p, a, b]: 4 D_ba
-    act[:, :n, :n] -= d4
-    act[:, n:, -n:] -= d4
-    bad = np.argwhere(act.any(axis=2)).tolist()
-    return {"u": i[bad[0][0]], "v": j[bad[0][0]], "z": bad[0][1] % n} if bad else None
+    lmat, cols, l2 = (4 * lmat).astype(dtype), cols.astype(dtype), l2.astype(dtype)
+    for start in range(0, len(pairs), _PAIRS):
+        i, j = map(list, zip(*pairs[start:start + _PAIRS]))
+        act = (lmat[start:start + _PAIRS] @ cols).reshape(len(i), 2 * n, nvars)
+        d4 = np.swapaxes(l2[j] @ l2[i] - l2[i] @ l2[j], 1, 2) * (lden * cs.den)  # [p, a, b]: 4 D_ba
+        act[:, :n, :n] -= d4
+        act[:, n:, -n:] -= d4
+        bad = np.argwhere(act.any(axis=2)).tolist()
+        if bad:
+            return {"u": i[bad[0][0]], "v": j[bad[0][0]], "z": bad[0][1] % n}
+    return None

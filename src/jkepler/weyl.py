@@ -35,11 +35,11 @@ the reference the tests hold that bracket to.
 
 The realization acts on states psi = e^{-r} p with p polynomial; operators
 act on p through conjugation by e^{r}, which is the constant shift
-d_a -> d_a - (Ge)_a.  On an x-linear symbol that is phase.conjugate, a
-contraction of D axes with -Ge that keeps the symbol x-linear.  The grading
-check reads the conjugated H_e on every degree-I monomial at once from its
-D-degree 0 and 1 parts, and the lowest-weight check reads each generator on
-the vacuum e^{-r} from its D-degree-0 part, so no check builds a WeylOp.
+d_a -> d_a - (Ge)_a.  On an x-linear symbol that is phase.conjugate, the
+series exp(ad r) of phase.bracket.  The grading check reads the conjugated
+H_e on the degree-I monomials, a block at a time, from its D-degree 0 and 1
+parts, and the lowest-weight check reads each generator on the vacuum
+e^{-r} from its D-degree-0 part, so no check builds a WeylOp.
 gaussian_conjugate and apply_op, the same conjugation and action word by
 word on WeylOps, are the references the tests hold them to.
 
@@ -291,6 +291,9 @@ def bound_spectrum(alg: Algebra, nu, level: int):
 
 # --- grading and lowest weight ----------------------------------------------------
 
+_MONOMIALS = 1 << 14  # degree-I monomials the grading check decides together
+
+
 def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     """Exact leading-term check: on homogeneous degree-I monomials, the
     conjugated H_e acts as 2I + nu rho plus lower-degree terms.
@@ -301,9 +304,9 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     the degree-I part is (c_0 + sum_i alpha_i M_ii) x^alpha plus the words
     alpha_i M_gi x^(alpha - e_i + e_g), g != i, distinct monomials that cannot
     cancel; so x^alpha passes iff that coefficient is 2I + nu rho and alpha_i
-    = 0 on each column i of M with an off-diagonal entry.  All monomials are
-    checked at once, in combinations_with_replacement order; `checked` counts
-    those before the first failure."""
+    = 0 on each column i of M with an off-diagonal entry.  The monomials are
+    checked _MONOMIALS at a time, in combinations_with_replacement order;
+    `checked` counts those before the first failure."""
     if degree < 0:
         raise DomainError("degree must be >= 0")
     n = alg.dim
@@ -313,16 +316,17 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     p0, m = conj.parts[0], conj.parts[1][1:]  # m[g, i]: x_g D_i
     eig = 2 * degree + Fraction(nu) * alg.rho
     target = eig * conj.den
-    exps = (np.array(list(itertools.combinations_with_replacement(range(n), degree)),
-                     dtype=np.int64)[:, :, None] == np.arange(n)).sum(axis=1)
     diag = np.diagonal(m)
     diag = diag.astype(_exact_dtype(_max_abs(p0) + degree * _max_abs(diag)), copy=False)
     mixing = np.count_nonzero(m - np.diag(diag), axis=0) > 0
-    fail = (np.count_nonzero(p0[1:]) > 0) | (exps @ diag + p0[0] != target) \
-        | (exps[:, mixing] > 0).any(axis=1)
-    failed = np.flatnonzero(fail)
-    checked = int(failed[0]) if len(failed) else len(exps)
-    witness = {"monomial": exps[checked].tolist()} if len(failed) else None
+    monomials = itertools.combinations_with_replacement(range(n), degree)
+    checked, witness = 0, None
+    while witness is None and (block := list(itertools.islice(monomials, _MONOMIALS))):
+        exps = (np.array(block, dtype=np.int64)[:, :, None] == np.arange(n)).sum(axis=1)
+        failed = np.flatnonzero((np.count_nonzero(p0[1:]) > 0) | (exps @ diag + p0[0] != target)
+                                | (exps[:, mixing] > 0).any(axis=1))
+        checked += int(failed[0]) if len(failed) else len(exps)
+        witness = {"monomial": exps[failed[0]].tolist()} if len(failed) else None
     return {"name": f"grading:I={degree}", "status": "pass" if witness is None else "fail",
             "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
 

@@ -434,6 +434,40 @@ def test_structure_constants_reproduce_co_bracket(algebra, spec):
             assert co_bracket(zi, zj) == want, (i, j)
 
 
+def jacobi_witness(c):
+    """The first basis triple (i, j, m) on which the table c fails
+    [[z_i, z_j], z_m] = [z_i, [z_j, z_m]] - [z_j, [z_i, z_m]], or None.  With
+    ad_i = c[i].T (times den) this is sum_k c_ij^k ad_k = [ad_i, ad_j], read
+    transposed, one i at a time: sum_k c[i, j, k] c[k] = c[j] c[i] - c[i] c[j]."""
+    big = c.shape[0] * int(np.abs(c).max()) ** 2  # bounds each product and partial sum
+    assert 3 * big < 2**53  # so every entry of res is exact in float64
+    f = c.astype(np.float64)
+    for i in range(len(f)):
+        res = f[i] @ f.reshape(len(f), -1) - (f @ f[i] - f[i] @ f).reshape(len(f), -1)
+        bad = np.argwhere(res.reshape(f.shape))
+        if len(bad):
+            return i, int(bad[0][0]), int(bad[0][1])
+    return None
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H"])
+def test_structure_constants_antisymmetric_and_jacobi(algebra, spec):
+    # every basis triple, so a constant that no Kepler identity reads (the
+    # B-B block, some X-Y entries) is still held to the Lie algebra axioms
+    alg = algebra(spec)
+    c, _ = structure_constants(alg)
+    assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+    assert jacobi_witness(c) is None
+    # negating one antisymmetric pair of the B-B block breaks Jacobi
+    n = alg.dim
+    i, j, k = np.argwhere(c[n:-n, n:-n, n:-n])[0] + n
+    flipped = c.copy()
+    flipped[i, j, k], flipped[j, i, k] = -c[i, j, k], -c[j, i, k]
+    assert np.array_equal(flipped, -np.swapaxes(flipped, 0, 1))
+    witness = jacobi_witness(flipped)
+    assert witness is not None and max(witness) < dim_co(alg)
+
+
 def test_structure_constants_object_fallback(monkeypatch):
     # past the float64 guard the same table is built on Python ints
     want, den = structure_constants(make_algebra("h:3:R"))

@@ -221,6 +221,22 @@ def test_equivariance_witness_object_fallback(algebra, monkeypatch):
     assert equivariance_witness(alg, pairs, flipped) == want == {"u": 3, "v": 0, "z": 0}
 
 
+def test_equivariance_witness_in_blocks(algebra, monkeypatch):
+    # a few pairs at a time, the same first witness as from one block, with
+    # one form negated in the first, a middle or the last block
+    alg = algebra("h:3:R")
+    basis = [alg.basis_element(a) for a in range(alg.dim)]
+    pairs = [(i, j) for i in range(alg.dim) for j in range(i)]
+    angular = [kepler_angular(alg, basis[i], basis[j]) for i, j in pairs]
+    cases = [angular] + [angular[:p] + [-angular[p]] + angular[p + 1:] for p in range(len(pairs))]
+    assert len(pairs) <= phase._PAIRS
+    want = [equivariance_witness(alg, pairs, forms) for forms in cases]
+    monkeypatch.setattr(phase, "_PAIRS", 4)
+    assert [equivariance_witness(alg, pairs, forms) for forms in cases] == want
+    assert want[0] is None and sum(w is not None for w in want) == 9
+    assert {pairs.index((w["u"], w["v"])) // 4 for w in want if w} == {0, 1, 2, 3}
+
+
 def test_angular_is_momentum_observable_of_commutator(algebra):
     # kepler_angular reads (S_vu - S_uv)/2; pulled back to T*V it is <[L_v, L_u] x | pi>
     rng = np.random.default_rng(7)

@@ -667,23 +667,63 @@ def test_checks_match_the_weylop_route(algebra, spec, nu, monkeypatch):
     assert fails_above_zero >= 2
 
 
-def test_conjugate_falls_back_to_python_ints(g3):
-    # e^{kr} A e^{-kr} is gaussian_conjugate with outer_sign k
-    nu = Fr(7, 3)
+@pytest.mark.parametrize("spec,nu", [("gamma:3", Fr(1)), ("h:3:R", Fr(1, 2))])
+def test_grading_in_blocks(algebra, spec, nu, monkeypatch):
+    # one or two monomials at a time, the dicts of one block: passes across
+    # every boundary, and first failures in a later block
+    alg = algebra(spec)
+    cases = [("builders", None, None)] + _mutations(alg)
+
+    def reports():
+        out = []
+        for _, attr, factory in cases:
+            with monkeypatch.context() as m:
+                if attr:
+                    m.setattr(weyl, attr, factory(getattr(weyl, attr)))
+                out.append([he_grading_check(alg, nu, i) for i in range(5)])
+        return out
+
+    assert math.comb(alg.dim + 3, 4) <= weyl._MONOMIALS
+    want = reports()
+    for size in (1, 2):
+        monkeypatch.setattr(weyl, "_MONOMIALS", size)
+        assert reports() == want, size
+    assert [g["checked"] for g in want[0]] == [math.comb(alg.dim + i - 1, i) for i in range(5)]
+    assert any(g["status"] == "fail" and g["checked"] >= 1 for rows in want for g in rows)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_conjugate_falls_back_to_python_ints(algebra, spec):
+    # e^{kr} A e^{-kr} is gaussian_conjugate with outer_sign k.  The series'
+    # 1/2 and 1/6 terms need a D-degree-3 operator: [X~_u, X~_v] has a
+    # degree-3 tensor whose symmetrization is zero (the XX relation) and
+    # [S_uv, X~_z] stops at degree 2, so a random symbol with a part of every
+    # D-degree <= 3 is one
+    alg = algebra(spec)
+    n, nu = alg.dim, Fr(7, 3)
     rng = np.random.default_rng(4)
-    big = Element._make(g3, [10**12 + int(c) for c in rng.integers(-9, 10, g3.dim)], 1)
-    huge = Element._make(g3, [10**20 + int(c) for c in rng.integers(-9, 10, g3.dim)], 7)
-    small = g3.random_element(rng, span=4)
-    r = moment_y(g3, g3.identity())
-    x_big, x_huge = xlinear_x(g3, nu, big), xlinear_x(g3, nu, huge)
-    s_big = xlinear_s(g3, nu, small, big)
-    for a, k, fits in [(x_big, 1, True), (x_big, 10**3, False), (x_huge, 1, False),
-                       (s_big + x_big, 10**4, False)]:
+    big = Element._make(alg, [10**12 + int(c) for c in rng.integers(-9, 10, n)], 1)
+    huge = Element._make(alg, [10**20 + int(c) for c in rng.integers(-9, 10, n)], 7)
+    small = alg.random_element(rng, span=4)
+    u, v, z = (alg.random_element(rng, span=4) for _ in range(3))
+    r = moment_y(alg, alg.identity())
+    x_big, x_huge = xlinear_x(alg, nu, big), xlinear_x(alg, nu, huge)
+    s_big = xlinear_s(alg, nu, small, big)
+    cubic = XLinearOp(n, {d: rng.integers(-9, 10, (n + 1,) + (n,) * d) for d in range(4)}, 5)
+    cubic_big = XLinearOp(n, {d: t.astype(object) * 10**12 for d, t in cubic.parts.items()}, 5)
+    xx = phase.bracket(xlinear_x(alg, nu, u), xlinear_x(alg, nu, v))
+    sx = phase.bracket(xlinear_s(alg, nu, u, v), xlinear_x(alg, nu, z))
+    assert max(xx.parts) == max(cubic.parts) == 3
+    cases = [(x_big, 1, True), (x_big, 10**3, False), (x_huge, 1, False),
+             (s_big + x_big, 10**4, False), (cubic_big, 10**3, False)]
+    cases += [(a, k, None) for a in (xx, sx, cubic) for k in (1, -1, 10**3)]
+    for a, k, fits in cases:
         got = conjugate(a, k * r)
-        assert all((t.dtype == np.int64) == fits for t in got.parts.values())
-        assert got.poly(WeylOp) == gaussian_conjugate(g3, a.poly(WeylOp), k)
+        assert fits is None or all((t.dtype == np.int64) == fits for t in got.parts.values())
+        assert got.poly(WeylOp) == gaussian_conjugate(alg, a.poly(WeylOp), k)
     # past the guard the int64 kernel would have wrapped
-    assert max(abs(int(c)) for c in conjugate(x_big, 10**3 * r).parts[0].ravel()) > 2**63
+    for a in (x_big, cubic_big):
+        assert max(abs(int(c)) for c in conjugate(a, 10**3 * r).parts[0].ravel()) > 2**63
 
 
 @pytest.mark.parametrize("nu", [Fr(1), Fr(2)])
