@@ -4,7 +4,7 @@ geometry, and generalized Kepler spectra."""
 
 from .algebra import (AlgebraSpec, Algebra, Element, make_algebra,
                       SpecificationError, MismatchError, DomainError)
-from .conformal import (StrElement, CoElement, RootData, co_bracket, cartan_involution,
+from .conformal import (CoElement, RootData, co_bracket, cartan_involution,
                         root_data, dim_str, dim_co, ConsistencyError)
 from .poly import Poly
 from .phase import (poisson, poisson_poly, verify_poisson_tkk, kepler_hamiltonian,

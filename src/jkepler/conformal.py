@@ -1,18 +1,12 @@
 """The conformal (TKK) Lie algebra co(V) = V + str(V) + V* as a bracket algebra.
 
-Elements are triples (X_u part, structure-algebra part, Y_v part).  The
-bracket is fixed by
+co(V) is spanned by the X_u, the structure algebra str(V) = span{S_uv} and
+the Y_v, with the bracket fixed by
 
     [X_u, X_v] = 0,  [Y_u, Y_v] = 0,  [X_u, Y_v] = -2 S_uv,
     [S, X_z] = X_{Sz},  [S, Y_z] = -Y_{S'z},  [S, S'] = matrix commutator,
 
-where S' denotes the adjoint with respect to <.|.>.  Every part is exact and
-has the stored form of algebra.Element: integer numerators over one reduced
-denominator (a structure-algebra part holds its n x n matrix row-major, and
-`matrix` is a Fraction view).  A structure-algebra part is certified to lie
-in span{S_uv} at construction.  The bracket runs on the numerators of each
-operand over its one denominator, int64 under the algebra's kernel guard
-and Python ints past it.
+where S' denotes the adjoint with respect to <.|.>.
 
 The span certificate is built once per algebra from the integer generators
 4 S_{e_a e_b}, with zero rows and rows equal up to sign to an earlier one
@@ -21,10 +15,18 @@ chosen mod p = 2^31 - 1 (`modp`); the pivot minor A is inverted as integers
 adj / den with A adj = den 1 checked exactly, which proves rank >= r; every
 kept generator g, and so every generator, then satisfies
 den g = (g[cols] adj) B exactly for the pivot rows B, which proves
-rank <= r.  So dim str(V) is a certified exact rank, and membership
-of a matrix v is the same exact identity for v.  The pivot rows, with X_{e_a}
-and Y_{e_a}, are the basis of co(V) in which structure_constants reads the
-bracket.
+rank <= r.  So dim str(V) is a certified exact rank, and a matrix v of the
+span has the exact coordinates v[cols] adj / den in the pivot rows.
+
+The pivot rows B_k, read as n x n matrices, with X_{e_a} and Y_{e_a} are the
+basis z = (X_{e_a}, B_k, Y_{e_a}) of co(V).  A CoElement is its coordinates
+in z, in the stored form of algebra.Element: integer numerators over one
+reduced denominator.  structure_constants reads the bracket above on every
+basis pair and certifies once that every [B_k, B_l] and every adjoint B_k'
+lies in the span, so every coordinate it reads from the pivot columns is
+exact; by bilinearity the table then holds every bracket.  co_bracket is
+the contraction of two coordinate vectors with the table, and
+cartan_involution one coordinate map.
 
 co(V) is a real Lie algebra, so the sl2 root triples are kept in their
 rational real form (h~, a, s); the paper's triple H = i h~, E+- = i a -+ s is
@@ -41,12 +43,11 @@ import numpy as np
 
 from . import modp
 from .algebra import Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs, _snum
-from .poly import numerators
 
 
 class ConsistencyError(RuntimeError):
-    """A bracket left the certified structure-algebra span, or the span
-    certificate itself failed."""
+    """A commutator or adjoint of the str(V) basis left the certified span,
+    or the span certificate itself failed."""
 
 
 # --- structure-algebra span ---------------------------------------------------
@@ -75,6 +76,15 @@ class _StrSpan:
         else:
             adj, basis, v = self.adj.astype(object), self.basis.astype(object), v.astype(object)
         return np.array_equal(v * self.den, (v[:, self.cols] @ adj) @ basis)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """v[:, cols] adj: numerators over den of the coordinates in basis of
+        each row of the integer matrix v, exact for the rows that lie in the
+        span; int64, or Python ints past the float64 guard."""
+        rows = v[:, self.cols]
+        if _exact_dtype(self.rank * _max_abs(rows) * _max_abs(self.adj), np.float64) is np.float64:
+            return (rows.astype(np.float64) @ self._float[0]).astype(np.int64)
+        return rows.astype(object) @ self.adj.astype(object)
 
 
 def _snums(alg: Algebra) -> np.ndarray:
@@ -144,176 +154,153 @@ def dim_co(alg: Algebra) -> int:
     return 2 * alg.dim + dim_str(alg)
 
 
-def _certify(alg: Algebra, nums: np.ndarray):
-    """ConsistencyError unless the n x n matrix with the integer numerators
-    nums (over any denominator) lies in span{S_uv}."""
-    if not _str_span_exact(alg).contains(nums.reshape(1, -1)):
-        raise ConsistencyError("matrix is not in span{S_uv}")
+def _certify(alg: Algebra, nums: np.ndarray, what: str):
+    """ConsistencyError unless every n x n matrix of the stack nums (integer
+    numerators over any denominator, each matrix flat or square) lies in
+    span{S_uv}; what names them."""
+    if not _str_span_exact(alg).contains(nums.reshape(len(nums), -1)):
+        raise ConsistencyError(f"{what} is not in span{{S_uv}}")
 
 
-def _bracket_constants(alg: Algebra):
-    """(gnum, lg, factor).  The Gram matrix is gnum / gden and lg = lcm(gnum),
-    so M' = G^-1 M^T G has numerators (lg / gnum_i) M_ji gnum_j over lg.  For
-    operand numerators at most X and Y, each bracket intermediate is at most
-    B X Y, B = max(4 n + 6 n^3 C^2, 2 n lg max(gnum)): |2 [M_a, M_b]| <= 4 n XY
-    and |4 S| <= 3 n^3 C^2 XY twice (6 n^3 C^2 is Algebra's kernel bound), and
-    |M' y| <= n lg max(gnum) XY twice.  factor = ceil(B / kernel bound)."""
-    n, (gnum, _), kernel = alg.dim, alg._gram, alg._kernel_bound
-    lg = math.lcm(*gnum)
-    return gnum, lg, -(-max(4 * n + kernel, 2 * n * lg * max(gnum)) // kernel)
+# --- the basis of co(V) and its structure constants ---------------------------
+
+class _CoTable:
+    """The nonzero structure constants c[i, j, k] / den of co(V) in the basis
+    z, grouped by k (i, j, k, vals; starts and ks for co_bracket), and the
+    Cartan involution as a coordinate matrix theta / theta_den."""
+
+    def __init__(self, alg: Algebra):
+        n, span = alg.dim, _str_span_exact(alg)
+        r, gnum = span.rank, alg._gram[0]
+        lg = math.lcm(*gnum)
+        w = np.array([lg // g for g in gnum])[:, None] * np.array(gnum)[None, :]
+        # the products B_k B_l in float64 (BLAS) when every entry is exact there
+        fast = _exact_dtype(2 * n * _max_abs(span.basis) ** 2 * _max_abs(w), np.float64)
+        exact = np.int64 if fast is np.float64 else object
+        b = span.basis.reshape(r, n, n).astype(exact)
+        fb = b.astype(fast)
+        # B_k' = G^-1 B_k^T G: numerators (lg / g_i) B_k[j, i] g_j over lg
+        badj = np.swapaxes(b, 1, 2) * w
+        xy = span.coords(np.swapaxes(_snums(alg), 0, 1).reshape(n * n, -1)).reshape(n, n, r)
+        self.den = den = math.lcm(lg, 2 * span.den)
+        # every entry is one of these numerators times at most den, the
+        # coordinates of [B_k, B_l] at most r |[B_k, B_l]| |adj|
+        comm_bound = r * 2 * n * _max_abs(span.basis) ** 2 * _max_abs(span.adj)
+        dtype = _exact_dtype(den * max(_max_abs(xy), comm_bound, _max_abs(b), _max_abs(badj)))
+        self.dim, parts = 2 * n + r, []
+
+        def block(t, scale, i0, j0, k0):
+            """c[i0 + i, j0 + j, k0 + k] = scale t[i, j, k] where t != 0, and
+            the antisymmetric c[j0 + j, i0 + i, k0 + k] = -scale t[i, j, k]."""
+            i, j, k = np.nonzero(t)
+            v = t[i, j, k].astype(dtype) * scale
+            parts.extend([(i + i0, j + j0, k + k0, v), (j + j0, i + i0, k + k0, -v)])
+
+        block(xy, -(den // (2 * span.den)), 0, n + r, n)  # [X_a, Y_b] = -4 S_{e_a e_b} / 2
+        block(np.swapaxes(b, 1, 2), den, n, 0, 0)         # [B_k, X_a] = X_{B_k e_a}
+        block(np.swapaxes(badj, 1, 2), -(den // lg), n, n + r, n + r)  # -Y_{B_k' e_a}
+        for k in range(r - 1):  # [B_k, B_l] for every l > k
+            comm = (fb[k] @ fb[k + 1:] - fb[k + 1:] @ fb[k]).astype(exact).reshape(r - 1 - k, -1)
+            _certify(alg, comm, "a commutator [B_k, B_l]")
+            block(span.coords(comm)[None], den // span.den, n + k, n + k + 1, n)
+        _certify(alg, badj, "an adjoint B_k'")
+        i, j, k, vals = (np.concatenate(p) for p in zip(*parts))
+        order = np.lexsort((j, i, k))  # grouped by k
+        self.i, self.j, self.k, self.vals = i[order], j[order], k[order], vals[order]
+        self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
+        self.ks = self.k[self.starts]
+        self.bound = len(self.vals) * _max_abs(self.vals)  # over every product and partial sum
+        # theta: X_a <-> Y_a and B_k -> -B_k', whose coordinates are over lg span.den
+        tden = lg * span.den
+        theta = np.zeros((self.dim,) * 2, dtype=object)
+        theta[:n, n + r:] = theta[n + r:, :n] = tden * np.eye(n, dtype=np.int64)
+        theta[n:n + r, n:n + r] = -span.coords(badj.reshape(r, -1))
+        g = math.gcd(tden, *theta.ravel().tolist())
+        self.theta_den, theta = tden // g, theta // g
+        self.theta = theta.astype(_exact_dtype(_max_abs(theta)))
 
 
-def _adjoint_nums(m: np.ndarray, gnum, lg: int) -> np.ndarray:
-    """Numerators over lg of the adjoint of the numerator matrix m (or of each
-    matrix of a stack m)."""
-    w = np.array(gnum, dtype=m.dtype)
-    return (np.array([lg // g for g in gnum], dtype=m.dtype)[:, None]
-            * np.swapaxes(m, -1, -2)) * w[None, :]
-
-
-class StrElement(_Exact):
-    """Endomorphism certified to lie in the structure algebra: the numerators
-    of its n x n matrix, row-major, over one denominator."""
-
-    __slots__ = ()
-
-    def __init__(self, algebra: Algebra, matrix):
-        """Certify an n x n matrix of int or Fraction entries, or a pair (nums,
-        den) of integer numerators and their denominator, in span{S_uv}."""
-        if not isinstance(matrix, tuple):
-            flat, den = numerators(np.ravel(matrix).tolist())
-            matrix = np.array(flat, dtype=object).reshape(np.shape(matrix)), den
-        (nums, den), n = matrix, algebra.dim
-        if np.shape(nums) != (n, n):
-            raise MismatchError(f"StrElement matrix has shape {np.shape(nums)}, expected ({n}, {n})")
-        _certify(algebra, nums)
-        self._set(algebra, nums.ravel().tolist(), den)
-
-    @classmethod
-    def zero(cls, algebra: Algebra):
-        return cls._make(algebra, [0] * algebra.dim**2, 1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The matrix as a Fraction object array (a read-only view)."""
-        n = self.algebra.dim
-        return np.array([Fraction(v, self.den) for v in self.nums], dtype=object).reshape(n, n)
-
-    def adjoint_matrix(self):
-        """Adjoint with respect to <.|.> (G^-1 M^T G), as (nums, den)."""
-        alg = self.algebra
-        gnum, lg, _ = _bracket_constants(alg)
-        m = np.array(self.nums, dtype=object).reshape(alg.dim, alg.dim)
-        return _adjoint_nums(m, gnum, lg), self.den * lg
-
-
-class CoElement(_Exact):
-    """(u, M, v) in V + str(V) + V*: the coefficients of X_u, an endomorphism
-    and Y_v, stored as one vector of numerators (u, M row-major, v) over one
-    denominator; the parts are views."""
-
-    __slots__ = ()
-
-    def __init__(self, x_part: Element, str_part: StrElement, y_part: Element):
-        parts = (x_part, str_part, y_part)
-        if any(p.algebra is not x_part.algebra for p in parts):
-            raise MismatchError("CoElement parts belong to different algebras")
-        den = math.lcm(*(p.den for p in parts))
-        self._set(x_part.algebra, [v * (den // p.den) for p in parts for v in p.nums], den)
-
-    @classmethod
-    def x(cls, u: Element):
-        return cls(u, StrElement.zero(u.algebra), u.algebra.zero())
-
-    @classmethod
-    def y(cls, v: Element):
-        return cls(v.algebra.zero(), StrElement.zero(v.algebra), v)
-
-    @classmethod
-    def s(cls, u: Element, v: Element):
-        m, den = u.algebra.smul_matrix(u, v)
-        return cls(u.algebra.zero(), StrElement._make(u.algebra, m.ravel().tolist(), den),
-                   u.algebra.zero())
-
-    @property
-    def x_part(self) -> Element:
-        return Element._make(self.algebra, self.nums[:self.algebra.dim], self.den)
-
-    @property
-    def str_part(self) -> StrElement:
-        n = self.algebra.dim
-        return StrElement._make(self.algebra, self.nums[n:-n], self.den)
-
-    @property
-    def y_part(self) -> Element:
-        return Element._make(self.algebra, self.nums[-self.algebra.dim:], self.den)
-
-    def __repr__(self):
-        return f"CoElement({self.algebra.spec}, x={list(self.x_part.coords)}, y={list(self.y_part.coords)})"
-
-
-def co_bracket(a: CoElement, b: CoElement) -> CoElement:
-    """Lie bracket on co(V); antisymmetric, satisfies the Jacobi identity.
-
-    With the numerators of a over its denominator d_a and those of b over d_b,
-    the x part is (M_a x_b - M_b x_a) / (d_a d_b), the y part
-    (M_b' y_a - M_a' y_b) / (d_a d_b lg) and the str part
-    (2 [M_a, M_b] - 4 S(x_a, y_b) + 4 S(x_b, y_a)) / (2 d_a d_b)."""
-    if a.algebra is not b.algebra:
-        raise MismatchError("CoElements belong to different algebras")
-    alg, n = a.algebra, a.algebra.dim
-    gnum, lg, factor = _bracket_constants(alg)
-    c2, (na, nb) = alg._kernel_arrays(a.nums, b.nums, factor=factor)
-    ax, am, ay = na[:n], na[n:-n].reshape(n, n), na[-n:]
-    bx, bm, by = nb[:n], nb[n:-n].reshape(n, n), nb[-n:]
-    x = am @ bx - bm @ ax
-    y = _adjoint_nums(bm, gnum, lg) @ ay - _adjoint_nums(am, gnum, lg) @ by
-    m = 2 * (am @ bm - bm @ am) - _snum(c2, ax, by) + _snum(c2, bx, ay)
-    den = a.den * b.den
-    return CoElement(Element._make(alg, x.tolist(), den), StrElement(alg, (m, 2 * den)),
-                     Element._make(alg, y.tolist(), den * lg))
+def _co_table(alg: Algebra) -> _CoTable:
+    """The algebra's _CoTable, built and certified once."""
+    if "co_table" not in alg._cache:
+        alg._cache["co_table"] = _CoTable(alg)
+    return alg._cache["co_table"]
 
 
 def structure_constants(alg: Algebra):
     """(c, den): [z_i, z_j] = sum_k c[i, j, k] z_k / den in the basis
     z = (X_{e_a}, B_k, Y_{e_a}) of co(V), B_k the pivot rows of the certified
-    str(V) span read as n x n matrices.  The blocks are those of co_bracket,
-    each read for all basis pairs at once: [X_a, Y_b] = -4 S_{e_a e_b} / 2,
+    str(V) span read as n x n matrices: [X_a, Y_b] = -4 S_{e_a e_b} / 2,
     [B_k, X_a] = X_{B_k e_a}, [B_k, Y_a] = -Y_{B_k' e_a} and
-    [B_k, B_l] = B_k B_l - B_l B_k, where a str(V) matrix m has the
-    coordinates m[cols] adj / span.den."""
-    key = "structure_constants"
-    if key not in alg._cache:
-        n, span = alg.dim, _str_span_exact(alg)
-        r, gnum, lg = span.rank, *_bracket_constants(alg)[:2]
-        den = math.lcm(lg, 2 * span.den)
-        s4 = np.swapaxes(_snums(alg), 0, 1)  # [a, b]: 4 S_{e_a e_b}
-        b = span.basis.reshape(r, n, n)
-        # every entry below is at most this, partial sums included
-        bound = den * max(r * _max_abs(span.adj) * (_max_abs(s4) + 2 * n * _max_abs(b) ** 2),
-                          _max_abs(b) * max(gnum))
-        dtype = _exact_dtype(bound, np.float64)  # float64 for the BLAS products
-        adj, b = span.adj.astype(dtype), b.astype(dtype)
-        rows, cols = divmod(np.array(span.cols), n)
-        # [p, k, l]: entry cols[p] of B_k B_l
-        prod = b[:, rows, :].transpose(1, 0, 2) @ b[:, :, cols].transpose(2, 1, 0)
-        c = np.zeros((2 * n + r,) * 3, dtype=np.int64 if dtype is np.float64 else object)
-        xs, ss, ys = slice(0, n), slice(n, n + r), slice(n + r, None)
-        c[xs, ys, ss] = -(s4[:, :, span.cols] @ adj) * (den // (2 * span.den))
-        c[ss, xs, xs] = np.swapaxes(b, 1, 2) * den
-        c[ss, ys, ys] = -np.swapaxes(_adjoint_nums(b, gnum, lg), 1, 2) * (den // lg)
-        c[ss, ss, ss] = prod.transpose(1, 2, 0) @ adj * (den // span.den)
-        c[ss, ss] -= np.swapaxes(c[ss, ss], 0, 1).copy()
-        for i, j in ((xs, ys), (ss, xs), (ss, ys)):
-            c[j, i] = -np.swapaxes(c[i, j], 0, 1)
-        alg._cache[key] = c, den
-    return alg._cache[key]
+    [B_k, B_l] = B_k B_l - B_l B_k, a str(V) matrix m with the coordinates
+    m[cols] adj / span.den.  Every [B_k, B_l] (k < l) and B_k' is certified to
+    lie in the span first, one k at a time; int64 under the guard, Python
+    ints past it.  Each call returns a new dense array, filled from the
+    table's nonzero entries."""
+    t = _co_table(alg)
+    c = np.zeros((t.dim,) * 3, dtype=t.vals.dtype)
+    c[t.i, t.j, t.k] = t.vals
+    return c, t.den
+
+
+class CoElement(_Exact):
+    """An element of co(V): its coordinates in the basis z of
+    structure_constants, (X_{e_a} coefficients, B_k coefficients, Y_{e_a}
+    coefficients), as numerators over one denominator."""
+
+    __slots__ = ()
+
+    @classmethod
+    def x(cls, u: Element):
+        alg = u.algebra
+        return cls._make(alg, list(u.nums) + [0] * (_str_span_exact(alg).rank + alg.dim), u.den)
+
+    @classmethod
+    def y(cls, v: Element):
+        alg = v.algebra
+        return cls._make(alg, [0] * (alg.dim + _str_span_exact(alg).rank) + list(v.nums), v.den)
+
+    @classmethod
+    def s(cls, u: Element, v: Element):
+        """S_uv, read from smul_matrix into the B coordinates: m[cols] adj /
+        span.den for its matrix m, exact as S_uv lies in the certified span."""
+        alg, span = u.algebra, _str_span_exact(u.algebra)
+        m, den = alg.smul_matrix(u, v)
+        zero = [0] * alg.dim
+        return cls._make(alg, zero + span.coords(m.reshape(1, -1))[0].tolist() + zero,
+                         den * span.den)
+
+    def __repr__(self):
+        alg, n = self.algebra, self.algebra.dim
+        x, y = (list(Element._make(alg, p, self.den).coords) for p in (self.nums[:n], self.nums[-n:]))
+        return f"CoElement({alg.spec}, x={x}, y={y})"
+
+
+def co_bracket(a: CoElement, b: CoElement) -> CoElement:
+    """Lie bracket on co(V): [a, b] = sum_ijk a_i b_j c_ij^k z_k / den, the
+    contraction of the coordinates with the nonzero structure constants,
+    summed per k; int64 when one guard bounds every product and partial sum,
+    Python ints past it.  It is antisymmetric and satisfies the Jacobi
+    identity exactly when the table does (the tests prove both on every
+    basis triple)."""
+    if a.algebra is not b.algebra:
+        raise MismatchError("CoElements belong to different algebras")
+    t = _co_table(a.algebra)
+    dtype = _exact_dtype(t.bound * max(1, *map(abs, a.nums)) * max(1, *map(abs, b.nums)))
+    x, y = np.array(a.nums, dtype=dtype), np.array(b.nums, dtype=dtype)
+    out = np.zeros(len(x), dtype=dtype)
+    out[t.ks] = np.add.reduceat(x[t.i] * y[t.j] * t.vals.astype(dtype, copy=False), t.starts)
+    return CoElement._make(a.algebra, out.tolist(), a.den * b.den * t.den)
 
 
 def cartan_involution(a: CoElement) -> CoElement:
-    """theta: X_u -> Y_u, Y_u -> X_u, S_uv -> -S_vu (adjoint negation)."""
-    adj, den = a.str_part.adjoint_matrix()
-    return CoElement(a.y_part, -StrElement._make(a.algebra, adj.ravel().tolist(), den), a.x_part)
+    """theta: X_u -> Y_u, Y_u -> X_u, S -> -S' (adjoint negation), one
+    coordinate map: the coordinates of a times the matrix whose row i holds
+    those of theta(z_i)."""
+    t = _co_table(a.algebra)
+    dtype = _exact_dtype(len(t.theta) * _max_abs(t.theta) * max(1, *map(abs, a.nums)))
+    out = np.array(a.nums, dtype=dtype) @ t.theta.astype(dtype, copy=False)
+    return CoElement._make(a.algebra, out.tolist(), a.den * t.theta_den)
 
 
 @dataclass
@@ -345,7 +332,7 @@ def root_data(alg: Algebra) -> RootData:
 
 
 def random_co_element(alg: Algebra, rng, span: int = 5) -> CoElement:
-    """Random exact CoElement with a certified random structure part."""
+    """Random exact CoElement with a random structure part S_uv."""
     x = alg.random_element(rng, span=span)
     y = alg.random_element(rng, span=span)
     m = CoElement.s(alg.random_element(rng, span=span), alg.random_element(rng, span=span))

@@ -26,10 +26,12 @@ relations in weyl, and conjugate, e^{r} A e^{-r} = exp(ad r) A.
 The relations say that z -> its moment function takes co_bracket to the
 Poisson bracket, so the moment map mu = (S, X, Y) is a Poisson map from T*V
 to co(V)* with its Lie-Poisson bracket {z_i, z_j} = sum_k c_ij^k z_k
-(conformal.structure_constants).  The Kepler hamiltonian, angular and Lenz
-observables are polynomials in the coordinates z of co(V)* over powers of
-Y_e = r (CoStar), so each of their identities is one of the free polynomial
-ring, with no relation of a coadjoint orbit, and pulls back to T*V.
+(conformal.structure_constants, the table that co_bracket contracts).  The
+Kepler hamiltonian, angular and Lenz observables are polynomials in the
+coordinates z of co(V)* over powers of Y_e = r (CoStar, where an element of
+co(V) is the linear form of its CoElement coordinates), so each of their
+identities is one of the free polynomial ring, with no relation of a
+coadjoint orbit, and pulls back to T*V.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element, _exact_dtype, _max_abs
-from .conformal import _str_span_exact, structure_constants
+from .conformal import CoElement, structure_constants
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
 
@@ -99,12 +101,17 @@ class XLinearOp:
     slot s = 0 has no x and slot g+1 is x_g.  The D_i commute, so a
     polynomial in D is the sum of its tensor's entries and has many tensors:
     the symbol is zero exactly when each part, symmetrized over its D axes,
-    is zero."""
+    is zero.  gcd(den, every numerator) is divided out on construction, so
+    the kernels' int64 guards see the smallest numerators."""
 
     __slots__ = ("n", "parts", "den")
 
     def __init__(self, n: int, parts: dict, den: int):
-        self.n, self.parts, self.den = n, parts, den
+        g = den
+        for t in parts.values():
+            g = math.gcd(g, int(np.gcd.reduce(t, axis=None))) if g > 1 else 1
+        self.n, self.den = n, den // g
+        self.parts = parts if g == 1 else {d: t // g for d, t in parts.items()}
 
     def _max(self) -> int:
         """max(1, largest |numerator|), a factor of every kernel bound."""
@@ -290,35 +297,31 @@ def verify_poisson_tkk(alg: Algebra, trials: int = 50, seed: int = 0,
 
 class CoStar:
     """Polynomials on co(V)*: Polys in the coordinates z = (X_a, B_k, Y_a) of
-    conformal.structure_constants, under the Lie-Poisson bracket
-    {z_i, z_j} = sum_k c_ij^k z_k."""
+    a CoElement, under the Lie-Poisson bracket {z_i, z_j} = sum_k c_ij^k z_k
+    of conformal.structure_constants."""
 
     def __init__(self, alg: Algebra):
         (self.table, self.den), self.alg = structure_constants(alg), alg
-        self.nvars, self.span = len(self.table), _str_span_exact(alg)
+        self.nvars = len(self.table)
         idx = np.argwhere(self.table)
         self.forms = {}  # (i, j) -> [(packed key of z_k, numerator of c_ij^k)]
         for (i, j, k), c in zip(idx.tolist(), self.table[tuple(idx.T)].tolist()):
             self.forms.setdefault((i, j), []).append((field(k), c))
 
-    def _linear(self, first: int, nums, den: int) -> Poly:
-        return Poly._make(self.nvars, {field(first + a): c for a, c in enumerate(nums)}, den)
+    def linear(self, z: CoElement) -> Poly:
+        """z as a linear function on co(V)*: the form of its coordinates."""
+        return Poly._make(self.nvars, {field(i): c for i, c in enumerate(z.nums) if c}, z.den)
 
     def x(self, u: Element) -> Poly:
-        return self._linear(0, u.nums, u.den)
+        return self.linear(CoElement.x(u))
 
     def y(self, v: Element) -> Poly:
-        return self._linear(self.nvars - self.alg.dim, v.nums, v.den)
+        return self.linear(CoElement.y(v))
 
     def s(self, u: Element, v: Element) -> Poly:
-        """S_uv in the B coordinates, m[cols] adj / span.den for its matrix m:
-        read from smul_matrix, not from the table, whose X-Y block the Lenz
-        brackets then test."""
-        m, den = self.alg.smul_matrix(u, v)
-        row, adj = m.ravel()[self.span.cols], self.span.adj
-        dtype = _exact_dtype(self.span.rank * _max_abs(row) * _max_abs(adj))
-        return self._linear(self.alg.dim, (row.astype(dtype) @ adj.astype(dtype)).tolist(),
-                            den * self.span.den)
+        """S_uv, read from smul_matrix (CoElement.s), not from the table,
+        whose X-Y block the Lenz brackets then test."""
+        return self.linear(CoElement.s(u, v))
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """{f, g} = sum_ij df/dz_i dg/dz_j {z_i, z_j} on the stored numerators:

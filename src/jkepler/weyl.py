@@ -322,7 +322,9 @@ def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
     monomials = itertools.combinations_with_replacement(range(n), degree)
     checked, witness = 0, None
     while witness is None and (block := list(itertools.islice(monomials, _MONOMIALS))):
-        exps = (np.array(block, dtype=np.int64)[:, :, None] == np.arange(n)).sum(axis=1)
+        idx = np.fromiter(itertools.chain.from_iterable(block), np.int64, len(block) * degree)
+        exps = np.bincount(idx + n * np.repeat(np.arange(len(block)), degree),  # index + n * row
+                           minlength=len(block) * n).reshape(len(block), n)
         failed = np.flatnonzero((np.count_nonzero(p0[1:]) > 0) | (exps @ diag + p0[0] != target)
                                 | (exps[:, mixing] > 0).any(axis=1))
         checked += int(failed[0]) if len(failed) else len(exps)

@@ -5,12 +5,14 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from jkepler import conformal, modp
 from jkepler.algebra import Element, MismatchError, make_algebra
-from jkepler.conformal import (CoElement, ConsistencyError, StrElement, cartan_involution,
-                               co_bracket, dim_co, dim_str, random_co_element, root_data,
+from jkepler.conformal import (CoElement, ConsistencyError, cartan_involution, co_bracket,
+                               dim_co, dim_str, random_co_element, root_data,
                                structure_constants)
+from jkepler.poly import numerators
 
 # dimensions from the real-Lie-algebra table:
 #   gamma:k   -> so(k,1)+R, so(k+1,2)
@@ -35,6 +37,48 @@ def as_fractions(m):
     return np.array([Fr(v, den) for v in nums.flat], dtype=object).reshape(nums.shape)
 
 
+def x_part(e):
+    """The X_{e_a} coordinates of a CoElement, as an Element."""
+    return Element._make(e.algebra, e.nums[:e.algebra.dim], e.den)
+
+
+def y_part(e):
+    """The Y_{e_a} coordinates of a CoElement, as an Element."""
+    return Element._make(e.algebra, e.nums[-e.algebra.dim:], e.den)
+
+
+def _str_nums(e):
+    """(nums, den): the str(V) part of a CoElement as an n x n matrix, its B
+    coordinates times the span rows."""
+    n = e.algebra.dim
+    basis = conformal._str_span_exact(e.algebra).basis.astype(object)
+    return (np.array(e.nums[n:-n], dtype=object) @ basis).reshape(n, n), e.den
+
+
+def str_matrix(e):
+    """The str(V) part of a CoElement as an n x n Fraction matrix."""
+    return as_fractions(_str_nums(e))
+
+
+def from_str_matrix(alg, m):
+    """The CoElement with x = y = 0 and the str(V) part m, a Fraction matrix of
+    the span: coordinates from the pivot columns, checked by rebuilding m."""
+    span, n = conformal._str_span_exact(alg), alg.dim
+    coords = m.reshape(-1)[span.cols] @ span.adj.astype(object) / span.den
+    assert (coords @ span.basis.astype(object) == m.reshape(-1)).all()
+    return CoElement._make(alg, *numerators([0] * n + list(coords) + [0] * n))
+
+
+def _certified(alg, m) -> bool:
+    """Whether the Fraction matrix m passes conformal._certify."""
+    nums, _ = numerators(m.flat)
+    try:
+        conformal._certify(alg, np.array(nums, dtype=object).reshape(1, *m.shape), "m")
+    except ConsistencyError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("spec,expected", sorted(DIMS.items()))
 def test_dimension_oracle(algebra, spec, expected):
     alg = algebra(spec)
@@ -47,8 +91,8 @@ def test_xe_ye_bracket_is_minus_two_identity(algebra):
     alg = algebra("gamma:3")
     e = alg.identity()
     b = co_bracket(CoElement.x(e), CoElement.y(e))
-    assert b.x_part.is_zero() and b.y_part.is_zero()
-    m = b.str_part.matrix
+    assert x_part(b).is_zero() and y_part(b).is_zero()
+    m = str_matrix(b)
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert m[i, j] == (-2 if i == j else 0)
@@ -59,12 +103,8 @@ def test_generator_relations(algebra):
     rng = np.random.default_rng(0)
     for _ in range(20):
         u, v, z = (alg.random_element(rng, span=4) for _ in range(3))
-        b = co_bracket(CoElement.s(u, v), CoElement.x(z))
-        assert b.x_part == alg.triple(u, v, z)
-        assert b.y_part.is_zero() and b.str_part.is_zero()
-        b = co_bracket(CoElement.s(u, v), CoElement.y(z))
-        assert b.y_part == -alg.triple(v, u, z)
-        assert b.x_part.is_zero() and b.str_part.is_zero()
+        assert co_bracket(CoElement.s(u, v), CoElement.x(z)) == CoElement.x(alg.triple(u, v, z))
+        assert co_bracket(CoElement.s(u, v), CoElement.y(z)) == CoElement.y(-alg.triple(v, u, z))
         assert co_bracket(CoElement.x(u), CoElement.x(v)).is_zero()
         assert co_bracket(CoElement.y(u), CoElement.y(v)).is_zero()
 
@@ -99,7 +139,7 @@ def test_involution_swaps_x_and_y(algebra):
     rng = np.random.default_rng(3)
     u, v = alg.random_element(rng), alg.random_element(rng)
     th = cartan_involution(CoElement.x(u))
-    assert th.y_part == u and th.x_part.is_zero()
+    assert y_part(th) == u and x_part(th).is_zero()
     # theta[X_u, Y_v] = [Y_u, X_v]
     lhs = cartan_involution(co_bracket(CoElement.x(u), CoElement.y(v)))
     rhs = co_bracket(CoElement.y(u), CoElement.x(v))
@@ -112,7 +152,7 @@ def test_theta_eigenspaces(algebra):
     u, v, w = (alg.random_element(rng) for _ in range(3))
     # fixed space u: [L_u, L_v] and X_w + Y_w
     lu, lv = as_fractions(alg.lmul_matrix(u)), as_fractions(alg.lmul_matrix(v))
-    ku = CoElement(alg.zero(), StrElement(alg, lu @ lv - lv @ lu), alg.zero())
+    ku = from_str_matrix(alg, lu @ lv - lv @ lu)
     assert cartan_involution(ku) == ku
     kw = CoElement.x(w) + CoElement.y(w)
     assert cartan_involution(kw) == kw
@@ -157,7 +197,7 @@ def test_root_data_is_rational(algebra, spec):
     rd = root_data(alg)
     for t in _triples(rd):
         for el in t:
-            entries = list(el.x_part.coords) + list(el.y_part.coords) + list(el.str_part.matrix.flat)
+            entries = list(x_part(el).coords) + list(y_part(el).coords) + list(str_matrix(el).flat)
             assert all(type(c) is Fr for c in entries)
     # the paper's complex triple H = i h~, E+- = i a -+ s satisfies
     # [H, E+-] = +-2 E+-, [E+, E-] = -H, and theta H_e = H_e
@@ -178,52 +218,36 @@ def test_str_membership_certification(algebra):
     n = alg.dim
     bad = np.full((n, n), Fr(0), dtype=object)
     bad[0, 0] = Fr(1)  # a rank-one projector is not in span{S_uv} for gamma:3
-    with pytest.raises(ConsistencyError):
-        StrElement(alg, bad)
+    assert not _certified(alg, bad)
     # exact certification accepts genuine members
     rng = np.random.default_rng(5)
     u = alg.random_element(rng)
     v = alg.random_element(rng)
-    StrElement(alg, alg.smul_matrix(u, v))
+    assert _certified(alg, as_fractions(alg.smul_matrix(u, v)))
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
-def test_str_element_stored_form(algebra, spec):
+def test_co_element_stored_form(algebra, spec):
     # nums / den is reduced, equal values compare equal whatever denominator
-    # they were built over, and matrix gives back exactly the Fractions
+    # they were built over, the str(V) coordinates give back exactly the
+    # Fractions of S_uv, and an inexact scalar is refused
     alg = algebra(spec)
     rng = np.random.default_rng(10)
     u, v, w = (alg.random_element(rng, denominator=int(rng.integers(2, 7))) for _ in range(3))
-    s1, s2 = CoElement.s(u, v).str_part, StrElement(alg, as_fractions(alg.smul_matrix(v, w)))
+    s1, s2 = CoElement.s(u, v), from_str_matrix(alg, as_fractions(alg.smul_matrix(v, w)))
     r1, r2 = as_fractions(alg.smul_matrix(u, v)), as_fractions(alg.smul_matrix(v, w))
+    assert s2 == CoElement.s(v, w)
     for got, want in [(s1, r1), (s2, r2), (s1 + s2, r1 + r2), (s1 - s2, r1 - r2),
                       (s1.scaled(Fr(5, 6)), Fr(5, 6) * r1), (-s2, -r2)]:
-        _assert_same(got.matrix, want)
-        assert got.den == math.lcm(*(c.denominator for c in want.flat))
+        _assert_same(str_matrix(got), want)
+        assert x_part(got).is_zero() and y_part(got).is_zero()
         assert math.gcd(got.den, *got.nums) == 1
-    nums, den = alg.smul_matrix(u, v)
-    doubled = StrElement(alg, (2 * nums, 2 * den))
+    doubled = CoElement._make(alg, [2 * c for c in s1.nums], 2 * s1.den)
     assert doubled == s1 and (doubled.nums, doubled.den) == (s1.nums, s1.den)
-    assert s1 - s1 == StrElement.zero(alg) and (s1 - s1).den == 1
-
-
-@pytest.mark.parametrize("kind", ["float", "complex", "float-entry"])
-def test_str_element_rejects_inexact_entries(algebra, kind):
-    alg = algebra("h:3:R")
-    rng = np.random.default_rng(6)
-    m = as_fractions(alg.smul_matrix(alg.random_element(rng), alg.random_element(rng)))
-    if kind == "float":
-        bad = m.astype(float)
-    elif kind == "complex":
-        bad = m.astype(complex)
-    else:
-        bad = m.copy()
-        bad[1, 2] = float(bad[1, 2])
-    with pytest.raises(MismatchError):
-        StrElement(alg, bad)
-    with pytest.raises(MismatchError):
-        StrElement(alg, m[:, :-1])
-    StrElement(alg, m)  # the exact matrix itself is a member
+    assert s1 - s1 == CoElement.x(alg.zero()) and (s1 - s1).den == 1
+    for scalar in (0.5, 0.5j, np.float64(2.0)):
+        with pytest.raises(MismatchError):
+            s1.scaled(scalar)
 
 
 # --- the str(V) span against an exact Fraction row reduction ---------------------
@@ -262,14 +286,6 @@ def _reference_span(alg):
     return _REFERENCE_SPANS[key]
 
 
-def _is_member(alg, m) -> bool:
-    try:
-        StrElement(alg, m)
-    except ConsistencyError:
-        return False
-    return True
-
-
 REFERENCE_SPECS = ["gamma:2", "gamma:3", "gamma:5", "h:1:R", "h:3:R", "h:4:R",
                    "h:3:C", "h:4:C", "h:3:H"]
 
@@ -293,7 +309,7 @@ def test_str_span_matches_fraction_reduction(algebra, spec):
     outside = n == 1
     for m, member in [(x, True) for x in members] + [(projector, outside), (random_int, outside)]:
         assert ref.contains(m.reshape(-1)) is member
-        assert _is_member(alg, m) is member
+        assert _certified(alg, m) is member
 
 
 # --- the certificates have teeth ------------------------------------------------
@@ -355,16 +371,25 @@ def _ref_adjoint(alg, m):
 
 
 def _ref_bracket(alg, a, b):
-    """The bracket on Fraction object matrices, straight from its definition."""
-    m1, m2 = a.str_part.matrix, b.str_part.matrix
+    """The bracket on Fraction object matrices, straight from its definition;
+    a term with a zero factor is left out, and a str(V) part over 1 (a basis
+    element's) stays in Python ints."""
+    (n1, d1), (n2, d2) = _str_nums(a), _str_nums(b)
+    m1 = n1 if d1 == 1 else as_fractions((n1, d1))
+    m2 = n2 if d2 == 1 else as_fractions((n2, d2))
+    zero = np.array([Fr(0)] * alg.dim, dtype=object)
 
-    def apply(m, u):
-        return m @ np.array(u.coords, dtype=object)
+    def apply(m, u, adjoint=False):
+        if u.is_zero() or not m.any():
+            return zero
+        return (_ref_adjoint(alg, m) if adjoint else m) @ np.array(u.coords, dtype=object)
 
-    x = apply(m1, b.x_part) - apply(m2, a.x_part)
-    y = apply(_ref_adjoint(alg, m2), a.y_part) - apply(_ref_adjoint(alg, m1), b.y_part)
-    m = m1 @ m2 - m2 @ m1 - 2 * as_fractions(alg.smul_matrix(a.x_part, b.y_part)) \
-        + 2 * as_fractions(alg.smul_matrix(b.x_part, a.y_part))
+    def s2(u, v):  # 2 S_uv
+        return 0 if u.is_zero() or v.is_zero() else 2 * as_fractions(alg.smul_matrix(u, v))
+
+    x = apply(m1, x_part(b)) - apply(m2, x_part(a))
+    y = apply(m2, y_part(a), adjoint=True) - apply(m1, y_part(b), adjoint=True)
+    m = m1 @ m2 - m2 @ m1 - s2(x_part(a), y_part(b)) + s2(x_part(b), y_part(a))
     return x, m, y
 
 
@@ -398,62 +423,70 @@ def test_co_bracket_matches_fraction_reference(algebra, spec, kind):
         elements = [make() for _ in range(4)]
         # the common denominator of two operands is far past int64: the object path
         den = math.lcm(*(c.denominator for e in elements[:2]
-                         for c in [*e.x_part.coords, *e.y_part.coords, *e.str_part.matrix.flat]))
+                         for c in [*x_part(e).coords, *y_part(e).coords, *str_matrix(e).flat]))
         assert den > 2**63
     for a, b in [(elements[0], elements[1]), (elements[2], elements[3]),
                  (elements[1], elements[2])]:
         got = co_bracket(a, b)
         x, m, y = _ref_bracket(alg, a, b)
-        _assert_same(got.x_part.coords, x)
-        _assert_same(got.str_part.matrix, m)
-        _assert_same(got.y_part.coords, y)
-        _assert_same(as_fractions(a.str_part.adjoint_matrix()), _ref_adjoint(alg, a.str_part.matrix))
+        _assert_same(x_part(got).coords, x)
+        _assert_same(str_matrix(got), m)
+        _assert_same(y_part(got).coords, y)
+        # theta negates the adjoint, and swaps the x and y parts
+        th = cartan_involution(a)
+        _assert_same(str_matrix(th), -_ref_adjoint(alg, str_matrix(a)))
+        assert x_part(th) == y_part(a) and y_part(th) == x_part(a)
 
 
 def _co_basis(alg):
     """The basis (X_{e_a}, B_k, Y_{e_a}) of structure_constants as CoElements."""
-    n, zero = alg.dim, alg.zero()
-    basis = [alg.basis_element(a) for a in range(n)]
-    strs = [CoElement(zero, StrElement(alg, (b.reshape(n, n).astype(object), 1)), zero)
-            for b in conformal._str_span_exact(alg).basis]
-    return [CoElement.x(e) for e in basis] + strs + [CoElement.y(e) for e in basis]
+    d = dim_co(alg)
+    return [CoElement._make(alg, [int(i == k) for i in range(d)], 1) for k in range(d)]
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
 def test_structure_constants_reproduce_co_bracket(algebra, spec):
-    # [z_i, z_j] = sum_k c_ij^k z_k / den on every basis pair
+    # co_bracket(z_i, z_j) is the row c[i, j] / den, and it is the bracket's
+    # definition on Fraction matrices (_ref_bracket) on every basis pair
     alg = algebra(spec)
     c, den = structure_constants(alg)
     z = _co_basis(alg)
     assert c.shape == (dim_co(alg),) * 3
     for i, zi in enumerate(z):
         for j, zj in enumerate(z):
-            want = CoElement.x(alg.zero())
-            for k in np.flatnonzero(c[i, j]).tolist():
-                want = want + z[k].scaled(Fr(int(c[i, j, k]), den))
-            assert co_bracket(zi, zj) == want, (i, j)
+            got = co_bracket(zi, zj)
+            assert got == CoElement._make(alg, c[i, j].tolist(), den), (i, j)
+            x, m, y = _ref_bracket(alg, zi, zj)
+            assert list(x_part(got).coords) == list(x) and list(y_part(got).coords) == list(y)
+            assert (str_matrix(got) == m).all(), (i, j)
 
 
 def jacobi_witness(c):
-    """The first basis triple (i, j, m) on which the table c fails
-    [[z_i, z_j], z_m] = [z_i, [z_j, z_m]] - [z_j, [z_i, z_m]], or None.  With
-    ad_i = c[i].T (times den) this is sum_k c_ij^k ad_k = [ad_i, ad_j], read
-    transposed, one i at a time: sum_k c[i, j, k] c[k] = c[j] c[i] - c[i] c[j]."""
-    big = c.shape[0] * int(np.abs(c).max()) ** 2  # bounds each product and partial sum
-    assert 3 * big < 2**53  # so every entry of res is exact in float64
-    f = c.astype(np.float64)
-    for i in range(len(f)):
-        res = f[i] @ f.reshape(len(f), -1) - (f @ f[i] - f[i] @ f).reshape(len(f), -1)
-        bad = np.argwhere(res.reshape(f.shape))
-        if len(bad):
-            return i, int(bad[0][0]), int(bad[0][1])
-    return None
+    """The first basis triple (i, j, m) on which the table c fails the Jacobi
+    identity, or None.  T[(i, j), (m, p)] = sum_k c_ij^k c_km^p, the z_p part
+    of [[z_i, z_j], z_m], is one sparse product of the table with itself, and
+    Jacobi says that T plus its two cyclic rotations of (i, j, m) vanishes."""
+    d, c = len(c), np.asarray(c, dtype=np.int64)
+    assert 3 * d * int(np.abs(c).max()) ** 2 < 2**63  # every sum is exact in int64
+    t = (scipy.sparse.csr_array(c.reshape(d * d, d))
+         @ scipy.sparse.csr_array(c.reshape(d, d * d))).tocoo()
+    (i, j), (m, p) = divmod(t.row, d), divmod(t.col, d)
+    rows = np.concatenate([i * d + j, m * d + i, j * d + m])
+    cols = np.concatenate([m * d + p, j * d + p, i * d + p])
+    res = scipy.sparse.coo_array((np.tile(t.data, 3), (rows, cols)), shape=(d * d, d * d)).tocsr()
+    res.eliminate_zeros()
+    if not res.nnz:
+        return None
+    res = res.tocoo()
+    first = np.lexsort((res.col, res.row))[0]
+    return (*divmod(int(res.row[first]), d), int(res.col[first]) // d)
 
 
-@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H"])
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"])
 def test_structure_constants_antisymmetric_and_jacobi(algebra, spec):
-    # every basis triple, so a constant that no Kepler identity reads (the
-    # B-B block, some X-Y entries) is still held to the Lie algebra axioms
+    # every basis triple: co_bracket is the contraction with this table, so
+    # this proves that it is a Lie bracket, and a constant that no Kepler
+    # identity reads (the B-B block, some X-Y entries) is held to the axioms
     alg = algebra(spec)
     c, _ = structure_constants(alg)
     assert np.array_equal(c, -np.swapaxes(c, 0, 1))
@@ -474,6 +507,26 @@ def test_structure_constants_object_fallback(monkeypatch):
     monkeypatch.setattr(conformal, "_exact_dtype", lambda bound, fast=np.int64: object)
     got, got_den = structure_constants(make_algebra("h:3:R"))
     assert got.dtype == object and got_den == den and np.array_equal(got, want)
+
+
+def test_table_build_certifies_commutators_and_adjoints():
+    # one entry of a pivot row changed off the pivot columns: the span build's
+    # pivot inverse still holds, but [B_k, B_l] leave the span of the rows
+    alg = make_algebra("h:3:C")
+    span = conformal._str_span_exact(alg)
+    basis = span.basis.astype(np.int64)
+    basis[-1, next(c for c in range(basis.shape[1]) if c not in span.cols)] += 1
+    alg._cache["str_span_exact"] = conformal._StrSpan(basis, span.cols, span.adj, span.den)
+    with pytest.raises(ConsistencyError, match=r"commutator \[B_k, B_l\]"):
+        structure_constants(alg)
+    # a wrong Gram matrix makes B_k' a matrix outside str(V)
+    alg = make_algebra("h:3:C")
+    gnum, gden = alg._gram
+    alg._gram = ([3] + list(gnum[1:]), gden)
+    with pytest.raises(ConsistencyError, match="adjoint"):
+        structure_constants(alg)
+    # the table is built from the true span on a fresh algebra
+    assert structure_constants(make_algebra("h:3:C"))[0].shape == (35,) * 3
 
 
 def test_conformal_uses_no_float_linear_algebra():

@@ -714,7 +714,7 @@ def test_conjugate_falls_back_to_python_ints(algebra, spec):
     xx = phase.bracket(xlinear_x(alg, nu, u), xlinear_x(alg, nu, v))
     sx = phase.bracket(xlinear_s(alg, nu, u, v), xlinear_x(alg, nu, z))
     assert max(xx.parts) == max(cubic.parts) == 3
-    cases = [(x_big, 1, True), (x_big, 10**3, False), (x_huge, 1, False),
+    cases = [(x_big, 1, True), (x_big, 10**6, False), (x_huge, 1, False),
              (s_big + x_big, 10**4, False), (cubic_big, 10**3, False)]
     cases += [(a, k, None) for a in (xx, sx, cubic) for k in (1, -1, 10**3)]
     for a, k, fits in cases:
@@ -723,7 +723,26 @@ def test_conjugate_falls_back_to_python_ints(algebra, spec):
         assert got.poly(WeylOp) == gaussian_conjugate(alg, a.poly(WeylOp), k)
     # past the guard the int64 kernel would have wrapped
     for a in (x_big, cubic_big):
-        assert max(abs(int(c)) for c in conjugate(a, 10**3 * r).parts[0].ravel()) > 2**63
+        assert max(abs(int(c)) for c in conjugate(a, 10**6 * r).parts[0].ravel()) > 2**63
+
+
+@pytest.mark.parametrize("spec", ["h:3:R", "h:3:O"])
+def test_conjugate_divides_out_the_common_factor(algebra, spec):
+    # the series carries k! and r.den: unreduced, the conjugated H_e is over
+    # 864 with every numerator divisible by 216; stored, it is over 4, with
+    # the values of the word-by-word reference
+    alg = algebra(spec)
+    e = alg.identity()
+    r = moment_y(alg, e)
+    a = r - xlinear_x(alg, Fr(alg.delta, 2), e)
+    conj = conjugate(a, r)
+    assert conj.den == 4
+    assert math.gcd(conj.den, *(int(c) for t in conj.parts.values() for c in t.ravel())) == 1
+    assert conj.poly(WeylOp) == gaussian_conjugate(alg, a.poly(WeylOp))
+    # a common factor of the numerators given to the constructor is divided out
+    doubled = XLinearOp(alg.dim, {d: 6 * t for d, t in conj.parts.items()}, 6 * conj.den)
+    assert doubled.den == conj.den
+    assert all(np.array_equal(doubled.parts[d], t) for d, t in conj.parts.items())
 
 
 @pytest.mark.parametrize("nu", [Fr(1), Fr(2)])

@@ -46,8 +46,9 @@ family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
   span_build_s    conformal._str_span_exact on a new algebra (the exact
                   str(V) span with its certificate)
   dim_str_s       conformal.dim_str on a new algebra
+  table_build_s   conformal.structure_constants, the span already built
   co_bracket_s    16 co_bracket calls on random CoElements (seed 1), the
-                  span already built
+                  span and the table already built
 
 and two end-to-end figures:
 
@@ -136,13 +137,15 @@ t = time.perf_counter(); conformal.dim_str(make_algebra(spec))
 dim = time.perf_counter() - t
 alg = make_algebra(spec)
 conformal._str_span_exact(alg)
+t = time.perf_counter(); conformal.structure_constants(alg)
+table = time.perf_counter() - t
 rng = np.random.default_rng(1)
 pairs = [(conformal.random_co_element(alg, rng), conformal.random_co_element(alg, rng))
          for _ in range(16)]
 t = time.perf_counter()
 for a, b in pairs:
     conformal.co_bracket(a, b)
-print(span, dim, time.perf_counter() - t)
+print(span, dim, table, time.perf_counter() - t)
 """
 
 _INFO_RSS = """
@@ -224,7 +227,8 @@ def measure_tkk(src: Path, repeat: int) -> dict:
         runs = [[float(x) for x in _python(src, "-c", _LAYERS, spec).split()]
                 for _ in range(repeat)]
         families[spec] = {name: statistics.median(r[i] for r in runs)
-                          for i, name in enumerate(("span_build_s", "dim_str_s", "co_bracket_s"))}
+                          for i, name in enumerate(("span_build_s", "dim_str_s", "table_build_s",
+                                                    "co_bracket_s"))}
         print(spec, families[spec], file=sys.stderr)
     rss = statistics.median(float(_python(src, "-c", _INFO_RSS)) for _ in range(repeat))
     walls = []
