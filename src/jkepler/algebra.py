@@ -200,8 +200,12 @@ def _exact_dtype(bound: int, fast: type = np.int64) -> type:
     return fast if bound <= _EXACT_MAX[fast] else object
 
 def _lnum(c2, x):
-    """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a]."""
-    return np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
+    """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a], for x a vector or a
+    stack of them.  One matmul with c2 read as an n x n^2 matrix; every dtype
+    the kernels use (int64, object, and the small-integer float64 of
+    conformal._snums) sums it exactly, so it equals np.tensordot."""
+    n = len(c2)
+    return np.swapaxes((x @ c2.reshape(n, -1)).reshape(*x.shape[:-1], n, n), -1, -2)
 
 
 def _snum(c2, x, y):

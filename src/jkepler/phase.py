@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, Element, _exact_dtype, _max_abs
-from .conformal import CoElement, structure_constants
+from .conformal import CoElement, _co_table
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
 
@@ -298,14 +298,15 @@ def verify_poisson_tkk(alg: Algebra, trials: int = 50, seed: int = 0,
 class CoStar:
     """Polynomials on co(V)*: Polys in the coordinates z = (X_a, B_k, Y_a) of
     a CoElement, under the Lie-Poisson bracket {z_i, z_j} = sum_k c_ij^k z_k
-    of conformal.structure_constants."""
+    of conformal.structure_constants, read from the table's nonzero entries
+    (conformal._co_table) without a dense copy."""
 
     def __init__(self, alg: Algebra):
-        (self.table, self.den), self.alg = structure_constants(alg), alg
-        self.nvars = len(self.table)
-        idx = np.argwhere(self.table)
-        self.forms = {}  # (i, j) -> [(packed key of z_k, numerator of c_ij^k)]
-        for (i, j, k), c in zip(idx.tolist(), self.table[tuple(idx.T)].tolist()):
+        t, self.alg = _co_table(alg), alg
+        self.nvars, self.den = t.dim, t.den
+        self.entries = t.i, t.j, t.k, t.vals  # the nonzero c_ij^k, grouped by k
+        self.forms = {}  # (i, j) -> [(packed key of z_k, numerator of c_ij^k)], k ascending
+        for i, j, k, c in zip(*(a.tolist() for a in self.entries)):
             self.forms.setdefault((i, j), []).append((field(k), c))
 
     def linear(self, z: CoElement) -> Poly:
@@ -420,7 +421,11 @@ def equivariance_witness(alg: Algebra, pairs: list, angular: list):
         raise ValueError("an angular observable is not a linear form")
     lmat = np.array([[f.nums.get(key, 0) * (lden // f.den) for key in keys] for f in angular],
                     dtype=object).reshape(len(pairs), nvars)
-    cols = cs.table[:, list(range(n)) + list(range(nvars - n, nvars))].reshape(nvars, -1)
+    ti, tj, tk, vals = cs.entries
+    xy = (tj < n) | (tj >= nvars - n)  # c_ij^k with z_j = X_a or Y_a, at column a or n + a
+    cols = np.zeros((nvars, 2 * n, nvars), dtype=vals.dtype)
+    cols[ti[xy], np.where(tj < n, tj, tj - nvars + 2 * n)[xy], tk[xy]] = vals[xy]
+    cols = cols.reshape(nvars, -1)
     l2 = np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)])  # 2 L_{e_a}
     # 4 {L_uv, z_a} and 4 D lden den: every entry and partial sum is below bound
     bound = 4 * nvars * _max_abs(lmat) * _max_abs(cols) + 2 * n * _max_abs(l2) ** 2 * lden * cs.den

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jkepler import cone as C
-from jkepler.algebra import (AlgebraSpec, Element, MismatchError,
+from jkepler.algebra import (AlgebraSpec, Element, MismatchError, _lnum,
                              DomainError, SpecificationError, make_algebra)
 from jkepler.symfun import tau_poly
 
@@ -661,3 +661,22 @@ def test_float_caches_change_no_bits(algebra, spec):
     # a Peirce vector is a fresh array
     got[0][alg.rho] = 7.0
     assert C.peirce_vectors(alg)[0][2][alg.rho] != 7.0
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:C", "h:3:O"])
+@pytest.mark.parametrize("dtype", [np.int64, object, np.float64])
+def test_lnum_matches_tensordot(algebra, spec, dtype):
+    # the reshape-matmul of _lnum against the tensordot it replaced, for x a
+    # vector, a matrix and a stack of matrices; float64 on small integers, as
+    # conformal._snums calls it
+    alg = algebra(spec)
+    c2, n = alg._c2.astype(dtype), alg.dim
+    rng = np.random.default_rng(5)
+    for shape in [(n,), (4, n), (2, 3, n)]:
+        x = rng.integers(-9, 10, shape).astype(dtype)
+        if dtype is object:
+            x = x * 2**70  # past int64
+        want = np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
+        got = _lnum(c2, x)
+        assert got.shape == want.shape == shape[:-1] + (n, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -565,3 +565,73 @@ def test_modp_row_basis_finds_the_rank(scale):
     assert np.array_equal(m, before)  # the blocks are views of m
     assert len(rows) == len(cols) == np.linalg.matrix_rank(m) == 7
     modp.inverse(m[rows][:, cols])  # the pivot minor is invertible mod p
+
+
+def rref_rows(block):
+    """The row-at-a-time reduced echelon form that modp.rref replaced: the
+    reference its halving must reproduce, pivots and array."""
+    p, pivots = modp._PRIME, []
+    for i, row in enumerate(block):
+        nonzero = np.flatnonzero(row)
+        if len(nonzero):
+            c = int(nonzero[0])
+            pivot = row * pow(int(row[c]), -1, p) % p
+            np.remainder(block - block[:, [c]] * pivot, p, out=block)
+            row[:] = pivot
+            pivots.append((i, c))
+    return pivots
+
+
+def residue_block(kind, rows, rng):
+    """A block of residues mod p: full rank, low rank, about 2% dense, all
+    zero, or tall (more rows than columns)."""
+    p = modp._PRIME
+    width = rows + 3 if kind != "tall" else max(1, rows // 3)
+    if kind in ("full", "tall"):
+        return rng.integers(0, p, (rows, width))
+    if kind == "low":
+        rank = int(rng.integers(0, min(rows, width) + 1))
+        return rng.integers(0, p, (rows, rank)) @ rng.integers(0, 4, (rank, width)) % p
+    if kind == "sparse":
+        return np.where(rng.random((rows, width)) < 0.02, rng.integers(0, p, (rows, width)), 0)
+    return np.zeros((rows, width), dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", ["full", "low", "sparse", "zero", "tall"])
+def test_rref_matches_row_at_a_time(kind):
+    rng = np.random.default_rng(["full", "low", "sparse", "zero", "tall"].index(kind))
+    for rows in list(range(1, 20)) + [31, 32, 33, 47, 64, 70]:
+        block = residue_block(kind, rows, rng).astype(np.int64)
+        want = block.copy()
+        assert modp.rref(block) == rref_rows(want), rows
+        assert np.array_equal(block, want), rows
+
+
+@pytest.mark.parametrize("spec", ["h:3:R", "h:3:O"])
+def test_row_basis_matches_one_rref(spec):
+    # Echelon keeps, block by block, the rows and pivot columns that one
+    # row-at-a-time pass over the stacked generators finds
+    alg = make_algebra(spec)
+    gens, n = conformal._generators(alg), alg.dim
+    rows, cols = modp.row_basis([gens[i:i + n] for i in range(0, len(gens), n)])
+    pivots = rref_rows(gens.astype(np.int64) % modp._PRIME)
+    assert (rows, cols) == ([i for i, _ in pivots], [c for _, c in pivots])
+
+
+def test_matmul_mod_at_its_bound():
+    p = modp._PRIME
+    a, b = np.full((3, 2**12), p - 1), np.full((2**12, 4), p - 1)
+    want = [[sum((p - 1) * (p - 1) for _ in range(2**12)) % p] * 4] * 3
+    assert modp._matmul_mod(a, modp._limbs(b)).tolist() == want
+    # inner dimension 2^20 - 1, the low limb at its largest: the limb sums
+    # reach 1.5 * 2^52, below the float64 bound 2^53
+    k, big = 2**20 - 1, (0x7FFE << 16) + 0xFFFF
+    a, b = np.full((1, k), big), np.full((k, 2), big)
+    assert modp._matmul_mod(a, modp._limbs(b)).tolist() == [[k * big * big % p] * 2]
+
+
+def test_sub_stays_in_range():
+    p = modp._PRIME
+    a = np.array([0, 0, 5, p - 1, p - 1, 3])
+    b = np.array([0, p - 1, 5, 0, p - 1, 7])
+    assert modp._sub(a, b).tolist() == [(x - y) % p for x, y in zip(a.tolist(), b.tolist())]

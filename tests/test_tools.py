@@ -51,7 +51,7 @@ def _imported(tree, workloads) -> tuple[dict, list]:
 _SAMPLE = {"poly": {"cli.main", "weyl.verify_tkk_ops", "phase.verify_poisson_tkk"},
            "tkk": {"conformal._str_span_exact", "conformal.structure_constants",
                    "conformal.random_co_element"},
-           "cone": {"workloads.verify_report", "workloads.build_ops"}}
+           "cone": {"workloads.verify_report", "workloads.build_ops", "workloads.execute"}}
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE))

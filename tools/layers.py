@@ -60,17 +60,25 @@ and two end-to-end figures:
 cone -> BENCH_cone_threads.json.  One process imports this checkout's
 bench/workloads.py as well, with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS set to the usable core count, as bench/run.py sets them.  It
-takes the 10 `verify` ops of the cone-spectrum workload at the benchmark's
-seed 0 (`cone` and `measure` on gamma:3, h:3:R, h:3:C, h:3:H, h:3:O, trials
-3, seed-derived op seeds) and, for each op, runs it once to warm the caches
-and then REPEAT = 15 times.  Per op it records:
+takes the 28 ops of the cone-spectrum workload at the benchmark's seed 0,
+with seed-derived op seeds: 18 `row` ops (one row of `jk spectrum
+--degeneracies`: gamma:3 at nu = 1, levels 0-9, and h:3:R at nu = 1/2, levels
+0-7) and 10 `verify` ops (`cone` and `measure` on gamma:3, h:3:R, h:3:C,
+h:3:H, h:3:O, trials 3).  For each op it runs it once to warm the caches and
+then REPEAT = 15 times.  Per op it records:
 
-  median_s, q1_s, q3_s   median and quartiles of the op's time (cli.run plus
-                         the JSON emit, as bench/workloads.verify_report)
-  digest                 sha256 of the op's JSON report with wall_time_ms
-                         zeroed, the digest the benchmark pins
+  median_s, q1_s, q3_s   median and quartiles of the op's time: for a row,
+                         bench/workloads.execute (make_algebra, the energy
+                         and weyl.restriction_degeneracy); for a verify op,
+                         cli.run plus the JSON emit, as
+                         bench/workloads.verify_report
+  degeneracy             a row's degeneracy, which the benchmark holds to
+                         its closed form
+  digest                 a verify op's sha256 of its JSON report with
+                         wall_time_ms zeroed, the digest the benchmark pins
 
-and total_median_s, the sum of the medians.
+and total_median_s, the sum of the verify ops' medians, and
+rows_total_median_s, that of the rows.
 """
 from __future__ import annotations
 
@@ -160,20 +168,22 @@ _OPS = """
 import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import workloads
-repeat = int(sys.argv[2])
+repeat, expected = int(sys.argv[2]), workloads.load_expected()
 out = {}
 for op in workloads.build_ops("cone-spectrum", 0):
-    if op.kind != "verify":
-        continue
-    workloads.verify_report(op)
+    if op.kind == "row":
+        run = lambda: {"degeneracy": workloads.execute(op, expected).value}
+    else:
+        run = lambda: {"digest": workloads.verify_report(op)[1]}
+    run()
     times = []
     for _ in range(repeat):
         t = time.perf_counter()
-        _, h = workloads.verify_report(op)
+        got = run()
         times.append(time.perf_counter() - t)
     q1, med, q3 = statistics.quantiles(times, n=4)
-    out[op.key] = {"median_s": med, "q1_s": q1, "q3_s": q3, "digest": h}
-    print(op.key, round(med, 4), h[:12], file=sys.stderr)
+    out[op.key] = {"median_s": med, "q1_s": q1, "q3_s": q3, **got}
+    print(op.key, round(med, 4), got, file=sys.stderr)
 print(json.dumps(out))
 """
 
@@ -246,7 +256,9 @@ def measure_cone(src: Path, repeat: int) -> dict:
     threads = {var: str(NPROC) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                            "MKL_NUM_THREADS")}
     ops = json.loads(_python(src, "-c", _OPS, str(ROOT / "bench"), str(repeat), env=threads))
-    return {"ops": ops, "total_median_s": sum(o["median_s"] for o in ops.values())}
+    return {"ops": ops,
+            "total_median_s": sum(o["median_s"] for o in ops.values() if "digest" in o),
+            "rows_total_median_s": sum(o["median_s"] for o in ops.values() if "degeneracy" in o)}
 
 
 class LayerSet(NamedTuple):
