@@ -10,7 +10,7 @@ from .poly import Poly
 from .phase import (poisson, poisson_poly, verify_poisson_tkk, kepler_hamiltonian,
                     kepler_angular, kepler_lenz)
 from .weyl import (WeylOp, WallachParam, compose, commutator, apply_op,
-                   gaussian_conjugate, verify_tkk_ops, he_grading_check,
+                   gaussian_conjugate, verify_tkk_ops, he_grading_checks,
                    lowest_weight_check, restriction_degeneracy, bound_spectrum)
 from .cone import (ConePoint, PolarChart, cone_dim, sample_cone_point, radial_cone_point,
                    canonical_metric, kepler_metric_crosscheck, lambda_route_a,

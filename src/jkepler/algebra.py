@@ -208,9 +208,11 @@ def _lnum(c2, x):
     return np.swapaxes((x @ c2.reshape(n, -1)).reshape(*x.shape[:-1], n, n), -1, -2)
 
 
-def _snum(c2, x, y):
-    """4 S_xy = [A, B] + L(A y) with A = 2 L_x, B = 2 L_y (A y = 2 xy)."""
-    a, b = _lnum(c2, x), _lnum(c2, y)
+def _snum(c2, a, y):
+    """4 S_xy = [A, B] + L(A y) with A = 2 L_x, B = 2 L_y (A y = 2 xy), from
+    A; for a stack of A, a stack of 4 S.  The stack of 2 L_{e_a} is
+    np.swapaxes(c2, 1, 2), which needs no product."""
+    b = _lnum(c2, y)
     return a @ b - b @ a + _lnum(c2, a @ y)
 
 
@@ -284,7 +286,7 @@ class Algebra:
         """S_uv = [L_u, L_v] + L_{uv}, as (nums, den)."""
         u._check(v)
         c2, (x, y) = self._kernel_arrays(u.nums, v.nums)
-        return _snum(c2, x, y).astype(object), 4 * u.den * v.den
+        return _snum(c2, _lnum(c2, x), y).astype(object), 4 * u.den * v.den
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -344,17 +346,26 @@ class Algebra:
     def dual_triple_tensor(self, u: Element):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
         derivatives with the metric-dual basis, as (nums, den)."""
-        n = self.dim
-        # T[a,b,g] = S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden:
-        # the Gram factor is gnum[g] gden (lg / (gnum[a] gnum[b])) / lg
-        gnum, gden = self._gram
-        lg = math.lcm(*gnum) ** 2
-        factor = max(gnum) * gden * lg
-        c2, (x,) = self._kernel_arrays(u.nums, factor=factor)
-        weight = np.array([[[lg // (ga * gb) * gg * gden for gg in gnum] for gb in gnum] for ga in gnum],
-                          dtype=c2.dtype)
-        s = _snum(c2, np.eye(n, dtype=c2.dtype), x)
-        return (weight * np.swapaxes(s, 1, 2)).astype(object), 4 * u.den * lg
+        w2, wg, lg = self._gram_weight()
+        c2, (x,) = self._kernel_arrays(u.nums, factor=_max_abs(w2) * _max_abs(wg))
+        w2, wg = w2.astype(c2.dtype, copy=False), wg.astype(c2.dtype, copy=False)
+        s = _snum(c2, np.swapaxes(c2, 1, 2), x)  # [a] = 4 S_{e_a u}
+        return (np.swapaxes(s, 1, 2) * w2[:, :, None] * wg).astype(object), 4 * u.den * lg
+
+    def _gram_weight(self):
+        """The Gram factor of dual_triple_tensor, built once: T[a,b,g] =
+        S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden, is
+        4 S_{e_a u}[g,b] w2[a,b] wg[g] / (4 lg) with w2[a,b] = lg / (gnum[a]
+        gnum[b]), wg[g] = gnum[g] gden and lg = lcm(gnum)^2.  Returns
+        (w2, wg, lg), int64 where they fit."""
+        if "gram_weight" not in self._cache:
+            gnum, gden = self._gram
+            lg = math.lcm(*gnum) ** 2
+            g = np.array(gnum, dtype=object)
+            w2, wg = lg // np.multiply.outer(g, g), g * gden
+            self._cache["gram_weight"] = (w2.astype(_exact_dtype(_max_abs(w2))),
+                                          wg.astype(_exact_dtype(_max_abs(wg))), lg)
+        return self._cache["gram_weight"]
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

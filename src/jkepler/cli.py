@@ -34,7 +34,7 @@ from .conformal import (cartan_involution, co_bracket, dim_co, dim_str,
 from .phase import (equivariance_witness, kepler_angular, kepler_hamiltonian, kepler_lenz,
                     over, poisson, verify_poisson_tkk)
 from .symfun import elementary_from_power
-from .weyl import (WallachParam, bound_spectrum, he_grading_check, lowest_weight_check,
+from .weyl import (WallachParam, bound_spectrum, he_grading_checks, lowest_weight_check,
                    restriction_degeneracy, verify_tkk_ops, wallach_set)
 
 SUITES = ("jordan", "tkk", "poisson", "operators", "cone", "measure")
@@ -266,10 +266,7 @@ def _operator_checks(alg: Algebra, cfg: SuiteConfig) -> list:
         return verify_tkk_ops(alg, nu, trials=cfg.trials, seed=cfg.seed + 6)
 
     def grading():
-        out = []
-        for i in range(cfg.levels + 1):
-            out.append(he_grading_check(alg, nu, i))
-        return out
+        return he_grading_checks(alg, nu, range(cfg.levels + 1))
 
     def lowest():
         return [lowest_weight_check(alg, nu, seed=cfg.seed + 7)]

@@ -93,9 +93,10 @@ def _snums(alg: Algebra) -> np.ndarray:
     exactly in float64 and kept as int8 when they fit."""
     n = alg.dim
     c2, eye = alg._c2.astype(np.float64), np.eye(n)
+    l2 = np.swapaxes(c2, 1, 2)  # [a] = 2 L_{e_a}
     blocks = []
     for b in range(n):
-        g = _snum(c2, eye, eye[b]).reshape(n, -1)
+        g = _snum(c2, l2, eye[b]).reshape(n, -1)
         small = g.astype(np.int8)
         blocks.append(small if np.array_equal(small, g) else g.astype(np.int64))
     return np.stack(blocks)

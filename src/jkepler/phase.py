@@ -196,6 +196,26 @@ def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
     return out
 
 
+def vacuum(a: XLinearOp, r: XLinearOp) -> tuple:
+    """A on the vacuum e^{-r} for a linear form r: A e^{-r} = e^{-r} (q_0 +
+    sum_g q_g x_g), q the D-degree-0 part of conjugate(a, r).  The
+    substitution D -> D - grad r puts D = -grad r = h / r.den there, so q is
+    each D-degree-d part contracted d times with h, over a.den r.den^top:
+    no series and no bracket.  Returns (q numerators, the constant then x_0
+    .. x_{n-1}, and that den, not reduced).  Each degree-d term and partial
+    sum is at most |a| (n |h|)^d r.den^(top-d): the int64 guard."""
+    top, h = max(a.parts, default=0), -r.parts[0][1:]
+    bound = a._max() * sum((a.n * _max_abs(h)) ** d * r.den ** (top - d) for d in a.parts)
+    dtype = _exact_dtype(bound)
+    h, q = h.astype(dtype), np.zeros(a.n + 1, dtype=dtype)
+    for d, t in a.parts.items():
+        t = t.astype(dtype, copy=False)
+        for _ in range(d):
+            t = t @ h
+        q = q + r.den ** (top - d) * t
+    return q, a.den * r.den ** top
+
+
 # --- moment functions: the one builder of each generator's symbol ----------------
 
 def moment_s(alg: Algebra, u: Element, v: Element) -> XLinearOp:

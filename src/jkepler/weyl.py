@@ -36,12 +36,14 @@ the reference the tests hold that bracket to.
 The realization acts on states psi = e^{-r} p with p polynomial; operators
 act on p through conjugation by e^{r}, which is the constant shift
 d_a -> d_a - (Ge)_a.  On an x-linear symbol that is phase.conjugate, the
-series exp(ad r) of phase.bracket.  The grading check reads the conjugated
-H_e on the degree-I monomials, a block at a time, from its D-degree 0 and 1
-parts, and the lowest-weight check reads each generator on the vacuum
-e^{-r} from its D-degree-0 part, so no check builds a WeylOp.
-gaussian_conjugate and apply_op, the same conjugation and action word by
-word on WeylOps, are the references the tests hold them to.
+series exp(ad r) of phase.bracket.  The grading check conjugates H_e once
+for all its levels and reads it on the degree-I monomials, a block at a
+time, from its D-degree 0 and 1 parts.  The lowest-weight check needs only
+the D-degree-0 part of each conjugated generator, A on the vacuum e^{-r}:
+phase.vacuum reads it by contracting each D-degree-d part d times with
+-grad r, with no series.  So no check builds a WeylOp.  gaussian_conjugate
+and apply_op, the same conjugation and action word by word on WeylOps, are
+the references the tests hold them to.
 
 As in the phase-space module, derivative slots are paired with the
 metric-dual basis, so the Gram matrix of the rational frame appears
@@ -62,7 +64,7 @@ import numpy as np
 from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
 from .modp import _PRIME, Echelon
 from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, conjugate, moment_s,
-                    moment_x, moment_y, relation_residual)
+                    moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
 
@@ -294,58 +296,67 @@ def bound_spectrum(alg: Algebra, nu, level: int):
 _MONOMIALS = 1 << 14  # degree-I monomials the grading check decides together
 
 
-def he_grading_check(alg: Algebra, nu, degree: int) -> dict:
-    """Exact leading-term check: on homogeneous degree-I monomials, the
-    conjugated H_e acts as 2I + nu rho plus lower-degree terms.
+def he_grading_checks(alg: Algebra, nu, levels) -> list:
+    """Exact leading-term check, one per degree I in levels: on homogeneous
+    degree-I monomials, the conjugated H_e acts as 2I + nu rho plus
+    lower-degree terms.
 
-    H_e = i (X_e(nu) + Y_e(nu)) = Y~_e - X~_e conjugated is c_0 + sum_g l_g x_g
-    + sum_gi M_gi x_g D_i plus terms that lower the degree.  On x^alpha the
-    l_g x_g give degree I + 1, so with l != 0 every monomial fails.  Otherwise
-    the degree-I part is (c_0 + sum_i alpha_i M_ii) x^alpha plus the words
-    alpha_i M_gi x^(alpha - e_i + e_g), g != i, distinct monomials that cannot
-    cancel; so x^alpha passes iff that coefficient is 2I + nu rho and alpha_i
-    = 0 on each column i of M with an off-diagonal entry.  The monomials are
-    checked _MONOMIALS at a time, in combinations_with_replacement order;
-    `checked` counts those before the first failure."""
-    if degree < 0:
+    H_e = i (X_e(nu) + Y_e(nu)) = Y~_e - X~_e conjugated, once for every
+    level, is c_0 + sum_g l_g x_g + sum_gi M_gi x_g D_i plus terms that lower
+    the degree.  On x^alpha the l_g x_g give degree I + 1, so with l != 0
+    every monomial fails.  Otherwise the degree-I part is (c_0 + sum_i
+    alpha_i M_ii) x^alpha plus the words alpha_i M_gi x^(alpha - e_i + e_g),
+    g != i, distinct monomials that cannot cancel; so x^alpha passes iff that
+    coefficient is 2I + nu rho and alpha_i = 0 on each column i of M with an
+    off-diagonal entry.  The monomials are checked _MONOMIALS at a time, in
+    combinations_with_replacement order; `checked` counts those before the
+    first failure."""
+    levels = list(levels)
+    if any(i < 0 for i in levels):
         raise DomainError("degree must be >= 0")
     n = alg.dim
     e = alg.identity()
     r = moment_y(alg, e)
     conj = conjugate(r - xlinear_x(alg, nu, e), r)
     p0, m = conj.parts[0], conj.parts[1][1:]  # m[g, i]: x_g D_i
-    eig = 2 * degree + Fraction(nu) * alg.rho
-    target = eig * conj.den
     diag = np.diagonal(m)
-    diag = diag.astype(_exact_dtype(_max_abs(p0) + degree * _max_abs(diag)), copy=False)
+    raising = np.count_nonzero(p0[1:]) > 0
     mixing = np.count_nonzero(m - np.diag(diag), axis=0) > 0
-    monomials = itertools.combinations_with_replacement(range(n), degree)
-    checked, witness = 0, None
-    while witness is None and (block := list(itertools.islice(monomials, _MONOMIALS))):
-        idx = np.fromiter(itertools.chain.from_iterable(block), np.int64, len(block) * degree)
-        exps = np.bincount(idx + n * np.repeat(np.arange(len(block)), degree),  # index + n * row
-                           minlength=len(block) * n).reshape(len(block), n)
-        failed = np.flatnonzero((np.count_nonzero(p0[1:]) > 0) | (exps @ diag + p0[0] != target)
-                                | (exps[:, mixing] > 0).any(axis=1))
-        checked += int(failed[0]) if len(failed) else len(exps)
-        witness = {"monomial": exps[failed[0]].tolist()} if len(failed) else None
-    return {"name": f"grading:I={degree}", "status": "pass" if witness is None else "fail",
-            "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
+    checks = []
+    for degree in levels:
+        eig = 2 * degree + Fraction(nu) * alg.rho
+        target = eig * conj.den
+        weights = diag.astype(_exact_dtype(_max_abs(p0) + degree * _max_abs(diag)), copy=False)
+        monomials = itertools.combinations_with_replacement(range(n), degree)
+        checked, witness = 0, None
+        while witness is None and (block := list(itertools.islice(monomials, _MONOMIALS))):
+            idx = np.fromiter(itertools.chain.from_iterable(block), np.int64, len(block) * degree)
+            exps = np.bincount(idx + n * np.repeat(np.arange(len(block)), degree),  # index + n * row
+                               minlength=len(block) * n).reshape(len(block), n)
+            failed = np.flatnonzero(raising | (exps @ weights + p0[0] != target)
+                                    | (exps[:, mixing] > 0).any(axis=1))
+            checked += int(failed[0]) if len(failed) else len(exps)
+            witness = {"monomial": exps[failed[0]].tolist()} if len(failed) else None
+        checks.append({"name": f"grading:I={degree}",
+                       "status": "pass" if witness is None else "fail", "metric": "exact",
+                       "eigenvalue": str(eig), "checked": checked, "witness": witness})
+    return checks
 
 
 def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
     """psi_0 = e^{-r} is annihilated by the realized compact generators (8
     random derivations and a basis of compact translations) and by
     E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu.  A
-    generator sends psi_0 to e^{-r} q, q the D-degree-0 part of its
-    conjugate: a constant and a linear form.  Each generator is checked up to
-    a nonzero factor, which does not change whether q vanishes."""
+    generator sends psi_0 to e^{-r} q, q a constant and a linear form that
+    phase.vacuum reads from its symbol by one contraction.  Each generator
+    is checked up to a nonzero factor, which does not change whether q
+    vanishes."""
     n = alg.dim
     e = alg.identity()
     r = moment_y(alg, e)
 
     def kills(op: XLinearOp) -> bool:
-        return not np.count_nonzero(conjugate(op, r).parts[0])
+        return not np.count_nonzero(vacuum(op, r)[0])
 
     rng = np.random.default_rng(seed)
     failures = []
@@ -365,15 +376,14 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
     xc, yc = xlinear_x(alg, nu, c), moment_y(alg, c)
     if not kills(2 * xlinear_s(alg, nu, c, e) - (xc + yc)):
         failures.append({"check": "E_-alpha0"})
-    h = conjugate(yc - xc, r)
-    q = h.parts[0]  # the constant, then x_0 .. x_{n-1}, over h.den
-    if int(q[0]) != Fraction(nu) * h.den or np.count_nonzero(q[1:]):
+    q, den = vacuum(yc - xc, r)  # the constant, then x_0 .. x_{n-1}, over den
+    if int(q[0]) != Fraction(nu) * den or np.count_nonzero(q[1:]):
         # terms in the order of the word-by-word action: by the first word of
         # Y~_c - X~_c with each x part
         slot = {0: 0, **{field(g): g + 1 for g in range(n)}}
         words = (yc.poly() - xc.poly()).nums
         got = Poly._make(n, {k: int(q[slot[k]]) for k in
-                             dict.fromkeys(k & (field(n) - 1) for k in words)}, h.den)
+                             dict.fromkeys(k & (field(n) - 1) for k in words)}, den)
         failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
     return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
             "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}

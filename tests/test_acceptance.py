@@ -20,7 +20,7 @@ from jkepler.algebra import make_algebra
 from jkepler.cli import SuiteConfig, emit, run
 from jkepler.phase import verify_poisson_tkk
 from jkepler.conformal import dim_co, dim_str
-from jkepler.weyl import (bound_spectrum, he_grading_check, lowest_weight_check,
+from jkepler.weyl import (bound_spectrum, he_grading_checks, lowest_weight_check,
                           restriction_degeneracy, verify_tkk_ops)
 
 _ALGS = {}
@@ -95,8 +95,7 @@ def test_criterion_4_grading_and_lowest_weight():
     alg = _alg("gamma:3")
     ok = True
     for nu in (Fr(1), Fr(alg.delta, 2)):
-        for i in range(5):
-            rep = he_grading_check(alg, nu, i)
+        for i, rep in enumerate(he_grading_checks(alg, nu, range(5))):
             ok &= rep["status"] == "pass"
             ok &= rep["eigenvalue"] == str(2 * i + nu * alg.rho)
         lw = lowest_weight_check(alg, nu, seed=8)

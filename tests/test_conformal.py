@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from jkepler import conformal, modp
-from jkepler.algebra import Element, MismatchError, make_algebra
+from jkepler.algebra import Element, MismatchError, _lnum, _snum, make_algebra
 from jkepler.conformal import (CoElement, ConsistencyError, cartan_involution, co_bracket,
                                dim_co, dim_str, random_co_element, root_data,
                                structure_constants)
@@ -331,6 +331,18 @@ def test_span_from_distinct_generators_matches_all_rows(algebra, spec):
     # no two kept generators agree up to sign, and none is zero
     gens = conformal._generators(alg)
     assert len({g.tobytes() for g in np.vstack([gens, -gens])}) == 2 * len(gens) < 2 * n * n
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"])
+def test_snums_read_the_transposed_table(algebra, spec):
+    # the stack of 2 L_{e_a}, read once as the transposed table, against one
+    # _snum per b on 2 L_{e_a} from _lnum; small integers, int8 in every family
+    alg = algebra(spec)
+    n = alg.dim
+    c2, eye = alg._c2.astype(np.float64), np.eye(n)
+    want = np.stack([_snum(c2, _lnum(c2, eye), eye[b]).reshape(n, -1) for b in range(n)])
+    got = conformal._snums(alg)
+    assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def test_span_build_fails_when_a_pivot_row_is_dropped(algebra, monkeypatch):

@@ -48,7 +48,8 @@ def _imported(tree, workloads) -> tuple[dict, list]:
 
 
 # a few of the names each set's snippets use, so a walk that finds none fails
-_SAMPLE = {"poly": {"cli.main", "weyl.verify_tkk_ops", "phase.verify_poisson_tkk"},
+_SAMPLE = {"poly": {"cli.main", "weyl.verify_tkk_ops", "phase.verify_poisson_tkk",
+                    "weyl.lowest_weight_check"},
            "tkk": {"conformal._str_span_exact", "conformal.structure_constants",
                    "conformal.random_co_element"},
            "cone": {"workloads.verify_report", "workloads.build_ops", "workloads.execute"}}

@@ -14,7 +14,7 @@ from jkepler.poly import Poly, monomial_key
 from jkepler import cli, modp, phase, weyl
 from jkepler.weyl import (WallachParam, WeylOp, acute_s, acute_x,
                           acute_y, apply_op, bound_spectrum,
-                          commutator, compose, gaussian_conjugate, he_grading_check,
+                          commutator, compose, gaussian_conjugate, he_grading_checks,
                           lowest_weight_check, restriction_degeneracy,
                           tkk_op_residual, verify_tkk_ops, x_tilde, xlinear_s, xlinear_x,
                           y_tilde)
@@ -654,7 +654,7 @@ def test_checks_match_the_weylop_route(algebra, spec, nu, monkeypatch):
         with monkeypatch.context() as m:
             if attr:
                 m.setattr(weyl, attr, factory(getattr(weyl, attr)))
-            grading = [he_grading_check(alg, nu, i) for i in levels]
+            grading = he_grading_checks(alg, nu, levels)
             assert grading == [ref_grading(alg, nu, i) for i in levels], name
             got, want = lowest_weight_check(alg, nu, seed=3), ref_lowest_weight(alg, nu, seed=3)
             assert json.dumps(got) == json.dumps(want), name
@@ -680,7 +680,7 @@ def test_grading_in_blocks(algebra, spec, nu, monkeypatch):
             with monkeypatch.context() as m:
                 if attr:
                     m.setattr(weyl, attr, factory(getattr(weyl, attr)))
-                out.append([he_grading_check(alg, nu, i) for i in range(5)])
+                out.append(he_grading_checks(alg, nu, range(5)))
         return out
 
     assert math.comb(alg.dim + 3, 4) <= weyl._MONOMIALS
@@ -692,21 +692,19 @@ def test_grading_in_blocks(algebra, spec, nu, monkeypatch):
     assert any(g["status"] == "fail" and g["checked"] >= 1 for rows in want for g in rows)
 
 
-@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
-def test_conjugate_falls_back_to_python_ints(algebra, spec):
-    # e^{kr} A e^{-kr} is gaussian_conjugate with outer_sign k.  The series'
-    # 1/2 and 1/6 terms need a D-degree-3 operator: [X~_u, X~_v] has a
-    # degree-3 tensor whose symmetrization is zero (the XX relation) and
-    # [S_uv, X~_z] stops at degree 2, so a random symbol with a part of every
-    # D-degree <= 3 is one
-    alg = algebra(spec)
+def _series_cases(alg):
+    """(a, k, fits) for conjugate(a, k r), fits whether every part stays
+    int64 (None: not asserted), and the two symbols whose conjugate by
+    10^6 r passes 2^63.  The series' 1/2 and 1/6 terms need a D-degree-3
+    operator: [X~_u, X~_v] has a degree-3 tensor whose symmetrization is zero
+    (the XX relation) and [S_uv, X~_z] stops at degree 2, so a random symbol
+    with a part of every D-degree <= 3 is one."""
     n, nu = alg.dim, Fr(7, 3)
     rng = np.random.default_rng(4)
     big = Element._make(alg, [10**12 + int(c) for c in rng.integers(-9, 10, n)], 1)
     huge = Element._make(alg, [10**20 + int(c) for c in rng.integers(-9, 10, n)], 7)
     small = alg.random_element(rng, span=4)
     u, v, z = (alg.random_element(rng, span=4) for _ in range(3))
-    r = moment_y(alg, alg.identity())
     x_big, x_huge = xlinear_x(alg, nu, big), xlinear_x(alg, nu, huge)
     s_big = xlinear_s(alg, nu, small, big)
     cubic = XLinearOp(n, {d: rng.integers(-9, 10, (n + 1,) + (n,) * d) for d in range(4)}, 5)
@@ -717,13 +715,64 @@ def test_conjugate_falls_back_to_python_ints(algebra, spec):
     cases = [(x_big, 1, True), (x_big, 10**6, False), (x_huge, 1, False),
              (s_big + x_big, 10**4, False), (cubic_big, 10**3, False)]
     cases += [(a, k, None) for a in (xx, sx, cubic) for k in (1, -1, 10**3)]
+    return cases, (x_big, cubic_big)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_conjugate_falls_back_to_python_ints(algebra, spec):
+    # e^{kr} A e^{-kr} is gaussian_conjugate with outer_sign k
+    alg = algebra(spec)
+    r = moment_y(alg, alg.identity())
+    cases, past_guard = _series_cases(alg)
     for a, k, fits in cases:
         got = conjugate(a, k * r)
         assert fits is None or all((t.dtype == np.int64) == fits for t in got.parts.values())
         assert got.poly(WeylOp) == gaussian_conjugate(alg, a.poly(WeylOp), k)
     # past the guard the int64 kernel would have wrapped
-    for a in (x_big, cubic_big):
+    for a in past_guard:
         assert max(abs(int(c)) for c in conjugate(a, 10**6 * r).parts[0].ravel()) > 2**63
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_vacuum_is_the_degree_zero_part_of_conjugate(algebra, spec):
+    # the one contraction against the series: q / den equals the D-degree-0
+    # part of conjugate(a, k r) over its den, on random symbols with parts of
+    # D-degree 0-3 and on the conjugate test's cases, int64 and Python ints
+    alg = algebra(spec)
+    n = alg.dim
+    r = moment_y(alg, alg.identity())
+    rng = np.random.default_rng(9)
+    randoms = [XLinearOp(n, {d: rng.integers(-9, 10, (n + 1,) + (n,) * d)
+                             for d in degrees}, int(rng.integers(1, 7)))
+               for degrees in [(0,), (1,), (2,), (3,), (0, 2), (1, 3), (0, 1, 2, 3)]]
+    cases, past_guard = _series_cases(alg)
+    cases = [(a, k) for a in randoms for k in (1, -1, 10**3)] + [(a, k) for a, k, _ in cases]
+    cases += [(a, 10**6) for a in past_guard]
+    dtypes = set()
+    for a, k in cases:
+        q, den = phase.vacuum(a, k * r)
+        conj = conjugate(a, k * r)
+        assert q.shape == (n + 1,) and den > 0
+        assert np.array_equal(q.astype(object) * conj.den, conj.parts[0].astype(object) * den)
+        dtypes.add(q.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    for a in past_guard:
+        assert max(abs(int(c)) for c in phase.vacuum(a, 10**6 * r)[0]) > 2**63
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_operators_suite_conjugates_once(spec, monkeypatch):
+    # H_e is conjugated once for every level, and the lowest-weight check
+    # reads the vacuum by contraction, with no conjugation
+    calls = []
+    real = weyl.conjugate
+    monkeypatch.setattr(weyl, "conjugate", lambda a, r: calls.append(a) or real(a, r))
+    report = cli.run(cli.SuiteConfig(spec, suite="operators", trials=1, levels=4))
+    names = [c["name"] for c in report.checks]
+    assert [f"grading:I={i}" for i in range(5)] + ["lowest-weight"] == \
+        [name for name in names if name.startswith(("grading", "lowest"))]
+    assert all(c["status"] == "pass" for c in report.checks)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec", ["h:3:R", "h:3:O"])
@@ -747,14 +796,15 @@ def test_conjugate_divides_out_the_common_factor(algebra, spec):
 
 @pytest.mark.parametrize("nu", [Fr(1), Fr(2)])
 def test_he_grading(g3, nu):
-    for i in range(4):
-        rep = he_grading_check(g3, nu, i)
+    reps = he_grading_checks(g3, nu, range(4))
+    assert [rep["name"] for rep in reps] == [f"grading:I={i}" for i in range(4)]
+    for i, rep in enumerate(reps):
         assert rep["status"] == "pass"
         assert rep["eigenvalue"] == str(2 * i + nu * g3.rho)
 
 
 def test_he_grading_known_eigenvalue(g3):
-    rep = he_grading_check(g3, Fr(1), 2)
+    [rep] = he_grading_checks(g3, Fr(1), [2])
     assert rep["eigenvalue"] == "6"  # 2*2 + nu*rho = 6 at nu=1
 
 

@@ -20,10 +20,15 @@ family (gamma:3, h:3:R, h:3:C, h:3:H):
   poisson_relations_s
                 phase.verify_poisson_tkk, trials 1, seed 6: the six Poisson
                 relation families alone
+  grading_s     the H_e grading checks of levels 0-4 at the default nu
+                (weyl.he_grading_checks, or the per-degree
+                weyl.he_grading_check of older checkouts)
+  lowest_weight_s
+                weyl.lowest_weight_check at the default nu, seed 7
 
-each timed inside the process (around cli.main, or the relation check on an
-algebra built before the clock starts), so interpreter start and imports are
-left out.  Four end-to-end figures:
+each timed inside the process (around cli.main, or the check on an algebra
+built before the clock starts, a new one for each check), so interpreter
+start and imports are left out.  Four end-to-end figures:
 
   exact_wall_s               wall_s of `bench/run.py --workload exact --seed 0
                              --seconds 15` from the checkout that holds --src
@@ -36,9 +41,10 @@ left out.  Four end-to-end figures:
                              poisson_h3O_wall_s_runs
 
 The operators figures come from one process, not a median.  With the
-relations on the x-linear bracket and the grading and lowest-weight checks
-on the conjugated symbols that run takes about 1 s on a 2-core VM; through
-the WeylOp commutator it took about 90 s and 2 GB.
+relations on the x-linear bracket, one conjugation of H_e for the grading
+checks and the vacuum read by one contraction per generator, that run takes
+about 0.5 s on a 2-core VM, interpreter start included; through the WeylOp
+commutator it took about 90 s and 2 GB.
 
 tkk -> BENCH_tkk_layers.json.  Medians over REPEAT = 3 processes.  Per
 family (gamma:3, h:3:R, h:3:C, h:3:H, h:3:O):
@@ -123,6 +129,24 @@ for run in (lambda: weyl.verify_tkk_ops(alg, Fraction(alg.delta, 2), trials=1, s
     print(elapsed)
 """
 
+_CHECKS = """
+import sys, time
+from fractions import Fraction
+from jkepler import algebra, weyl
+# checkouts that predate he_grading_checks have the per-degree he_grading_check
+grading = getattr(weyl, "he_grading_checks", None) or (
+    lambda alg, nu, levels: [getattr(weyl, "he_grading_check")(alg, nu, i) for i in levels])
+for run in (lambda alg, nu: grading(alg, nu, range(5)),
+            lambda alg, nu: [weyl.lowest_weight_check(alg, nu, seed=7)]):
+    alg = algebra.make_algebra(sys.argv[1])
+    nu = Fraction(alg.delta, 2)
+    t = time.perf_counter()
+    checks = run(alg, nu)
+    elapsed = time.perf_counter() - t
+    assert all(c["status"] == "pass" for c in checks), checks
+    print(elapsed)
+"""
+
 _OPERATORS_RSS = """
 import contextlib, io, resource
 from jkepler import cli
@@ -202,7 +226,9 @@ def measure_poly(src: Path, repeat: int) -> dict:
             float(_python(src, "-c", _SUITE, suite, spec)) for _ in range(repeat))
             for suite in ("poisson", "operators")}
         runs = [_python(src, "-c", _RELATIONS, spec).split() for _ in range(repeat)]
-        for i, name in enumerate(("relations_s", "poisson_relations_s")):
+        runs = [r + _python(src, "-c", _CHECKS, spec).split() for r in runs]
+        for i, name in enumerate(("relations_s", "poisson_relations_s", "grading_s",
+                                  "lowest_weight_s")):
             families[spec][name] = statistics.median(float(r[i]) for r in runs)
         print(spec, families[spec], file=sys.stderr)
     t = time.perf_counter()
@@ -269,7 +295,7 @@ class LayerSet(NamedTuple):
 
 
 SETS = {"poly": LayerSet("BENCH_poly_layers.json", 3, measure_poly,
-                        (_SUITE, _RELATIONS, _OPERATORS_RSS)),
+                        (_SUITE, _RELATIONS, _CHECKS, _OPERATORS_RSS)),
         "tkk": LayerSet("BENCH_tkk_layers.json", 3, measure_tkk, (_LAYERS, _INFO_RSS)),
         "cone": LayerSet("BENCH_cone_threads.json", 15, measure_cone, (_OPS,))}
 
