@@ -418,8 +418,8 @@ def _build_hermitian(k: int, ddim: int):
     if diag[..., 1:].any():
         raise AssertionError("hermitian product has non-real diagonal")
     iu, ju = np.triu_indices(k, 1)
-    # C order matters: the cone layer's float tensordot summation order, and
-    # with it the bits of every float L matrix, follows the memory layout of c2.
+    # C order matters: the cone layer's float structure tensor takes the
+    # memory layout of c2, and the bits of its float products depend on it.
     c2 = np.ascontiguousarray(np.concatenate([diag[..., 0], twice[:, :, iu, ju, :].reshape(n, n, -1)], axis=2))
     gram = [Fraction(1, k)] * k + [Fraction(2, k)] * (n - k)
     ident = [Fraction(1)] * k + [Fraction(0)] * (n - k)

@@ -66,6 +66,7 @@ class FloatFrame:
 
     scale: np.ndarray      # sqrt(gram): rational-frame coords -> orthonormal coords
     con: np.ndarray        # (uv)_g = sum_ab con[a, b, g] u_a v_b
+    lcon: np.ndarray       # (n^2, n): lcon[b n + g, a] = con[a, b, g], the matrix lmul multiplies
     identity: np.ndarray
     jordan: np.ndarray     # (rho, n): the canonical Jordan frame, one row per idempotent
 
@@ -76,16 +77,17 @@ def float_frame(alg: Algebra) -> FloatFrame:
     if frame is None:
         scale = np.sqrt(np.array([float(g) for g in alg.gram]))
         half = alg._c2.astype(np.float64) / 2.0
-        # C order: the tensordot summation order in lmul, and with it the
-        # bits of every L matrix, follows the memory layout of con
         con = half * scale[None, None, :] / (scale[:, None, None] * scale[None, :, None])
 
         def orthonormal(coords):
             return np.array([float(c) for c in coords]) * scale
 
-        frame = FloatFrame(scale, con, orthonormal(alg.identity_coords),
+        # lcon is the C-order copy np.tensordot(con, u, axes=([0], [0])) dots with u:
+        # lmul keeps tensordot's summation order, and the cone reports its bits
+        frame = FloatFrame(scale, con, con.transpose(1, 2, 0).reshape(-1, len(scale)),
+                           orthonormal(alg.identity_coords),
                            np.stack([orthonormal(f.coords) for f in alg.jordan_frame()]))
-        for arr in (frame.scale, frame.con, frame.identity, frame.jordan):
+        for arr in (frame.scale, frame.con, frame.lcon, frame.identity, frame.jordan):
             arr.flags.writeable = False
         alg._cache["float_frame"] = frame
     return frame
@@ -98,7 +100,7 @@ def product(alg: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def lmul(alg: Algebra, u: np.ndarray) -> np.ndarray:
     """Matrix of L_u: v -> uv."""
-    return np.tensordot(float_frame(alg).con, u, axes=([0], [0])).T
+    return np.dot(float_frame(alg).lcon, u.reshape(-1, 1)).reshape(len(u), len(u)).T
 
 
 def trace(alg: Algebra, u: np.ndarray) -> float:
@@ -447,25 +449,27 @@ def radial_density(alg: Algebra, k: int, avals) -> float:
     return out
 
 
+def chart_metric(chart: PolarChart) -> np.ndarray:
+    """h, the canonical-metric Gram matrix of the chart tangents at the radial
+    point: row i from one product with t_i @ pinv."""
+    p = chart.point
+    tangents = list(float_frame(chart.algebra).jordan[:chart.k])
+    tangents += [gen @ p.x for gen in chart.generators]
+    proj = np.array([p.tangent_project(t) for t in tangents])
+    h = np.empty((len(proj), len(proj)))
+    for i in range(len(proj)):
+        h[i, i:] = h[i:, i] = p.r * (proj[i:] @ (proj[i] @ p.pinv))
+    return h
+
+
 def chart_measure_density(chart: PolarChart) -> float:
     """sqrt(phi_k)/r times the chart volume density sqrt(det h) at the radial
-    point, with h the canonical-metric Gram matrix of the chart tangents."""
-    alg = chart.algebra
-    p = chart.point
-    tangents = list(float_frame(alg).jordan[:chart.k])
-    tangents += [gen @ p.x for gen in chart.generators]
-    # canonical_metric on each pair, with each projection and t_i @ pinv made once
-    proj = [p.tangent_project(t) for t in tangents]
-    m = len(tangents)
-    h = np.empty((m, m))
-    for i in range(m):
-        row = proj[i] @ p.pinv
-        for j in range(i, m):
-            h[i, j] = h[j, i] = float(p.r * (row @ proj[j]))
-    det = np.linalg.det(h)
+    point, with h the chart_metric."""
+    det = np.linalg.det(chart_metric(chart))
     if det <= 0:
         raise DomainError("chart metric is degenerate at this radial point")
-    phi = _phi_k(alg, chart.k, p.eigenvalues)[0]
+    p = chart.point
+    phi = _phi_k(chart.algebra, chart.k, p.eigenvalues)[0]
     return math.sqrt(phi) / p.r * math.sqrt(det)
 
 

@@ -126,11 +126,11 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
         rows, cols = modp.row_basis(blocks)
         basis = gens[rows]
         pivot = basis[:, cols]
-        try:
-            adj, den = modp.lift(modp.inverse(pivot))
-        except ZeroDivisionError:
+        inverse = modp.rank_inverse(pivot)[1]
+        if inverse is None:
             raise ConsistencyError("str(V) span certificate failed: the pivot minor is "
-                                   "singular mod p") from None
+                                   "singular mod p")
+        adj, den = modp.lift(inverse)
         dtype = _exact_dtype(max(len(rows) * _max_abs(pivot) * _max_abs(adj), den), np.float64)
         if not np.array_equal(pivot.astype(dtype) @ adj.astype(dtype),
                               den * np.eye(len(rows), dtype=dtype)):

@@ -1,15 +1,15 @@
 """Linear algebra modulo the prime p = 2^31 - 1 on int64 arrays.
 
 Entries are kept in [0, p).  A product of two entries is below 2^62, so
-elementwise row updates stay exact in int64.  Echelon is the one elimination
-loop: the str(V) span in `conformal` (row_basis) and the degeneracy ranks in
-`weyl` both grow it block by block.
+elementwise row updates stay exact in int64.  Echelon, a row basis grown
+block by block, serves only the str(V) span in `conformal` (row_basis); the
+degeneracy ranks in `weyl` grow a Gram inverse by _matmul_mod and rank_inverse.
 
 An int64 `%` over a block costs about ten times a subtraction, so the
 kernels take few of them.  The ones over a whole block that remain are two
 in each _matmul_mod, one per pivot over an rref leaf of at most _LEAF rows,
-and one in Echelon.add for input outside [0, p).  inverse and lift work on
-one small square matrix each.
+and one in Echelon.add.  rank_inverse and lift work on one small square
+matrix each.
 
 * _matmul_mod splits both factors into 16-bit limbs (_limbs) and runs the
   limb products in float64 BLAS, exact while every sum stays below 2^53,
@@ -124,17 +124,11 @@ class Echelon:
         self._basis = _limbs(np.zeros((0, width), dtype=np.int64))
         self._inverse = np.zeros((0, 0), dtype=np.int64)
 
-    @property
-    def rank(self) -> int:
-        return len(self.cols)
-
     def add(self, block) -> list:
         """Reduce the integer rows of block (left unchanged) against the kept
         rows, bring the rest to echelon form by rref on its nonzero columns,
         keep its pivot rows and return their indices in block."""
-        block = np.asarray(block, dtype=np.int64)
-        if block.min(initial=0) < 0 or block.max(initial=0) >= _PRIME:
-            block = block % _PRIME
+        block = np.asarray(block, dtype=np.int64) % _PRIME
         block = _sub(block, _matmul_mod(_matmul_mod(block[:, self.cols], _limbs(self._inverse)),
                                         self._basis))  # zero on the kept cols
         nonzero = np.flatnonzero(block.any(axis=0))
@@ -146,7 +140,7 @@ class Echelon:
         # the new rows are zero on the old cols and the identity on their own
         self._inverse = np.block([
             [self._inverse, -_matmul_mod(self._inverse, [b[:, cols] for b in self._basis]) % _PRIME],
-            [np.zeros((len(cols), self.rank), dtype=np.int64), np.eye(len(cols), dtype=np.int64)]])
+            [np.zeros((len(cols), len(self.cols)), dtype=np.int64), np.eye(len(cols), dtype=np.int64)]])
         self._basis = [np.vstack(pair) for pair in zip(self._basis, _limbs(new))]
         self.cols += cols
         return rows
@@ -163,18 +157,20 @@ def row_basis(blocks: list) -> tuple[list, list]:
     return rows, echelon.cols
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse mod _PRIME of the square integer matrix a; ZeroDivisionError
-    if a is singular mod _PRIME."""
+def rank_inverse(a: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """(rank, inverse) mod _PRIME of the square integer matrix a, the inverse
+    None when a is singular mod _PRIME: one rref of [a | 1], whose pivots
+    left of the bar are those of a."""
     r = len(a)
     block = np.hstack([np.asarray(a, dtype=np.int64) % _PRIME, np.eye(r, dtype=np.int64)])
     pivots = rref(block)  # r pivots, as [a | 1] has rank r
-    if any(c >= r for _, c in pivots):
-        raise ZeroDivisionError("matrix is singular mod p")
+    rank = sum(c < r for _, c in pivots)
+    if rank < r:
+        return rank, None
     out = np.empty((r, r), dtype=np.int64)
     for i, c in pivots:
         out[c] = block[i, r:]
-    return out
+    return r, out
 
 
 def lift(a: np.ndarray) -> tuple[np.ndarray, int]:

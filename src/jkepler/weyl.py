@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
-from .modp import _PRIME, Echelon
+from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
 from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, conjugate, moment_s,
                     moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
@@ -411,27 +411,41 @@ def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
 
 def restriction_degeneracy(alg: Algebra, nu, degree: int, seed: int = 0) -> int:
     """Dimension of the degree-I piece of polynomials restricted to the cone of
-    rank k = rho(nu): the rank of the degree-I monomials, each a product of I
-    coordinates, evaluated at points x = sum_{i<=k} P(y_i) c_1 of that cone.
-    The cone's ideal is homogeneous, so this rank alone is the graded piece.
+    rank k = rho(nu) (its ideal is homogeneous): the rank of the table E of
+    the degree-I monomials at points x = sum_{i<=k} P(y_i) c_1 of that cone.
 
-    Blocks of points join an echelon basis mod the prime p = 2^31 - 1 until a
-    point adds no rank or the rank reaches dim P_I.  The rows are integer
-    evaluations at real cone points reduced mod p, and reduction mod p can
-    only lose rank, so the result is a certified lower bound on the true
-    dimension.  It is exact with probability at least 1 - 2I/p per point
-    (Schwartz-Zippel: each monomial has degree 2I in the uniform y_i)."""
+    E is never built: G_ij = (x_i . x_j)^I is E D E^T with D = diag(I!/alpha!)
+    > 0 (multinomial theorem), so rank_Q G = rank_Q E.  Each block X of
+    points adds the rank of its Schur complement G(X,X) - G(X,S) G(S,S)^-1
+    G(S,X) to the points S kept; a deficient block or rank dim P_I ends the
+    count, else X joins S and G(S,S)^-1 grows by the block-inverse formula.
+    All of it runs mod p = 2^31 - 1 at integer cone points, where rank can
+    only drop: a certified lower bound on the true rank r.  It is exact unless
+    the leading principal minor of size m = min(|S| + |X|, r) vanishes mod p
+    after a block, a polynomial of degree at most 4Im in the uniform y_i,
+    nonzero over Q: by Schwartz-Zippel (if nonzero mod p) a chance of at most
+    4Im/p per block, about 2 10^-6 at I = 9, m = 120."""
     param = WallachParam.make(alg, nu)
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
+    width = math.comb(alg.dim + degree - 1, degree)
     rng = np.random.default_rng(seed)
-    echelon = Echelon(len(factors))
-    while echelon.rank < len(factors):
-        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, len(factors) - echelon.rank), rng)
-        block = np.ones((len(x), len(factors)), dtype=np.int64)
-        for column in factors.T:
-            block = block * x[:, column] % _PRIME
-        if len(echelon.add(block)) < len(block):
-            break
-    return echelon.rank
+    points = np.zeros((0, alg.dim), dtype=np.int64)  # S
+    ginv = np.zeros((0, 0), dtype=np.int64)          # G(S,S)^-1, symmetric
+    while len(points) < width:
+        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, width - len(points)), rng)
+        dots = _matmul_mod(x, _limbs(np.vstack([points, x]).T))
+        g = np.ones_like(dots)
+        for _ in range(degree):
+            g = g * dots % _PRIME
+        b, c = g[:, :len(points)], g[:, len(points):]      # G(X,S), G(X,X)
+        w = _matmul_mod(b, _limbs(ginv))                   # G(X,S) G(S,S)^-1
+        schur = _sub(c, _matmul_mod(w, _limbs(b.T)))       # Sigma
+        rank, schur_inv = rank_inverse(schur)
+        if schur_inv is None:
+            return len(points) + rank
+        # G(S+X, S+X)^-1 = [[G(S,S)^-1 - v w, v], [v^T, Sigma^-1]], v = -w^T Sigma^-1
+        v = _sub(0, _matmul_mod(w.T, _limbs(schur_inv)))
+        ginv = np.block([[_sub(ginv, _matmul_mod(v, _limbs(w))), v], [v.T, schur_inv]])
+        points = np.vstack([points, x])
+    return len(points)

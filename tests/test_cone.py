@@ -346,6 +346,42 @@ def test_cached_chart_matches_uncached_reference(algebra, spec, k):
 
 # --- the float bits the benchmark pins ----------------------------------------------------
 
+FAMILIES = ("gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O")
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_lmul_matches_tensordot(algebra, spec):
+    # lmul's np.dot on the frame's lcon is the product np.tensordot makes, bit for bit
+    alg = algebra(spec)
+    con = C.float_frame(alg).con
+    rng = np.random.default_rng(3)
+    vectors = list(C.float_frame(alg).jordan) + list(rng.standard_normal((20, alg.dim)))
+    vectors.append(C.sample_cone_point(alg, 1, 5).x)
+    for u in vectors:
+        assert C.lmul(alg, u).tobytes() == np.tensordot(con, u, axes=([0], [0])).T.tobytes()
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_chart_metric_matches_pairwise_products(algebra, spec):
+    # at the measure suite's radial points (default seed and trials), each row
+    # of h from one product equals the per-pair dot products, bit for bit
+    alg = algebra(spec)
+    for k in range(1, alg.rho + 1):
+        rng = np.random.default_rng(10 + k)  # measure_crosscheck's, at seed cfg.seed + 10 + k
+        for _ in range(30):
+            a = np.sort(rng.uniform(0.3, 2.0, size=k))[::-1]
+            chart = C.polar_chart(alg, k, a + 0.15 * np.arange(k)[::-1] + 0.05)
+            p = chart.point
+            tangents = list(C.float_frame(alg).jordan[:k]) + [g @ p.x for g in chart.generators]
+            proj = [p.tangent_project(t) for t in tangents]
+            want = np.empty((len(proj), len(proj)))
+            for i, u in enumerate(proj):
+                row = u @ p.pinv
+                for j in range(i, len(proj)):
+                    want[i, j] = want[j, i] = float(p.r * (row @ proj[j]))
+            assert C.chart_metric(chart).tobytes() == want.tobytes()
+
+
 def test_float_reports_match_the_benchmark_pins(monkeypatch):
     # the cone, measure and jordan reports depend on the last bit of every float
     # sum; the benchmark pins their seed-0 digests in bench/expected.json

@@ -920,6 +920,39 @@ def test_degeneracy_sees_higher_rank_points(spec, nu, level, closed_form):
     assert restriction_degeneracy(alg, wrong, level, seed=4) > closed_form
 
 
+def _monomial_rank(alg, nu, degree, seed):
+    """The rank of the degree-I monomial table E at the cone points, mod p:
+    the Echelon computation that the Gram matrix replaced, on the same
+    points in the same blocks."""
+    param = WallachParam.make(alg, nu)
+    factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
+    rng = np.random.default_rng(seed)
+    echelon = modp.Echelon(len(factors))
+    while len(echelon.cols) < len(factors):
+        x = weyl._cone_points(alg, param.rho_of_nu,
+                              min(weyl._BLOCK, len(factors) - len(echelon.cols)), rng)
+        block = np.ones((len(x), len(factors)), dtype=np.int64)
+        for column in factors.T:
+            block = block * x[:, column] % modp._PRIME
+        if len(echelon.add(block)) < len(block):
+            break
+    return len(echelon.cols)
+
+
+@pytest.mark.parametrize("spec,nu,level,want", [
+    ("gamma:3", Fr(1), 2, 9),       # dim P_I = 10 < _BLOCK: one block
+    ("h:3:R", Fr(1, 2), 3, 28),     # dim P_I = 56, two blocks
+    ("gamma:3", Fr(1), 7, 64),      # the rank is 2 _BLOCK: a block adds 0
+    ("h:3:H", Fr(7), 2, 120),       # the rank is dim P_I: no deficient block
+    ("h:3:R", Fr(1), 3, 55),        # rank-2 points: dim P_3 - dim P_0
+])
+def test_gram_rank_matches_monomial_rank(spec, nu, level, want):
+    alg = make_algebra(spec)
+    for seed in (0, 1, 2):
+        assert restriction_degeneracy(alg, nu, level, seed=seed) == want
+        assert _monomial_rank(alg, nu, level, seed) == want
+
+
 def test_matmul_mod_is_exact():
     rng = np.random.default_rng(0)
     p = modp._PRIME
