@@ -411,8 +411,12 @@ def _build_hermitian(k: int, ddim: int):
                 basis[a, j, i, mu] = 1 if mu == 0 else -1
                 labels.append(f"F{i+1}{j+1}:{mu}")
                 a += 1
-    # 2(a o b) = ab + ba, entrywise over the division-algebra product
-    ab = np.einsum("ails,bljt,str->abijr", basis, basis, divalg.mul_tensor(ddim), optimize=True)
+    # 2(a o b) = ab + ba, entrywise over the division-algebra product.  The
+    # einsum runs on float64, where numpy has a BLAS kernel and int64 has
+    # none.  It is exact: every entry is in {-1, 0, 1}, so every sum, partial
+    # ones included, is an integer of at most k ddim^2 in absolute value.
+    ab = np.einsum("ails,bljt,str->abijr", basis.astype(np.float64), basis.astype(np.float64),
+                   divalg.mul_tensor(ddim).astype(np.float64), optimize=True).astype(np.int64)
     twice = ab + ab.transpose(1, 0, 2, 3, 4)
     diag = twice[:, :, range(k), range(k), :]
     if diag[..., 1:].any():

@@ -9,14 +9,17 @@ the Y_v, with the bracket fixed by
 where S' denotes the adjoint with respect to <.|.>.
 
 The span certificate is built once per algebra from the integer generators
-4 S_{e_a e_b}, with zero rows and rows equal up to sign to an earlier one
-left out (138 of 729 rows remain on h:3:O).  Pivot rows and columns are
-chosen mod p = 2^31 - 1 (`modp`); the pivot minor A is inverted as integers
-adj / den with A adj = den 1 checked exactly, which proves rank >= r; every
-kept generator g, and so every generator, then satisfies
-den g = (g[cols] adj) B exactly for the pivot rows B, which proves
-rank <= r.  So dim str(V) is a certified exact rank, and a matrix v of the
-span has the exact coordinates v[cols] adj / den in the pivot rows.
+4 S_{e_a e_b}, read from the nonzero entries of the structure table, with
+zero rows and rows equal up to sign to an earlier one left out (138 of 729
+rows remain on h:3:O, about 12 nonzero entries of 729 each).  Pivot rows
+and columns are chosen mod p = 2^31 - 1 by forward elimination over those
+sparse rows (`modp.row_pivots`).  The pivot minor A, nearly a signed
+permutation matrix (one nonzero per row on h:3:O), is inverted exactly as
+integers adj / den by sparse elimination, and A adj = den 1 is checked,
+which proves rank >= r; every kept generator g, and so every generator,
+then satisfies den g = (g[cols] adj) B exactly for the pivot rows B, which
+proves rank <= r.  So dim str(V) is a certified exact rank, and a matrix v
+of the span has the exact coordinates v[cols] adj / den in the pivot rows.
 
 The pivot rows B_k, read as n x n matrices, with X_{e_a} and Y_{e_a} are the
 basis z = (X_{e_a}, B_k, Y_{e_a}) of co(V).  A CoElement is its coordinates
@@ -42,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs, _snum
+from .algebra import Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs
 
 
 class ConsistencyError(RuntimeError):
@@ -87,33 +90,134 @@ class _StrSpan:
         return rows.astype(object) @ self.adj.astype(object)
 
 
-def _snums(alg: Algebra) -> np.ndarray:
-    """4 S_{e_a e_b} for every basis pair: [b, a] is its n x n numerator matrix,
-    row-major.  They are small integers (at most 4 in every family), computed
-    exactly in float64 and kept as int8 when they fit."""
+def _join(left: np.ndarray, right: np.ndarray, size: int):
+    """Every index pair (i, j) with left[i] == right[j], for keys in [0, size)."""
+    order = np.argsort(right, kind="stable")
+    counts = np.bincount(right, minlength=size)
+    reps = counts[left]
+    i = np.repeat(np.arange(len(left)), reps)
+    ends = np.cumsum(reps)
+    within = np.arange(len(i)) - np.repeat(ends - reps, reps)
+    return i, order[(np.cumsum(counts) - counts)[left[i]] + within]
+
+
+def _snum_products(c2: np.ndarray, w: int) -> np.ndarray:
+    """The products that sum to the entries of _snum_entries, each packed as
+    (flat index of its entry) w + product + w // 2, for w > 2 max|product|.
+    A_a[i, j] = c2[a, j, i]: A_x A_y pairs the nonzero entries on j and adds
+    to [b=y, a=x] and subtracts from [b=x, a=y]; 2 L_{A_a e_b} =
+    sum_c c2[a, b, c] A_c pairs them on c."""
+    n = len(c2)
+    a, j, i = np.nonzero(c2)
+    v = c2[a, j, i]
+    left, right = _join(j, i, n)  # A_x[i, j] A_y[j, k]
+    x, y, pos, prod = a[left], a[right], i[left] * n + j[right], v[left] * v[right]
+    coef, mat = _join(i, a, n)  # c2[a, b, c] A_c[i, k] at [b, a]
+    packed = np.concatenate([((y * n + x) * n * n + pos) * w + prod,
+                             ((x * n + y) * n * n + pos) * w - prod,
+                             ((j[coef] * n + a[coef]) * n * n + i[mat] * n + j[mat]) * w
+                             + v[coef] * v[mat]])
+    packed += w // 2
+    return packed
+
+
+def _snum_entries(alg: Algebra):
+    """(row, col, val): the nonzero entries of the n^2 generators
+    4 S_{e_a e_b} = [A_a, A_b] + 2 L_{A_a e_b}, A_a = 2 L_{e_a}, at row b n + a
+    (its n x n matrix row-major), sorted by row and col.  They are summed
+    from the products of the nonzero entries of c2 (_snum_products), which
+    one sort groups by entry.  The values are small integers (at most 4 in
+    every family), int8 when they fit."""
     n = alg.dim
-    c2, eye = alg._c2.astype(np.float64), np.eye(n)
-    l2 = np.swapaxes(c2, 1, 2)  # [a] = 2 L_{e_a}
-    blocks = []
-    for b in range(n):
-        g = _snum(c2, l2, eye[b]).reshape(n, -1)
-        small = g.astype(np.int8)
-        blocks.append(small if np.array_equal(small, g) else g.astype(np.int64))
-    return np.stack(blocks)
+    w = 2 * _max_abs(alg._c2) ** 2 + 1
+    packed = _snum_products(alg._c2, w)  # its join temporaries are freed by now
+    packed.sort()
+    key, term = np.divmod(packed, w)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    term -= w // 2
+    val = np.add.reduceat(term, starts)
+    key, val = key[starts][val != 0], val[val != 0]
+    small = val.astype(np.int8)
+    return *divmod(key, n * n), small if np.array_equal(small, val) else val
 
 
-def _generators(alg: Algebra) -> np.ndarray:
-    """The distinct generators of str(V): of the rows of _snums (4 S_{e_a e_b}
-    at row b n + a), those that are nonzero and not equal up to sign to an
-    earlier row, in order.  Every generator is 0 or +- one of them, so they span
-    str(V) and a certificate on them covers every generator."""
-    g = _snums(alg).reshape(alg.dim ** 2, -1)
-    sign = np.sign(g[np.arange(len(g)), (g != 0).argmax(axis=1)])
+def _snums(alg: Algebra) -> np.ndarray:
+    """4 S_{e_a e_b} for every basis pair: [b, a] is its n x n numerator
+    matrix, row-major, scattered from _snum_entries (int8 in every family)."""
+    n = alg.dim
+    row, col, val = _snum_entries(alg)
+    out = np.zeros((n * n, n * n), dtype=val.dtype)
+    out[row, col] = val
+    return out.reshape(n, n, -1)
+
+
+def _generators(alg: Algebra):
+    """(row, col, val): the nonzero entries of the distinct generators of
+    str(V), sorted by row and col.  Of the rows of _snum_entries (4 S_{e_a e_b}
+    at row b n + a) they are those that are not equal up to sign to an earlier
+    row, in order, with row i the i-th of them.  Every generator is 0 or +- one
+    of them, so they span str(V) and a certificate on them covers every
+    generator."""
+    row, col, val = _snum_entries(alg)
+    first_entry = np.diff(row, prepend=-1) != 0
+    starts, group = np.flatnonzero(first_entry), np.cumsum(first_entry) - 1
+    # a row up to sign: its entries with the first one made positive
+    width = 2 * _max_abs(val) + 1
+    code = col * width + val * np.sign(val[starts])[group]
     first = {}
-    for i, (s, row) in enumerate(zip(sign.tolist(), g * sign[:, None])):
-        if s:
-            first.setdefault(row.tobytes(), i)
-    return g[list(first.values())]
+    for g, (s, e) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(row)])):
+        first.setdefault(code[s:e].tobytes(), g)
+    kept = np.full(len(starts), -1)
+    kept[list(first.values())] = np.arange(len(first))
+    keep = kept[group] >= 0
+    return kept[group][keep], col[keep], val[keep]
+
+
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(adj, den) with a adj = den 1 for the square integer matrix a, den the
+    least common denominator of the entries of a^-1: Gauss-Jordan elimination
+    over Z on sparse rows of [a | 1], each row divided by the gcd of its
+    entries, with the pivot of a column taken from a row with fewest entries.
+    Every row then holds d at its pivot column c and its right half is d times
+    row c of a^-1, in lowest terms, so den is the lcm of the |d|.
+    ConsistencyError if a is singular."""
+    r = len(a)
+    rows = [{r + i: 1} for i in range(r)]
+    at = [set() for _ in range(r)]  # at[c]: the rows nonzero at column c < r
+    for i, c in zip(*(part.tolist() for part in np.nonzero(a))):
+        rows[i][c] = int(a[i, c])
+        at[c].add(i)
+    free, order = set(range(r)), []
+    for c in range(r):
+        if not at[c] & free:
+            raise ConsistencyError("str(V) span certificate failed: the pivot minor is singular")
+        k = min(at[c] & free, key=lambda i: (len(rows[i]), i))  # fewest entries, then first
+        free.discard(k)
+        order.append(k)
+        pivot, pk = rows[k], rows[k][c]
+        for t in at[c] - {k}:
+            row, g = rows[t], math.gcd(pk, rows[t][c])
+            f, h = pk // g, row[c] // g
+            new = {}
+            for d in row.keys() | pivot.keys():
+                x = f * row.get(d, 0) - h * pivot.get(d, 0)
+                if x:
+                    new[d] = x
+            g = math.gcd(*new.values())
+            rows[t] = {d: x // g for d, x in new.items()}
+            for d in row.keys() - new.keys():
+                if d < r:
+                    at[d].discard(t)
+            for d in new.keys() - row.keys():
+                if d < r:
+                    at[d].add(t)
+    den = math.lcm(*(rows[k][c] for c, k in enumerate(order)))
+    entries = [(c, e - r, x * (den // rows[k][c])) for c, k in enumerate(order)
+               for e, x in rows[k].items() if e >= r]
+    c, e, x = zip(*entries)
+    adj = np.zeros((r, r), dtype=_exact_dtype(max(map(abs, x))))
+    adj[c, e] = x
+    return adj, den
 
 
 def _str_span_exact(alg: Algebra) -> _StrSpan:
@@ -121,23 +225,21 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
     fails, so no rank is returned unproved."""
     key = "str_span_exact"
     if key not in alg._cache:
-        gens, n = _generators(alg), alg.dim
-        blocks = [gens[i:i + n] for i in range(0, len(gens), n)]
-        rows, cols = modp.row_basis(blocks)
+        row, col, val = _generators(alg)
+        gens = np.zeros((row[-1] + 1, alg.dim ** 2), dtype=val.dtype)
+        gens[row, col] = val
+        rows, cols = modp.row_pivots(row, col, val)
         basis = gens[rows]
         pivot = basis[:, cols]
-        inverse = modp.rank_inverse(pivot)[1]
-        if inverse is None:
-            raise ConsistencyError("str(V) span certificate failed: the pivot minor is "
-                                   "singular mod p")
-        adj, den = modp.lift(inverse)
+        adj, den = _inverse(pivot)
         dtype = _exact_dtype(max(len(rows) * _max_abs(pivot) * _max_abs(adj), den), np.float64)
         if not np.array_equal(pivot.astype(dtype) @ adj.astype(dtype),
                               den * np.eye(len(rows), dtype=dtype)):
             raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "
-                                   "does not lift from mod p")
+                                   "is wrong")
         span = _StrSpan(basis, cols, adj, den)
-        if not all(span.contains(b) for b in blocks):
+        # in blocks of n rows, to keep the float64 temporaries small
+        if not all(span.contains(gens[i:i + alg.dim]) for i in range(0, len(gens), alg.dim)):
             raise ConsistencyError("str(V) span certificate failed: a generator S_uv is not "
                                    "in the span of the pivot rows")
         alg._cache[key] = span

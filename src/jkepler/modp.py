@@ -1,15 +1,15 @@
 """Linear algebra modulo the prime p = 2^31 - 1 on int64 arrays.
 
 Entries are kept in [0, p).  A product of two entries is below 2^62, so
-elementwise row updates stay exact in int64.  Echelon, a row basis grown
-block by block, serves only the str(V) span in `conformal` (row_basis); the
-degeneracy ranks in `weyl` grow a Gram inverse by _matmul_mod and rank_inverse.
+elementwise row updates stay exact in int64.  row_pivots, forward
+elimination over sparse rows, serves only the str(V) span in `conformal`;
+the degeneracy ranks in `weyl` grow a Gram inverse by _matmul_mod and
+rank_inverse.
 
 An int64 `%` over a block costs about ten times a subtraction, so the
-kernels take few of them.  The ones over a whole block that remain are two
-in each _matmul_mod, one per pivot over an rref leaf of at most _LEAF rows,
-and one in Echelon.add.  rank_inverse and lift work on one small square
-matrix each.
+dense kernels take few of them.  The ones over a whole block that remain
+are two in each _matmul_mod and one per pivot over an rref leaf of at most
+_LEAF rows.  rank_inverse works on one small square matrix.
 
 * _matmul_mod splits both factors into 16-bit limbs (_limbs) and runs the
   limb products in float64 BLAS, exact while every sum stays below 2^53,
@@ -21,8 +21,9 @@ matrix each.
   pivots and the array of the row-at-a-time loop it runs on the leaves.
 * A difference of two residues is brought back into [0, p) by adding p
   where it is negative (_sub), not by `%`.
-* Echelon.add runs rref only on the columns where the reduced block is
-  nonzero: at most 283 of 729 for the str(V) generator blocks of h:3:O.
+* row_pivots keeps the rows as dicts of their nonzero residues (about 12
+  of 729 columns on the str(V) generators of h:3:O) and reduces a row only
+  by the kept rows whose pivot columns it hits.
 
 Results mod p are never taken as answers over Q on their own: the exact
 callers check them in integers (the str(V) span certificate in `conformal`)
@@ -30,7 +31,7 @@ or state what reduction mod p can lose (the degeneracy ranks in `weyl`).
 """
 from __future__ import annotations
 
-import math
+import heapq
 
 import numpy as np
 
@@ -113,48 +114,52 @@ def rref(block: np.ndarray) -> list:
     return upper + [(h + i, c) for i, c in lower]
 
 
-class Echelon:
-    """A row basis mod _PRIME that grows by blocks: the kept rows B (held as
-    _limbs), their pivot columns cols and the inverse of the pivot minor
-    B[:, cols].  A block is reduced against B by two matrix products, never
-    a row at a time."""
+def row_pivots(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple[list, list]:
+    """Pivot rows and columns mod _PRIME of the integer matrix M given by its
+    nonzero entries M[row, col] = val, sorted by row: (rows, cols) with
+    M[rows][:, cols] invertible mod _PRIME and every row of M in the span of
+    M[rows] mod _PRIME.  Row i is kept iff it is not in the span of the rows
+    above it, with its pivot at the first column where it is nonzero once
+    reduced against them: the pivots of the reduced row echelon form of M,
+    which is unique.
 
-    def __init__(self, width: int):
-        self.cols = []
-        self._basis = _limbs(np.zeros((0, width), dtype=np.int64))
-        self._inverse = np.zeros((0, 0), dtype=np.int64)
-
-    def add(self, block) -> list:
-        """Reduce the integer rows of block (left unchanged) against the kept
-        rows, bring the rest to echelon form by rref on its nonzero columns,
-        keep its pivot rows and return their indices in block."""
-        block = np.asarray(block, dtype=np.int64) % _PRIME
-        block = _sub(block, _matmul_mod(_matmul_mod(block[:, self.cols], _limbs(self._inverse)),
-                                        self._basis))  # zero on the kept cols
-        nonzero = np.flatnonzero(block.any(axis=0))
-        reduced = block[:, nonzero]
-        pivots = rref(reduced)
-        rows, cols = [i for i, _ in pivots], nonzero[[c for _, c in pivots]].tolist()
-        new = np.zeros((len(rows), block.shape[1]), dtype=np.int64)
-        new[:, nonzero] = reduced[rows]
-        # the new rows are zero on the old cols and the identity on their own
-        self._inverse = np.block([
-            [self._inverse, -_matmul_mod(self._inverse, [b[:, cols] for b in self._basis]) % _PRIME],
-            [np.zeros((len(cols), len(self.cols)), dtype=np.int64), np.eye(len(cols), dtype=np.int64)]])
-        self._basis = [np.vstack(pair) for pair in zip(self._basis, _limbs(new))]
-        self.cols += cols
-        return rows
-
-
-def row_basis(blocks: list) -> tuple[list, list]:
-    """Pivot rows and columns mod _PRIME of the integer matrix M stacked from
-    blocks: (rows, cols) with M[rows][:, cols] invertible mod _PRIME and every
-    row of M in the span of M[rows] mod _PRIME."""
-    echelon, rows, start = Echelon(blocks[0].shape[1]), [], 0
-    for block in blocks:
-        rows += [start + i for i in echelon.add(block)]
-        start += len(block)
-    return rows, echelon.cols
+    Forward elimination over sparse rows (dicts): each kept row is scaled to
+    1 at its pivot column and is zero at every earlier pivot column.  A new
+    row is reduced by the kept rows whose pivot columns it hits, in pivot
+    order (a heap of their indices, fed as elimination fills in further
+    pivot columns), which leaves it zero at every pivot column."""
+    starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
+    ids = np.asarray(row)[starts].tolist()
+    col, val = np.asarray(col).tolist(), (np.asarray(val, dtype=np.int64) % _PRIME).tolist()
+    rows, cols, index, kept = [], [], {}, []  # index: pivot column -> its place in cols
+    push, pop, p = heapq.heappush, heapq.heappop, _PRIME
+    for i, s, e in zip(ids, starts, starts[1:] + [len(col)]):
+        v = dict(zip(col[s:e], val[s:e]))
+        hits = [index[c] for c in v if c in index]
+        heapq.heapify(hits)
+        while hits:
+            k = pop(hits)
+            f = v.pop(cols[k], 0)
+            if not f:
+                continue  # it cancelled after it was pushed, or was pushed twice
+            for c, w in kept[k]:
+                x = v.get(c)
+                if x is None:
+                    v[c] = f * w % p  # a kept row is stored negated
+                    if c in index:
+                        push(hits, index[c])
+                elif x := (x + f * w) % p:
+                    v[c] = x
+                else:
+                    del v[c]
+        if v:
+            c = min(v)
+            inverse = p - pow(v.pop(c), -1, p)
+            index[c] = len(cols)
+            rows.append(i)
+            cols.append(c)
+            kept.append([(d, w * inverse % p) for d, w in v.items()])
+    return rows, cols
 
 
 def rank_inverse(a: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -171,23 +176,3 @@ def rank_inverse(a: np.ndarray) -> tuple[int, np.ndarray | None]:
     for i, c in pivots:
         out[c] = block[i, r:]
     return r, out
-
-
-def lift(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(num, den) with num = den * a mod _PRIME taken in (-p/2, p/2): each
-    entry of a is read as the fraction n/d of least d it is congruent to
-    (rational reconstruction with |n|, d <= sqrt(p/2), by the extended
-    Euclidean algorithm run on all entries at once), and den is the lcm of
-    those d.  This is a congruence only; callers check the result exactly."""
-    bound = math.isqrt(_PRIME // 2)
-    r0, r1 = np.full(a.shape, _PRIME, dtype=np.int64), np.asarray(a, dtype=np.int64) % _PRIME
-    t0, t1 = np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=np.int64)
-    active = r1 > bound
-    while active.any():
-        q = np.where(active, r0 // np.where(active, r1, 1), 0)
-        r0, r1 = np.where(active, r1, r0), np.where(active, r0 - q * r1, r1)
-        t0, t1 = np.where(active, t1, t0), np.where(active, t0 - q * t1, t1)
-        active = r1 > bound
-    den = math.lcm(*set(np.abs(t1).ravel().tolist()))
-    num = (den % _PRIME) * (np.asarray(a, dtype=np.int64) % _PRIME) % _PRIME
-    return np.where(num > _PRIME // 2, num - _PRIME, num), den

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jkepler import cone as C
-from jkepler.algebra import (AlgebraSpec, Element, MismatchError, _lnum,
+from jkepler.algebra import (AlgebraSpec, Element, MismatchError, _build_hermitian, _lnum,
                              DomainError, SpecificationError, make_algebra)
 from jkepler.symfun import tau_poly
 
@@ -479,6 +479,19 @@ def test_structure_table_matches_entrywise_build(algebra, spec):
     ref = _reference_c2(alg.spec.k, alg.delta)
     assert alg._c2.dtype == ref.dtype
     assert np.array_equal(alg._c2, ref)
+
+
+@pytest.mark.parametrize("spec", ["h:1:R", "h:3:R", "h:4:R", "h:3:C", "h:4:C", "h:3:H", "h:4:H",
+                                  "h:3:O"])
+def test_hermitian_table_matches_int64_einsum(spec, monkeypatch):
+    # the float64 einsum gives the bits, dtype and C layout of the int64 one
+    alg = make_algebra(spec)
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda subscripts, *operands, **kw: einsum(
+        subscripts, *(x.astype(np.int64) for x in operands), **kw))
+    want = _build_hermitian(alg.spec.k, alg.delta)[0]
+    assert _same_bits(alg._c2, want)
+    assert alg._c2.flags.c_contiguous and alg._c2.strides == want.strides
 
 
 def as_fractions(m):

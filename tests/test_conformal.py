@@ -14,6 +14,8 @@ from jkepler.conformal import (CoElement, ConsistencyError, cartan_involution, c
                                structure_constants)
 from jkepler.poly import numerators
 
+import modp_reference
+
 # dimensions from the real-Lie-algebra table:
 #   gamma:k   -> so(k,1)+R, so(k+1,2)
 #   h:k:R     -> sl(k,R)+R, sp(k,R)
@@ -314,6 +316,46 @@ def test_str_span_matches_fraction_reduction(algebra, spec):
 
 # --- the certificates have teeth ------------------------------------------------
 
+def dense_generators(alg):
+    """The distinct generators of conformal._generators as a dense matrix."""
+    row, col, val = conformal._generators(alg)
+    gens = np.zeros((row[-1] + 1, alg.dim ** 2), dtype=val.dtype)
+    gens[row, col] = val
+    return gens
+
+
+def echelon_span(blocks):
+    """(basis, cols, adj, den) by the block-wise Echelon route the sparse
+    build replaced: pivots mod p by row_basis, the pivot minor inverted mod p
+    and lifted to Q."""
+    rows, cols = modp_reference.row_basis(blocks)
+    basis = np.vstack(blocks)[rows]
+    adj, den = modp_reference.lift(modp.rank_inverse(basis[:, cols])[1])
+    return basis, cols, adj, den
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "gamma:9", "h:1:R", "h:3:R", "h:3:C", "h:3:H",
+                                  "h:3:O", "h:4:H", "h:6:C"])
+def test_span_matches_echelon_route(algebra, spec):
+    # the distinct generators of the dense _snums stack, found as before: the
+    # first nonzero row of each class up to sign, in blocks of n rows
+    alg = algebra(spec)
+    n = alg.dim
+    g = conformal._snums(alg).reshape(n * n, -1)
+    sign = np.sign(g[np.arange(len(g)), (g != 0).argmax(axis=1)])
+    first = {}
+    for i, (s, row) in enumerate(zip(sign.tolist(), g * sign[:, None])):
+        if s:
+            first.setdefault(row.tobytes(), i)
+    gens = g[list(first.values())]
+    assert np.array_equal(dense_generators(alg), gens)
+    basis, cols, adj, den = echelon_span([gens[i:i + n] for i in range(0, len(gens), n)])
+    span = conformal._str_span_exact(alg)
+    assert np.array_equal(span.basis, basis) and span.basis.dtype == basis.dtype
+    assert span.cols == cols
+    assert np.array_equal(span.adj, adj) and span.adj.dtype == adj.dtype and span.den == den
+
+
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O", "h:4:R"])
 def test_span_from_distinct_generators_matches_all_rows(algebra, spec):
     # reference: pivots of all n^2 generators 4 S_{e_k e_a}, zero and repeated
@@ -322,21 +364,19 @@ def test_span_from_distinct_generators_matches_all_rows(algebra, spec):
     n = alg.dim
     blocks = [np.array([alg.smul_matrix(alg.basis_element(k), alg.basis_element(a))[0].ravel()
                         for k in range(n)], dtype=np.int64) for a in range(n)]
-    rows, cols = modp.row_basis(blocks)
-    basis = np.vstack(blocks)[rows]
-    adj, den = modp.lift(modp.rank_inverse(basis[:, cols])[1])
+    basis, cols, adj, den = echelon_span(blocks)
     span = conformal._str_span_exact(alg)
     assert np.array_equal(span.basis, basis) and span.cols == cols
     assert np.array_equal(span.adj, adj) and span.den == den
     # no two kept generators agree up to sign, and none is zero
-    gens = conformal._generators(alg)
+    gens = dense_generators(alg)
     assert len({g.tobytes() for g in np.vstack([gens, -gens])}) == 2 * len(gens) < 2 * n * n
 
 
 @pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"])
 def test_snums_read_the_transposed_table(algebra, spec):
-    # the stack of 2 L_{e_a}, read once as the transposed table, against one
-    # _snum per b on 2 L_{e_a} from _lnum; small integers, int8 in every family
+    # the sparse generator entries scattered into the stack, against one _snum
+    # per b on 2 L_{e_a} from _lnum; small integers, int8 in every family
     alg = algebra(spec)
     n = alg.dim
     c2, eye = alg._c2.astype(np.float64), np.eye(n)
@@ -345,35 +385,76 @@ def test_snums_read_the_transposed_table(algebra, spec):
     assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
-def test_span_build_fails_when_a_pivot_row_is_dropped(algebra, monkeypatch):
-    alg = algebra("h:3:C")
-    row_basis = modp.row_basis
-
-    def drop_last(blocks):
-        rows, cols = row_basis(blocks)
-        return rows[:-1], cols[:-1]
-
-    monkeypatch.setattr(modp, "row_basis", drop_last)
+def _rebuilt(alg, f=conformal._str_span_exact):
+    """f(alg) on a fresh build of the span, its cached span dropped before
+    and after."""
     alg._cache.pop("str_span_exact", None)
     try:
-        with pytest.raises(ConsistencyError, match="not in the span of the pivot rows"):
-            conformal._str_span_exact(alg)
-        with pytest.raises(ConsistencyError):
-            dim_str(alg)
+        return f(alg)
     finally:
         alg._cache.pop("str_span_exact", None)
+
+
+def test_span_build_fails_when_a_pivot_row_is_dropped(algebra, monkeypatch):
+    alg = algebra("h:3:C")
+    row_pivots = modp.row_pivots
+
+    def drop_last(*entries):
+        rows, cols = row_pivots(*entries)
+        return rows[:-1], cols[:-1]
+
+    monkeypatch.setattr(modp, "row_pivots", drop_last)
+    with pytest.raises(ConsistencyError, match="not in the span of the pivot rows"):
+        _rebuilt(alg)
+    with pytest.raises(ConsistencyError):
+        _rebuilt(alg, dim_str)
 
 
 def test_span_build_fails_on_a_wrong_pivot_inverse(algebra, monkeypatch):
     alg = algebra("gamma:3")
-    lift = modp.lift
-    monkeypatch.setattr(modp, "lift", lambda a: (lambda num, den: (num, den + 1))(*lift(a)))
-    alg._cache.pop("str_span_exact", None)
-    try:
-        with pytest.raises(ConsistencyError, match="pivot minor inverse"):
-            conformal._str_span_exact(alg)
-    finally:
-        alg._cache.pop("str_span_exact", None)
+    inverse = conformal._inverse
+    monkeypatch.setattr(conformal, "_inverse",
+                        lambda a: (lambda adj, den: (adj, den + 1))(*inverse(a)))
+    with pytest.raises(ConsistencyError, match="pivot minor inverse"):
+        _rebuilt(alg)
+
+
+def test_span_build_fails_on_a_singular_pivot_minor(algebra, monkeypatch):
+    # the last pivot column replaced by the first: two equal columns
+    alg = algebra("h:3:R")
+    row_pivots = modp.row_pivots
+    monkeypatch.setattr(modp, "row_pivots",
+                        lambda *entries: (lambda rows, cols: (rows, cols[:-1] + cols[:1]))(
+                            *row_pivots(*entries)))
+    with pytest.raises(ConsistencyError, match="pivot minor is singular"):
+        _rebuilt(alg)
+    with pytest.raises(ConsistencyError, match="pivot minor is singular"):
+        conformal._inverse(np.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("kind", ["dense", "near-monomial"])
+def test_inverse_is_exact_and_in_lowest_terms(kind):
+    # a adj = den 1 with gcd(den, adj) = 1, so den is the least common
+    # denominator of a^-1; and equal to the mod-p inverse read back by lift
+    # where the denominators are small enough to lift
+    rng = np.random.default_rng(["dense", "near-monomial"].index(kind))
+    for size in (1, 2, 5, 9, 30):
+        if kind == "dense":
+            a = rng.integers(-3, 4, (size, size))
+        else:  # a signed permutation with a few extra entries per row
+            a = rng.choice([-2, -1, 1, 2], size) * np.eye(size, dtype=np.int64)
+            a = a[rng.permutation(size)]
+            a[rng.integers(0, size, size), rng.integers(0, size, size)] += rng.integers(-1, 2, size)
+        if modp.rank_inverse(a)[1] is None:
+            with pytest.raises(ConsistencyError, match="singular"):
+                conformal._inverse(a)
+            continue
+        adj, den = conformal._inverse(a)
+        assert den > 0 and math.gcd(den, *adj.ravel().tolist()) == 1
+        assert (a.astype(object) @ adj.astype(object) == den * np.eye(size, dtype=object)).all()
+        lifted, lden = modp_reference.lift(modp.rank_inverse(a)[1])
+        if (a.astype(object) @ lifted.astype(object) == lden * np.eye(size, dtype=object)).all():
+            assert np.array_equal(adj, lifted) and den == lden
 
 
 def _ref_adjoint(alg, m):
@@ -560,7 +641,7 @@ def test_modp_inverse_and_lift():
     while round(abs(np.linalg.det(a))) == 0:
         a = rng.integers(-3, 4, (6, 6))
     rank, inverse = modp.rank_inverse(a)
-    adj, den = modp.lift(inverse)
+    adj, den = modp_reference.lift(inverse)
     assert rank == 6
     assert (a.astype(object) @ adj.astype(object) == den * np.eye(6, dtype=object)).all()
     assert den <= round(abs(np.linalg.det(a)))
@@ -568,16 +649,23 @@ def test_modp_inverse_and_lift():
     assert modp.rank_inverse(singular) == (4, None)
 
 
+def sparse_entries(m):
+    """(row, col, val) of the nonzero entries of m, sorted by row and col."""
+    row, col = np.nonzero(m)
+    return row, col, m[row, col]
+
+
 @pytest.mark.parametrize("scale", [1, 2**40])  # 2^40: entries past p
 def test_modp_row_basis_finds_the_rank(scale):
+    # row_pivots, which replaced row_basis, finds the same rows and columns
     rng = np.random.default_rng(9)
     m = scale * rng.integers(-2, 3, (40, 7)) @ rng.integers(-2, 3, (7, 30))  # rank 7
-    blocks = [m[i:i + 8] for i in range(0, 40, 8)]
     before = m.copy()
-    rows, cols = modp.row_basis(blocks)
-    assert np.array_equal(m, before)  # the blocks are views of m
+    rows, cols = modp.row_pivots(*sparse_entries(m))
+    assert np.array_equal(m, before)
     assert len(rows) == len(cols) == np.linalg.matrix_rank(m) == 7
     assert modp.rank_inverse(m[rows][:, cols])[0] == 7  # the pivot minor is invertible mod p
+    assert (rows, cols) == modp_reference.row_basis([m[i:i + 8] for i in range(0, 40, 8)])
 
 
 def rref_rows(block):
@@ -622,11 +710,10 @@ def test_rref_matches_row_at_a_time(kind):
 
 @pytest.mark.parametrize("spec", ["h:3:R", "h:3:O"])
 def test_row_basis_matches_one_rref(spec):
-    # Echelon keeps, block by block, the rows and pivot columns that one
-    # row-at-a-time pass over the stacked generators finds
-    alg = make_algebra(spec)
-    gens, n = conformal._generators(alg), alg.dim
-    rows, cols = modp.row_basis([gens[i:i + n] for i in range(0, len(gens), n)])
+    # the sparse forward elimination keeps the rows and pivot columns that
+    # one row-at-a-time reduced echelon pass over the generators finds
+    gens = dense_generators(make_algebra(spec))
+    rows, cols = modp.row_pivots(*sparse_entries(gens))
     pivots = rref_rows(gens.astype(np.int64) % modp._PRIME)
     assert (rows, cols) == ([i for i, _ in pivots], [c for _, c in pivots])
 

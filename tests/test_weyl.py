@@ -19,6 +19,8 @@ from jkepler.weyl import (WallachParam, WeylOp, acute_s, acute_x,
                           tkk_op_residual, verify_tkk_ops, x_tilde, xlinear_s, xlinear_x,
                           y_tilde)
 
+from modp_reference import Echelon
+
 
 def summed(cls, nvars, pairs):
     """cls(nvars, terms) with the coefficients of repeated exponents added."""
@@ -927,7 +929,7 @@ def _monomial_rank(alg, nu, degree, seed):
     param = WallachParam.make(alg, nu)
     factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
     rng = np.random.default_rng(seed)
-    echelon = modp.Echelon(len(factors))
+    echelon = Echelon(len(factors))
     while len(echelon.cols) < len(factors):
         x = weyl._cone_points(alg, param.rho_of_nu,
                               min(weyl._BLOCK, len(factors) - len(echelon.cols)), rng)
