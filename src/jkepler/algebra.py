@@ -18,8 +18,9 @@ frame, which only the cone geometry uses, lives in jkepler.cone.
 Exact data over V has one stored form, that of poly.Poly: integer
 numerators over one reduced positive denominator (`coords` is a Fraction
 view).  Products, L and S matrices and the dual triple tensor run on the
-numerators, int64 under a guard derived from the structure table and Python
-ints past it; the matrix kernels return (numerators, denominator).
+numerators through one exact product, `exact`, which reads its bound from
+its operands and runs in float64, int64 or Python ints; the matrix kernels
+return (numerators, denominator).
 
 The quaternionic and octonionic entries are realified; the trace is the real
 diagonal sum.
@@ -180,40 +181,97 @@ class Element(_Exact):
         return f"Element({self.algebra.spec}, {list(self.coords)!r})"
 
 
-# Integer kernels on numerator arrays (int64, or object arrays of Python ints
-# for the overflow fallback).  x may carry leading batch axes.
-
-# The largest integer each fast dtype holds exactly: int64 arithmetic wraps
-# silently past it, and float64 products round past 2^53.
-_EXACT_MAX = {np.int64: 2**63 - 1, np.float64: 2**53 - 1}
+# Exact integer products: every kernel multiplies numerator arrays through
+# `exact` and stores them through `exact_ints`; no other module picks a dtype.
+_BLAS_MIN = 2**12  # multiply-adds from which a matrix-matrix product gains from BLAS
 
 
 def _max_abs(a: np.ndarray) -> int:
-    """max(1, largest |entry|) of an integer array, a factor of kernel bounds."""
-    return max(1, int(np.abs(a).max(initial=0)))
+    """max(1, largest |entry|) of an integer array, read unsigned: np.abs wraps at -2^63."""
+    a = np.abs(a)
+    a = a.view(a.dtype.str.replace("i", "u")) if a.dtype.kind == "i" else a
+    return max(1, int(np.maximum.reduce(a, axis=None, initial=0)))
 
 
-def _exact_dtype(bound: int, fast: type = np.int64) -> type:
-    """fast (int64, or float64 for BLAS products) when bound, a bound on every
-    entry and partial sum of a kernel, is an integer fast holds exactly;
-    otherwise object (Python ints)."""
-    return fast if bound <= _EXACT_MAX[fast] else object
+def _exact_dtype(bound: int, blas: bool = False) -> type:
+    """The dtype that holds every integer up to bound: float64 below 2^53 with
+    blas (a large matrix product), int64 below 2^63, else object."""
+    if blas and bound < 2**53:
+        return np.float64
+    return np.int64 if bound < 2**63 else object
+
+
+def _operand(x):
+    """(array or int, max(1, largest |entry|)) of an int, an integer array, a
+    tuple of Python ints (such as Element.nums, stored by exact_ints) or an
+    (array, max) pair, whose max was read or bounded before."""
+    if not isinstance(x, tuple):
+        return (x, max(1, abs(x))) if isinstance(x, int) else (x, _max_abs(x))
+    if isinstance(x[0], np.ndarray):
+        return x
+    return np.array(x, dtype=_exact_dtype(top := max(1, max(map(abs, x))))), top
+
+
+def exact(op, *terms) -> tuple:
+    """The sum over terms (a, b) of op(a, b) for op np.matmul or np.multiply,
+    exact; an int a scales b; operands as _operand takes them.  A term adds at
+    most k max|a| max|b| to every entry and partial sum, k the contracted
+    length (1 for np.multiply or an int a): their sum is the bound.  Matrix-
+    matrix products of _BLAS_MIN multiply-adds or more run in float64 (BLAS)
+    below 2^53, every product in int64 below 2^63, else on Python ints.  Returns
+    (the sum, int64 or object; the bound), an operand for the next product."""
+    if len(terms) == 1 and isinstance(terms[0][0], int) and terms[0][0] == 1:
+        b, mb = _operand(terms[0][1])  # no arithmetic: b, stored
+        return exact_ints(b), mb
+    matmul, pairs, bound, blas = op is np.matmul, [], 0, False
+    for a, b in terms:
+        b, mb = _operand(b)
+        if isinstance(a, int):
+            bound += abs(a) * mb
+        else:
+            a, ma = _operand(a)
+            k = a.shape[-1] if matmul else 1
+            bound += k * ma * mb
+            blas = blas or matmul and b.ndim > 1 and a.size * b.size >= _BLAS_MIN * k
+        pairs.append((a, b))
+    dtype, out = _exact_dtype(bound, blas), None
+    for a, b in pairs:  # summed in place, with no scaled copy for a term 1 b or -1 b
+        b, sign = b.astype(dtype, copy=False), -1 if isinstance(a, int) and a == -1 else 1
+        term = (b if abs(a) == 1 else a * b) if isinstance(a, int) else op(a.astype(dtype, copy=False), b)
+        if out is None:
+            out = -term if sign < 0 else term.copy() if term is b else term
+        else:
+            (np.add if sign > 0 else np.subtract)(out, term, out=out)
+    return (out.astype(np.int64) if dtype is np.float64 else out), bound
+
+
+def exact_ints(t) -> np.ndarray:
+    """Integer numerators, an array or a sequence of Python ints, stored as
+    int64 where every entry fits, else as an object array of Python ints."""
+    if isinstance(t, np.ndarray):
+        return t if t.dtype == np.int64 else t.astype(_exact_dtype(_max_abs(t)))
+    return _operand(tuple(t))[0]
+
+
+# Integer kernels on numerator arrays; x may carry leading batch axes.
 
 def _lnum(c2, x):
-    """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a], for x a vector or a
-    stack of them.  One matmul with c2 read as an n x n^2 matrix; every dtype
-    the kernels use (int64, object, and the small-integer float64 of
-    conformal._snums) sums it exactly, so it equals np.tensordot."""
+    """(2 L_x, its bound): [..., g, b] = sum_a c2[a, b, g] x[..., a], for x a
+    vector or a stack of them (operands as _operand takes them), one exact
+    matmul with c2 read as an n x n^2 matrix, so it equals np.tensordot."""
+    (c2, top), (x, xmax) = _operand(c2), _operand(x)
     n = len(c2)
-    return np.swapaxes((x @ c2.reshape(n, -1)).reshape(*x.shape[:-1], n, n), -1, -2)
+    out, bound = exact(np.matmul, ((x, xmax), (c2.reshape(n, -1), top)))
+    return np.swapaxes(out.reshape(*x.shape[:-1], n, n), -1, -2), bound
 
 
 def _snum(c2, a, y):
-    """4 S_xy = [A, B] + L(A y) with A = 2 L_x, B = 2 L_y (A y = 2 xy), from
-    A; for a stack of A, a stack of 4 S.  The stack of 2 L_{e_a} is
-    np.swapaxes(c2, 1, 2), which needs no product."""
+    """(4 S_xy, its bound), 4 S_xy = [A, B] + L(A y) from A = 2 L_x, B = 2 L_y,
+    one exact product a step; for a stack of A (that of 2 L_{e_a} is
+    np.swapaxes(c2, 1, 2), which needs no product), a stack of 4 S."""
+    a, y = _operand(a), _operand(y)
     b = _lnum(c2, y)
-    return a @ b - b @ a + _lnum(c2, a @ y)
+    return exact(np.matmul, (a, b), ((-b[0], b[1]), a), (1, _lnum(c2, exact(np.matmul, (a, y)))))
 
 
 class Algebra:
@@ -233,12 +291,8 @@ class Algebra:
         self._gram = numerators(gram)
         self.basis = tuple(labels)
         self.identity_coords = tuple(ident)
-        # With C = max|c2| and numerators bounded by X and Y: |2 L_x| <= nCX,
-        # |2xy| <= n^2 CXY and |4 S_xy| <= 3 n^3 C^2 XY, intermediates included.
-        # The bound keeps a further factor 2 in hand, so every kernel stays
-        # below 2**63 when X * Y * (any extra factor) * _kernel_bound does.
-        cmax = int(np.abs(c2).max())
-        self._kernel_bound = 6 * n**3 * cmax**2
+        cmax = _max_abs(c2)  # the table and the stack of 2 L_{e_a}, max|c2| read once
+        self._table, self._stack = (c2, cmax), (np.swapaxes(c2, 1, 2), cmax)
         self._cache = {}
 
     # --- constructors ---------------------------------------------------
@@ -264,29 +318,19 @@ class Algebra:
 
     def product(self, u: Element, v: Element) -> Element:
         u._check(v)
-        c2, (x, y) = self._kernel_arrays(u.nums, v.nums)
-        return Element._make(self, (_lnum(c2, x) @ y).tolist(), 2 * u.den * v.den)
-
-    def _kernel_arrays(self, *operands, factor: int = 1):
-        """c2 and the numerators of each operand as int64 arrays when the int64
-        guard holds, else as object arrays of Python ints."""
-        bound = factor * self._kernel_bound
-        for nums in operands:
-            bound *= max(1, max(abs(c) for c in nums))
-        dtype = _exact_dtype(bound)
-        return (self._c2.astype(dtype, copy=False),
-                [np.array(nums, dtype=dtype) for nums in operands])
+        lx = _lnum(self._table, u.nums)
+        return Element._make(self, exact(np.matmul, (lx, v.nums))[0].tolist(),
+                             2 * u.den * v.den)
 
     def lmul_matrix(self, u: Element):
-        """L_u: v -> uv, as (nums, den); nums holds Python ints, so products stay exact."""
-        c2, (x,) = self._kernel_arrays(u.nums)
-        return _lnum(c2, x).astype(object), 2 * u.den
+        """L_u: v -> uv, as (nums, den); nums is stored by exact_ints."""
+        return exact_ints(_lnum(self._table, u.nums)[0]), 2 * u.den
 
     def smul_matrix(self, u: Element, v: Element):
-        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den)."""
+        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den); nums is stored by exact_ints."""
         u._check(v)
-        c2, (x, y) = self._kernel_arrays(u.nums, v.nums)
-        return _snum(c2, _lnum(c2, x), y).astype(object), 4 * u.den * v.den
+        a = _lnum(self._table, u.nums)
+        return exact_ints(_snum(self._table, a, v.nums)[0]), 4 * u.den * v.den
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -308,7 +352,7 @@ class Algebra:
     def quad_rep(self, x: Element):
         """P(x) = 2 L_x^2 - L_{x^2}, as (nums, den)."""
         (a, ad), (b, bd) = self.lmul_matrix(x), self.lmul_matrix(self.product(x, x))
-        return 2 * bd * (a @ a) - ad * ad * b, ad * ad * bd
+        return exact(np.multiply, (2 * bd, exact(np.matmul, (a, a))), (-ad * ad, b))[0], ad * ad * bd
 
     def power_traces(self, x: Element, m: int) -> list:
         """[tr x, tr x^2, ..., tr x^m]."""
@@ -345,27 +389,17 @@ class Algebra:
 
     def dual_triple_tensor(self, u: Element):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
-        derivatives with the metric-dual basis, as (nums, den)."""
-        w2, wg, lg = self._gram_weight()
-        c2, (x,) = self._kernel_arrays(u.nums, factor=_max_abs(w2) * _max_abs(wg))
-        w2, wg = w2.astype(c2.dtype, copy=False), wg.astype(c2.dtype, copy=False)
-        s = _snum(c2, np.swapaxes(c2, 1, 2), x)  # [a] = 4 S_{e_a u}
-        return (np.swapaxes(s, 1, 2) * w2[:, :, None] * wg).astype(object), 4 * u.den * lg
-
-    def _gram_weight(self):
-        """The Gram factor of dual_triple_tensor, built once: T[a,b,g] =
-        S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]), gram = gnum / gden, is
-        4 S_{e_a u}[g,b] w2[a,b] wg[g] / (4 lg) with w2[a,b] = lg / (gnum[a]
-        gnum[b]), wg[g] = gnum[g] gden and lg = lcm(gnum)^2.  Returns
-        (w2, wg, lg), int64 where they fit."""
+        derivatives with the metric-dual basis, as (nums, den): with gram =
+        gnum / gden, S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]) = 4 S_{e_a u}[g,b]
+        w[a,b,g] / (4 lg), w = lg gnum[g] gden / (gnum[a] gnum[b]) built once."""
         if "gram_weight" not in self._cache:
             gnum, gden = self._gram
-            lg = math.lcm(*gnum) ** 2
-            g = np.array(gnum, dtype=object)
-            w2, wg = lg // np.multiply.outer(g, g), g * gden
-            self._cache["gram_weight"] = (w2.astype(_exact_dtype(_max_abs(w2))),
-                                          wg.astype(_exact_dtype(_max_abs(wg))), lg)
-        return self._cache["gram_weight"]
+            g, lg = np.array(gnum, dtype=object), math.lcm(*gnum) ** 2
+            w = exact_ints(np.multiply.outer(lg // np.multiply.outer(g, g), g * gden))
+            self._cache["gram_weight"] = (w, _max_abs(w)), lg
+        w, lg = self._cache["gram_weight"]
+        s, top = _snum(self._table, self._stack, u.nums)  # [a] = 4 S_{e_a u}
+        return exact_ints(exact(np.multiply, (w, (np.swapaxes(s, 1, 2), top)))[0]), 4 * u.den * lg
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

@@ -45,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs
+from .algebra import (Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs, exact,
+                      exact_ints)
 
 
 class ConsistencyError(RuntimeError):
@@ -61,33 +62,25 @@ class _StrSpan:
 
     def __init__(self, basis: np.ndarray, cols: list, adj: np.ndarray, den: int):
         self.basis, self.cols, self.adj, self.den = basis, cols, adj, den
-        # |(v[:, cols] adj) basis| <= scale max|v|, partial sums included
-        self._scale = len(cols) ** 2 * _max_abs(adj) * _max_abs(basis)
-        self._float = adj.astype(np.float64), basis.astype(np.float64)
+        self._adj, self._basis = (adj, _max_abs(adj)), (basis, _max_abs(basis))
 
     @property
     def rank(self) -> int:
         return len(self.cols)
 
-    def contains(self, v: np.ndarray) -> bool:
-        """Whether every row of the integer matrix v lies in the row span of
-        basis: the exact identity v den = (v[:, cols] adj) basis.  It runs in
-        float64 when every partial sum stays below 2^53, else on Python ints."""
-        vmax = _max_abs(v)
-        if _exact_dtype(max(self._scale, self.den) * vmax, np.float64) is np.float64:
-            (adj, basis), v = self._float, v.astype(np.float64)
-        else:
-            adj, basis, v = self.adj.astype(object), self.basis.astype(object), v.astype(object)
-        return np.array_equal(v * self.den, (v[:, self.cols] @ adj) @ basis)
-
     def coords(self, v: np.ndarray) -> np.ndarray:
         """v[:, cols] adj: numerators over den of the coordinates in basis of
         each row of the integer matrix v, exact for the rows that lie in the
-        span; int64, or Python ints past the float64 guard."""
-        rows = v[:, self.cols]
-        if _exact_dtype(self.rank * _max_abs(rows) * _max_abs(self.adj), np.float64) is np.float64:
-            return (rows.astype(np.float64) @ self._float[0]).astype(np.int64)
-        return rows.astype(object) @ self.adj.astype(object)
+        span; one exact product."""
+        return exact(np.matmul, (v[:, self.cols], self._adj))[0]
+
+    def lift(self, v: np.ndarray):
+        """coords(v) if every row of the integer matrix v lies in the row span
+        of basis, else None: the exact identity v den = coords(v) basis."""
+        top = _max_abs(v)
+        c = exact(np.matmul, ((v[:, self.cols], top), self._adj))
+        return c[0] if np.array_equal(exact(np.multiply, (self.den, (v, top)))[0],
+                                      exact(np.matmul, (c, self._basis))[0]) else None
 
 
 def _join(left: np.ndarray, right: np.ndarray, size: int):
@@ -139,16 +132,6 @@ def _snum_entries(alg: Algebra):
     key, val = key[starts][val != 0], val[val != 0]
     small = val.astype(np.int8)
     return *divmod(key, n * n), small if np.array_equal(small, val) else val
-
-
-def _snums(alg: Algebra) -> np.ndarray:
-    """4 S_{e_a e_b} for every basis pair: [b, a] is its n x n numerator
-    matrix, row-major, scattered from _snum_entries (int8 in every family)."""
-    n = alg.dim
-    row, col, val = _snum_entries(alg)
-    out = np.zeros((n * n, n * n), dtype=val.dtype)
-    out[row, col] = val
-    return out.reshape(n, n, -1)
 
 
 def _generators(alg: Algebra):
@@ -215,9 +198,9 @@ def _inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
     entries = [(c, e - r, x * (den // rows[k][c])) for c, k in enumerate(order)
                for e, x in rows[k].items() if e >= r]
     c, e, x = zip(*entries)
-    adj = np.zeros((r, r), dtype=_exact_dtype(max(map(abs, x))))
+    adj = np.zeros((r, r), dtype=object)
     adj[c, e] = x
-    return adj, den
+    return exact_ints(adj), den
 
 
 def _str_span_exact(alg: Algebra) -> _StrSpan:
@@ -232,14 +215,13 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
         basis = gens[rows]
         pivot = basis[:, cols]
         adj, den = _inverse(pivot)
-        dtype = _exact_dtype(max(len(rows) * _max_abs(pivot) * _max_abs(adj), den), np.float64)
-        if not np.array_equal(pivot.astype(dtype) @ adj.astype(dtype),
-                              den * np.eye(len(rows), dtype=dtype)):
+        if not np.array_equal(exact(np.matmul, (pivot, adj))[0],
+                              exact(np.multiply, (den, np.eye(len(rows), dtype=np.int64)))[0]):
             raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "
                                    "is wrong")
         span = _StrSpan(basis, cols, adj, den)
         # in blocks of n rows, to keep the float64 temporaries small
-        if not all(span.contains(gens[i:i + alg.dim]) for i in range(0, len(gens), alg.dim)):
+        if any(span.lift(gens[i:i + alg.dim]) is None for i in range(0, len(gens), alg.dim)):
             raise ConsistencyError("str(V) span certificate failed: a generator S_uv is not "
                                    "in the span of the pivot rows")
         alg._cache[key] = span
@@ -257,12 +239,14 @@ def dim_co(alg: Algebra) -> int:
     return 2 * alg.dim + dim_str(alg)
 
 
-def _certify(alg: Algebra, nums: np.ndarray, what: str):
-    """ConsistencyError unless every n x n matrix of the stack nums (integer
-    numerators over any denominator, each matrix flat or square) lies in
-    span{S_uv}; what names them."""
-    if not _str_span_exact(alg).contains(nums.reshape(len(nums), -1)):
+def _certify(alg: Algebra, nums: np.ndarray, what: str) -> np.ndarray:
+    """The coordinates (_StrSpan.coords) of the n x n matrices of the stack
+    nums (integer numerators, each matrix flat or square); ConsistencyError,
+    naming them what, unless each lies in span{S_uv}."""
+    coords = _str_span_exact(alg).lift(nums.reshape(len(nums), -1))
+    if coords is None:
         raise ConsistencyError(f"{what} is not in span{{S_uv}}")
+    return coords
 
 
 # --- the basis of co(V) and its structure constants ---------------------------
@@ -276,51 +260,52 @@ class _CoTable:
         n, span = alg.dim, _str_span_exact(alg)
         r, gnum = span.rank, alg._gram[0]
         lg = math.lcm(*gnum)
-        w = np.array([lg // g for g in gnum])[:, None] * np.array(gnum)[None, :]
-        # the products B_k B_l in float64 (BLAS) when every entry is exact there
-        fast = _exact_dtype(2 * n * _max_abs(span.basis) ** 2 * _max_abs(w), np.float64)
-        exact = np.int64 if fast is np.float64 else object
-        b = span.basis.reshape(r, n, n).astype(exact)
-        fb = b.astype(fast)
+        w = exact(np.multiply, (exact_ints([lg // g for g in gnum])[:, None],
+                                exact_ints(gnum)[None, :]))[0]
+        b = span.basis.reshape(r, n, n)
+        top = span._basis[1]  # max|basis|, which bounds each B_k
         # B_k' = G^-1 B_k^T G: numerators (lg / g_i) B_k[j, i] g_j over lg
-        badj = np.swapaxes(b, 1, 2) * w
-        xy = span.coords(np.swapaxes(_snums(alg), 0, 1).reshape(n * n, -1)).reshape(n, n, r)
+        badj = exact(np.multiply, (w, np.swapaxes(b, 1, 2)))[0]
+        # 4 S_{e_a e_b} on the pivot columns at row a n + b (row b n + a of the entries)
+        row, col, val = _snum_entries(alg)
+        where = np.full(n * n, -1)
+        where[span.cols] = np.arange(r)
+        keep = where[col] >= 0
+        pivots = np.zeros((n * n, r), dtype=val.dtype)
+        pivots[row[keep] % n * n + row[keep] // n, where[col[keep]]] = val[keep]
+        xy = exact(np.matmul, (pivots, span._adj))[0].reshape(n, n, r)
         self.den = den = math.lcm(lg, 2 * span.den)
-        # every entry is one of these numerators times at most den, the
-        # coordinates of [B_k, B_l] at most r |[B_k, B_l]| |adj|
-        comm_bound = r * 2 * n * _max_abs(span.basis) ** 2 * _max_abs(span.adj)
-        dtype = _exact_dtype(den * max(_max_abs(xy), comm_bound, _max_abs(b), _max_abs(badj)))
         self.dim, parts = 2 * n + r, []
 
         def block(t, scale, i0, j0, k0):
             """c[i0 + i, j0 + j, k0 + k] = scale t[i, j, k] where t != 0, and
             the antisymmetric c[j0 + j, i0 + i, k0 + k] = -scale t[i, j, k]."""
             i, j, k = np.nonzero(t)
-            v = t[i, j, k].astype(dtype) * scale
+            v = exact(np.multiply, (scale, t[i, j, k]))[0]
             parts.extend([(i + i0, j + j0, k + k0, v), (j + j0, i + i0, k + k0, -v)])
 
         block(xy, -(den // (2 * span.den)), 0, n + r, n)  # [X_a, Y_b] = -4 S_{e_a e_b} / 2
         block(np.swapaxes(b, 1, 2), den, n, 0, 0)         # [B_k, X_a] = X_{B_k e_a}
         block(np.swapaxes(badj, 1, 2), -(den // lg), n, n + r, n + r)  # -Y_{B_k' e_a}
         for k in range(r - 1):  # [B_k, B_l] for every l > k
-            comm = (fb[k] @ fb[k + 1:] - fb[k + 1:] @ fb[k]).astype(exact).reshape(r - 1 - k, -1)
-            _certify(alg, comm, "a commutator [B_k, B_l]")
-            block(span.coords(comm)[None], den // span.den, n + k, n + k + 1, n)
-        _certify(alg, badj, "an adjoint B_k'")
+            comm = exact(np.matmul, ((b[k], top), (b[k + 1:], top)),
+                         ((-b[k + 1:], top), (b[k], top)))[0].reshape(r - 1 - k, -1)
+            block(_certify(alg, comm, "a commutator [B_k, B_l]")[None], den // span.den,
+                  n + k, n + k + 1, n)
+        adjoints = _certify(alg, badj, "an adjoint B_k'")
         i, j, k, vals = (np.concatenate(p) for p in zip(*parts))
         order = np.lexsort((j, i, k))  # grouped by k
         self.i, self.j, self.k, self.vals = i[order], j[order], k[order], vals[order]
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
         self.ks = self.k[self.starts]
-        self.bound = len(self.vals) * _max_abs(self.vals)  # over every product and partial sum
+        self.bound = len(self.vals) * _max_abs(self.vals)  # co_bracket's guard
         # theta: X_a <-> Y_a and B_k -> -B_k', whose coordinates are over lg span.den
         tden = lg * span.den
         theta = np.zeros((self.dim,) * 2, dtype=object)
-        theta[:n, n + r:] = theta[n + r:, :n] = tden * np.eye(n, dtype=np.int64)
-        theta[n:n + r, n:n + r] = -span.coords(badj.reshape(r, -1))
+        theta[:n, n + r:] = theta[n + r:, :n] = tden * np.eye(n, dtype=object)
+        theta[n:n + r, n:n + r] = -adjoints
         g = math.gcd(tden, *theta.ravel().tolist())
-        self.theta_den, theta = tden // g, theta // g
-        self.theta = theta.astype(_exact_dtype(_max_abs(theta)))
+        self.theta_den, self.theta = tden // g, exact_ints(theta // g)
 
 
 def _co_table(alg: Algebra) -> _CoTable:
@@ -337,8 +322,8 @@ def structure_constants(alg: Algebra):
     [B_k, X_a] = X_{B_k e_a}, [B_k, Y_a] = -Y_{B_k' e_a} and
     [B_k, B_l] = B_k B_l - B_l B_k, a str(V) matrix m with the coordinates
     m[cols] adj / span.den.  Every [B_k, B_l] (k < l) and B_k' is certified to
-    lie in the span first, one k at a time; int64 under the guard, Python
-    ints past it.  Each call returns a new dense array, filled from the
+    lie in the span first, one k at a time; int64 where the products fit,
+    Python ints past them.  Each call returns a new dense array, filled from the
     table's nonzero entries."""
     t = _co_table(alg)
     c = np.zeros((t.dim,) * 3, dtype=t.vals.dtype)
@@ -382,13 +367,15 @@ class CoElement(_Exact):
 def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     """Lie bracket on co(V): [a, b] = sum_ijk a_i b_j c_ij^k z_k / den, the
     contraction of the coordinates with the nonzero structure constants,
-    summed per k; int64 when one guard bounds every product and partial sum,
-    Python ints past it.  It is antisymmetric and satisfies the Jacobi
+    summed per k; int64 when every product and partial sum fits, Python ints
+    past it.  It is antisymmetric and satisfies the Jacobi
     identity exactly when the table does (the tests prove both on every
     basis triple)."""
     if a.algebra is not b.algebra:
         raise MismatchError("CoElements belong to different algebras")
     t = _co_table(a.algebra)
+    # The one guard outside algebra.exact, which has no sparse segment sum:
+    # len(vals) max|vals| max|x| max|y| bounds every product and partial sum.
     dtype = _exact_dtype(t.bound * max(1, *map(abs, a.nums)) * max(1, *map(abs, b.nums)))
     x, y = np.array(a.nums, dtype=dtype), np.array(b.nums, dtype=dtype)
     out = np.zeros(len(x), dtype=dtype)
@@ -401,8 +388,7 @@ def cartan_involution(a: CoElement) -> CoElement:
     coordinate map: the coordinates of a times the matrix whose row i holds
     those of theta(z_i)."""
     t = _co_table(a.algebra)
-    dtype = _exact_dtype(len(t.theta) * _max_abs(t.theta) * max(1, *map(abs, a.nums)))
-    out = np.array(a.nums, dtype=dtype) @ t.theta.astype(dtype, copy=False)
+    out = exact(np.matmul, (a.nums, t.theta))[0]
     return CoElement._make(a.algebra, out.tolist(), a.den * t.theta_den)
 
 

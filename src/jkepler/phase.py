@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, Element, _exact_dtype, _max_abs
+from .algebra import Algebra, Element, _operand, exact, exact_ints
 from .conformal import CoElement, _co_table
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
@@ -75,21 +75,9 @@ def poisson_poly(f: Poly, g: Poly) -> Poly:
 
 # --- x-linear symbols as integer tensors ---------------------------------------
 
-def _ints(t: np.ndarray) -> np.ndarray:
-    """Integer numerators as int64 where every entry fits, else as Python ints."""
-    return t.astype(_exact_dtype(_max_abs(t)))
-
-
-def _fit(bound: int, tensors: dict) -> dict:
-    """The tensors as int64 when bound holds every entry and partial sum of
-    the kernel about to run on them, else as object arrays of Python ints."""
-    dtype = _exact_dtype(bound)
-    return {d: t.astype(dtype, copy=False) for d, t in tensors.items()}
-
-
-def _slots(n: int, d: int) -> np.ndarray:
-    """An empty (n+1, n, ..., n) numerator tensor of degree d in D."""
-    return np.zeros((n + 1,) + (n,) * d, dtype=object)
+def _slots(t: np.ndarray) -> np.ndarray:
+    """The numerators t at the x slots 1 .. n, with slot 0 (no x) zero."""
+    return np.concatenate([np.zeros_like(t[:1]), t])
 
 
 class XLinearOp:
@@ -102,29 +90,29 @@ class XLinearOp:
     polynomial in D is the sum of its tensor's entries and has many tensors:
     the symbol is zero exactly when each part, symmetrized over its D axes,
     is zero.  gcd(den, every numerator) is divided out on construction, so
-    the kernels' int64 guards see the smallest numerators."""
+    the exact products see the smallest numerators, and the parts share one
+    dtype: int64, or Python ints once any part needs them.  tops[d] bounds
+    part d, given as an exact product's (array, bound) pair or else read."""
 
-    __slots__ = ("n", "parts", "den")
+    __slots__ = ("n", "parts", "den", "tops")
 
     def __init__(self, n: int, parts: dict, den: int):
-        g = den
-        for t in parts.values():
+        parts, g, wide = {d: _operand(t) for d, t in parts.items()}, den, False
+        for t, _ in parts.values():
             g = math.gcd(g, int(np.gcd.reduce(t, axis=None))) if g > 1 else 1
+            wide = wide or t.dtype == object
         self.n, self.den = n, den // g
-        self.parts = parts if g == 1 else {d: t // g for d, t in parts.items()}
-
-    def _max(self) -> int:
-        """max(1, largest |numerator|), a factor of every kernel bound."""
-        return max([1] + [_max_abs(t) for t in self.parts.values()])
+        self.parts = {d: t.astype(object, copy=False) if wide else t for d, (t, _) in parts.items()}
+        self.tops = {d: top // g for d, (_, top) in parts.items()}
+        if g > 1:
+            self.parts = {d: t // g for d, t in self.parts.items()}
 
     def _sum(self, other, sign: int):
-        den = math.lcm(self.den, other.den)
-        m1, m2 = den // self.den, sign * (den // other.den)
-        bound = self._max() * m1 + other._max() * abs(m2)
-        parts = {d: m1 * t for d, t in _fit(bound, self.parts).items()}
-        for d, t in _fit(bound, other.parts).items():
-            parts[d] = parts[d] + m2 * t if d in parts else m2 * t
-        return XLinearOp(self.n, parts, den)
+        den, terms = math.lcm(self.den, other.den), {}
+        for m, op in ((den // self.den, self), (sign * (den // other.den), other)):
+            for d, t in op.parts.items():
+                terms.setdefault(d, []).append((m, (t, op.tops[d])))
+        return XLinearOp(self.n, {d: exact(np.multiply, *ts) for d, ts in terms.items()}, den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -135,13 +123,13 @@ class XLinearOp:
     def __rmul__(self, c: int):
         if not isinstance(c, int):
             return NotImplemented
-        return XLinearOp(self.n, {d: c * t for d, t in _fit(abs(c) * self._max(),
-                                                               self.parts).items()}, self.den)
+        return XLinearOp(self.n, {d: exact(np.multiply, (c, (t, self.tops[d])))
+                                  for d, t in self.parts.items()}, self.den)
 
     def is_zero(self) -> bool:
-        for d, t in _fit(math.factorial(max(self.parts, default=0)) * self._max(),
-                         self.parts).items():
-            sym = sum(t.transpose((0,) + p) for p in itertools.permutations(range(1, d + 1)))
+        for d, t in self.parts.items():
+            sym = exact(np.multiply, *((1, (t.transpose((0,) + p), self.tops[d]))
+                                       for p in itertools.permutations(range(1, d + 1))))[0]
             if np.count_nonzero(sym):
                 return False
         return True
@@ -163,25 +151,24 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
     [A, B]_s = sum_h (d_h a_s b_h - d_h b_s a_h), d_h the derivative in D_h.
     Of the words of AB and BA only those where a D of one factor meets the x
     of the other differ, so no cancelling word is built; the Poisson bracket
-    of the symbols is {a, b} = -[A, B].  Each output entry and partial sum is
-    at most n X Y (sum_a d |b| + sum_b d |a|) for numerators at most X and Y,
-    degrees d and part counts |a|, |b|: the int64 guard."""
+    of the symbols is {a, b} = -[A, B].  Each derivative, product and sum is
+    one exact product, guarded by the bounds of the parts and of the products
+    before it."""
     n = a.n
-    bound = n * a._max() * b._max() * (sum(a.parts) * len(b.parts) + sum(b.parts) * len(a.parts))
-    out = {}
-    for sign, left, right in ((1, a, b), (-1, b, a)):
-        left, right = _fit(bound, left.parts), _fit(bound, right.parts)
-        for dl, tl in left.items():
+    tops = [{d: (t, op.tops[d]) for d, t in op.parts.items()} for op in (a, b)]
+    terms = {}
+    for sign, left, right in ((1, *tops), (-1, *tops[::-1])):
+        for dl, (tl, top) in left.items():
             if not dl:
                 continue
             # d_h of the degree-dl part, with h moved to the last axis
-            dt = sum(tl.transpose([i for i in range(dl + 1) if i != k] + [k])
-                     for k in range(1, dl + 1))
-            for dr, tr in right.items():
+            dt = exact(np.multiply, *((1, (tl.transpose([i for i in range(dl + 1) if i != k] + [k]),
+                                           top)) for k in range(1, dl + 1)))
+            for dr, (tr, rtop) in right.items():
                 d = dl - 1 + dr
-                term = (dt @ tr[1:].reshape(n, -1)).reshape((n + 1,) + (n,) * d)
-                out[d] = out[d] + sign * term if d in out else sign * term
-    return XLinearOp(n, out, a.den * b.den)
+                term, bound = exact(np.matmul, (dt, (tr[1:].reshape(n, -1), rtop)))
+                terms.setdefault(d, []).append((sign, (term.reshape((n + 1,) + (n,) * d), bound)))
+    return XLinearOp(n, {d: exact(np.multiply, *terms.pop(d)) for d in list(terms)}, a.den * b.den)
 
 
 def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
@@ -192,7 +179,8 @@ def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
     out = term = a
     for k in range(1, max(a.parts, default=0) + 1):
         term = bracket(r, term)
-        out = out + XLinearOp(a.n, term.parts, term.den * math.factorial(k))
+        out = out + XLinearOp(a.n, {d: (t, term.tops[d]) for d, t in term.parts.items()},
+                              term.den * math.factorial(k))
     return out
 
 
@@ -202,17 +190,15 @@ def vacuum(a: XLinearOp, r: XLinearOp) -> tuple:
     substitution D -> D - grad r puts D = -grad r = h / r.den there, so q is
     each D-degree-d part contracted d times with h, over a.den r.den^top:
     no series and no bracket.  Returns (q numerators, the constant then x_0
-    .. x_{n-1}, and that den, not reduced).  Each degree-d term and partial
-    sum is at most |a| (n |h|)^d r.den^(top-d): the int64 guard."""
-    top, h = max(a.parts, default=0), -r.parts[0][1:]
-    bound = a._max() * sum((a.n * _max_abs(h)) ** d * r.den ** (top - d) for d in a.parts)
-    dtype = _exact_dtype(bound)
-    h, q = h.astype(dtype), np.zeros(a.n + 1, dtype=dtype)
-    for d, t in a.parts.items():
-        t = t.astype(dtype, copy=False)
+    .. x_{n-1}, and that den, not reduced).  Each contraction and the sum
+    are exact products, each guarded by the bound of the one before."""
+    top, h, terms = max(a.parts, default=0), (-r.parts[0][1:], r.tops[0]), []
+    for d in a.parts:
+        t = a.parts[d], a.tops[d]
         for _ in range(d):
-            t = t @ h
-        q = q + r.den ** (top - d) * t
+            t = exact(np.matmul, (t, h))
+        terms.append((r.den ** (top - d), t))
+    q = exact(np.multiply, *terms)[0] if terms else np.zeros(a.n + 1, dtype=np.int64)
     return q, a.den * r.den ** top
 
 
@@ -222,26 +208,21 @@ def moment_s(alg: Algebra, u: Element, v: Element) -> XLinearOp:
     """S_uv = <S_uv(x)|pi>, from the numerators of smul_matrix: the numerator
     of x_b p_a is S_uv[a, b]."""
     m, den = alg.smul_matrix(u, v)
-    t1 = _slots(alg.dim, 1)
-    t1[1:] = m.T
-    return XLinearOp(alg.dim, {1: _ints(t1)}, den)
+    return XLinearOp(alg.dim, {1: _slots(m.T)}, den)
 
 
 def moment_x(alg: Algebra, u: Element) -> XLinearOp:
     """X_u = <x|{pi u pi}>, from the numerators of dual_triple_tensor: the
     numerator of x_g p_a p_b is T[a, b, g]."""
     t, den = alg.dual_triple_tensor(u)
-    t2 = _slots(alg.dim, 2)
-    t2[1:] = np.moveaxis(t, 2, 0)
-    return XLinearOp(alg.dim, {2: _ints(t2)}, den)
+    return XLinearOp(alg.dim, {2: _slots(np.moveaxis(t, 2, 0))}, den)
 
 
 def moment_y(alg: Algebra, v: Element) -> XLinearOp:
     """Y_v = <x|v>, from the Gram numerators."""
     gnum, gden = alg._gram
-    t0 = _slots(alg.dim, 0)
-    t0[1:] = [g * c for g, c in zip(gnum, v.nums)]
-    return XLinearOp(alg.dim, {0: _ints(t0)}, gden * v.den)
+    return XLinearOp(alg.dim, {0: exact_ints([0] + [g * c for g, c in zip(gnum, v.nums)])},
+                     gden * v.den)
 
 
 # --- TKK relation verification -------------------------------------------------
@@ -439,25 +420,25 @@ def equivariance_witness(alg: Algebra, pairs: list, angular: list):
     keys, lden = [field(k) for k in range(nvars)], math.lcm(*(f.den for f in angular))
     if any(set(f.nums) - set(keys) for f in angular):
         raise ValueError("an angular observable is not a linear form")
-    lmat = np.array([[f.nums.get(key, 0) * (lden // f.den) for key in keys] for f in angular],
-                    dtype=object).reshape(len(pairs), nvars)
+    lmat = exact_ints(np.array([[4 * f.nums.get(key, 0) * (lden // f.den) for key in keys]
+                                for f in angular], dtype=object).reshape(len(pairs), nvars))
     ti, tj, tk, vals = cs.entries
     xy = (tj < n) | (tj >= nvars - n)  # c_ij^k with z_j = X_a or Y_a, at column a or n + a
     cols = np.zeros((nvars, 2 * n, nvars), dtype=vals.dtype)
     cols[ti[xy], np.where(tj < n, tj, tj - nvars + 2 * n)[xy], tk[xy]] = vals[xy]
-    cols = cols.reshape(nvars, -1)
-    l2 = np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)])  # 2 L_{e_a}
-    # 4 {L_uv, z_a} and 4 D lden den: every entry and partial sum is below bound
-    bound = 4 * nvars * _max_abs(lmat) * _max_abs(cols) + 2 * n * _max_abs(l2) ** 2 * lden * cs.den
-    dtype = _exact_dtype(bound, np.float64)
-    lmat, cols, l2 = (4 * lmat).astype(dtype), cols.astype(dtype), l2.astype(dtype)
+    cols = _operand(cols.reshape(nvars, -1))
+    l2 = _operand(np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)]))  # 2 L_{e_a}
     for start in range(0, len(pairs), _PAIRS):
         i, j = map(list, zip(*pairs[start:start + _PAIRS]))
-        act = (lmat[start:start + _PAIRS] @ cols).reshape(len(i), 2 * n, nvars)
-        d4 = np.swapaxes(l2[j] @ l2[i] - l2[i] @ l2[j], 1, 2) * (lden * cs.den)  # [p, a, b]: 4 D_ba
-        act[:, :n, :n] -= d4
-        act[:, n:, -n:] -= d4
-        bad = np.argwhere(act.any(axis=2)).tolist()
+        act = exact(np.matmul, (lmat[start:start + _PAIRS], cols))[0].reshape(len(i), 2 * n, nvars)
+        li, lj = (l2[0][i], l2[1]), (l2[0][j], l2[1])
+        d4, bound = exact(np.matmul, (lj, li), ((-li[0], l2[1]), lj))
+        # [p, a, b]: 4 D_ba, over lden den
+        d4 = exact(np.multiply, (lden * cs.den, (np.swapaxes(d4, 1, 2), bound)))[0]
+        # row a of act, 4 {L_uv, X_a} then 4 {L_uv, Y_a}, is d4 on the X, then the Y columns
+        want = np.zeros(act.shape, dtype=np.result_type(act, d4))
+        want[:, :n, :n] = want[:, n:, -n:] = d4
+        bad = np.argwhere((act != want).any(axis=2)).tolist()
         if bad:
             return {"u": i[bad[0][0]], "v": j[bad[0][0]], "z": bad[0][1] % n}
     return None

@@ -61,9 +61,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element, _exact_dtype, _max_abs
+from .algebra import DomainError, Algebra, Element, exact, exact_ints
 from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
-from .phase import (XLinearOp, _ints, _slots, bracket, check_relations, conjugate, moment_s,
+from .phase import (XLinearOp, bracket, check_relations, conjugate, moment_s,
                     moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
@@ -214,17 +214,16 @@ def xlinear_s(alg: Algebra, nu, u: Element, v: Element) -> XLinearOp:
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv): the symbol moment_s, negated,
     plus a constant."""
     c = -Fraction(nu) * alg.rho * alg.inner(u, v) / 2
-    t0 = _slots(alg.dim, 0)
-    t0[0] = c.numerator
-    return XLinearOp(alg.dim, {0: _ints(t0)}, c.denominator) - moment_s(alg, u, v)
+    return XLinearOp(alg.dim, {0: exact_ints([c.numerator] + [0] * alg.dim)},
+                     c.denominator) - moment_s(alg, u, v)
 
 
 def xlinear_x(alg: Algebra, nu, u: Element) -> XLinearOp:
     """X~_u(nu) = <x|{D u D}> + nu tr(u D): the symbol moment_x plus nu tr(u D)."""
     nur = Fraction(nu) * alg.rho
-    t1 = _slots(alg.dim, 1)
-    t1[0] = [nur.numerator * c for c in u.nums]
-    return moment_x(alg, u) + XLinearOp(alg.dim, {1: _ints(t1)}, nur.denominator * u.den)
+    t1 = exact_ints([nur.numerator * c for c in u.nums] + [0] * alg.dim ** 2)
+    return moment_x(alg, u) + XLinearOp(alg.dim, {1: t1.reshape(alg.dim + 1, alg.dim)},
+                                        nur.denominator * u.den)
 
 
 def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> XLinearOp:
@@ -326,14 +325,13 @@ def he_grading_checks(alg: Algebra, nu, levels) -> list:
     for degree in levels:
         eig = 2 * degree + Fraction(nu) * alg.rho
         target = eig * conj.den
-        weights = diag.astype(_exact_dtype(_max_abs(p0) + degree * _max_abs(diag)), copy=False)
         monomials = itertools.combinations_with_replacement(range(n), degree)
         checked, witness = 0, None
         while witness is None and (block := list(itertools.islice(monomials, _MONOMIALS))):
             idx = np.fromiter(itertools.chain.from_iterable(block), np.int64, len(block) * degree)
             exps = np.bincount(idx + n * np.repeat(np.arange(len(block)), degree),  # index + n * row
                                minlength=len(block) * n).reshape(len(block), n)
-            failed = np.flatnonzero(raising | (exps @ weights + p0[0] != target)
+            failed = np.flatnonzero(raising | (exact(np.matmul, (exps, diag))[0] != target - int(p0[0]))
                                     | (exps[:, mixing] > 0).any(axis=1))
             checked += int(failed[0]) if len(failed) else len(exps)
             witness = {"monomial": exps[failed[0]].tolist()} if len(failed) else None

@@ -1,12 +1,15 @@
+import ast
 import math
+import re
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jkepler import cone as C
+from jkepler import algebra as jk_algebra, cone as C
 from jkepler.algebra import (AlgebraSpec, Element, MismatchError, _build_hermitian, _lnum,
-                             DomainError, SpecificationError, make_algebra)
+                             DomainError, SpecificationError, exact, exact_ints, make_algebra)
 from jkepler.symfun import tau_poly
 
 ALL_SPECS = ["gamma:2", "gamma:3", "gamma:5", "h:1:R", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
@@ -612,7 +615,10 @@ def test_int64_guard_and_object_fallback(algebra, spec):
     # numpy int64 matmul wraps silently: at the guard the int64 path must stay
     # exact, and just past it the object fallback must give the same values.
     alg = algebra(spec)
-    n, limit = alg.dim, (2**63 - 1) // alg._kernel_bound
+    # the int64 limit of the former per-kernel guard: |4 S_xy| <= 3 n^3 C^2 XY,
+    # C = max|c2|, with a factor 2 in hand
+    n, cmax = alg.dim, int(np.abs(alg._c2).max())
+    limit = (2**63 - 1) // (6 * n**3 * cmax**2)
     rng = np.random.default_rng(5)
     signs = [int(s) for s in rng.choice([-1, 1], n)]
     v = Element(alg, signs[::-1])
@@ -680,8 +686,9 @@ def test_float_caches_change_no_bits(algebra, spec):
 @pytest.mark.parametrize("dtype", [np.int64, object, np.float64])
 def test_lnum_matches_tensordot(algebra, spec, dtype):
     # the reshape-matmul of _lnum against the tensordot it replaced, for x a
-    # vector, a matrix and a stack of matrices; float64 on small integers, as
-    # conformal._snums calls it
+    # vector, a matrix and a stack of matrices; float64 on small integers.
+    # The exact product returns int64 for every input that fits, and Python
+    # ints past int64, with a bound on its entries.
     alg = algebra(spec)
     c2, n = alg._c2.astype(dtype), alg.dim
     rng = np.random.default_rng(5)
@@ -690,6 +697,114 @@ def test_lnum_matches_tensordot(algebra, spec, dtype):
         if dtype is object:
             x = x * 2**70  # past int64
         want = np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
-        got = _lnum(c2, x)
+        got, bound = _lnum(c2, x)
         assert got.shape == want.shape == shape[:-1] + (n, n)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert bound >= np.abs(got).max()
+        assert got.dtype == (object if dtype is object else np.int64)
+        assert np.array_equal(got, want)
+
+
+# --- the one exact product --------------------------------------------------------
+
+def _chosen(monkeypatch):
+    """The dtypes exact picks, in order, recorded from its one decision point."""
+    chosen, pick = [], jk_algebra._exact_dtype
+
+    def spy(bound, blas=False):
+        chosen.append(pick(bound, blas))
+        return chosen[-1]
+
+    monkeypatch.setattr(jk_algebra, "_exact_dtype", spy)
+    return chosen
+
+
+def _full(shape, value):
+    return np.full(shape, value, dtype=np.int64)
+
+
+def test_exact_float64_boundary(monkeypatch):
+    # every entry is k A B, the bound itself: 2^53 - 1 is exact in float64 (BLAS),
+    # and the odd 2^53 + 1 must not come from float64, where it rounds to 2^53
+    chosen = _chosen(monkeypatch)
+    below, _ = exact(np.matmul, (_full((1, 6361), 69431), _full((6361, 1), 20394401)))
+    past, bound = exact(np.matmul, (_full((40, 3), 107), _full((3, 40), 28059810762433)))
+    assert chosen == [np.float64, np.int64]
+    assert below.dtype == past.dtype == np.int64 and bound == 2**53 + 1
+    assert below.tolist() == [[2**53 - 1]] and (past == 2**53 + 1).all()
+    neg, _ = exact(np.matmul, (_full((40, 3), -107), _full((3, 40), 28059810762433)))
+    assert (neg == -(2**53 + 1)).all()
+    # a small product stays in int64: the casts to BLAS would cost more
+    exact(np.matmul, (_full((2, 3), 1), _full((3, 2), 1)))
+    assert chosen[-1] == np.int64
+
+
+def test_exact_int64_boundary(monkeypatch):
+    chosen = _chosen(monkeypatch)
+    a = 7 * 73 * 127 * 337
+    fits, _ = exact(np.matmul, (_full((2, 7), a), _full((7, 2), 92737 * 649657)))
+    past, _ = exact(np.matmul, (_full((2, 3), 9 * 19 * 43), _full((3, 2), 5419 * 77158673929)))
+    assert chosen == [np.int64, object]
+    assert fits.dtype == np.int64 and (fits == 2**63 - 1).all()
+    assert past.dtype == object and past.tolist() == [[2**63 + 1] * 2] * 2
+    # the same on a scaled sum, and -2^63, whose np.abs wraps, is read as 2^63
+    assert exact(np.multiply, (2**62, _full(2, 1)), (2**62 - 1, _full(2, 1)))[0].dtype == np.int64
+    assert exact(np.multiply, (2**62, _full(2, 1)), (2**62, _full(2, 1)))[0].tolist() == [2**63] * 2
+    assert exact(np.multiply, (-1, _full(1, -2**63)))[0].tolist() == [2**63]
+    # the storage cast
+    assert exact_ints([2**63 - 1, 1 - 2**63]).dtype == np.int64
+    assert exact_ints(np.array([2**63, 1], dtype=object)).dtype == object
+
+
+def test_exact_counts_the_contracted_length(monkeypatch):
+    # max|a| max|b| = 2^62 + 2^31 fits int64, but the two terms of the sum do not
+    chosen = _chosen(monkeypatch)
+    out, bound = exact(np.matmul, (_full((1, 2), 2**31), _full((2, 1), 2**31 + 1)))
+    assert chosen == [object] and bound == 2**63 + 2**32
+    assert out.tolist() == [[2**63 + 2**32]]
+    out, _ = exact(np.matmul, (_full((1, 2), 2**31), _full((2, 1), 2**31 - 1)))
+    assert chosen[-1] == np.int64 and out.tolist() == [[2**63 - 2**32]]
+
+
+@pytest.mark.parametrize("top,dtype", [(10**6, np.float64), (10**8, np.int64), (10**10, object)])
+def test_exact_matches_python_ints(monkeypatch, top, dtype):
+    # random matrices in the three regimes against Python ints: a product, a
+    # signed sum of products and a scaled sum; the bound holds every entry
+    chosen = _chosen(monkeypatch)
+    rng = np.random.default_rng(top)
+    a, c = rng.integers(-top, top + 1, (2, 30, 40))
+    b, d = rng.integers(-top, top + 1, (2, 40, 50))
+    ref = [x.astype(object) for x in (a, b, c, d)]
+    for terms, want in [(((a, b),), ref[0] @ ref[1]),
+                        (((a, b), (-c, d)), ref[0] @ ref[1] - ref[2] @ ref[3])]:
+        got, bound = exact(np.matmul, *terms)
+        assert chosen[-1] is dtype and np.array_equal(got, want)
+        assert got.dtype == (object if dtype is object else np.int64)
+        assert bound >= max(abs(v) for v in want.ravel())
+    got, bound = exact(np.multiply, (3, a), (-5, c))
+    assert np.array_equal(got, 3 * ref[0] - 5 * ref[2])
+    assert bound == 3 * np.abs(a).max() + 5 * np.abs(c).max()
+
+
+def test_exact_dtype_is_decided_in_algebra_only():
+    # outside algebra.py no module names the dtype decision or the limits it
+    # reads; co_bracket keeps the one guard of its own, as a segment sum over
+    # the sparse table is no product exact runs
+    allowed = {("conformal.py", "co_bracket"), ("conformal.py", None)}  # None: its import
+    found = []
+    for path in sorted(Path(jk_algebra.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        source = path.read_text()
+        found += [(path.name, m) for m in re.findall(r"2\s*\*\*\s*(?:53|63)|1\s*<<\s*(?:53|63)|"
+                                                    r"9007199254740992|9223372036854775808", source)]
+        tree = ast.parse(source)
+        scopes = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            names = ([node.id] if isinstance(node, ast.Name) else [node.attr] if
+                     isinstance(node, ast.Attribute) else [a.name for a in node.names] if
+                     isinstance(node, ast.ImportFrom) else [])
+            for name in set(names) & {"_exact_dtype", "_EXACT_MAX"}:
+                if (path.name, scopes.get(id(node))) not in allowed:
+                    found.append((path.name, scopes.get(id(node)), name))
+    assert found == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from jkepler import conformal, modp
+from jkepler import algebra as jk_algebra, conformal, modp
 from jkepler.algebra import Element, MismatchError, _lnum, _snum, make_algebra
 from jkepler.conformal import (CoElement, ConsistencyError, cartan_involution, co_bracket,
                                dim_co, dim_str, random_co_element, root_data,
@@ -324,6 +324,16 @@ def dense_generators(alg):
     return gens
 
 
+def dense_snums(alg):
+    """4 S_{e_a e_b} for every basis pair, scattered from the sparse entries of
+    conformal._snum_entries: [b, a] is its n x n numerator matrix, row-major."""
+    n = alg.dim
+    row, col, val = conformal._snum_entries(alg)
+    out = np.zeros((n * n, n * n), dtype=val.dtype)
+    out[row, col] = val
+    return out.reshape(n, n, -1)
+
+
 def echelon_span(blocks):
     """(basis, cols, adj, den) by the block-wise Echelon route the sparse
     build replaced: pivots mod p by row_basis, the pivot minor inverted mod p
@@ -337,11 +347,11 @@ def echelon_span(blocks):
 @pytest.mark.parametrize("spec", ["gamma:3", "gamma:9", "h:1:R", "h:3:R", "h:3:C", "h:3:H",
                                   "h:3:O", "h:4:H", "h:6:C"])
 def test_span_matches_echelon_route(algebra, spec):
-    # the distinct generators of the dense _snums stack, found as before: the
-    # first nonzero row of each class up to sign, in blocks of n rows
+    # the distinct generators of the dense stack of 4 S_{e_a e_b}, found as
+    # before: the first nonzero row of each class up to sign, in blocks of n rows
     alg = algebra(spec)
     n = alg.dim
-    g = conformal._snums(alg).reshape(n * n, -1)
+    g = dense_snums(alg).reshape(n * n, -1)
     sign = np.sign(g[np.arange(len(g)), (g != 0).argmax(axis=1)])
     first = {}
     for i, (s, row) in enumerate(zip(sign.tolist(), g * sign[:, None])):
@@ -380,8 +390,8 @@ def test_snums_read_the_transposed_table(algebra, spec):
     alg = algebra(spec)
     n = alg.dim
     c2, eye = alg._c2.astype(np.float64), np.eye(n)
-    want = np.stack([_snum(c2, _lnum(c2, eye), eye[b]).reshape(n, -1) for b in range(n)])
-    got = conformal._snums(alg)
+    want = np.stack([_snum(c2, _lnum(c2, eye), eye[b])[0].reshape(n, -1) for b in range(n)])
+    got = dense_snums(alg)
     assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
@@ -597,7 +607,7 @@ def test_structure_constants_antisymmetric_and_jacobi(algebra, spec):
 def test_structure_constants_object_fallback(monkeypatch):
     # past the float64 guard the same table is built on Python ints
     want, den = structure_constants(make_algebra("h:3:R"))
-    monkeypatch.setattr(conformal, "_exact_dtype", lambda bound, fast=np.int64: object)
+    monkeypatch.setattr(jk_algebra, "_exact_dtype", lambda bound, blas=False: object)
     got, got_den = structure_constants(make_algebra("h:3:R"))
     assert got.dtype == object and got_den == den and np.array_equal(got, want)
 

@@ -6,7 +6,7 @@ import pytest
 
 import kepler_tstar as tstar
 from jkepler.algebra import Element, make_algebra
-from jkepler import cli, phase
+from jkepler import algebra as jk_algebra, cli, phase
 from jkepler.cli import SuiteConfig
 from jkepler.phase import (co_star, equivariance_witness, kepler_angular, kepler_hamiltonian,
                            kepler_lenz, moment_x, moment_s, moment_y, over, poisson,
@@ -216,7 +216,7 @@ def test_equivariance_witness_object_fallback(algebra, monkeypatch):
     angular = [kepler_angular(alg, basis[i], basis[j]) for i, j in pairs]
     flipped = [-a for a in angular]
     want = equivariance_witness(alg, pairs, flipped)
-    monkeypatch.setattr(phase, "_exact_dtype", lambda bound, fast=np.int64: object)
+    monkeypatch.setattr(jk_algebra, "_exact_dtype", lambda bound, blas=False: object)
     assert equivariance_witness(alg, pairs, angular) is None
     assert equivariance_witness(alg, pairs, flipped) == want == {"u": 3, "v": 0, "z": 0}
 
