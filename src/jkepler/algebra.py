@@ -18,8 +18,8 @@ frame, which only the cone geometry uses, lives in jkepler.cone.
 Exact data over V has one stored form, that of poly.Poly: integer
 numerators over one reduced positive denominator (`coords` is a Fraction
 view).  Products, L and S matrices and the dual triple tensor run on the
-numerators through one exact product, `exact`, which reads its bound from
-its operands and runs in float64, int64 or Python ints; the matrix kernels
+numerators as ExactArrays, whose every step reads its bound off its
+operands and runs in float64, int64 or Python ints; the matrix kernels
 return (numerators, denominator).
 
 The quaternionic and octonionic entries are realified; the trace is the real
@@ -181,97 +181,140 @@ class Element(_Exact):
         return f"Element({self.algebra.spec}, {list(self.coords)!r})"
 
 
-# Exact integer products: every kernel multiplies numerator arrays through
-# `exact` and stores them through `exact_ints`; no other module picks a dtype.
-_BLAS_MIN = 2**12  # multiply-adds from which a matrix-matrix product gains from BLAS
+# Exact integer arithmetic: every kernel computes on ExactArray, which picks
+# the dtype of each step (_exact_dtype), and stores through exact_ints.  No
+# other module picks a dtype.  A matrix-matrix product of _BLAS_MIN multiply-
+# adds or more runs in float64 (BLAS) below 2^53: on the kernels' shapes it
+# beats int64 from about 3,000-4,500, its casts included, and a
+# matrix-vector product never does.
+_BLAS_MIN = 2**12
+_INT, _FLOAT, _OBJECT = np.dtype(np.int64), np.dtype(np.float64), np.dtype(object)
+_UNSIGNED = {np.dtype(f"i{k}"): np.dtype(f"u{k}") for k in (1, 2, 4, 8)}
 
 
 def _max_abs(a: np.ndarray) -> int:
-    """max(1, largest |entry|) of an integer array, read unsigned: np.abs wraps at -2^63."""
+    """max(1, largest |entry|) of an integer array, read unsigned: np.abs
+    wraps at the most negative value of a signed dtype (-2^63 for int64)."""
     a = np.abs(a)
-    a = a.view(a.dtype.str.replace("i", "u")) if a.dtype.kind == "i" else a
-    return max(1, int(np.maximum.reduce(a, axis=None, initial=0)))
+    return max(1, int(a.view(_UNSIGNED.get(a.dtype, a.dtype)).max(initial=0)))
 
 
-def _exact_dtype(bound: int, blas: bool = False) -> type:
-    """The dtype that holds every integer up to bound: float64 below 2^53 with
-    blas (a large matrix product), int64 below 2^63, else object."""
+def _exact_dtype(bound: int, blas: bool = False) -> np.dtype:
+    """The dtype of a step whose every entry and partial sum is at most bound:
+    float64 below 2^53 when blas, int64 below 2^63, else object (Python ints)."""
     if blas and bound < 2**53:
-        return np.float64
-    return np.int64 if bound < 2**63 else object
+        return _FLOAT
+    return _INT if bound < 2**63 else _OBJECT
 
 
-def _operand(x):
-    """(array or int, max(1, largest |entry|)) of an int, an integer array, a
-    tuple of Python ints (such as Element.nums, stored by exact_ints) or an
-    (array, max) pair, whose max was read or bounded before."""
-    if not isinstance(x, tuple):
-        return (x, max(1, abs(x))) if isinstance(x, int) else (x, _max_abs(x))
-    if isinstance(x[0], np.ndarray):
-        return x
-    return np.array(x, dtype=_exact_dtype(top := max(1, max(map(abs, x))))), top
+def _cast(a: np.ndarray, dtype) -> np.ndarray:
+    """a in dtype; float64 reaches Python ints through int64."""
+    if a.dtype is dtype or a.dtype == dtype:
+        return a
+    return (a.astype(np.int64) if a.dtype is _FLOAT and dtype == object else a).astype(dtype)
 
 
-def exact(op, *terms) -> tuple:
-    """The sum over terms (a, b) of op(a, b) for op np.matmul or np.multiply,
-    exact; an int a scales b; operands as _operand takes them.  A term adds at
-    most k max|a| max|b| to every entry and partial sum, k the contracted
-    length (1 for np.multiply or an int a): their sum is the bound.  Matrix-
-    matrix products of _BLAS_MIN multiply-adds or more run in float64 (BLAS)
-    below 2^53, every product in int64 below 2^63, else on Python ints.  Returns
-    (the sum, int64 or object; the bound), an operand for the next product."""
-    if len(terms) == 1 and isinstance(terms[0][0], int) and terms[0][0] == 1:
-        b, mb = _operand(terms[0][1])  # no arithmetic: b, stored
-        return exact_ints(b), mb
-    matmul, pairs, bound, blas = op is np.matmul, [], 0, False
-    for a, b in terms:
-        b, mb = _operand(b)
-        if isinstance(a, int):
-            bound += abs(a) * mb
-        else:
-            a, ma = _operand(a)
-            k = a.shape[-1] if matmul else 1
-            bound += k * ma * mb
-            blas = blas or matmul and b.ndim > 1 and a.size * b.size >= _BLAS_MIN * k
-        pairs.append((a, b))
-    dtype, out = _exact_dtype(bound, blas), None
-    for a, b in pairs:  # summed in place, with no scaled copy for a term 1 b or -1 b
-        b, sign = b.astype(dtype, copy=False), -1 if isinstance(a, int) and a == -1 else 1
-        term = (b if abs(a) == 1 else a * b) if isinstance(a, int) else op(a.astype(dtype, copy=False), b)
-        if out is None:
-            out = -term if sign < 0 else term.copy() if term is b else term
-        else:
-            (np.add if sign > 0 else np.subtract)(out, term, out=out)
-    return (out.astype(np.int64) if dtype is np.float64 else out), bound
+class ExactArray:
+    """An integer array with a bound on its largest |entry|, read once when an
+    array is wrapped.  Its arithmetic (@, +, -, * by an int or entrywise) is
+    exact: each result's bound is read off the operands', never derived by
+    hand (k A B for a matrix product with contracted length k, A B for a
+    product, A + B for a sum), holds every entry and partial sum, and picks
+    the dtype of the step.  Views (reshape, swapaxes, transpose, [index])
+    keep the bound."""
+
+    __slots__ = ("array", "bound")
+    __array_ufunc__ = None  # numpy defers to these methods, never wrapping one in an array
+
+    def __init__(self, array: np.ndarray, bound: int = 0):
+        self.array, self.bound = array, bound or _max_abs(array)
+
+    @classmethod
+    def of(cls, nums) -> "ExactArray":
+        """A sequence of Python ints, stored as exact_ints stores it."""
+        bound = max(1, max(nums, default=0), -min(nums, default=0))
+        return cls(np.array(nums, dtype=_exact_dtype(bound)), bound)
+
+    def prepared(self) -> "ExactArray":
+        """self in float64 where it fits, for a table that many large products
+        reuse: they then run in float64 without casting it again."""
+        fits = _exact_dtype(self.bound, True) is _FLOAT
+        return ExactArray(self.array.astype(np.float64), self.bound) if fits else self
+
+    def ints(self) -> np.ndarray:
+        """The array, stored: int64, or object once past int64."""
+        a = self.array
+        return a if a.dtype is _INT or a.dtype is _OBJECT else a.astype(np.int64)
+
+    def stored(self, divisor: int = 1, wide: bool = False) -> "ExactArray":
+        """self // divisor for a divisor of every entry, stored as ints()
+        stores it, or as Python ints if wide; the bound divides too."""
+        a = self.ints().astype(object) if wide else self.ints()
+        return ExactArray(a // divisor if divisor > 1 else a, self.bound // divisor)
+
+    def _step(self, f, other, bound: int, blas: bool) -> "ExactArray":
+        dtype = _exact_dtype(bound, blas)
+        b = other if type(other) is int else _cast(other.array, dtype)
+        return ExactArray(f(_cast(self.array, dtype), b), bound)
+
+    def _floats(self, other) -> bool:
+        return self.array.dtype is _FLOAT and (type(other) is int or other.array.dtype is _FLOAT)
+
+    def __matmul__(self, other):
+        a, b, k = self.array, other.array, self.array.shape[-1]
+        blas = (a.dtype is _FLOAT or b.dtype is _FLOAT
+                or a.ndim > 1 and b.ndim > 1 and a.size * b.size >= _BLAS_MIN * k)
+        return self._step(np.matmul, other, k * self.bound * other.bound, blas)
+
+    def __mul__(self, other):
+        bound = max(1, abs(other)) if type(other) is int else other.bound
+        return self._step(np.multiply, other, bound * self.bound, self._floats(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return self._step(np.add, other, self.bound + other.bound, self._floats(other))
+
+    def __sub__(self, other):
+        return self._step(np.subtract, other, self.bound + other.bound, self._floats(other))
+
+    def __getitem__(self, index):
+        return ExactArray(self.array[index], self.bound)
+
+    def reshape(self, *shape):
+        return ExactArray(self.array.reshape(*shape), self.bound)
+
+    def swapaxes(self, a: int, b: int):
+        return ExactArray(self.array.swapaxes(a, b), self.bound)
+
+    def transpose(self, *axes):
+        return ExactArray(self.array.transpose(*axes), self.bound)
 
 
 def exact_ints(t) -> np.ndarray:
     """Integer numerators, an array or a sequence of Python ints, stored as
     int64 where every entry fits, else as an object array of Python ints."""
     if isinstance(t, np.ndarray):
-        return t if t.dtype == np.int64 else t.astype(_exact_dtype(_max_abs(t)))
-    return _operand(tuple(t))[0]
+        return t if t.dtype is _INT else t.astype(_exact_dtype(_max_abs(t)))
+    return ExactArray.of(tuple(t)).array
 
 
-# Integer kernels on numerator arrays; x may carry leading batch axes.
+# Integer kernels on ExactArray numerators; x may carry leading batch axes.
 
-def _lnum(c2, x):
-    """(2 L_x, its bound): [..., g, b] = sum_a c2[a, b, g] x[..., a], for x a
-    vector or a stack of them (operands as _operand takes them), one exact
-    matmul with c2 read as an n x n^2 matrix, so it equals np.tensordot."""
-    (c2, top), (x, xmax) = _operand(c2), _operand(x)
-    n = len(c2)
-    out, bound = exact(np.matmul, ((x, xmax), (c2.reshape(n, -1), top)))
-    return np.swapaxes(out.reshape(*x.shape[:-1], n, n), -1, -2), bound
+def _lnum(c2: ExactArray, x: ExactArray) -> ExactArray:
+    """2 L_x: [..., g, b] = sum_a c2[a, b, g] x[..., a], for x a vector or a
+    stack of them and c2 read as an n x n^2 matrix: one matmul, so it equals
+    np.tensordot."""
+    n = len(c2.array)
+    return (x @ c2).reshape(*x.array.shape[:-1], n, n).swapaxes(-1, -2)
 
 
-def _snum(c2, a, y):
-    """(4 S_xy, its bound), 4 S_xy = [A, B] + L(A y) from A = 2 L_x, B = 2 L_y,
-    one exact product a step; for a stack of A (that of 2 L_{e_a} is
-    np.swapaxes(c2, 1, 2), which needs no product), a stack of 4 S."""
-    a, y = _operand(a), _operand(y)
+def _snum(c2: ExactArray, a: ExactArray, y: ExactArray) -> ExactArray:
+    """4 S_xy = [A, B] + L(A y) with A = 2 L_x, B = 2 L_y (A y = 2 xy), from
+    A; for a stack of A, a stack of 4 S.  The stack of 2 L_{e_a} is
+    np.swapaxes(c2, 1, 2), which needs no product."""
     b = _lnum(c2, y)
-    return exact(np.matmul, (a, b), ((-b[0], b[1]), a), (1, _lnum(c2, exact(np.matmul, (a, y)))))
+    return a @ b - b @ a + _lnum(c2, a @ y)
 
 
 class Algebra:
@@ -291,8 +334,9 @@ class Algebra:
         self._gram = numerators(gram)
         self.basis = tuple(labels)
         self.identity_coords = tuple(ident)
-        cmax = _max_abs(c2)  # the table and the stack of 2 L_{e_a}, max|c2| read once
-        self._table, self._stack = (c2, cmax), (np.swapaxes(c2, 1, 2), cmax)
+        # c2 as an n x n^2 matrix and the stack of 2 L_{e_a}; max|c2| read once
+        self._table = ExactArray(c2.reshape(n, -1))
+        self._stack = self._table.reshape(n, n, n).swapaxes(1, 2)
         self._cache = {}
 
     # --- constructors ---------------------------------------------------
@@ -318,19 +362,19 @@ class Algebra:
 
     def product(self, u: Element, v: Element) -> Element:
         u._check(v)
-        lx = _lnum(self._table, u.nums)
-        return Element._make(self, exact(np.matmul, (lx, v.nums))[0].tolist(),
-                             2 * u.den * v.den)
+        # sum_b y_b (x c2)[b, g]: 2 L_x y without the transpose
+        xc = (ExactArray.of(u.nums) @ self._table).reshape(self.dim, self.dim)
+        return Element._make(self, (ExactArray.of(v.nums) @ xc).ints().tolist(), 2 * u.den * v.den)
 
     def lmul_matrix(self, u: Element):
-        """L_u: v -> uv, as (nums, den); nums is stored by exact_ints."""
-        return exact_ints(_lnum(self._table, u.nums)[0]), 2 * u.den
+        """L_u: v -> uv, as (nums, den)."""
+        return _lnum(self._table, ExactArray.of(u.nums)).ints(), 2 * u.den
 
     def smul_matrix(self, u: Element, v: Element):
-        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den); nums is stored by exact_ints."""
+        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den)."""
         u._check(v)
-        a = _lnum(self._table, u.nums)
-        return exact_ints(_snum(self._table, a, v.nums)[0]), 4 * u.den * v.den
+        a = _lnum(self._table, ExactArray.of(u.nums))
+        return _snum(self._table, a, ExactArray.of(v.nums)).ints(), 4 * u.den * v.den
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -352,7 +396,8 @@ class Algebra:
     def quad_rep(self, x: Element):
         """P(x) = 2 L_x^2 - L_{x^2}, as (nums, den)."""
         (a, ad), (b, bd) = self.lmul_matrix(x), self.lmul_matrix(self.product(x, x))
-        return exact(np.multiply, (2 * bd, exact(np.matmul, (a, a))), (-ad * ad, b))[0], ad * ad * bd
+        a, b = ExactArray(a), ExactArray(b)
+        return (2 * bd * (a @ a) - ad * ad * b).ints(), ad * ad * bd
 
     def power_traces(self, x: Element, m: int) -> list:
         """[tr x, tr x^2, ..., tr x^m]."""
@@ -396,10 +441,10 @@ class Algebra:
             gnum, gden = self._gram
             g, lg = np.array(gnum, dtype=object), math.lcm(*gnum) ** 2
             w = exact_ints(np.multiply.outer(lg // np.multiply.outer(g, g), g * gden))
-            self._cache["gram_weight"] = (w, _max_abs(w)), lg
+            self._cache["gram_weight"] = ExactArray(w), lg
         w, lg = self._cache["gram_weight"]
-        s, top = _snum(self._table, self._stack, u.nums)  # [a] = 4 S_{e_a u}
-        return exact_ints(exact(np.multiply, (w, (np.swapaxes(s, 1, 2), top)))[0]), 4 * u.den * lg
+        s = _snum(self._table, self._stack, ExactArray.of(u.nums))  # [a] = 4 S_{e_a u}
+        return (w * s.swapaxes(1, 2)).ints(), 4 * u.den * lg
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cone as cone_mod
-from .algebra import DomainError, Algebra, SpecificationError, exact, make_algebra
+from .algebra import DomainError, Algebra, ExactArray, SpecificationError, make_algebra
 from .conformal import (cartan_involution, co_bracket, dim_co, dim_str,
                         random_co_element, root_data)
 from .phase import (equivariance_witness, kepler_angular, kepler_hamiltonian, kepler_lenz,
@@ -143,12 +143,12 @@ def _jordan_checks(alg: Algebra, cfg: SuiteConfig) -> list:
             tot = tot + ei
         ok &= (tot - e).is_zero()
         # Peirce dimensions of the frame: dim V_ij = tr(4 L_i L_j) for i < j and
-        # dim V_ii = tr(2 L_i^2 - L_i), tr(AB) the exact dot product of A and B^T read flat
+        # dim V_ii = tr(2 L_i^2 - L_i), tr(AB) the sum of A * B^T in Python ints
         lm = [alg.lmul_matrix(c) for c in fr]
 
         def tr(i, j):
             (a, ad), (b, bd) = lm[i], lm[j]
-            return Fraction(int(exact(np.matmul, (a.reshape(-1), b.T.reshape(-1)))[0]), ad * bd)
+            return Fraction(sum((ExactArray(a) * ExactArray(b.T)).ints().ravel().tolist()), ad * bd)
 
         off = [4 * tr(i, j) for i in range(len(fr)) for j in range(i + 1, len(fr))]
         diag = [2 * tr(i, i) - Fraction(sum(a.diagonal().tolist()), ad) for i, (a, ad) in enumerate(lm)]

@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .algebra import (Algebra, Element, MismatchError, _Exact, _exact_dtype, _max_abs, exact,
+from .algebra import (Algebra, Element, ExactArray, MismatchError, _Exact, _exact_dtype, _max_abs,
                       exact_ints)
 
 
@@ -62,7 +62,7 @@ class _StrSpan:
 
     def __init__(self, basis: np.ndarray, cols: list, adj: np.ndarray, den: int):
         self.basis, self.cols, self.adj, self.den = basis, cols, adj, den
-        self._adj, self._basis = (adj, _max_abs(adj)), (basis, _max_abs(basis))
+        self._adj, self._basis = ExactArray(adj).prepared(), ExactArray(basis).prepared()
 
     @property
     def rank(self) -> int:
@@ -72,15 +72,14 @@ class _StrSpan:
         """v[:, cols] adj: numerators over den of the coordinates in basis of
         each row of the integer matrix v, exact for the rows that lie in the
         span; one exact product."""
-        return exact(np.matmul, (v[:, self.cols], self._adj))[0]
+        return (ExactArray(v[:, self.cols]) @ self._adj).ints()
 
     def lift(self, v: np.ndarray):
         """coords(v) if every row of the integer matrix v lies in the row span
         of basis, else None: the exact identity v den = coords(v) basis."""
-        top = _max_abs(v)
-        c = exact(np.matmul, ((v[:, self.cols], top), self._adj))
-        return c[0] if np.array_equal(exact(np.multiply, (self.den, (v, top)))[0],
-                                      exact(np.matmul, (c, self._basis))[0]) else None
+        v = ExactArray(v)
+        c = v[:, self.cols] @ self._adj
+        return c.ints() if np.array_equal((self.den * v).ints(), (c @ self._basis).ints()) else None
 
 
 def _join(left: np.ndarray, right: np.ndarray, size: int):
@@ -215,8 +214,8 @@ def _str_span_exact(alg: Algebra) -> _StrSpan:
         basis = gens[rows]
         pivot = basis[:, cols]
         adj, den = _inverse(pivot)
-        if not np.array_equal(exact(np.matmul, (pivot, adj))[0],
-                              exact(np.multiply, (den, np.eye(len(rows), dtype=np.int64)))[0]):
+        if not np.array_equal((ExactArray(pivot) @ ExactArray(adj)).ints(),
+                              den * np.eye(len(rows), dtype=object)):
             raise ConsistencyError("str(V) span certificate failed: the pivot minor inverse "
                                    "is wrong")
         span = _StrSpan(basis, cols, adj, den)
@@ -260,12 +259,11 @@ class _CoTable:
         n, span = alg.dim, _str_span_exact(alg)
         r, gnum = span.rank, alg._gram[0]
         lg = math.lcm(*gnum)
-        w = exact(np.multiply, (exact_ints([lg // g for g in gnum])[:, None],
-                                exact_ints(gnum)[None, :]))[0]
+        w = exact_ints(np.array([[lg // g * h for h in gnum] for g in gnum], dtype=object))
         b = span.basis.reshape(r, n, n)
-        top = span._basis[1]  # max|basis|, which bounds each B_k
+        bs = span._basis.reshape(r, n, n)  # cast once for every commutator (prepared)
         # B_k' = G^-1 B_k^T G: numerators (lg / g_i) B_k[j, i] g_j over lg
-        badj = exact(np.multiply, (w, np.swapaxes(b, 1, 2)))[0]
+        badj = (ExactArray(w) * bs.swapaxes(1, 2)).ints()
         # 4 S_{e_a e_b} on the pivot columns at row a n + b (row b n + a of the entries)
         row, col, val = _snum_entries(alg)
         where = np.full(n * n, -1)
@@ -273,7 +271,7 @@ class _CoTable:
         keep = where[col] >= 0
         pivots = np.zeros((n * n, r), dtype=val.dtype)
         pivots[row[keep] % n * n + row[keep] // n, where[col[keep]]] = val[keep]
-        xy = exact(np.matmul, (pivots, span._adj))[0].reshape(n, n, r)
+        xy = (ExactArray(pivots) @ span._adj).ints().reshape(n, n, r)
         self.den = den = math.lcm(lg, 2 * span.den)
         self.dim, parts = 2 * n + r, []
 
@@ -281,15 +279,15 @@ class _CoTable:
             """c[i0 + i, j0 + j, k0 + k] = scale t[i, j, k] where t != 0, and
             the antisymmetric c[j0 + j, i0 + i, k0 + k] = -scale t[i, j, k]."""
             i, j, k = np.nonzero(t)
-            v = exact(np.multiply, (scale, t[i, j, k]))[0]
+            v = (scale * ExactArray(t[i, j, k])).ints()
             parts.extend([(i + i0, j + j0, k + k0, v), (j + j0, i + i0, k + k0, -v)])
 
         block(xy, -(den // (2 * span.den)), 0, n + r, n)  # [X_a, Y_b] = -4 S_{e_a e_b} / 2
         block(np.swapaxes(b, 1, 2), den, n, 0, 0)         # [B_k, X_a] = X_{B_k e_a}
         block(np.swapaxes(badj, 1, 2), -(den // lg), n, n + r, n + r)  # -Y_{B_k' e_a}
         for k in range(r - 1):  # [B_k, B_l] for every l > k
-            comm = exact(np.matmul, ((b[k], top), (b[k + 1:], top)),
-                         ((-b[k + 1:], top), (b[k], top)))[0].reshape(r - 1 - k, -1)
+            bk, bl = bs[k], bs[k + 1:]
+            comm = (bk @ bl - bl @ bk).ints().reshape(r - 1 - k, -1)
             block(_certify(alg, comm, "a commutator [B_k, B_l]")[None], den // span.den,
                   n + k, n + k + 1, n)
         adjoints = _certify(alg, badj, "an adjoint B_k'")
@@ -374,7 +372,7 @@ def co_bracket(a: CoElement, b: CoElement) -> CoElement:
     if a.algebra is not b.algebra:
         raise MismatchError("CoElements belong to different algebras")
     t = _co_table(a.algebra)
-    # The one guard outside algebra.exact, which has no sparse segment sum:
+    # The one guard outside algebra.ExactArray, which has no sparse segment sum:
     # len(vals) max|vals| max|x| max|y| bounds every product and partial sum.
     dtype = _exact_dtype(t.bound * max(1, *map(abs, a.nums)) * max(1, *map(abs, b.nums)))
     x, y = np.array(a.nums, dtype=dtype), np.array(b.nums, dtype=dtype)
@@ -388,7 +386,7 @@ def cartan_involution(a: CoElement) -> CoElement:
     coordinate map: the coordinates of a times the matrix whose row i holds
     those of theta(z_i)."""
     t = _co_table(a.algebra)
-    out = exact(np.matmul, (a.nums, t.theta))[0]
+    out = (ExactArray.of(a.nums) @ ExactArray(t.theta)).ints()
     return CoElement._make(a.algebra, out.tolist(), a.den * t.theta_den)
 
 

@@ -35,13 +35,15 @@ coadjoint orbit, and pulls back to T*V.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, Element, _operand, exact, exact_ints
+from .algebra import Algebra, Element, ExactArray, exact_ints
 from .conformal import CoElement, _co_table
 from .poly import Poly, check_fields, field, same_nvars, unpack
 
@@ -91,28 +93,34 @@ class XLinearOp:
     the symbol is zero exactly when each part, symmetrized over its D axes,
     is zero.  gcd(den, every numerator) is divided out on construction, so
     the exact products see the smallest numerators, and the parts share one
-    dtype: int64, or Python ints once any part needs them.  tops[d] bounds
-    part d, given as an exact product's (array, bound) pair or else read."""
+    dtype: int64, or Python ints once any part needs them.  Each part is kept
+    as an ExactArray: a part made by a kernel keeps the bound of the step
+    that made it, and any other is read once, on construction."""
 
-    __slots__ = ("n", "parts", "den", "tops")
+    __slots__ = ("n", "den", "_parts")
 
     def __init__(self, n: int, parts: dict, den: int):
-        parts, g, wide = {d: _operand(t) for d, t in parts.items()}, den, False
-        for t, _ in parts.values():
-            g = math.gcd(g, int(np.gcd.reduce(t, axis=None))) if g > 1 else 1
-            wide = wide or t.dtype == object
+        """parts[d]: an integer array, or an ExactArray."""
+        parts = {d: t if isinstance(t, ExactArray) else ExactArray(t) for d, t in parts.items()}
+        g, wide = den, False
+        for t in parts.values():
+            g = math.gcd(g, int(np.gcd.reduce(t.ints(), axis=None))) if g > 1 else 1
+            wide = wide or t.array.dtype == object
         self.n, self.den = n, den // g
-        self.parts = {d: t.astype(object, copy=False) if wide else t for d, (t, _) in parts.items()}
-        self.tops = {d: top // g for d, (_, top) in parts.items()}
-        if g > 1:
-            self.parts = {d: t // g for d, t in self.parts.items()}
+        self._parts = {d: t.stored(g, wide) for d, t in parts.items()}
+
+    @property
+    def parts(self) -> dict:
+        """parts[d], the numerators of the D-degree d part."""
+        return {d: t.array for d, t in self._parts.items()}
 
     def _sum(self, other, sign: int):
         den, terms = math.lcm(self.den, other.den), {}
         for m, op in ((den // self.den, self), (sign * (den // other.den), other)):
-            for d, t in op.parts.items():
-                terms.setdefault(d, []).append((m, (t, op.tops[d])))
-        return XLinearOp(self.n, {d: exact(np.multiply, *ts) for d, ts in terms.items()}, den)
+            for d, t in op._parts.items():
+                terms.setdefault(d, []).append(t if m == 1 else m * t)
+        return XLinearOp(self.n, {d: ts[0] + ts[1] if len(ts) > 1 else ts[0]
+                                  for d, ts in terms.items()}, den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -123,14 +131,14 @@ class XLinearOp:
     def __rmul__(self, c: int):
         if not isinstance(c, int):
             return NotImplemented
-        return XLinearOp(self.n, {d: exact(np.multiply, (c, (t, self.tops[d])))
-                                  for d, t in self.parts.items()}, self.den)
+        return XLinearOp(self.n, {d: c * t for d, t in self._parts.items()}, self.den)
 
     def is_zero(self) -> bool:
-        for d, t in self.parts.items():
-            sym = exact(np.multiply, *((1, (t.transpose((0,) + p), self.tops[d]))
-                                       for p in itertools.permutations(range(1, d + 1))))[0]
-            if np.count_nonzero(sym):
+        for d, t in self._parts.items():
+            # symmetrized over the D axes
+            sym = functools.reduce(operator.add, (t.transpose((0,) + p) for p in
+                                                  itertools.permutations(range(1, d + 1))))
+            if np.count_nonzero(sym.array):
                 return False
         return True
 
@@ -151,55 +159,48 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
     [A, B]_s = sum_h (d_h a_s b_h - d_h b_s a_h), d_h the derivative in D_h.
     Of the words of AB and BA only those where a D of one factor meets the x
     of the other differ, so no cancelling word is built; the Poisson bracket
-    of the symbols is {a, b} = -[A, B].  Each derivative, product and sum is
-    one exact product, guarded by the bounds of the parts and of the products
-    before it."""
-    n = a.n
-    tops = [{d: (t, op.tops[d]) for d, t in op.parts.items()} for op in (a, b)]
-    terms = {}
-    for sign, left, right in ((1, *tops), (-1, *tops[::-1])):
-        for dl, (tl, top) in left.items():
+    of the symbols is {a, b} = -[A, B].  Each derivative, product and sum
+    is an ExactArray step."""
+    n, out = a.n, {}
+    for sign, left, right in ((1, a._parts, b._parts), (-1, b._parts, a._parts)):
+        for dl, tl in left.items():
             if not dl:
                 continue
             # d_h of the degree-dl part, with h moved to the last axis
-            dt = exact(np.multiply, *((1, (tl.transpose([i for i in range(dl + 1) if i != k] + [k]),
-                                           top)) for k in range(1, dl + 1)))
-            for dr, (tr, rtop) in right.items():
+            dt = functools.reduce(operator.add, (tl.transpose([i for i in range(dl + 1) if i != k]
+                                                              + [k]) for k in range(1, dl + 1)))
+            for dr, tr in right.items():
                 d = dl - 1 + dr
-                term, bound = exact(np.matmul, (dt, (tr[1:].reshape(n, -1), rtop)))
-                terms.setdefault(d, []).append((sign, (term.reshape((n + 1,) + (n,) * d), bound)))
-    return XLinearOp(n, {d: exact(np.multiply, *terms.pop(d)) for d in list(terms)}, a.den * b.den)
+                term = (dt @ tr[1:].reshape(n, -1)).reshape((n + 1,) + (n,) * d)
+                out[d] = (out[d] + term if sign > 0 else out[d] - term) if d in out else sign * term
+    return XLinearOp(n, out, a.den * b.den)
 
 
 def conjugate(a: XLinearOp, r: XLinearOp) -> XLinearOp:
-    """e^{r} A e^{-r} = sum_k ad_r^k(A) / k! (Hadamard) for a linear form r,
-    the substitution D_i -> D_i - d_i r; ad_r = bracket(r, .) lowers the
-    D-degree by one, so the series stops at the top D-degree of A.  Its
-    D-degree-0 part is A on the vacuum: A e^{-r} = e^{-r} (c_0 + sum_g c_g x_g)."""
+    """e^{-r} a e^{r} = sum_k ad_r^k a / k! for an operator r of D-degree 0,
+    where ad_r = [r, .]: the series ends once the D-degree of a runs out."""
     out = term = a
-    for k in range(1, max(a.parts, default=0) + 1):
+    for k in range(1, max(a._parts, default=0) + 1):
         term = bracket(r, term)
-        out = out + XLinearOp(a.n, {d: (t, term.tops[d]) for d, t in term.parts.items()},
-                              term.den * math.factorial(k))
+        out = out + XLinearOp(a.n, term._parts, term.den * math.factorial(k))
     return out
 
 
 def vacuum(a: XLinearOp, r: XLinearOp) -> tuple:
-    """A on the vacuum e^{-r} for a linear form r: A e^{-r} = e^{-r} (q_0 +
-    sum_g q_g x_g), q the D-degree-0 part of conjugate(a, r).  The
+    """(q, den): e^{-r} a e^{r} applied to the function 1 is the polynomial
+    q(x) / den, for r of D-degree 0 and linear in x (r = -<x|h>).  The
     substitution D -> D - grad r puts D = -grad r = h / r.den there, so q is
     each D-degree-d part contracted d times with h, over a.den r.den^top:
     no series and no bracket.  Returns (q numerators, the constant then x_0
     .. x_{n-1}, and that den, not reduced).  Each contraction and the sum
-    are exact products, each guarded by the bound of the one before."""
-    top, h, terms = max(a.parts, default=0), (-r.parts[0][1:], r.tops[0]), []
-    for d in a.parts:
-        t = a.parts[d], a.tops[d]
+    are ExactArray steps."""
+    top, h, q = max(a._parts, default=0), -1 * r._parts[0][1:], None
+    for d, t in a._parts.items():
         for _ in range(d):
-            t = exact(np.matmul, (t, h))
-        terms.append((r.den ** (top - d), t))
-    q = exact(np.multiply, *terms)[0] if terms else np.zeros(a.n + 1, dtype=np.int64)
-    return q, a.den * r.den ** top
+            t = t @ h
+        t = r.den ** (top - d) * t
+        q = t if q is None else q + t
+    return (np.zeros(a.n + 1, dtype=np.int64) if q is None else q.ints()), a.den * r.den ** top
 
 
 # --- moment functions: the one builder of each generator's symbol ----------------
@@ -426,15 +427,15 @@ def equivariance_witness(alg: Algebra, pairs: list, angular: list):
     xy = (tj < n) | (tj >= nvars - n)  # c_ij^k with z_j = X_a or Y_a, at column a or n + a
     cols = np.zeros((nvars, 2 * n, nvars), dtype=vals.dtype)
     cols[ti[xy], np.where(tj < n, tj, tj - nvars + 2 * n)[xy], tk[xy]] = vals[xy]
-    cols = _operand(cols.reshape(nvars, -1))
-    l2 = _operand(np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)]))  # 2 L_{e_a}
+    cols = cols.reshape(nvars, -1)
+    l2 = np.stack([alg.lmul_matrix(alg.basis_element(a))[0] for a in range(n)])  # 2 L_{e_a}
+    cols, l2 = ExactArray(cols), ExactArray(l2)  # read once for every block
     for start in range(0, len(pairs), _PAIRS):
         i, j = map(list, zip(*pairs[start:start + _PAIRS]))
-        act = exact(np.matmul, (lmat[start:start + _PAIRS], cols))[0].reshape(len(i), 2 * n, nvars)
-        li, lj = (l2[0][i], l2[1]), (l2[0][j], l2[1])
-        d4, bound = exact(np.matmul, (lj, li), ((-li[0], l2[1]), lj))
+        act = (ExactArray(lmat[start:start + _PAIRS]) @ cols).ints()
         # [p, a, b]: 4 D_ba, over lden den
-        d4 = exact(np.multiply, (lden * cs.den, (np.swapaxes(d4, 1, 2), bound)))[0]
+        d4 = (lden * cs.den * (l2[j] @ l2[i] - l2[i] @ l2[j]).swapaxes(1, 2)).ints()
+        act = act.reshape(len(i), 2 * n, nvars)
         # row a of act, 4 {L_uv, X_a} then 4 {L_uv, Y_a}, is d4 on the X, then the Y columns
         want = np.zeros(act.shape, dtype=np.result_type(act, d4))
         want[:, :n, :n] = want[:, n:, -n:] = d4

@@ -61,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element, exact, exact_ints
+from .algebra import DomainError, Algebra, Element, ExactArray, exact_ints
 from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
 from .phase import (XLinearOp, bracket, check_relations, conjugate, moment_s,
                     moment_x, moment_y, relation_residual, vacuum)
@@ -319,6 +319,7 @@ def he_grading_checks(alg: Algebra, nu, levels) -> list:
     conj = conjugate(r - xlinear_x(alg, nu, e), r)
     p0, m = conj.parts[0], conj.parts[1][1:]  # m[g, i]: x_g D_i
     diag = np.diagonal(m)
+    weights = ExactArray(diag)
     raising = np.count_nonzero(p0[1:]) > 0
     mixing = np.count_nonzero(m - np.diag(diag), axis=0) > 0
     checks = []
@@ -331,7 +332,8 @@ def he_grading_checks(alg: Algebra, nu, levels) -> list:
             idx = np.fromiter(itertools.chain.from_iterable(block), np.int64, len(block) * degree)
             exps = np.bincount(idx + n * np.repeat(np.arange(len(block)), degree),  # index + n * row
                                minlength=len(block) * n).reshape(len(block), n)
-            failed = np.flatnonzero(raising | (exact(np.matmul, (exps, diag))[0] != target - int(p0[0]))
+            eigen = (ExactArray(exps) @ weights).ints()
+            failed = np.flatnonzero(raising | (eigen != target - int(p0[0]))
                                     | (exps[:, mixing] > 0).any(axis=1))
             checked += int(failed[0]) if len(failed) else len(exps)
             witness = {"monomial": exps[failed[0]].tolist()} if len(failed) else None

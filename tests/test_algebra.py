@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from jkepler import algebra as jk_algebra, cone as C
-from jkepler.algebra import (AlgebraSpec, Element, MismatchError, _build_hermitian, _lnum,
-                             DomainError, SpecificationError, exact, exact_ints, make_algebra)
+from jkepler.algebra import (AlgebraSpec, Element, ExactArray, MismatchError, _build_hermitian,
+                             _lnum, DomainError, SpecificationError, exact_ints, make_algebra)
 from jkepler.symfun import tau_poly
 
 ALL_SPECS = ["gamma:2", "gamma:3", "gamma:5", "h:1:R", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
@@ -687,8 +687,7 @@ def test_float_caches_change_no_bits(algebra, spec):
 def test_lnum_matches_tensordot(algebra, spec, dtype):
     # the reshape-matmul of _lnum against the tensordot it replaced, for x a
     # vector, a matrix and a stack of matrices; float64 on small integers.
-    # The exact product returns int64 for every input that fits, and Python
-    # ints past int64, with a bound on its entries.
+    # The stored result is int64 for every input that fits, Python ints past int64.
     alg = algebra(spec)
     c2, n = alg._c2.astype(dtype), alg.dim
     rng = np.random.default_rng(5)
@@ -697,17 +696,16 @@ def test_lnum_matches_tensordot(algebra, spec, dtype):
         if dtype is object:
             x = x * 2**70  # past int64
         want = np.swapaxes(np.tensordot(x, c2, axes=([-1], [0])), -1, -2)
-        got, bound = _lnum(c2, x)
+        got = _lnum(ExactArray(c2.reshape(n, -1)), ExactArray(x)).ints()
         assert got.shape == want.shape == shape[:-1] + (n, n)
-        assert bound >= np.abs(got).max()
         assert got.dtype == (object if dtype is object else np.int64)
         assert np.array_equal(got, want)
 
 
-# --- the one exact product --------------------------------------------------------
+# --- the one exact arithmetic ------------------------------------------------------
 
 def _chosen(monkeypatch):
-    """The dtypes exact picks, in order, recorded from its one decision point."""
+    """The dtypes ExactArray picks, in order, recorded from its one decision point."""
     chosen, pick = [], jk_algebra._exact_dtype
 
     def spy(bound, blas=False):
@@ -719,50 +717,51 @@ def _chosen(monkeypatch):
 
 
 def _full(shape, value):
-    return np.full(shape, value, dtype=np.int64)
+    return ExactArray(np.full(shape, value, dtype=np.int64))
 
 
 def test_exact_float64_boundary(monkeypatch):
     # every entry is k A B, the bound itself: 2^53 - 1 is exact in float64 (BLAS),
     # and the odd 2^53 + 1 must not come from float64, where it rounds to 2^53
     chosen = _chosen(monkeypatch)
-    below, _ = exact(np.matmul, (_full((1, 6361), 69431), _full((6361, 1), 20394401)))
-    past, bound = exact(np.matmul, (_full((40, 3), 107), _full((3, 40), 28059810762433)))
+    below = _full((1, 6361), 69431) @ _full((6361, 1), 20394401)
+    past = _full((40, 3), 107) @ _full((3, 40), 28059810762433)
     assert chosen == [np.float64, np.int64]
-    assert below.dtype == past.dtype == np.int64 and bound == 2**53 + 1
-    assert below.tolist() == [[2**53 - 1]] and (past == 2**53 + 1).all()
-    neg, _ = exact(np.matmul, (_full((40, 3), -107), _full((3, 40), 28059810762433)))
-    assert (neg == -(2**53 + 1)).all()
-    # a small product stays in int64: the casts to BLAS would cost more
-    exact(np.matmul, (_full((2, 3), 1), _full((3, 2), 1)))
-    assert chosen[-1] == np.int64
+    assert below.ints().dtype == past.ints().dtype == np.int64 and past.bound == 2**53 + 1
+    assert below.ints().tolist() == [[2**53 - 1]] and (past.ints() == 2**53 + 1).all()
+    neg = _full((40, 3), -107) @ _full((3, 40), 28059810762433)
+    assert (neg.ints() == -(2**53 + 1)).all()
+    # a sum of float64 products stays in float64 below 2^53, and leaves it past
+    assert ((below + below).ints() == 2**54 - 2).all() and chosen[-1] == np.int64
 
 
 def test_exact_int64_boundary(monkeypatch):
     chosen = _chosen(monkeypatch)
     a = 7 * 73 * 127 * 337
-    fits, _ = exact(np.matmul, (_full((2, 7), a), _full((7, 2), 92737 * 649657)))
-    past, _ = exact(np.matmul, (_full((2, 3), 9 * 19 * 43), _full((3, 2), 5419 * 77158673929)))
+    fits = _full((2, 7), a) @ _full((7, 2), 92737 * 649657)
+    past = _full((2, 3), 9 * 19 * 43) @ _full((3, 2), 5419 * 77158673929)
     assert chosen == [np.int64, object]
-    assert fits.dtype == np.int64 and (fits == 2**63 - 1).all()
-    assert past.dtype == object and past.tolist() == [[2**63 + 1] * 2] * 2
+    assert fits.ints().dtype == np.int64 and (fits.ints() == 2**63 - 1).all()
+    assert past.ints().dtype == object and past.ints().tolist() == [[2**63 + 1] * 2] * 2
     # the same on a scaled sum, and -2^63, whose np.abs wraps, is read as 2^63
-    assert exact(np.multiply, (2**62, _full(2, 1)), (2**62 - 1, _full(2, 1)))[0].dtype == np.int64
-    assert exact(np.multiply, (2**62, _full(2, 1)), (2**62, _full(2, 1)))[0].tolist() == [2**63] * 2
-    assert exact(np.multiply, (-1, _full(1, -2**63)))[0].tolist() == [2**63]
+    one = _full(2, 1)
+    assert (2**62 * one + (2**62 - 1) * one).ints().dtype == np.int64
+    assert (2**62 * one + 2**62 * one).ints().tolist() == [2**63] * 2
+    assert (-1 * _full(1, -2**63)).ints().tolist() == [2**63]
     # the storage cast
     assert exact_ints([2**63 - 1, 1 - 2**63]).dtype == np.int64
     assert exact_ints(np.array([2**63, 1], dtype=object)).dtype == object
+    assert ExactArray.of([2**63, 1]).array.dtype == object
 
 
 def test_exact_counts_the_contracted_length(monkeypatch):
     # max|a| max|b| = 2^62 + 2^31 fits int64, but the two terms of the sum do not
     chosen = _chosen(monkeypatch)
-    out, bound = exact(np.matmul, (_full((1, 2), 2**31), _full((2, 1), 2**31 + 1)))
-    assert chosen == [object] and bound == 2**63 + 2**32
-    assert out.tolist() == [[2**63 + 2**32]]
-    out, _ = exact(np.matmul, (_full((1, 2), 2**31), _full((2, 1), 2**31 - 1)))
-    assert chosen[-1] == np.int64 and out.tolist() == [[2**63 - 2**32]]
+    out = _full((1, 2), 2**31) @ _full((2, 1), 2**31 + 1)
+    assert chosen == [object] and out.bound == 2**63 + 2**32
+    assert out.ints().tolist() == [[2**63 + 2**32]]
+    out = _full((1, 2), 2**31) @ _full((2, 1), 2**31 - 1)
+    assert chosen[-1] == np.int64 and out.ints().tolist() == [[2**63 - 2**32]]
 
 
 @pytest.mark.parametrize("top,dtype", [(10**6, np.float64), (10**8, np.int64), (10**10, object)])
@@ -774,21 +773,20 @@ def test_exact_matches_python_ints(monkeypatch, top, dtype):
     a, c = rng.integers(-top, top + 1, (2, 30, 40))
     b, d = rng.integers(-top, top + 1, (2, 40, 50))
     ref = [x.astype(object) for x in (a, b, c, d)]
-    for terms, want in [(((a, b),), ref[0] @ ref[1]),
-                        (((a, b), (-c, d)), ref[0] @ ref[1] - ref[2] @ ref[3])]:
-        got, bound = exact(np.matmul, *terms)
-        assert chosen[-1] is dtype and np.array_equal(got, want)
-        assert got.dtype == (object if dtype is object else np.int64)
-        assert bound >= max(abs(v) for v in want.ravel())
-    got, bound = exact(np.multiply, (3, a), (-5, c))
-    assert np.array_equal(got, 3 * ref[0] - 5 * ref[2])
-    assert bound == 3 * np.abs(a).max() + 5 * np.abs(c).max()
+    a, b, c, d = map(ExactArray, (a, b, c, d))
+    for got, want in [(a @ b, ref[0] @ ref[1]), (a @ b - c @ d, ref[0] @ ref[1] - ref[2] @ ref[3])]:
+        assert chosen[-1] == dtype and np.array_equal(got.ints(), want)
+        assert got.ints().dtype == (object if dtype is object else np.int64)
+        assert got.bound >= max(abs(v) for v in want.ravel())
+    got = 3 * a - 5 * c
+    assert np.array_equal(got.ints(), 3 * ref[0] - 5 * ref[2])
+    assert got.bound == 3 * a.bound + 5 * c.bound
 
 
 def test_exact_dtype_is_decided_in_algebra_only():
     # outside algebra.py no module names the dtype decision or the limits it
     # reads; co_bracket keeps the one guard of its own, as a segment sum over
-    # the sparse table is no product exact runs
+    # the sparse table is no ExactArray step
     allowed = {("conformal.py", "co_bracket"), ("conformal.py", None)}  # None: its import
     found = []
     for path in sorted(Path(jk_algebra.__file__).parent.glob("*.py")):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from jkepler import algebra as jk_algebra, conformal, modp
-from jkepler.algebra import Element, MismatchError, _lnum, _snum, make_algebra
+from jkepler.algebra import Element, ExactArray, MismatchError, _lnum, _snum, make_algebra
 from jkepler.conformal import (CoElement, ConsistencyError, cartan_involution, co_bracket,
                                dim_co, dim_str, random_co_element, root_data,
                                structure_constants)
@@ -389,8 +389,8 @@ def test_snums_read_the_transposed_table(algebra, spec):
     # per b on 2 L_{e_a} from _lnum; small integers, int8 in every family
     alg = algebra(spec)
     n = alg.dim
-    c2, eye = alg._c2.astype(np.float64), np.eye(n)
-    want = np.stack([_snum(c2, _lnum(c2, eye), eye[b])[0].reshape(n, -1) for b in range(n)])
+    c2, eye = ExactArray(alg._c2.reshape(n, -1).astype(np.float64)), ExactArray(np.eye(n))
+    want = np.stack([_snum(c2, _lnum(c2, eye), eye[b]).ints().reshape(n, -1) for b in range(n)])
     got = dense_snums(alg)
     assert got.dtype == np.int8 and np.array_equal(got, want)
 
