@@ -27,6 +27,7 @@ diagonal sum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,6 +153,10 @@ class _Exact:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    def exact(self) -> "ExactArray":
+        """The numerators as an ExactArray, the input of the kernels."""
+        return ExactArray.of(self.nums)
+
 
 class Element(_Exact):
     """Vector in a fixed algebra with exact coordinates."""
@@ -189,14 +194,13 @@ class Element(_Exact):
 # matrix-vector product never does.
 _BLAS_MIN = 2**12
 _INT, _FLOAT, _OBJECT = np.dtype(np.int64), np.dtype(np.float64), np.dtype(object)
-_UNSIGNED = {np.dtype(f"i{k}"): np.dtype(f"u{k}") for k in (1, 2, 4, 8)}
 
 
 def _max_abs(a: np.ndarray) -> int:
-    """max(1, largest |entry|) of an integer array, read unsigned: np.abs
-    wraps at the most negative value of a signed dtype (-2^63 for int64)."""
-    a = np.abs(a)
-    return max(1, int(a.view(_UNSIGNED.get(a.dtype, a.dtype)).max(initial=0)))
+    """max(1, largest |entry|) of an integer array, from its least and largest
+    entries as Python ints: np.abs would wrap at the most negative value of a
+    signed dtype (-2^63 for int64)."""
+    return max(1, -int(a.min(initial=0)), int(a.max(initial=0)))
 
 
 def _exact_dtype(bound: int, blas: bool = False) -> np.dtype:
@@ -254,8 +258,12 @@ class ExactArray:
 
     def _step(self, f, other, bound: int, blas: bool) -> "ExactArray":
         dtype = _exact_dtype(bound, blas)
-        b = other if type(other) is int else _cast(other.array, dtype)
-        return ExactArray(f(_cast(self.array, dtype), b), bound)
+        a, b = self.array, other if type(other) is int else other.array
+        if a.dtype is not dtype:
+            a = _cast(a, dtype)
+        if type(b) is not int and b.dtype is not dtype:
+            b = _cast(b, dtype)
+        return ExactArray(f(a, b), bound)
 
     def _floats(self, other) -> bool:
         return self.array.dtype is _FLOAT and (type(other) is int or other.array.dtype is _FLOAT)
@@ -299,6 +307,44 @@ def exact_ints(t) -> np.ndarray:
     return ExactArray.of(tuple(t)).array
 
 
+class Stack:
+    """Elements of one algebra on a leading axis, the form in which the
+    kernels and the generator builders take many elements at once: the
+    numerators, an ExactArray of shape (k, n), over one positive denominator
+    `den`, not reduced.  Algebra.product of two stacks is the stack of the
+    row products."""
+
+    __slots__ = ("algebra", "nums", "den")
+
+    def __init__(self, algebra: "Algebra", nums: ExactArray, den: int = 1):
+        self.algebra, self.nums, self.den = algebra, nums, den
+
+    @classmethod
+    def of(cls, elements) -> "Stack":
+        """The elements, one a row, over the lcm of their denominators."""
+        den = math.lcm(*(e.den for e in elements))
+        nums = ExactArray.of([v * (den // e.den) for e in elements for v in e.nums])
+        return cls(elements[0].algebra, nums.reshape(len(elements), -1), den)
+
+    def exact(self) -> ExactArray:
+        return self.nums
+
+    _check = _Exact._check
+
+    def __mul__(self, other: "Stack") -> "Stack":
+        return self.algebra.product(self, other)
+
+    def __sub__(self, other: "Stack") -> "Stack":
+        self._check(other)
+        den = math.lcm(self.den, other.den)
+        return Stack(self.algebra, (den // self.den) * self.nums - (den // other.den) * other.nums,
+                     den)
+
+    def nonzero_rows(self) -> np.ndarray:
+        """The indices of the rows that are not zero, ascending."""
+        return np.flatnonzero((self.nums.array != 0).any(axis=-1))
+
+
 # Integer kernels on ExactArray numerators; x may carry leading batch axes.
 
 def _lnum(c2: ExactArray, x: ExactArray) -> ExactArray:
@@ -314,7 +360,7 @@ def _snum(c2: ExactArray, a: ExactArray, y: ExactArray) -> ExactArray:
     A; for a stack of A, a stack of 4 S.  The stack of 2 L_{e_a} is
     np.swapaxes(c2, 1, 2), which needs no product."""
     b = _lnum(c2, y)
-    return a @ b - b @ a + _lnum(c2, a @ y)
+    return a @ b - b @ a + _lnum(c2, (a @ y[..., None])[..., 0])
 
 
 class Algebra:
@@ -334,10 +380,22 @@ class Algebra:
         self._gram = numerators(gram)
         self.basis = tuple(labels)
         self.identity_coords = tuple(ident)
-        # c2 as an n x n^2 matrix and the stack of 2 L_{e_a}; max|c2| read once
-        self._table = ExactArray(c2.reshape(n, -1))
-        self._stack = self._table.reshape(n, n, n).swapaxes(1, 2)
+        self._gram_nums = ExactArray.of(self._gram[0])
         self._cache = {}
+
+    @functools.cached_property
+    def _table(self) -> ExactArray:
+        """c2 as an n x n^2 matrix, max|c2| read once, on the first product
+        (jk info needs none).  Kept in float64 once a product of one element
+        with it, n^3 multiply-adds, is as large as a float64 step (_BLAS_MIN)."""
+        table = ExactArray(self._c2.reshape(self.dim, -1))
+        return table.prepared() if self.dim ** 3 >= _BLAS_MIN else table
+
+    @functools.cached_property
+    def _stack(self) -> ExactArray:
+        """The stack of 2 L_{e_a}, a view of _table."""
+        n = self.dim
+        return self._table.reshape(n, n, n).swapaxes(1, 2)
 
     # --- constructors ---------------------------------------------------
 
@@ -360,21 +418,27 @@ class Algebra:
 
     # --- products ---------------------------------------------------------
 
-    def product(self, u: Element, v: Element) -> Element:
+    def product(self, u, v):
+        """uv for two elements, or row by row for two stacks (a Stack)."""
         u._check(v)
+        x, y = u.exact(), v.exact()
         # sum_b y_b (x c2)[b, g]: 2 L_x y without the transpose
-        xc = (ExactArray.of(u.nums) @ self._table).reshape(self.dim, self.dim)
-        return Element._make(self, (ExactArray.of(v.nums) @ xc).ints().tolist(), 2 * u.den * v.den)
+        xc = (x @ self._table).reshape(*x.array.shape[:-1], self.dim, self.dim)
+        prod, den = (y[..., None, :] @ xc)[..., 0, :], 2 * u.den * v.den
+        if prod.array.ndim > 1:
+            return Stack(self, prod, den)
+        return Element._make(self, prod.ints().tolist(), den)
 
-    def lmul_matrix(self, u: Element):
-        """L_u: v -> uv, as (nums, den)."""
-        return _lnum(self._table, ExactArray.of(u.nums)).ints(), 2 * u.den
+    def lmul_matrix(self, u):
+        """L_u: v -> uv, as (nums, den); for a stack, the stack of them."""
+        return _lnum(self._table, u.exact()).ints(), 2 * u.den
 
-    def smul_matrix(self, u: Element, v: Element):
-        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den)."""
+    def smul_matrix(self, u, v):
+        """S_uv = [L_u, L_v] + L_{uv}, as (nums, den); for two stacks, the
+        stack of them, row by row."""
         u._check(v)
-        a = _lnum(self._table, ExactArray.of(u.nums))
-        return _snum(self._table, a, ExactArray.of(v.nums)).ints(), 4 * u.den * v.den
+        a = _lnum(self._table, u.exact())
+        return _snum(self._table, a, v.exact()).ints(), 4 * u.den * v.den
 
     def triple(self, u: Element, v: Element, w: Element) -> Element:
         """Jordan triple product {uvw} = S_uv w = u(vw) - v(uw) + (uv)w."""
@@ -383,8 +447,15 @@ class Algebra:
 
     # --- trace, inner product, spectral invariants -------------------------
 
+    def inner_nums(self, u, v) -> ExactArray:
+        """<u|v> times gden u.den v.den (gden the Gram denominator), of shape
+        (1,), or (k, 1) row by row for two stacks."""
+        u._check(v)
+        return (u.exact() * v.exact()) @ self._gram_nums[:, None]
+
     def inner(self, u: Element, v: Element) -> Fraction:
-        """<u|v> = tr(uv)/rho."""
+        """<u|v> = tr(uv)/rho, summed in Python ints: for one pair that is
+        faster than inner_nums."""
         u._check(v)
         gnum, gden = self._gram
         return Fraction(sum(g * a * b for g, a, b in zip(gnum, u.nums, v.nums)),
@@ -432,19 +503,21 @@ class Algebra:
 
     # --- misc ----------------------------------------------------------------
 
-    def dual_triple_tensor(self, u: Element):
+    def dual_triple_tensor(self, u):
         """T[a,b,g]: coefficient of x^g d_a d_b in <x|{D u D}> where D pairs
-        derivatives with the metric-dual basis, as (nums, den): with gram =
-        gnum / gden, S_{e_a u}[g,b] gram[g] / (gram[a] gram[b]) = 4 S_{e_a u}[g,b]
-        w[a,b,g] / (4 lg), w = lg gnum[g] gden / (gnum[a] gnum[b]) built once."""
+        derivatives with the metric-dual basis, as (nums, den), or the stack
+        of them for a stack: with gram = gnum / gden, S_{e_a u}[g,b] gram[g] /
+        (gram[a] gram[b]) = 4 S_{e_a u}[g,b] w[a,b,g] / (4 lg),
+        w = lg gnum[g] gden / (gnum[a] gnum[b]) built once."""
         if "gram_weight" not in self._cache:
             gnum, gden = self._gram
             g, lg = np.array(gnum, dtype=object), math.lcm(*gnum) ** 2
             w = exact_ints(np.multiply.outer(lg // np.multiply.outer(g, g), g * gden))
             self._cache["gram_weight"] = ExactArray(w), lg
         w, lg = self._cache["gram_weight"]
-        s = _snum(self._table, self._stack, ExactArray.of(u.nums))  # [a] = 4 S_{e_a u}
-        return (w * s.swapaxes(1, 2)).ints(), 4 * u.den * lg
+        # [..., a, g, b] = 4 S_{e_a u}[g, b]: a row of u against the stack of 2 L_{e_a}
+        s = _snum(self._table, self._stack, u.exact()[..., None, :])
+        return (w * s.swapaxes(-1, -2)).ints(), 4 * u.den * lg
 
     def e_perp_basis(self) -> list:
         """Rational elements spanning the trace-free hyperplane e-perp."""

@@ -77,9 +77,32 @@ def poisson_poly(f: Poly, g: Poly) -> Poly:
 
 # --- x-linear symbols as integer tensors ---------------------------------------
 
-def _slots(t: np.ndarray) -> np.ndarray:
-    """The numerators t at the x slots 1 .. n, with slot 0 (no x) zero."""
-    return np.concatenate([np.zeros_like(t[:1]), t])
+def _slot_part(t: np.ndarray, d: int, n: int, slots: slice) -> np.ndarray:
+    """A D-degree-d part that is t at the given slots and zero at the others:
+    the slot axis, n + 1 long, is the one before the d D axes."""
+    out = np.zeros(t.shape[:t.ndim - d - 1] + (n + 1,) + t.shape[t.ndim - d:], dtype=t.dtype)
+    out[(..., slots) + (slice(None),) * d] = t
+    return out
+
+
+_X, _NO_X = slice(1, None), slice(0, 1)  # the x slots 1 .. n; slot 0, the terms with no x
+
+
+_SAMPLE = 256  # entries of a part whose gcd with den is read before all of them
+
+
+def _common_factor(g: int, a: np.ndarray) -> int:
+    """gcd(g, every entry of a).  A sample of the entries most often brings it
+    to 1.  Else all are read: for a power of two g, gcd(g, their OR) (the OR
+    has the fewest trailing zero bits of any entry, in two's complement
+    too), for any other g their gcd."""
+    if g > 1 and a.size > _SAMPLE:
+        g = math.gcd(g, int(np.gcd.reduce(a.flat[::a.size // _SAMPLE])))
+    if g > 1 and g & (g - 1) == 0 and a.dtype == np.int64:
+        g = math.gcd(g, int(np.bitwise_or.reduce(a, axis=None)))
+    elif g > 1:
+        g = math.gcd(g, int(np.gcd.reduce(a, axis=None)))
+    return g
 
 
 class XLinearOp:
@@ -95,7 +118,12 @@ class XLinearOp:
     the exact products see the smallest numerators, and the parts share one
     dtype: int64, or Python ints once any part needs them.  Each part is kept
     as an ExactArray: a part made by a kernel keeps the bound of the step
-    that made it, and any other is read once, on construction."""
+    that made it, and any other is read once, on construction.
+
+    The builders given a Stack return one XLinearOp of that many symbols:
+    each part carries the stack axis first, and `den` is shared.  Sums and
+    vacuum take such a stack as they take one symbol; is_zero, poly, bracket
+    and conjugate take one symbol."""
 
     __slots__ = ("n", "den", "_parts")
 
@@ -104,7 +132,7 @@ class XLinearOp:
         parts = {d: t if isinstance(t, ExactArray) else ExactArray(t) for d, t in parts.items()}
         g, wide = den, False
         for t in parts.values():
-            g = math.gcd(g, int(np.gcd.reduce(t.ints(), axis=None))) if g > 1 else 1
+            g = _common_factor(g, t.ints())
             wide = wide or t.array.dtype == object
         self.n, self.den = n, den // g
         self._parts = {d: t.stored(g, wide) for d, t in parts.items()}
@@ -193,7 +221,7 @@ def vacuum(a: XLinearOp, r: XLinearOp) -> tuple:
     each D-degree-d part contracted d times with h, over a.den r.den^top:
     no series and no bracket.  Returns (q numerators, the constant then x_0
     .. x_{n-1}, and that den, not reduced).  Each contraction and the sum
-    are ExactArray steps."""
+    are ExactArray steps.  For a stack of symbols, q has a row per symbol."""
     top, h, q = max(a._parts, default=0), -1 * r._parts[0][1:], None
     for d, t in a._parts.items():
         for _ in range(d):
@@ -204,26 +232,26 @@ def vacuum(a: XLinearOp, r: XLinearOp) -> tuple:
 
 
 # --- moment functions: the one builder of each generator's symbol ----------------
+# Each takes Elements, or Stacks of them (row by row) for a stack of symbols.
 
-def moment_s(alg: Algebra, u: Element, v: Element) -> XLinearOp:
+def moment_s(alg: Algebra, u, v) -> XLinearOp:
     """S_uv = <S_uv(x)|pi>, from the numerators of smul_matrix: the numerator
     of x_b p_a is S_uv[a, b]."""
     m, den = alg.smul_matrix(u, v)
-    return XLinearOp(alg.dim, {1: _slots(m.T)}, den)
+    return XLinearOp(alg.dim, {1: _slot_part(np.swapaxes(m, -1, -2), 1, alg.dim, _X)}, den)
 
 
-def moment_x(alg: Algebra, u: Element) -> XLinearOp:
+def moment_x(alg: Algebra, u) -> XLinearOp:
     """X_u = <x|{pi u pi}>, from the numerators of dual_triple_tensor: the
     numerator of x_g p_a p_b is T[a, b, g]."""
     t, den = alg.dual_triple_tensor(u)
-    return XLinearOp(alg.dim, {2: _slots(np.moveaxis(t, 2, 0))}, den)
+    return XLinearOp(alg.dim, {2: _slot_part(np.moveaxis(t, -1, -3), 2, alg.dim, _X)}, den)
 
 
-def moment_y(alg: Algebra, v: Element) -> XLinearOp:
+def moment_y(alg: Algebra, v) -> XLinearOp:
     """Y_v = <x|v>, from the Gram numerators."""
-    gnum, gden = alg._gram
-    return XLinearOp(alg.dim, {0: exact_ints([0] + [g * c for g, c in zip(gnum, v.nums)])},
-                     gden * v.den)
+    return XLinearOp(alg.dim, {0: _slot_part((v.exact() * alg._gram_nums).ints(), 0, alg.dim, _X)},
+                     alg._gram[1] * v.den)
 
 
 # --- TKK relation verification -------------------------------------------------

@@ -41,9 +41,10 @@ for all its levels and reads it on the degree-I monomials, a block at a
 time, from its D-degree 0 and 1 parts.  The lowest-weight check needs only
 the D-degree-0 part of each conjugated generator, A on the vacuum e^{-r}:
 phase.vacuum reads it by contracting each D-degree-d part d times with
--grad r, with no series.  So no check builds a WeylOp.  gaussian_conjugate
-and apply_op, the same conjugation and action word by word on WeylOps, are
-the references the tests hold them to.
+-grad r, with no series, for a whole stack of generators at once (the
+builders take an algebra.Stack of elements).  So no check builds a WeylOp.
+gaussian_conjugate and apply_op, the same conjugation and action word by
+word on WeylOps, are the references the tests hold them to.
 
 As in the phase-space module, derivative slots are paired with the
 metric-dual basis, so the Gram matrix of the rational frame appears
@@ -61,10 +62,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DomainError, Algebra, Element, ExactArray, exact_ints
+from .algebra import DomainError, Algebra, Element, ExactArray, Stack
 from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
-from .phase import (XLinearOp, bracket, check_relations, conjugate, moment_s,
-                    moment_x, moment_y, relation_residual, vacuum)
+from .phase import (_NO_X, XLinearOp, _slot_part, bracket, check_relations, conjugate,
+                    moment_s, moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
 
@@ -210,20 +211,22 @@ def acute_y(alg: Algebra, nu, v: Element) -> tuple:
 
 # --- the nu-terms on the x-linear symbols ---------------------------------------
 
-def xlinear_s(alg: Algebra, nu, u: Element, v: Element) -> XLinearOp:
+# Like the moment builders, these take Elements, or Stacks for a stack of symbols.
+
+def xlinear_s(alg: Algebra, nu, u, v) -> XLinearOp:
     """S_uv(nu) = -<S_uv(x)|D> - (nu/2) tr(uv): the symbol moment_s, negated,
     plus a constant."""
-    c = -Fraction(nu) * alg.rho * alg.inner(u, v) / 2
-    return XLinearOp(alg.dim, {0: exact_ints([c.numerator] + [0] * alg.dim)},
-                     c.denominator) - moment_s(alg, u, v)
+    nu = Fraction(nu)
+    c = -nu.numerator * alg.rho * alg.inner_nums(u, v)  # tr(uv) = rho <u|v>
+    return XLinearOp(alg.dim, {0: _slot_part(c.ints(), 0, alg.dim, _NO_X)},
+                     2 * nu.denominator * alg._gram[1] * u.den * v.den) - moment_s(alg, u, v)
 
 
-def xlinear_x(alg: Algebra, nu, u: Element) -> XLinearOp:
+def xlinear_x(alg: Algebra, nu, u) -> XLinearOp:
     """X~_u(nu) = <x|{D u D}> + nu tr(u D): the symbol moment_x plus nu tr(u D)."""
     nur = Fraction(nu) * alg.rho
-    t1 = exact_ints([nur.numerator * c for c in u.nums] + [0] * alg.dim ** 2)
-    return moment_x(alg, u) + XLinearOp(alg.dim, {1: t1.reshape(alg.dim + 1, alg.dim)},
-                                        nur.denominator * u.den)
+    t1 = _slot_part((nur.numerator * u.exact()).ints()[..., None, :], 1, alg.dim, _NO_X)
+    return moment_x(alg, u) + XLinearOp(alg.dim, {1: t1}, nur.denominator * u.den)
 
 
 def tkk_op_residual(alg: Algebra, name: str, nu, u, v, z, w) -> XLinearOp:
@@ -343,38 +346,71 @@ def he_grading_checks(alg: Algebra, nu, levels) -> list:
     return checks
 
 
-def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
-    """psi_0 = e^{-r} is annihilated by the realized compact generators (8
-    random derivations and a basis of compact translations) and by
-    E_{-alpha_0}, and is an H_{alpha_0} eigenvector with eigenvalue nu.  A
-    generator sends psi_0 to e^{-r} q, q a constant and a linear form that
-    phase.vacuum reads from its symbol by one contraction.  Each generator
-    is checked up to a nonzero factor, which does not change whether q
-    vanishes."""
+# Entries of the largest part of one stacked builder call, about: a stack much
+# larger leaves the cache and costs more per row (ROADMAP item 12).
+_ENTRIES = 1 << 14
+
+
+def _blocks(count: int, row: int) -> list:
+    """Slices of count stack rows of `row` entries each, _ENTRIES entries a
+    slice (at least one row): a stack that stays in cache."""
+    step = max(1, _ENTRIES // row)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def lowest_weight_check(alg: Algebra, nu) -> dict:
+    """psi_0 = e^{-r} is annihilated by the realized compact generators (the
+    derivations [L_{e_a}, L_{e_b}] on every basis pair a < b, which span that
+    sector, and a basis of compact translations) and by E_{-alpha_0}, and is
+    an H_{alpha_0} eigenvector with eigenvalue nu.  A generator sends psi_0 to
+    e^{-r} q, q a constant and a linear form that phase.vacuum reads from its
+    symbol by one contraction.  Each sector takes one builder call per block
+    of _blocks: S on the basis pairs in both orders, [L_u, L_v] = (S_uv -
+    S_vu)/2, and X~ on the translations, against Y~.  Each generator is
+    checked up to a nonzero factor, which does not change whether q
+    vanishes.  The witness names the first failing basis pair and every
+    failing translation; `checked` counts the basis pairs before the first
+    failing one and the translations."""
     n = alg.dim
     e = alg.identity()
     r = moment_y(alg, e)
 
-    def kills(op: XLinearOp) -> bool:
-        return not np.count_nonzero(vacuum(op, r)[0])
+    def differ(a: XLinearOp, b: XLinearOp) -> np.ndarray:
+        """The rows of two stacks where a psi_0 != b psi_0; [0] or [] for two symbols."""
+        (qa, da), (qb, db) = vacuum(a, r), vacuum(b, r)
+        return np.flatnonzero(((db * ExactArray(qa) - da * ExactArray(qb)).array != 0).any(axis=-1))
 
-    rng = np.random.default_rng(seed)
+    def coords(w: Element) -> list:
+        return [str(c) for c in w.coords]
+
     failures = []
-    # derivation sector [L_u, L_v] = (S_uv - S_vu)/2
-    for _ in range(8):
-        u = alg.random_element(rng, span=4)
-        v = alg.random_element(rng, span=4)
-        if not kills(xlinear_s(alg, nu, u, v) - xlinear_s(alg, nu, v, u)):
-            failures.append({"check": "derivation", "u": [str(c) for c in u.coords]})
+    # derivation sector: S_uv psi_0 = S_vu psi_0 on every basis pair, the rows
+    # of one stack (u, v) then (v, u), so both are over one den
+    pairs, unit = list(itertools.combinations(range(n), 2)), np.eye(n, dtype=np.int64)
+    checked = {"derivation-pairs": 0, "compact-translations": 0}
+    for block in _blocks(len(pairs), 2 * n * n):
+        a, b = map(list, zip(*pairs[block]))
+        q = vacuum(xlinear_s(alg, nu, Stack(alg, ExactArray(unit[a + b], 1)),
+                             Stack(alg, ExactArray(unit[b + a], 1))), r)[0]
+        bad = np.flatnonzero((q[:len(a)] != q[len(a):]).any(axis=-1))
+        checked["derivation-pairs"] += int(bad[0]) if len(bad) else len(a)
+        if len(bad):
+            first = pairs[checked["derivation-pairs"]]
+            failures.append({"check": "derivation",
+                             **{k: coords(alg.basis_element(i)) for k, i in zip("uv", first)}})
+            break
     # compact translations X_w + Y_w = i (X~_w - Y~_w) with w orthogonal to e
-    for w in alg.e_perp_basis():
-        if not kills(xlinear_x(alg, nu, w) - moment_y(alg, w)):
-            failures.append({"check": "compact-translation", "w": [str(c) for c in w.coords]})
+    perp = alg.e_perp_basis()
+    for block in _blocks(len(perp), n ** 3):
+        w = Stack.of(perp[block])
+        failures += [{"check": "compact-translation", "w": coords(perp[block][k])}
+                     for k in differ(xlinear_x(alg, nu, w), moment_y(alg, w))]
+        checked["compact-translations"] += len(perp[block])
     # alpha_0 sl2 data: E_-alpha0 = (i/2)(X_c - Y_c) + S_ce = S_ce - (X~_c + Y~_c)/2,
     # H_alpha0 = i (X_c + Y_c) = Y~_c - X~_c
     c = alg.jordan_frame()[0]
     xc, yc = xlinear_x(alg, nu, c), moment_y(alg, c)
-    if not kills(2 * xlinear_s(alg, nu, c, e) - (xc + yc)):
+    if len(differ(2 * xlinear_s(alg, nu, c, e), xc + yc)):
         failures.append({"check": "E_-alpha0"})
     q, den = vacuum(yc - xc, r)  # the constant, then x_0 .. x_{n-1}, over den
     if int(q[0]) != Fraction(nu) * den or np.count_nonzero(q[1:]):
@@ -386,7 +422,8 @@ def lowest_weight_check(alg: Algebra, nu, seed: int = 0) -> dict:
                              dict.fromkeys(k & (field(n) - 1) for k in words)}, den)
         failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
     return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
-            "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}
+            "metric": "exact", "weight": f"{nu}*lambda0",
+            "checked": checked, "witness": failures or None}
 
 
 # --- degeneracies by exact restriction rank ------------------------------------------

@@ -98,7 +98,7 @@ def test_criterion_4_grading_and_lowest_weight():
         for i, rep in enumerate(he_grading_checks(alg, nu, range(5))):
             ok &= rep["status"] == "pass"
             ok &= rep["eigenvalue"] == str(2 * i + nu * alg.rho)
-        lw = lowest_weight_check(alg, nu, seed=8)
+        lw = lowest_weight_check(alg, nu)
         ok &= lw["status"] == "pass"
     _report(4, "H_e grading eigenvalue 2I+nu*rho (I<=4) and lowest-weight data exact", ok)
 

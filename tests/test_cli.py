@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jkepler import cli, phase
-from jkepler.algebra import Algebra, DomainError, make_algebra
+from jkepler.algebra import Algebra, DomainError, ExactArray, make_algebra
 from jkepler.cli import (Report, SuiteConfig, emit, info_table, main, parse_nu, run,
                          spectrum_table)
 
@@ -124,6 +124,45 @@ def test_a_lenz_perturbation_on_the_last_basis_element_fails(monkeypatch):
     failed = _classical_failures("h:3:R", checks=True)
     assert "poisson:conserve-lenz" in [c["name"] for c in failed]
     assert next(c["witness"] for c in failed if c["name"] == "poisson:conserve-lenz") == {"u": last}
+
+
+def _ref_axioms(alg, trials, seed):
+    """The per-trial loop that the stacked Jordan axioms replace: per axiom,
+    the u of the first failing trial."""
+    rng = np.random.default_rng(seed)
+    bad = dict.fromkeys(("commutativity", "identity", "self-adjoint"))
+    for _ in range(trials):
+        u, v, w = (alg.random_element(rng) for _ in range(3))
+        u2 = u * u
+        fails = {"commutativity": not (u * v - v * u).is_zero(),
+                 "identity": not (u * (u2 * w) - u2 * (u * w)).is_zero(),
+                 "self-adjoint": alg.inner(v * u, w) != alg.inner(v, u * w)}
+        for name in bad:
+            if fails[name] and bad[name] is None:
+                bad[name] = [str(c) for c in u.coords]
+    return [cli._check(f"jordan:{name}", u is None, witness={"u": u}) for name, u in bad.items()]
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R"])
+def test_stacked_jordan_axioms_match_the_per_trial_loop(spec):
+    # on the true table and on tables with one structure constant c2[a, b, g]
+    # raised by 2, which breaks some trials and not others: the same checks and
+    # witnesses as one product per trial, first failures after trial 0 included
+    later, failed = 0, set()
+    for entry in (None, (1, 2, 0), (1, 1, 2), (2, 2, 0)):
+        alg = make_algebra(spec)
+        if entry:
+            c2 = alg._c2.copy()
+            c2[entry] += 2
+            alg._table = ExactArray(c2.reshape(alg.dim, -1))
+        for seed in range(8):
+            got = cli._jordan_checks(alg, SuiteConfig(spec, suite="jordan", trials=12, seed=seed))
+            assert got[:3] == _ref_axioms(alg, 12, seed), (entry, seed)
+            first = [str(c) for c in alg.random_element(np.random.default_rng(seed)).coords]
+            later += sum(c["witness"] not in (None, {"u": first}) for c in got[:3])
+            failed |= {c["name"] for c in got[:3] if c["status"] == "fail"}
+    assert later > 0
+    assert failed == {"jordan:commutativity", "jordan:identity", "jordan:self-adjoint"}
 
 
 def test_cone_suite():

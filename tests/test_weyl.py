@@ -7,7 +7,8 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from jkepler.algebra import DomainError, Element, make_algebra
+from jkepler import algebra as jk_algebra
+from jkepler.algebra import DomainError, Element, Stack, make_algebra
 from jkepler.phase import (XLinearOp, conjugate, moment_s, moment_x, moment_y, poisson_poly,
                            verify_poisson_tkk)
 from jkepler.poly import Poly, monomial_key
@@ -591,18 +592,22 @@ def ref_grading(alg, nu, degree):
             "metric": "exact", "eigenvalue": str(eig), "checked": checked, "witness": witness}
 
 
-def ref_lowest_weight(alg, nu, seed=0):
+def ref_lowest_weight(alg, nu):
     n = alg.dim
     vac = Poly.constant(n, Fr(1))
-    rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(8):
-        u = alg.random_element(rng, span=4)
-        v = alg.random_element(rng, span=4)
+    pairs = list(itertools.combinations(range(n), 2))
+    checked = len(pairs)
+    for p, (a, b) in enumerate(pairs):
+        u, v = alg.basis_element(a), alg.basis_element(b)
         op = (acute_s(alg, nu, u, v) - acute_s(alg, nu, v, u)).scaled(Fr(1, 2))
         if not _act(alg, op, vac).is_zero():
-            failures.append({"check": "derivation", "u": [str(c) for c in u.coords]})
-    for w in alg.e_perp_basis():
+            failures.append({"check": "derivation", "u": [str(c) for c in u.coords],
+                             "v": [str(c) for c in v.coords]})
+            checked = p
+            break
+    perp = alg.e_perp_basis()
+    for w in perp:
         if not _act(alg, x_tilde(alg, nu, w) - y_tilde(alg, w), vac).is_zero():
             failures.append({"check": "compact-translation", "w": [str(c) for c in w.coords]})
     c = alg.jordan_frame()[0]
@@ -614,13 +619,16 @@ def ref_lowest_weight(alg, nu, seed=0):
     if not (got - vac.scaled(Fr(nu))).is_zero():
         failures.append({"check": "H_alpha0", "got": {str(k): str(v) for k, v in got.terms.items()}})
     return {"name": "lowest-weight", "status": "pass" if not failures else "fail",
-            "metric": "exact", "weight": f"{nu}*lambda0", "witness": failures or None}
+            "metric": "exact", "weight": f"{nu}*lambda0",
+            "checked": {"derivation-pairs": checked, "compact-translations": len(perp)},
+            "witness": failures or None}
 
 
 def _perturbed(op, d, index):
-    """op with 1 added to the numerator at `index` of its D-degree-d part."""
+    """op with 1 added to the numerator at `index` of its D-degree-d part, in
+    every symbol of a stack: `index` names the trailing axes."""
     parts = {k: t.astype(object) for k, t in op.parts.items()}
-    parts[d][index] += 1
+    parts[d][(...,) + index] += 1
     return XLinearOp(op.n, parts, op.den)
 
 
@@ -658,7 +666,7 @@ def test_checks_match_the_weylop_route(algebra, spec, nu, monkeypatch):
                 m.setattr(weyl, attr, factory(getattr(weyl, attr)))
             grading = he_grading_checks(alg, nu, levels)
             assert grading == [ref_grading(alg, nu, i) for i in levels], name
-            got, want = lowest_weight_check(alg, nu, seed=3), ref_lowest_weight(alg, nu, seed=3)
+            got, want = lowest_weight_check(alg, nu), ref_lowest_weight(alg, nu)
             assert json.dumps(got) == json.dumps(want), name
         statuses = [g["status"] for g in grading]
         if attr is None:
@@ -813,9 +821,99 @@ def test_he_grading_known_eigenvalue(g3):
 @pytest.mark.parametrize("spec,nu", [("gamma:3", Fr(1)), ("gamma:3", Fr(5, 2)),
                                      ("h:3:R", Fr(1, 2))])
 def test_lowest_weight(algebra, spec, nu):
-    rep = lowest_weight_check(algebra(spec), nu, seed=2)
+    rep = lowest_weight_check(algebra(spec), nu)
     assert rep["status"] == "pass", rep
     assert rep["weight"] == f"{nu}*lambda0"
+
+
+def test_lowest_weight_counts_what_it_checked(algebra, monkeypatch):
+    # every basis pair and every translation on a pass, in one block or one
+    # row a block; the report keeps only name, status, metric and witness
+    for spec in ("gamma:3", "h:3:R"):
+        alg = algebra(spec)
+        for entries in (weyl._ENTRIES, 1):
+            monkeypatch.setattr(weyl, "_ENTRIES", entries)
+            rep = lowest_weight_check(alg, Fr(alg.delta, 2))
+            assert rep["checked"] == {"derivation-pairs": math.comb(alg.dim, 2),
+                                      "compact-translations": len(alg.e_perp_basis())}
+        report = cli.run(cli.SuiteConfig(spec, suite="operators", trials=1))
+        [row] = [c for c in report.checks if c["name"] == "lowest-weight"]
+        assert list(row) == ["name", "status", "metric", "witness"]
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C"])
+def test_corrupted_s_builder_fails_on_a_basis_pair(algebra, spec, monkeypatch):
+    # S_uv plus x_{n-1} times the last coordinate of u: [L_u, L_v] then moves
+    # psi_0 exactly on the pairs with one index n - 1, the first of which is
+    # (0, n - 1); the same witness at one pair a block, and from the WeylOp route
+    alg = algebra(spec)
+    n, nu = alg.dim, Fr(alg.delta, 2)
+    real = weyl.xlinear_s
+
+    def corrupted(a, nu, u, v):
+        op = real(a, nu, u, v)
+        parts = {d: t.astype(object) for d, t in op.parts.items()}
+        parts[0][..., n] += u.exact().ints()[..., n - 1]
+        return XLinearOp(op.n, parts, op.den)
+
+    monkeypatch.setattr(weyl, "xlinear_s", corrupted)
+    want = {"check": "derivation", "u": [str(c) for c in alg.basis_element(0).coords],
+            "v": [str(c) for c in alg.basis_element(n - 1).coords]}
+    reports = []
+    for entries in (weyl._ENTRIES, 1):
+        monkeypatch.setattr(weyl, "_ENTRIES", entries)
+        reports.append(lowest_weight_check(alg, nu))
+        assert reports[-1]["witness"] == [want]
+        assert reports[-1]["checked"]["derivation-pairs"] == n - 2
+    want = json.dumps(ref_lowest_weight(alg, nu))
+    assert json.dumps(reports[0]) == json.dumps(reports[1]) == want
+
+
+def _rows_match(stacked, singles):
+    """Each symbol of a stacked XLinearOp equals the one built from its row."""
+    for i, one in enumerate(singles):
+        assert set(stacked.parts) == set(one.parts)
+        for d, t in stacked.parts.items():
+            assert np.array_equal(t[i].astype(object) * one.den,
+                                  one.parts[d].astype(object) * stacked.den)
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"])
+def test_stacked_kernels_match_their_rows(algebra, spec, monkeypatch):
+    # Algebra.product, the five builders and vacuum on Stacks against the same
+    # calls row by row: nine small rows (float64 and int64 steps) and two rows
+    # with numerators past 2^32 (Python ints once multiplied)
+    alg = algebra(spec)
+    n, nu = alg.dim, Fr(7, 3)
+    rng = np.random.default_rng(43)
+    small = [alg.random_element(rng, span=4, denominator=int(rng.integers(1, 4))) for _ in range(9)]
+    big = [Element._make(alg, [2**33 + int(c) for c in rng.integers(-9, 10, n)], 5)
+           for _ in range(2)]
+    chosen, pick = set(), jk_algebra._exact_dtype
+
+    def spy(bound, blas=False):
+        chosen.add(pick(bound, blas))
+        return pick(bound, blas)
+
+    monkeypatch.setattr(jk_algebra, "_exact_dtype", spy)
+    r = moment_y(alg, alg.identity())
+    for us, vs in [(small, small[::-1]), (big, big[::-1])]:
+        u, v = Stack.of(us), Stack.of(vs)
+        prod = alg.product(u, v)
+        assert [Element._make(alg, row, prod.den) for row in prod.nums.ints().tolist()] == \
+            [alg.product(a, b) for a, b in zip(us, vs)]
+        builders = [(lambda a, b: moment_s(alg, a, b)), (lambda a, b: moment_x(alg, a)),
+                    (lambda a, b: moment_y(alg, b)), (lambda a, b: xlinear_s(alg, nu, a, b)),
+                    (lambda a, b: xlinear_x(alg, nu, a))]
+        for build in builders:
+            stacked = build(u, v)
+            singles = [build(a, b) for a, b in zip(us, vs)]
+            _rows_match(stacked, singles)
+            q, den = phase.vacuum(stacked, r)
+            for row, one in zip(q, singles):
+                q1, den1 = phase.vacuum(one, r)
+                assert np.array_equal(row.astype(object) * den1, q1.astype(object) * den)
+    assert {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)} <= chosen
 
 
 def test_vacuum_annihilated_by_alpha0_lowering(g3):

@@ -15,6 +15,8 @@ family (gamma:3, h:3:R, h:3:C, h:3:H):
   poisson_s     `jk verify --suite poisson --trials 1 --format json`
   operators_s   `jk verify --suite operators --trials 1 --format json`
                 (the default nu)
+  jordan_s      `jk verify --suite jordan --trials 5 --format json`, as the
+                exact workload's jordan ops run it
   relations_s   weyl.verify_tkk_ops at the default nu = delta/2, trials 1,
                 seed 6: the six operator relation families alone
   poisson_relations_s
@@ -24,7 +26,8 @@ family (gamma:3, h:3:R, h:3:C, h:3:H):
                 (weyl.he_grading_checks, or the per-degree
                 weyl.he_grading_check of older checkouts)
   lowest_weight_s
-                weyl.lowest_weight_check at the default nu, seed 7
+                weyl.lowest_weight_check at the default nu (older checkouts
+                take a seed, left at its default)
 
 each timed inside the process (around cli.main, or the check on an algebra
 built before the clock starts, a new one for each check), so interpreter
@@ -105,7 +108,7 @@ NPROC = len(os.sched_getaffinity(0))
 _SUITE = """
 import contextlib, io, sys, time
 from jkepler import cli
-argv = ["verify", "--suite", sys.argv[1], "--algebra", sys.argv[2], "--trials", "1",
+argv = ["verify", "--suite", sys.argv[1], "--algebra", sys.argv[2], "--trials", sys.argv[3],
         "--format", "json"]
 t = time.perf_counter()
 with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
@@ -137,7 +140,7 @@ from jkepler import algebra, weyl
 grading = getattr(weyl, "he_grading_checks", None) or (
     lambda alg, nu, levels: [getattr(weyl, "he_grading_check")(alg, nu, i) for i in levels])
 for run in (lambda alg, nu: grading(alg, nu, range(5)),
-            lambda alg, nu: [weyl.lowest_weight_check(alg, nu, seed=7)]):
+            lambda alg, nu: [weyl.lowest_weight_check(alg, nu)]):
     alg = algebra.make_algebra(sys.argv[1])
     nu = Fraction(alg.delta, 2)
     t = time.perf_counter()
@@ -223,8 +226,8 @@ def measure_poly(src: Path, repeat: int) -> dict:
     families = {}
     for spec in ("gamma:3", "h:3:R", "h:3:C", "h:3:H"):
         families[spec] = {f"{suite}_s": statistics.median(
-            float(_python(src, "-c", _SUITE, suite, spec)) for _ in range(repeat))
-            for suite in ("poisson", "operators")}
+            float(_python(src, "-c", _SUITE, suite, spec, trials)) for _ in range(repeat))
+            for suite, trials in (("poisson", "1"), ("operators", "1"), ("jordan", "5"))}
         runs = [_python(src, "-c", _RELATIONS, spec).split() for _ in range(repeat)]
         runs = [r + _python(src, "-c", _CHECKS, spec).split() for r in runs]
         for i, name in enumerate(("relations_s", "poisson_relations_s", "grading_s",
