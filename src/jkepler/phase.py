@@ -88,23 +88,6 @@ def _slot_part(t: np.ndarray, d: int, n: int, slots: slice) -> np.ndarray:
 _X, _NO_X = slice(1, None), slice(0, 1)  # the x slots 1 .. n; slot 0, the terms with no x
 
 
-_SAMPLE = 256  # entries of a part whose gcd with den is read before all of them
-
-
-def _common_factor(g: int, a: np.ndarray) -> int:
-    """gcd(g, every entry of a).  A sample of the entries most often brings it
-    to 1.  Else all are read: for a power of two g, gcd(g, their OR) (the OR
-    has the fewest trailing zero bits of any entry, in two's complement
-    too), for any other g their gcd."""
-    if g > 1 and a.size > _SAMPLE:
-        g = math.gcd(g, int(np.gcd.reduce(a.flat[::a.size // _SAMPLE])))
-    if g > 1 and g & (g - 1) == 0 and a.dtype == np.int64:
-        g = math.gcd(g, int(np.bitwise_or.reduce(a, axis=None)))
-    elif g > 1:
-        g = math.gcd(g, int(np.gcd.reduce(a, axis=None)))
-    return g
-
-
 class XLinearOp:
     """A symbol of x-degree <= 1, a_0(D) + sum_g x_g a_g(D), as integer
     tensors over one positive denominator `den`; D is the momentum p of a
@@ -132,7 +115,7 @@ class XLinearOp:
         parts = {d: t if isinstance(t, ExactArray) else ExactArray(t) for d, t in parts.items()}
         g, wide = den, False
         for t in parts.values():
-            g = _common_factor(g, t.ints())
+            g = math.gcd(g, int(np.gcd.reduce(t.ints(), axis=None))) if g > 1 else 1
             wide = wide or t.array.dtype == object
         self.n, self.den = n, den // g
         self._parts = {d: t.stored(g, wide) for d, t in parts.items()}

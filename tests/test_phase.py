@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction as Fr
 
@@ -120,25 +119,6 @@ def _random_co_poly(cs, rng, terms=4, deg=2):
         idx = rng.integers(0, cs.nvars, int(rng.integers(0, deg + 1))).tolist()
         out = out + Poly(cs.nvars, {monomial_key(cs.nvars, *idx): Fr(int(rng.integers(-5, 6)))})
     return out
-
-
-def test_common_factor_reads_every_entry():
-    # gcd(g, entries) against math.gcd, for g a power of two and not, arrays
-    # below and above the sample size, one entry with fewer factors placed off
-    # the sample, and int64 and Python ints
-    rng = np.random.default_rng(5)
-    cases = 0
-    for g in (2, 4, 16, 12, 9, 6):
-        for size in (7, phase._SAMPLE, 5 * phase._SAMPLE + 3):
-            for spoiler in (None, 1, 2, 3, -6):
-                a = rng.integers(-50, 50, size) * g
-                if spoiler is not None:
-                    a[size // phase._SAMPLE // 2 + 1 if size > phase._SAMPLE else -1] = spoiler
-                want = math.gcd(g, *a.tolist())
-                for arr in (a, a.astype(object), a.reshape(-1, 1) if size % 2 else a[::-1]):
-                    assert phase._common_factor(g, arr) == want, (g, size, spoiler)
-                    cases += want < g
-    assert cases > 0
 
 
 def test_rational_bracket_quotient_rule(g2):
