@@ -88,6 +88,19 @@ def _slot_part(t: np.ndarray, d: int, n: int, slots: slice) -> np.ndarray:
 _X, _NO_X = slice(1, None), slice(0, 1)  # the x slots 1 .. n; slot 0, the terms with no x
 
 
+# Entries of the largest array one step of a blocked kernel makes, about: a
+# stack much larger leaves the cache and costs more per row, and a whole
+# large part held twice over raises the peak memory (ROADMAP item 12).
+_ENTRIES = 1 << 14
+
+
+def _blocks(count: int, row: int) -> list:
+    """Slices of count rows of `row` entries each, _ENTRIES entries a slice
+    (at least one row): a block that stays in cache."""
+    step = max(1, _ENTRIES // row)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 class XLinearOp:
     """A symbol of x-degree <= 1, a_0(D) + sum_g x_g a_g(D), as integer
     tensors over one positive denominator `den`; D is the momentum p of a
@@ -146,11 +159,13 @@ class XLinearOp:
 
     def is_zero(self) -> bool:
         for d, t in self._parts.items():
-            # symmetrized over the D axes
-            sym = functools.reduce(operator.add, (t.transpose((0,) + p) for p in
-                                                  itertools.permutations(range(1, d + 1))))
-            if np.count_nonzero(sym.array):
-                return False
+            for rows in _blocks(self.n + 1, self.n ** d):
+                # symmetrized over the D axes, a block of slots at a time
+                block = t[rows]
+                sym = functools.reduce(operator.add, (block.transpose((0,) + p) for p in
+                                                      itertools.permutations(range(1, d + 1))))
+                if np.count_nonzero(sym.array):
+                    return False
         return True
 
     def poly(self, cls=Poly) -> Poly:
@@ -171,8 +186,9 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
     Of the words of AB and BA only those where a D of one factor meets the x
     of the other differ, so no cancelling word is built; the Poisson bracket
     of the symbols is {a, b} = -[A, B].  Each derivative, product and sum
-    is an ExactArray step."""
-    n, out = a.n, {}
+    is an ExactArray step, taken on _blocks of slots, so a large part is
+    held whole only once, as the result."""
+    n, terms = a.n, {}
     for sign, left, right in ((1, a._parts, b._parts), (-1, b._parts, a._parts)):
         for dl, tl in left.items():
             if not dl:
@@ -181,9 +197,19 @@ def bracket(a: XLinearOp, b: XLinearOp) -> XLinearOp:
             dt = functools.reduce(operator.add, (tl.transpose([i for i in range(dl + 1) if i != k]
                                                               + [k]) for k in range(1, dl + 1)))
             for dr, tr in right.items():
-                d = dl - 1 + dr
-                term = (dt @ tr[1:].reshape(n, -1)).reshape((n + 1,) + (n,) * d)
-                out[d] = (out[d] + term if sign > 0 else out[d] - term) if d in out else sign * term
+                terms.setdefault(dl - 1 + dr, []).append((sign, dt, tr[1:].reshape(n, -1)))
+    out = {}
+    for d, products in terms.items():
+        blocks, bound = [], 1
+        for rows in _blocks(n + 1, n ** d):
+            acc = None
+            for sign, dt, tr in products:
+                term = (dt[rows] @ tr).reshape(-1, n ** d)
+                acc = (acc + term if sign > 0 else acc - term) if acc is not None else sign * term
+            blocks.append(acc.ints())
+            bound = max(bound, acc.bound)
+        whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        out[d] = ExactArray(whole.reshape((n + 1,) + (n,) * d), bound)
     return XLinearOp(n, out, a.den * b.den)
 
 

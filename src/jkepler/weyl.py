@@ -64,7 +64,7 @@ import numpy as np
 
 from .algebra import DomainError, Algebra, Element, ExactArray, Stack
 from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
-from .phase import (_NO_X, XLinearOp, _slot_part, bracket, check_relations, conjugate,
+from .phase import (_NO_X, XLinearOp, _blocks, _slot_part, bracket, check_relations, conjugate,
                     moment_s, moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
 
@@ -344,18 +344,6 @@ def he_grading_checks(alg: Algebra, nu, levels) -> list:
                        "status": "pass" if witness is None else "fail", "metric": "exact",
                        "eigenvalue": str(eig), "checked": checked, "witness": witness})
     return checks
-
-
-# Entries of the largest part of one stacked builder call, about: a stack much
-# larger leaves the cache and costs more per row (ROADMAP item 12).
-_ENTRIES = 1 << 14
-
-
-def _blocks(count: int, row: int) -> list:
-    """Slices of count stack rows of `row` entries each, _ENTRIES entries a
-    slice (at least one row): a stack that stays in cache."""
-    step = max(1, _ENTRIES // row)
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def lowest_weight_check(alg: Algebra, nu) -> dict:

@@ -831,8 +831,8 @@ def test_lowest_weight_counts_what_it_checked(algebra, monkeypatch):
     # row a block; the report keeps only name, status, metric and witness
     for spec in ("gamma:3", "h:3:R"):
         alg = algebra(spec)
-        for entries in (weyl._ENTRIES, 1):
-            monkeypatch.setattr(weyl, "_ENTRIES", entries)
+        for entries in (phase._ENTRIES, 1):
+            monkeypatch.setattr(phase, "_ENTRIES", entries)
             rep = lowest_weight_check(alg, Fr(alg.delta, 2))
             assert rep["checked"] == {"derivation-pairs": math.comb(alg.dim, 2),
                                       "compact-translations": len(alg.e_perp_basis())}
@@ -860,8 +860,8 @@ def test_corrupted_s_builder_fails_on_a_basis_pair(algebra, spec, monkeypatch):
     want = {"check": "derivation", "u": [str(c) for c in alg.basis_element(0).coords],
             "v": [str(c) for c in alg.basis_element(n - 1).coords]}
     reports = []
-    for entries in (weyl._ENTRIES, 1):
-        monkeypatch.setattr(weyl, "_ENTRIES", entries)
+    for entries in (phase._ENTRIES, 1):
+        monkeypatch.setattr(phase, "_ENTRIES", entries)
         reports.append(lowest_weight_check(alg, nu))
         assert reports[-1]["witness"] == [want]
         assert reports[-1]["checked"]["derivation-pairs"] == n - 2
@@ -914,6 +914,33 @@ def test_stacked_kernels_match_their_rows(algebra, spec, monkeypatch):
                 q1, den1 = phase.vacuum(one, r)
                 assert np.array_equal(row.astype(object) * den1, q1.astype(object) * den)
     assert {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)} <= chosen
+
+
+@pytest.mark.parametrize("spec", ["gamma:3", "h:3:R", "h:3:C", "h:3:H"])
+def test_bracket_and_is_zero_in_blocks(algebra, spec, monkeypatch):
+    # one slot a block gives the same commutators, and the same verdicts of
+    # is_zero, as the whole part at once: on brackets of S, X~ and Y~ (zero
+    # only for a symbol with itself), with X~ of int64 numerators past 2^56
+    # so that its brackets step in Python ints, and on the six relation
+    # residuals (zero)
+    alg = algebra(spec)
+    nu, rng = Fr(7, 3), np.random.default_rng(17)
+    u, v, z, w = (alg.random_element(rng, span=4) for _ in range(4))
+    big = Element._make(alg, [2**56 + int(c) for c in rng.integers(-9, 10, alg.dim)], 3)
+    ops = [xlinear_s(alg, nu, u, v), xlinear_x(alg, nu, big), moment_y(alg, w)]
+
+    def run():
+        brackets = [phase.bracket(a, b) for a in ops for b in ops]
+        residuals = [tkk_op_residual(alg, name, nu, u, v, z, w) for name in _UNITS]
+        return ([(x.den, {d: t.tolist() for d, t in x.parts.items()}) for x in brackets],
+                [x.is_zero() for x in brackets + residuals])
+
+    want = run()
+    monkeypatch.setattr(phase, "_ENTRIES", 1)
+    assert run() == want
+    assert want[1] == [i % 4 == 0 for i in range(9)] + [True] * 6
+    assert {t.dtype for t in ops[1].parts.values()} == {np.dtype(np.int64)}
+    assert {t.dtype for t in phase.bracket(ops[1], ops[0]).parts.values()} == {np.dtype(object)}
 
 
 def test_vacuum_annihilated_by_alpha0_lowering(g3):
