@@ -101,6 +101,16 @@ def _blocks(count: int, row: int) -> list:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def _common_factor(g: int, a: np.ndarray) -> int:
+    """gcd(g, every entry of a).  For a power of two g and int64 entries it is
+    gcd(g, their OR), which has the fewest trailing zero bits of any entry
+    (in two's complement too): on the large stacked parts of h:3:O one
+    OR-reduce takes a fifth of the time of a gcd-reduce."""
+    if g & (g - 1) == 0 and a.dtype == np.int64:
+        return math.gcd(g, int(np.bitwise_or.reduce(a, axis=None)))
+    return math.gcd(g, int(np.gcd.reduce(a, axis=None)))
+
+
 class XLinearOp:
     """A symbol of x-degree <= 1, a_0(D) + sum_g x_g a_g(D), as integer
     tensors over one positive denominator `den`; D is the momentum p of a
@@ -128,7 +138,7 @@ class XLinearOp:
         parts = {d: t if isinstance(t, ExactArray) else ExactArray(t) for d, t in parts.items()}
         g, wide = den, False
         for t in parts.values():
-            g = math.gcd(g, int(np.gcd.reduce(t.ints(), axis=None))) if g > 1 else 1
+            g = _common_factor(g, t.ints()) if g > 1 else 1
             wide = wide or t.array.dtype == object
         self.n, self.den = n, den // g
         self._parts = {d: t.stored(g, wide) for d, t in parts.items()}

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as Fr
 
@@ -119,6 +120,26 @@ def _random_co_poly(cs, rng, terms=4, deg=2):
         idx = rng.integers(0, cs.nvars, int(rng.integers(0, deg + 1))).tolist()
         out = out + Poly(cs.nvars, {monomial_key(cs.nvars, *idx): Fr(int(rng.integers(-5, 6)))})
     return out
+
+
+def test_common_factor_matches_gcd():
+    # gcd(g, entries) against math.gcd, for g a power of two (the OR path on
+    # int64) and not, with one entry of fewer factors anywhere, negative
+    # entries, an all-zero array, and int64 and Python ints
+    rng = np.random.default_rng(5)
+    cases = 0
+    for g in (2, 4, 16, 2**40, 12, 9, 6):
+        for spoiler in (None, 1, 2, 3, -6, -2**41):
+            for at in (0, 57, -1):
+                a = rng.integers(-50, 50, (3, 5, 7)) * (g if g < 2**40 else 2**41)
+                if spoiler is not None:
+                    a.reshape(-1)[at] = spoiler
+                want = math.gcd(g, *a.reshape(-1).tolist())
+                for arr in (a, a.astype(object), a.transpose(2, 0, 1)):
+                    assert phase._common_factor(g, arr) == want, (g, spoiler, at)
+                assert phase._common_factor(g, 0 * a) == g
+                cases += want < g
+    assert cases > 0
 
 
 def test_rational_bracket_quotient_rule(g2):
