@@ -516,15 +516,15 @@ class Algebra:
         return (w * s.swapaxes(-1, -2)).ints(), 4 * u.den * lg
 
     def e_perp_basis(self) -> list:
-        """Rational elements spanning the trace-free hyperplane e-perp."""
+        """A basis of the trace-free hyperplane e-perp, n - 1 elements: the
+        basis elements projected onto it, less the last one where e has a
+        nonzero coordinate.  e is the sum of those basis elements (the
+        diagonal E_ii of a hermitian family, e itself on a spin factor), so
+        their projections sum to zero."""
         e = self.identity()
-        out = []
-        for a in range(self.dim):
-            b = self.basis_element(a)
-            w = b - e.scaled(self.inner(b, e))
-            if not w.is_zero():
-                out.append(w)
-        return out
+        last = max(a for a, c in enumerate(self.identity_coords) if c)
+        keep = [a for a in range(self.dim) if a != last]
+        return [b - e.scaled(self.inner(b, e)) for b in map(self.basis_element, keep)]
 
     def __repr__(self):
         return f"Algebra({self.spec}, rho={self.rho}, delta={self.delta}, n={self.dim})"

@@ -228,13 +228,22 @@ class ConePoint:
         return self.projector @ u
 
 
-def _assemble_point(alg: Algebra, k: int, avals: np.ndarray, frame_vecs: np.ndarray) -> ConePoint:
-    x = avals @ frame_vecs[:k]
+def _projectors(alg: Algebra, k: int, frame_vecs: np.ndarray) -> tuple:
+    """(P, 1 - P) for P = 3 L_c - 2 L_c^2, the projector onto Im L_x of every
+    point over the first k frame vectors, whose sum is c."""
     lck = lmul(alg, frame_vecs[:k].sum(axis=0))
     proj = 3.0 * lck - 2.0 * (lck @ lck)
+    return proj, np.eye(alg.dim) - proj
+
+
+def _assemble_point(alg: Algebra, k: int, avals: np.ndarray, frame_vecs: np.ndarray,
+                    projectors: tuple) -> ConePoint:
+    """The point sum_{i<k} avals_i frame_vecs_i, with projectors = _projectors
+    of that frame."""
+    proj, complement = projectors
+    x = avals @ frame_vecs[:k]
     lx = lmul(alg, x)
-    n = alg.dim
-    pinv = np.linalg.solve(lx + (np.eye(n) - proj), proj)
+    pinv = np.linalg.solve(lx + complement, proj)
     r = float(x @ float_frame(alg).identity)
     return ConePoint(alg, k, x, np.asarray(avals, dtype=float), frame_vecs, lx, proj, pinv, r)
 
@@ -248,13 +257,23 @@ def sample_cone_point(alg: Algebra, k: int, seed: int) -> ConePoint:
     avals = np.sort(rng.uniform(0.5, 1.5, size=k))[::-1]
     avals += 0.08 * np.arange(k)[::-1]  # keep eigenvalues separated
     g = automorphism_sample(alg, int(rng.integers(2**31)))
-    return _assemble_point(alg, k, avals, float_frame(alg).jordan @ g.T)
+    frame = float_frame(alg).jordan @ g.T
+    return _assemble_point(alg, k, avals, frame, _projectors(alg, k, frame))
 
 
 def radial_cone_point(alg: Algebra, avals) -> ConePoint:
-    """Cone point sum a_i e_ii over the canonical (untransported) frame."""
+    """Cone point sum a_i e_ii over the canonical (untransported) frame.  Its
+    projectors depend on k = len(avals) alone: read-only, built once per
+    (algebra, k)."""
     avals = np.asarray(avals, dtype=float)
-    return _assemble_point(alg, len(avals), avals, float_frame(alg).jordan)
+    k, frame = len(avals), float_frame(alg).jordan
+    key = ("radial_projectors", k)
+    if key not in alg._cache:
+        projectors = _projectors(alg, k, frame)
+        for arr in projectors:
+            arr.flags.writeable = False
+        alg._cache[key] = projectors
+    return _assemble_point(alg, k, avals, frame, alg._cache[key])
 
 
 # --- metric -------------------------------------------------------------------

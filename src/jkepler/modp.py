@@ -3,13 +3,13 @@
 Entries are kept in [0, p).  A product of two entries is below 2^62, so
 elementwise row updates stay exact in int64.  row_pivots, forward
 elimination over sparse rows, serves only the str(V) span in `conformal`;
-the degeneracy ranks in `weyl` grow a Gram inverse by _matmul_mod and
-rank_inverse.
+the degeneracy ranks in `weyl` take one rref of a Gram matrix formed by
+_matmul_mod.
 
 An int64 `%` over a block costs about ten times a subtraction, so the
 dense kernels take few of them.  The ones over a whole block that remain
 are two in each _matmul_mod and one per pivot over an rref leaf of at most
-_LEAF rows.  rank_inverse works on one small square matrix.
+_LEAF rows.
 
 * _matmul_mod splits both factors into 16-bit limbs (_limbs) and runs the
   limb products in float64 BLAS, exact while every sum stays below 2^53,
@@ -161,18 +161,3 @@ def row_pivots(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple[list,
             kept.append([(d, w * inverse % p) for d, w in v.items()])
     return rows, cols
 
-
-def rank_inverse(a: np.ndarray) -> tuple[int, np.ndarray | None]:
-    """(rank, inverse) mod _PRIME of the square integer matrix a, the inverse
-    None when a is singular mod _PRIME: one rref of [a | 1], whose pivots
-    left of the bar are those of a."""
-    r = len(a)
-    block = np.hstack([np.asarray(a, dtype=np.int64) % _PRIME, np.eye(r, dtype=np.int64)])
-    pivots = rref(block)  # r pivots, as [a | 1] has rank r
-    rank = sum(c < r for _, c in pivots)
-    if rank < r:
-        return rank, None
-    out = np.empty((r, r), dtype=np.int64)
-    for i, c in pivots:
-        out[c] = block[i, r:]
-    return r, out

@@ -63,7 +63,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import DomainError, Algebra, Element, ExactArray, Stack
-from .modp import _PRIME, _limbs, _matmul_mod, _sub, rank_inverse
+from .modp import _PRIME, _limbs, _matmul_mod, rref
 from .phase import (_NO_X, XLinearOp, _blocks, _slot_part, bracket, check_relations, conjugate,
                     moment_s, moment_x, moment_y, relation_residual, vacuum)
 from .poly import MismatchError, Poly, check_fields, field, same_nvars, unpack
@@ -414,9 +414,51 @@ def lowest_weight_check(alg: Algebra, nu) -> dict:
             "checked": checked, "witness": failures or None}
 
 
-# --- degeneracies by exact restriction rank ------------------------------------------
+# --- degeneracies: the closed form and the exact restriction rank --------------------
 
-_BLOCK = 32  # points evaluated and reduced together
+def _partitions(total: int, parts: int, top: int):
+    """The partitions of total into at most parts parts, each at most top, as
+    non-increasing tuples of exactly parts entries (zeros at the end)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, top), -1, -1):
+        if first * parts < total:
+            return
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _dim_p(delta: int, m: tuple) -> Fraction:
+    """Upmeier's dim P_m for the partition m of rho parts:
+    prod_{i<j} (l + c)/c (l + c' + 1)_{delta-1} / (c' + 1)_{delta-1} with
+    l = m_i - m_j, c = (delta/2)(j - i) and c' = (delta/2)(j - i - 1)."""
+    half = Fraction(delta, 2)
+    out = Fraction(1)
+    for i, j in itertools.combinations(range(len(m)), 2):
+        l, c, c1 = m[i] - m[j], half * (j - i), half * (j - i - 1)
+        out *= (l + c) / c
+        for t in range(1, delta):
+            out *= (l + c1 + t) / (c1 + t)
+    return out
+
+
+def level_degeneracy(alg: Algebra, k: int, degree: int) -> int:
+    """The closed-form degeneracy of level I on the rank-k cone: the
+    dimension of the degree-I polynomials restricted to it, sum dim P_m over
+    the partitions m of I with at most k parts (P_m the irreducible
+    K-module of highest weight m; Faraut-Koranyi, Analysis on Symmetric
+    Cones, ch. XI; Upmeier, Amer. J. Math. 108, 1986)."""
+    if not 1 <= k <= alg.rho:
+        raise DomainError(f"cone rank must satisfy 1 <= k <= rho = {alg.rho}")
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    pad = (0,) * (alg.rho - k)
+    total = sum(_dim_p(alg.delta, m + pad) for m in _partitions(degree, k, degree))
+    if total.denominator != 1:
+        raise AssertionError(f"sum of dim P_m is not an integer: {total}")
+    return int(total)
 
 
 def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
@@ -434,43 +476,50 @@ def _cone_points(alg: Algebra, k: int, count: int, rng) -> np.ndarray:
                for y in rng.integers(0, _PRIME, (k,) + c.shape)) % _PRIME
 
 
+def _gram_rank(alg: Algebra, k: int, degree: int, count: int, rng) -> int:
+    """The rank mod _PRIME of G = (x_i . x_j)^I at count new points of the
+    rank-<=k cone."""
+    x = _cone_points(alg, k, count, rng)
+    dots = _matmul_mod(x, _limbs(x.T))
+    gram = dots
+    for _ in range(degree - 1):
+        gram = gram * dots % _PRIME
+    return len(rref(gram))
+
+
 def restriction_degeneracy(alg: Algebra, nu, degree: int, seed: int = 0) -> int:
     """Dimension of the degree-I piece of polynomials restricted to the cone of
-    rank k = rho(nu) (its ideal is homogeneous): the rank of the table E of
-    the degree-I monomials at points x = sum_{i<=k} P(y_i) c_1 of that cone.
+    rank k = rho(nu) (its ideal is homogeneous), measured: the rank of the
+    table E of the degree-I monomials at points x = sum_{i<=k} P(y_i) c_1 of
+    that cone.
 
-    E is never built: G_ij = (x_i . x_j)^I is E D E^T with D = diag(I!/alpha!)
-    > 0 (multinomial theorem), so rank_Q G = rank_Q E.  Each block X of
-    points adds the rank of its Schur complement G(X,X) - G(X,S) G(S,S)^-1
-    G(S,X) to the points S kept; a deficient block or rank dim P_I ends the
-    count, else X joins S and G(S,S)^-1 grows by the block-inverse formula.
+    For I <= k it is dim P_I = C(n+I-1, I) with no rank: the ideal of the
+    rank-<=k set starts in degree k+1 (Faraut-Koranyi ch. XI).  Otherwise E
+    is never built: G_ij = (x_i . x_j)^I is E D E^T with D = diag(I!/alpha!)
+    > 0 (multinomial theorem), so rank_Q G = rank_Q E.  One draw of
+    m = min(dim P_I, D + 1) points, D = level_degeneracy(alg, k, I), gives G
+    and its rank by one rref; a rank of m < dim P_I doubles m and draws
+    again.  The closed form only sets m: a D too low is seen as rank m and
+    redrawn, a D too high as rank below m, so the result disagrees with a
+    wrong formula either way.
+
     All of it runs mod p = 2^31 - 1 at integer cone points, where rank can
-    only drop: a certified lower bound on the true rank r.  It is exact unless
-    the leading principal minor of size m = min(|S| + |X|, r) vanishes mod p
-    after a block, a polynomial of degree at most 4Im in the uniform y_i,
-    nonzero over Q: by Schwartz-Zippel (if nonzero mod p) a chance of at most
-    4Im/p per block, about 2 10^-6 at I = 9, m = 120."""
+    only drop: a certified lower bound on the true rank r.  One draw is exact
+    unless the leading principal minor of G of size s = min(m, r) vanishes
+    mod p, a polynomial of degree at most 4Is in the uniform y_i, nonzero
+    over Q: by Schwartz-Zippel (if nonzero mod p) a chance of at most 4Is/p,
+    about 2 10^-6 at I = 9, s = 100."""
     param = WallachParam.make(alg, nu)
     if degree < 0:
         raise DomainError("degree must be >= 0")
     width = math.comb(alg.dim + degree - 1, degree)
+    k = param.rho_of_nu
+    if degree <= k:
+        return width
     rng = np.random.default_rng(seed)
-    points = np.zeros((0, alg.dim), dtype=np.int64)  # S
-    ginv = np.zeros((0, 0), dtype=np.int64)          # G(S,S)^-1, symmetric
-    while len(points) < width:
-        x = _cone_points(alg, param.rho_of_nu, min(_BLOCK, width - len(points)), rng)
-        dots = _matmul_mod(x, _limbs(np.vstack([points, x]).T))
-        g = np.ones_like(dots)
-        for _ in range(degree):
-            g = g * dots % _PRIME
-        b, c = g[:, :len(points)], g[:, len(points):]      # G(X,S), G(X,X)
-        w = _matmul_mod(b, _limbs(ginv))                   # G(X,S) G(S,S)^-1
-        schur = _sub(c, _matmul_mod(w, _limbs(b.T)))       # Sigma
-        rank, schur_inv = rank_inverse(schur)
-        if schur_inv is None:
-            return len(points) + rank
-        # G(S+X, S+X)^-1 = [[G(S,S)^-1 - v w, v], [v^T, Sigma^-1]], v = -w^T Sigma^-1
-        v = _sub(0, _matmul_mod(w.T, _limbs(schur_inv)))
-        ginv = np.block([[_sub(ginv, _matmul_mod(v, _limbs(w))), v], [v.T, schur_inv]])
-        points = np.vstack([points, x])
-    return len(points)
+    count = min(width, level_degeneracy(alg, k, degree) + 1)
+    while True:
+        rank = _gram_rank(alg, k, degree, count, rng)
+        if rank < count or count == width:
+            return rank
+        count = min(2 * count, width)

@@ -2,9 +2,11 @@
 
 Echelon grows a row basis mod p block by block with dense matrix products;
 row_basis runs it over a list of blocks.  The str(V) span was built on them,
-with the pivot minor inverted mod p (modp.rank_inverse) and read back over Q
-by lift, before conformal._str_span_exact moved to sparse rows and an exact
-inverse.  Their results must equal the new route's.
+with the pivot minor inverted mod p (rank_inverse) and read back over Q by
+lift, before conformal._str_span_exact moved to sparse rows and an exact
+inverse.  rank_inverse also served the degeneracy ranks, which grew a Gram
+inverse by Schur complements before weyl.restriction_degeneracy took one
+rref of the whole Gram matrix.  Their results must equal the new route's.
 """
 import math
 
@@ -75,3 +77,19 @@ def lift(a: np.ndarray) -> tuple[np.ndarray, int]:
     den = math.lcm(*set(np.abs(t1).ravel().tolist()))
     num = (den % _PRIME) * (np.asarray(a, dtype=np.int64) % _PRIME) % _PRIME
     return np.where(num > _PRIME // 2, num - _PRIME, num), den
+
+
+def rank_inverse(a: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """(rank, inverse) mod _PRIME of the square integer matrix a, the inverse
+    None when a is singular mod _PRIME: one rref of [a | 1], whose pivots
+    left of the bar are those of a."""
+    r = len(a)
+    block = np.hstack([np.asarray(a, dtype=np.int64) % _PRIME, np.eye(r, dtype=np.int64)])
+    pivots = rref(block)  # r pivots, as [a | 1] has rank r
+    rank = sum(c < r for _, c in pivots)
+    if rank < r:
+        return rank, None
+    out = np.empty((r, r), dtype=np.int64)
+    for i, c in pivots:
+        out[c] = block[i, r:]
+    return r, out

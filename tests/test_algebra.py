@@ -556,6 +556,18 @@ FIVE_FAMILIES = ["gamma:3", "h:3:R", "h:3:C", "h:3:H", "h:3:O"]
 
 
 @pytest.mark.parametrize("spec", FIVE_FAMILIES)
+def test_e_perp_basis_is_a_basis(algebra, spec):
+    # dim e-perp = n - 1: on a hermitian family the k projected diagonal
+    # elements E_ii - e/k sum to zero, so one of them is left out
+    alg = algebra(spec)
+    perp = alg.e_perp_basis()
+    assert len(perp) == alg.dim - 1
+    assert all(alg.inner(w, alg.identity()) == 0 for w in perp)
+    coords = np.array([[float(c) for c in w.coords] for w in perp])
+    assert np.linalg.matrix_rank(coords) == alg.dim - 1
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES)
 @pytest.mark.parametrize("kinds", ["FF", "QQ", "MF", "FQ"])
 def test_exact_kernel_matches_object_formulas(algebra, spec, kinds):
     alg = algebra(spec)

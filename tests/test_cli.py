@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+import time
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -298,6 +300,16 @@ def test_main_spectrum_degeneracies_exact(tmp_path):
     assert data == (tmp_path / "b.json").read_bytes()
     assert [row["degeneracy"] for row in json.loads(data)["levels"]] == [
         (i + 1) ** 2 for i in range(10)]
+
+
+def test_main_spectrum_degeneracies_h6C_within_budget(capsys):
+    # rank 6, n = 36 at nu = 3 (k = 3): levels 0-3 take the I <= k shortcut;
+    # the Gram inverse grown by Schur complements took about 360 s and 3.3 GB
+    start = time.perf_counter()
+    assert main(["spectrum", "--algebra", "h:6:C", "--nu", "3", "--levels", "4",
+                 "--degeneracies"]) == 0
+    assert time.perf_counter() - start < 5
+    assert re.findall(r"degeneracy=(\d+)", capsys.readouterr().out) == ["1", "36", "666", "8436"]
 
 
 def test_main_info(capsys):

@@ -317,7 +317,8 @@ def _reference_chart(alg, k, avals):
             continue
         lv = lmul(inv_sqrt2 * to_float(alg.basis_element(a)))
         gens.append(lframe[i] @ lv - lv @ lframe[i])
-    p = C._assemble_point(alg, k, avals, np.stack(frame))
+    vecs = np.stack(frame)
+    p = C._assemble_point(alg, k, avals, vecs, C._projectors(alg, k, vecs))
     tangents = frame[:k] + [g @ p.x for g in gens]
     m = len(tangents)
     h = np.empty((m, m))

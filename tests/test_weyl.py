@@ -982,7 +982,9 @@ def test_hydrogen_degeneracies(g3, level):
 
 
 def test_continuous_nu_full_dimension(g3):
-    for alg, nu, top in ((g3, Fr(3, 2), 4), (make_algebra("h:3:R"), Fr(3, 2), 3),
+    # levels I <= rho take the I <= k shortcut; gamma:3 at I = 3, 4 and h:3:R
+    # at I = 4 are measured
+    for alg, nu, top in ((g3, Fr(3, 2), 4), (make_algebra("h:3:R"), Fr(3, 2), 4),
                          (make_algebra("h:3:H"), Fr(7), 2)):
         for level in range(1, top + 1):
             want = math.comb(alg.dim + level - 1, level)
@@ -1037,9 +1039,12 @@ def test_degeneracy_closed_forms(spec, nu, top, closed_form):
 
 
 @pytest.mark.parametrize("spec,nu,level,closed_form", [
-    ("h:3:R", Fr(1, 2), 3, 28), ("gamma:3", Fr(1), 4, 25), ("h:3:C", Fr(1), 2, 36)])
+    ("h:3:R", Fr(1, 2), 3, 28), ("gamma:3", Fr(1), 4, 25), ("h:3:C", Fr(1), 2, 36),
+    ("h:3:C", Fr(1), 3, 100)])
 def test_degeneracy_sees_higher_rank_points(spec, nu, level, closed_form):
     # rank-(k+1) points fed in place of rank-k points span more than the level
+    # (h:3:C at I = 2 = k + 1 takes the I <= k shortcut there, at I = 3 it is
+    # measured)
     alg = make_algebra(spec)
     param = WallachParam.make(alg, nu)
     assert restriction_degeneracy(alg, param, level, seed=4) == closed_form
@@ -1048,36 +1053,153 @@ def test_degeneracy_sees_higher_rank_points(spec, nu, level, closed_form):
 
 
 def _monomial_rank(alg, nu, degree, seed):
-    """The rank of the degree-I monomial table E at the cone points, mod p:
-    the Echelon computation that the Gram matrix replaced, on the same
-    points in the same blocks."""
-    param = WallachParam.make(alg, nu)
+    """The rank of the degree-I monomial table E, mod p, at the points that
+    restriction_degeneracy draws, in the same draws: min(dim P_I, D + 1) of
+    them, doubled while all are independent; for I <= k, which it does not
+    rank, dim P_I points."""
+    k = WallachParam.make(alg, nu).rho_of_nu
     factors = np.array(list(itertools.combinations_with_replacement(range(alg.dim), degree)))
+    width = len(factors)
+    count = width if degree <= k else min(width, weyl.level_degeneracy(alg, k, degree) + 1)
     rng = np.random.default_rng(seed)
-    echelon = Echelon(len(factors))
-    while len(echelon.cols) < len(factors):
-        x = weyl._cone_points(alg, param.rho_of_nu,
-                              min(weyl._BLOCK, len(factors) - len(echelon.cols)), rng)
-        block = np.ones((len(x), len(factors)), dtype=np.int64)
+    while True:
+        x = weyl._cone_points(alg, k, count, rng)
+        table = np.ones((count, width), dtype=np.int64)
         for column in factors.T:
-            block = block * x[:, column] % modp._PRIME
-        if len(echelon.add(block)) < len(block):
-            break
-    return len(echelon.cols)
+            table = table * x[:, column] % modp._PRIME
+        rank = len(Echelon(width).add(table))
+        if rank < count or count == width:
+            return rank
+        count = min(2 * count, width)
 
 
 @pytest.mark.parametrize("spec,nu,level,want", [
-    ("gamma:3", Fr(1), 2, 9),       # dim P_I = 10 < _BLOCK: one block
-    ("h:3:R", Fr(1, 2), 3, 28),     # dim P_I = 56, two blocks
-    ("gamma:3", Fr(1), 7, 64),      # the rank is 2 _BLOCK: a block adds 0
-    ("h:3:H", Fr(7), 2, 120),       # the rank is dim P_I: no deficient block
-    ("h:3:R", Fr(1), 3, 55),        # rank-2 points: dim P_3 - dim P_0
+    ("gamma:3", Fr(1), 2, 9),       # D + 1 = dim P_I = 10 points
+    ("h:3:R", Fr(1, 2), 3, 28),     # D + 1 = 29 of dim P_I = 56 points
+    ("gamma:3", Fr(1), 7, 64),      # D + 1 = 65 of dim P_I = 120 points
+    ("h:3:H", Fr(7), 2, 120),       # I < k: no rank; E has full rank
+    ("h:3:R", Fr(1), 3, 55),        # rank-2 points: D + 1 = dim P_3 = 56 points
+    ("h:4:R", Fr(3, 2), 3, 220),    # I = k: no rank; E has full rank
+    ("h:3:C", Fr(2), 3, 164),       # D + 2 = 166 points capped at dim P_I = 165
 ])
 def test_gram_rank_matches_monomial_rank(spec, nu, level, want):
     alg = make_algebra(spec)
     for seed in (0, 1, 2):
         assert restriction_degeneracy(alg, nu, level, seed=seed) == want
         assert _monomial_rank(alg, nu, level, seed) == want
+
+
+# (spec, highest level) of the closed-form cross-check: every discrete k and one
+# continuous nu, each row well under a second
+_CROSSCHECK = {"gamma:3": 5, "gamma:5": 4, "h:3:R": 5, "h:3:C": 4, "h:3:H": 3, "h:3:O": 2,
+               "h:4:R": 4}
+
+
+def _params(alg):
+    discrete, top = weyl.wallach_set(alg)
+    return [WallachParam.make(alg, nu) for nu in [*discrete, top + 1]]
+
+
+@pytest.mark.parametrize("spec,top", _CROSSCHECK.items())
+def test_closed_form_matches_the_measured_rank(spec, top):
+    alg = make_algebra(spec)
+    for param in _params(alg):
+        for level in range(top + 1):
+            want = weyl.level_degeneracy(alg, param.rho_of_nu, level)
+            assert restriction_degeneracy(alg, param, level, seed=level) == want, \
+                (spec, param.value, level)
+
+
+@pytest.mark.parametrize("spec,nu,values", [
+    ("h:3:C", Fr(2), [1, 9, 45, 164, 486]),
+    ("h:4:R", Fr(1), [1, 10, 55, 210, 630]),
+    ("h:3:O", Fr(8), [1, 27, 378, 3653]),
+    ("h:6:C", Fr(3), [1, 36, 666, 8436]),
+    ("gamma:3", Fr(1), [(i + 1) ** 2 for i in range(13)]),
+    ("h:3:R", Fr(1, 2), [math.comb(2 * i + 2, 2) for i in range(11)]),
+])
+def test_level_degeneracy_values(spec, nu, values):
+    alg = make_algebra(spec)
+    k = WallachParam.make(alg, nu).rho_of_nu
+    assert [weyl.level_degeneracy(alg, k, i) for i in range(len(values))] == values
+
+
+def test_level_degeneracy_validated(g3):
+    for k, level in ((0, 2), (3, 2), (1, -1)):
+        with pytest.raises(DomainError):
+            weyl.level_degeneracy(g3, k, level)
+
+
+def _rising(a, count):
+    return math.prod((a + t for t in range(count)), start=Fr(1))
+
+
+def _upmeier(delta, m, shift):
+    """dim P_m with its Pochhammer symbols written out and c' moved by shift."""
+    out = Fr(1)
+    for i, j in itertools.combinations(range(len(m)), 2):
+        l, c, c1 = m[i] - m[j], Fr(delta, 2) * (j - i), Fr(delta, 2) * (j - i - 1) + shift
+        out *= (l + c) / c * _rising(l + c1 + 1, delta - 1) / _rising(c1 + 1, delta - 1)
+    return out
+
+
+def _formula_or_none(alg, k, level):
+    """level_degeneracy, or None where the sum is not an integer."""
+    try:
+        return weyl.level_degeneracy(alg, k, level)
+    except AssertionError:
+        return None
+
+
+@pytest.mark.parametrize("spec,nu,level", [
+    ("gamma:3", Fr(1), 3), ("gamma:5", Fr(2), 3), ("h:3:R", Fr(1), 3), ("h:3:C", Fr(2), 3),
+    ("h:3:H", Fr(2), 2), ("h:3:O", Fr(4), 2), ("h:4:R", Fr(1), 3)])
+def test_mutated_closed_form_disagrees_with_the_rank(spec, nu, level, monkeypatch):
+    alg = make_algebra(spec)
+    k = WallachParam.make(alg, nu).rho_of_nu
+    rank = restriction_degeneracy(alg, nu, level, seed=3)
+    assert weyl.level_degeneracy(alg, k, level) == rank
+    wrong_delta = type("Params", (), {"rho": alg.rho, "delta": alg.delta + 1})()
+    assert _formula_or_none(wrong_delta, k, level) != rank
+    # at delta = 1 the Pochhammer symbols are empty and c' does not enter
+    for shift in (0, Fr(1, 2), Fr(-1, 2)) if alg.delta > 1 else (0,):
+        monkeypatch.setattr(weyl, "_dim_p", lambda delta, m: _upmeier(delta, m, shift))
+        assert (_formula_or_none(alg, k, level) == rank) == (shift == 0)
+
+
+@pytest.mark.parametrize("spec,nu,level", [
+    ("gamma:3", Fr(1), 4), ("h:3:C", Fr(2), 3), ("h:4:R", Fr(1), 3)])
+@pytest.mark.parametrize("error", [-3, 3])
+def test_rank_does_not_follow_a_wrong_formula(spec, nu, level, error, monkeypatch):
+    # D - 3 draws D - 2 points, all independent, so the draw doubles; D + 3
+    # draws D + 4 (at most dim P_I) and reads rank D below it
+    alg = make_algebra(spec)
+    k = WallachParam.make(alg, nu).rho_of_nu
+    want, width = weyl.level_degeneracy(alg, k, level), math.comb(alg.dim + level - 1, level)
+    draws = []
+    gram_rank = weyl._gram_rank
+    monkeypatch.setattr(weyl, "level_degeneracy", lambda a, kk, i: want + error)
+    monkeypatch.setattr(weyl, "_gram_rank",
+                        lambda a, kk, i, count, rng: draws.append(count) or gram_rank(a, kk, i, count, rng))
+    assert restriction_degeneracy(alg, nu, level, seed=2) == want
+    if error < 0:
+        assert draws == [want - 2, min(2 * want - 4, width)]
+    else:
+        assert draws == [min(want + 4, width)]
+    assert _monomial_rank(alg, nu, level, seed=2) == want
+
+
+@pytest.mark.parametrize("spec,nu,level", [
+    ("gamma:3", Fr(3, 2), 2), ("h:3:R", Fr(1), 1), ("h:3:R", Fr(1), 2), ("h:3:C", Fr(2), 2),
+    ("h:3:H", Fr(7), 2), ("h:4:R", Fr(3, 2), 3)])
+def test_shortcut_levels_have_full_gram_rank(spec, nu, level):
+    # I <= k: no polynomial of degree I vanishes on the rank-k cone, so the
+    # Gram matrix at dim P_I points has full rank
+    alg = make_algebra(spec)
+    k = WallachParam.make(alg, nu).rho_of_nu
+    width = math.comb(alg.dim + level - 1, level)
+    assert level <= k and restriction_degeneracy(alg, nu, level) == width
+    assert weyl._gram_rank(alg, k, level, width, np.random.default_rng(level)) == width
 
 
 def test_matmul_mod_is_exact():
